@@ -39,7 +39,6 @@ from .ring import (
 )
 from .rng import XofRng
 from .sampling import (
-    GaussParams,
     gadget_vector,
     sample_g_batch,
     sample_z_batch,
@@ -288,13 +287,16 @@ def criterion_4(profile: str = "toy") -> CriterionResult:
         pre_bad += int(apply_vector(shifted, x) != u)
 
     iparams = derive_int_params(128, 32, "toy")
-    a_mat, basis = ml.trap_gen_int(iparams, rng)
+    int_traps, int_trap_bad = 10, 0
+    for _ in range(int_traps):
+        a_mat, itrap = ml.trap_gen_int(iparams, rng)
+        int_trap_bad += int(ml.gadget_residual(a_mat, itrap.r, iparams.q).any())
     m1 = ml.mat_uniform(iparams.q, iparams.n, iparams.m, rng)
     f_mat = np.concatenate([a_mat, m1], axis=1)
     left_bad = 0
     for _ in range(20):
         u_mat = ml.mat_uniform(iparams.q, iparams.n, iparams.t_msg, rng)
-        e = ml.sample_left(a_mat, m1, basis, u_mat, iparams.sigma, rng, iparams.q)
+        e = ml.sample_left(a_mat, m1, itrap, u_mat, iparams, rng)
         res = (ml.matmul_mod(f_mat, e % iparams.q, iparams.q) - u_mat) % iparams.q
         left_bad += int(res.any())
 
@@ -313,10 +315,12 @@ def criterion_4(profile: str = "toy") -> CriterionResult:
         ots_bad += int(not ots.ots_sis_verify(h_mat, keys.pub, msg, sig, iparams))
 
     seconds = time.perf_counter() - start
-    ok = trap_bad == 0 and pre_bad == 0 and left_bad == 0 and ots_bad == 0
+    ok = trap_bad == 0 and int_trap_bad == 0 and pre_bad == 0 and left_bad == 0 and ots_bad == 0
     return CriterionResult(
         4, "exact algebraic gates", ok,
-        f"trapdoor identities {100 - trap_bad}/100, preimages {1000 - pre_bad}/1000, "
+        f"trapdoor identities {100 - trap_bad}/100, "
+        f"integer identities {int_traps - int_trap_bad}/{int_traps}, "
+        f"preimages {1000 - pre_bad}/1000, "
         f"left-samples {20 - left_bad}/20, signatures {2000 - ots_bad}/2000",
         seconds,
     )
@@ -588,7 +592,7 @@ def criterion_8(profile: str = "toy") -> CriterionResult:
     )
 
 
-_CRITERIA = {
+CRITERIA = {
     1: criterion_1,
     2: criterion_2,
     3: criterion_3,
@@ -601,10 +605,10 @@ _CRITERIA = {
 
 
 def run_all(profile: str = "toy", criteria: list[int] | None = None) -> list[CriterionResult]:
-    wanted = criteria if criteria is not None else sorted(_CRITERIA)
+    wanted = criteria if criteria is not None else sorted(CRITERIA)
     results = []
     for number in wanted:
-        fn = _CRITERIA.get(number)
+        fn = CRITERIA.get(number)
         if fn is None:
             raise ValueError(f"unknown criterion {number}")
         results.append(fn(profile))

@@ -3,7 +3,8 @@ issuance, equality testing, and the self-test table.
 
 Exit codes are a stable contract: 0 for success (or EQUAL), 1 for
 NOT-EQUAL and decryption rejections, 2 for malformed input (bad framing,
-digest mismatch, oversized messages, unusable arguments).  Stdout carries
+digest mismatch, a secret key that does not match the public key,
+oversized messages, unusable arguments).  Stdout carries
 hex payloads and the EQUAL/NOT-EQUAL verdict; diagnostics go to stderr.
 """
 
@@ -17,10 +18,12 @@ from pathlib import Path
 import numpy as np
 
 from . import pkeet_int, pkeet_ring, serial
-from .errors import PkeetError, RejectHash, RejectSignature
+from .errors import KeyMismatch, PkeetError, RejectHash, RejectSignature
+from .matlattice import gadget_residual
 from .params import ParamsInt, ParamsRing, derive_int_params, derive_ring_params
 from .ring import RingElement, get_context
 from .rng import SEED_BYTES, XofRng, fresh_seed
+from .trapdoor_ring import trapdoor_identity_residual
 
 _DEFAULT_N = {"ring": 256, "int": 32}
 
@@ -71,6 +74,18 @@ def _read_frame(path: str, kind: int):
         raise UsageError(f"cannot read {path}: {exc}") from exc
     _, _, params, obj = serial.decode_object(data, expect_kind=kind)
     return params, obj
+
+
+def _check_key_pair(pk, sk, params) -> None:
+    """Raise :class:`KeyMismatch` unless ``sk`` holds the trapdoors of ``pk``."""
+    if isinstance(params, ParamsRing):
+        pairs = ((pk.a, sk.t_a), (pk.b, sk.t_b))
+        bad = any(trapdoor_identity_residual(vec, trap).any() for vec, trap in pairs)
+    else:
+        pairs = ((pk.a, sk.t_a), (pk.a_prime, sk.t_a_prime))
+        bad = any(gadget_residual(a, trap.r, params.q).any() for a, trap in pairs)
+    if bad:
+        raise KeyMismatch("the secret key does not belong to the public key")
 
 
 def _derive(scheme: str, profile: str, n: int | None, security: int) -> ParamsRing | ParamsInt:
@@ -129,6 +144,7 @@ def cmd_decrypt(args: argparse.Namespace) -> int:
     params_sk, sk = _read_frame(args.sk, serial.KIND_SK)
     params_ct, ct = _read_frame(args.ct, serial.KIND_CT)
     serial.require_same_params(params, params_sk, params_ct)
+    _check_key_pair(pk, sk, params)
     rng = XofRng(_parse_seed(args.seed))
     try:
         if isinstance(params, ParamsRing):
@@ -147,6 +163,7 @@ def cmd_trapdoor(args: argparse.Namespace) -> int:
     params, pk = _read_frame(args.pk, serial.KIND_PK)
     params_sk, sk = _read_frame(args.sk, serial.KIND_SK)
     serial.require_same_params(params, params_sk)
+    _check_key_pair(pk, sk, params)
     if isinstance(params, ParamsRing):
         td = pkeet_ring.trapdoor(sk, pk)
         blob = serial.encode_ring_td(td, params)
@@ -182,6 +199,11 @@ def cmd_selftest(args: argparse.Namespace) -> int:
             wanted = sorted({int(c) for c in args.criteria.split(",")})
         except ValueError as exc:
             raise UsageError(f"criteria must be a comma-separated list: {exc}") from exc
+        unknown = [c for c in wanted if c not in acceptance.CRITERIA]
+        if unknown:
+            raise UsageError(
+                f"unknown criteria {unknown}; choose from {sorted(acceptance.CRITERIA)}"
+            )
     results = acceptance.run_all(profile=args.profile, criteria=wanted)
     width = max(len(r.name) for r in results)
     all_ok = True

@@ -28,10 +28,6 @@ class ParamsMismatch(PkeetError):
     """Two objects governed by different parameter sets were combined."""
 
 
-class NotInitialized(PkeetError):
-    """An evaluation-domain element was used before its table context."""
-
-
 class NotInvertible(PkeetError):
     """Inversion was requested for a ring element with a zero evaluation."""
 
@@ -56,8 +52,8 @@ class GenerationFailed(PkeetError):
     """Key generation failed after the bounded number of retries."""
 
 
-class RankError(PkeetError):
-    """A matrix expected to have full rank does not."""
+class KeyMismatch(PkeetError):
+    """A secret key does not satisfy the trapdoor identity of the public key."""
 
 
 class RejectSignature(PkeetError):

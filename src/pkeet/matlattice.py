@@ -1,27 +1,27 @@
-"""Integer-lattice machinery: exact mod-q linear algebra, trapdoor matrix
-generation with an explicit short kernel basis, and Gaussian sampling over
-lattice cosets.
+"""Integer-lattice machinery: exact mod-q matrix products, trapdoor matrix
+generation with a gadget trapdoor, and Gaussian preimage sampling.
 
 The trapdoor generator outputs ``A = [A_bar | G - A_bar R]`` for a small
-random ``R``, together with a short basis ``S`` of the kernel lattice
-``{x : A x = 0 mod q}``.  The basis columns come in two blocks: gadget
-kernel relations pushed through ``[R; I]``, and per-column completions
-``(e_i + R w_i; w_i)`` built from bit decompositions of ``-A_bar``.  The
-block determinant telescopes to the gadget basis determinant, so ``S`` is
-always rationally nonsingular.
+random ``R``, so that ``A [R; I] = G`` exactly, with ``G = I_n (x) g`` the
+gadget matrix (Micciancio-Peikert, EUROCRYPT 2012, section 5.4).  Preimages
+follow the same perturb-then-gadget-sample pattern as the ring scheme: a
+perturbation ``p`` with covariance ``sigma^2 I - w^2 [R; I][R; I]^T`` hides
+``R``, the remaining syndrome is sampled in the gadget coset at width ``w``,
+and the gadget solution re-enters through ``[R; I]``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GenerationFailed, InvalidParams, RankError, WidthTooSmall
-from .params import ParamsInt
+from .errors import CovarianceNotPD, GenerationFailed, InvalidParams
+from .params import ParamsInt, int_gadget_width
 from .ring import mulmod
 from .rng import XofRng
-from .sampling import OrthoBasis, bit_decompose, gadget_basis, klein_batch, sample_z_batch
+from .sampling import cholesky_pd, sample_g_batch, sample_z_batch
 
 _TRAPGEN_RETRIES = 8
 _MATMUL_Q_CAP = 1 << 56   # elementwise products ride the exact mulmod kernel
@@ -66,96 +66,17 @@ def mat_uniform(q: int, rows: int, cols: int, rng: XofRng) -> np.ndarray:
     return rng.uniform_mod(q, rows * cols).reshape(rows, cols)
 
 
-def matmul_small(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact integer product of small-entry matrices through float64 BLAS.
-
-    Valid while every inner sum stays below 2^53; the bound is checked from
-    the entry magnitudes before trusting the rounded result.
-    """
-    a = np.asarray(a, dtype=np.int64)
-    b = np.asarray(b, dtype=np.int64)
-    bound = a.shape[1] * int(np.abs(a).max(initial=0)) * int(np.abs(b).max(initial=0))
-    if bound >= 1 << 53:
-        return a @ b
-    return np.rint(a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
-
-
-def _row_reduce(mat: np.ndarray, q: int) -> tuple[np.ndarray, list[int]]:
-    """In-place style Gauss-Jordan over Z_q (q prime): returns (rref, pivots)."""
-    m = np.asarray(mat, dtype=np.int64) % q
-    rows, cols = m.shape
-    pivots: list[int] = []
-    row = 0
-    for col in range(cols):
-        if row == rows:
-            break
-        hit = np.nonzero(m[row:, col])[0]
-        if hit.size == 0:
-            continue
-        r = row + int(hit[0])
-        if r != row:
-            m[[row, r]] = m[[r, row]]
-        inv = pow(int(m[row, col]), q - 2, q)
-        m[row] = mulmod(m[row], np.int64(inv), q)
-        factors = m[:, col].copy()
-        factors[row] = 0
-        m = (m - mulmod(factors[:, None], m[row][None, :], q)) % q
-        pivots.append(col)
-        row += 1
-    return m, pivots
-
-
-def rank_mod(mat: np.ndarray, q: int) -> int:
-    return len(_row_reduce(mat, q)[1])
-
-
-def solve_particular(a_mat: np.ndarray, b_mat: np.ndarray, q: int) -> np.ndarray:
-    """Some ``X`` with ``A X = B mod q``; raises :class:`RankError` if the
-    rows of ``A`` do not span (solutions then need not exist)."""
-    a_mat = np.asarray(a_mat, dtype=np.int64)
-    b_mat = np.asarray(b_mat, dtype=np.int64)
-    n, m = a_mat.shape
-    if b_mat.shape[0] != n:
-        raise InvalidParams(f"solve shapes {a_mat.shape} vs {b_mat.shape}")
-    rref, pivots = _row_reduce(np.concatenate([a_mat % q, b_mat % q], axis=1), q)
-    if len(pivots) < n or pivots[-1] >= m:
-        raise RankError("coefficient matrix does not have full row rank mod q")
-    x = np.zeros((m, b_mat.shape[1]), dtype=np.int64)
-    for r, col in enumerate(pivots):
-        x[col] = rref[r, m:]
-    return x
-
-
-# ---------------------------------------------------------------------------
-# Trapdoor generation
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class IntTrapdoorBasis:
-    """Short signed basis of the kernel lattice with its orthogonalization."""
-
-    s: np.ndarray              # (m, m) int64, columns are basis vectors
-    ortho: OrthoBasis
-
-    @property
-    def dim(self) -> int:
-        return self.s.shape[0]
-
-    @property
-    def max_gs_norm(self) -> float:
-        return self.ortho.max_gs_norm
-
-    @classmethod
-    def from_matrix(cls, s: np.ndarray) -> "IntTrapdoorBasis":
-        s = np.asarray(s, dtype=np.int64)
-        return cls(s=s, ortho=OrthoBasis.from_basis(s))
-
-
 def _signed_bound_ok(a: np.ndarray, b: np.ndarray) -> bool:
     """True when a direct int64 product of the two matrices cannot overflow."""
     bound = a.shape[1] * int(np.abs(a).max(initial=0)) * int(np.abs(b).max(initial=0))
     return bound < 1 << 62
+
+
+def _mul_signed(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
+    """``a @ b mod q`` for signed integer matrices, directly when int64 suffices."""
+    if _signed_bound_ok(a, b):
+        return (a @ b) % q
+    return matmul_mod(a % q, b % q, q)
 
 
 def _gadget_rows(q: int, n: int, k: int) -> np.ndarray:
@@ -167,113 +88,102 @@ def _gadget_rows(q: int, n: int, k: int) -> np.ndarray:
     return g
 
 
-def _bit_columns(mat: np.ndarray, q: int, k: int) -> np.ndarray:
-    """(n*k, cols) bit matrix W with G W = mat (mod q), columnwise."""
-    n, cols = mat.shape
-    bits = bit_decompose(np.asarray(mat, dtype=np.int64) % q, k)   # (n, cols, k)
-    return bits.transpose(0, 2, 1).reshape(n * k, cols)
+# ---------------------------------------------------------------------------
+# Trapdoor generation
+# ---------------------------------------------------------------------------
 
 
-def trap_gen_int(params: ParamsInt, rng: XofRng) -> tuple[np.ndarray, IntTrapdoorBasis]:
-    """Near-uniform ``A`` (n x m) with a short basis of its kernel lattice."""
+@dataclass
+class IntTrapdoor:
+    """Gadget trapdoor ``R`` with the Cholesky factor of its perturbation
+    covariance ``(sigma^2 - sigma_r^2) I - w^2 [R; I][R; I]^T``; the
+    ``sigma_r^2`` share is left for the randomized rounding."""
+
+    r: np.ndarray              # (m_bar, n*k) signed int64
+    chol: np.ndarray           # (m, m) float64, lower triangular
+
+    @classmethod
+    def from_r(cls, r: np.ndarray, params: ParamsInt) -> "IntTrapdoor":
+        """Factor the perturbation covariance of ``R``; raises
+        :class:`CovarianceNotPD` when ``sigma`` is too narrow for it."""
+        r = np.asarray(r, dtype=np.int64)
+        rf = r.astype(np.float64)
+        gram = np.block([[rf @ rf.T, rf], [rf.T, np.eye(r.shape[1])]])
+        cov = -(int_gadget_width(params.m) ** 2) * gram
+        cov[np.diag_indices_from(cov)] += params.sigma**2 - params.sigma_r**2
+        return cls(r=r, chol=cholesky_pd(cov, params.sigma**2))
+
+
+def gadget_residual(a_mat: np.ndarray, r: np.ndarray, q: int) -> np.ndarray:
+    """Exact residual of ``A [R; I] - G (mod q)``; zero when ``R`` is a
+    gadget trapdoor of ``A``."""
+    n = a_mat.shape[0]
+    m_bar, nk = r.shape
+    head = _mul_signed(a_mat[:, :m_bar], r, q)
+    return (head + a_mat[:, m_bar:] - _gadget_rows(q, n, nk // n)) % q
+
+
+def trap_gen_int(params: ParamsInt, rng: XofRng) -> tuple[np.ndarray, IntTrapdoor]:
+    """Near-uniform ``A`` (n x m) with a gadget trapdoor ``R``.
+
+    A draw of ``R`` whose perturbation covariance is not positive definite
+    at width ``sigma`` is discarded and both matrices are drawn again.
+    """
     n, k, q = params.n, params.k, params.q
     nk = n * k
     m_bar = params.m_bar
     if params.m != m_bar + nk:
         raise InvalidParams("matrix width must split as m_bar + n*k")
 
-    s_g = np.kron(np.eye(n, dtype=np.int64), gadget_basis(q, k))
+    gadget = _gadget_rows(q, n, k)
     for _ in range(_TRAPGEN_RETRIES):
         a_bar = mat_uniform(q, n, m_bar, rng)
         r_small = sample_z_batch(params.sigma_r, np.zeros((m_bar, nk)), rng)
-
-        gadget = _gadget_rows(q, n, k)
-        a_tail = (
-            (gadget - a_bar @ r_small) % q
-            if _signed_bound_ok(a_bar, r_small)
-            else (gadget - matmul_mod(a_bar, r_small % q, q)) % q
-        )
-        a_mat = np.concatenate([a_bar, a_tail], axis=1)
-        if rank_mod(a_mat, q) < n:
+        try:
+            trap = IntTrapdoor.from_r(r_small, params)
+        except CovarianceNotPD:
             continue
-
-        w_bits = _bit_columns((-a_bar) % q, q, k)                  # (nk, m_bar)
-        top = np.concatenate(
-            [
-                matmul_small(r_small, s_g),
-                np.eye(m_bar, dtype=np.int64) + matmul_small(r_small, w_bits),
-            ],
-            axis=1,
-        )
-        bottom = np.concatenate([s_g, w_bits], axis=1)
-        s = np.concatenate([top, bottom], axis=0)
-        basis = IntTrapdoorBasis.from_matrix(s)
-
-        residual = (a_mat @ s) % q if _signed_bound_ok(a_mat, s) else matmul_mod(
-            a_mat, s % q, q
-        )
-        if residual.any():
-            raise GenerationFailed("kernel basis failed the exact congruence")
-        return a_mat, basis
+        a_tail = (gadget - _mul_signed(a_bar, r_small, q)) % q
+        return np.concatenate([a_bar, a_tail], axis=1), trap
     raise GenerationFailed(
-        f"no full-rank matrix after {_TRAPGEN_RETRIES} attempts"
+        f"no trapdoor with a positive definite perturbation in {_TRAPGEN_RETRIES} draws"
     )
 
 
 # ---------------------------------------------------------------------------
-# Coset sampling
+# Preimage sampling
 # ---------------------------------------------------------------------------
-
-
-def _width_guard(sigma: float, basis: IntTrapdoorBasis, dim: int) -> None:
-    floor = basis.max_gs_norm * np.sqrt(np.log(dim))
-    if sigma < floor:
-        raise WidthTooSmall(
-            f"width {sigma:.3f} under the operational floor {floor:.3f}"
-        )
-
-
-def sample_d_batch(
-    basis: IntTrapdoorBasis, centers: np.ndarray, sigma: float, rng: XofRng
-) -> np.ndarray:
-    """Rows of Gaussian draws from ``center + Lambda``, centered near zero."""
-    centers = np.atleast_2d(np.asarray(centers))
-    _width_guard(sigma, basis, basis.dim)
-    near = klein_batch(basis.ortho, -centers.astype(np.float64), sigma, rng)
-    return centers + near
-
-
-def sample_d(
-    basis: IntTrapdoorBasis, center: np.ndarray, sigma: float, rng: XofRng
-) -> np.ndarray:
-    return sample_d_batch(basis, center[None, :], sigma, rng)[0]
 
 
 def sample_left(
     a_mat: np.ndarray,
     m1_mat: np.ndarray,
-    basis: IntTrapdoorBasis,
+    trap: IntTrapdoor,
     u_mat: np.ndarray,
-    sigma: float,
+    params: ParamsInt,
     rng: XofRng,
-    q: int,
 ) -> np.ndarray:
     """Columns ``e`` with ``(A | M1) e = U mod q`` and Gaussian profile.
 
-    The second half of each column is a fresh Gaussian; the first half is a
-    coset sample against the adjusted syndrome, so the congruence is exact
-    by construction.
+    The second half of each column is a fresh Gaussian of width ``sigma``.
+    The first half is ``p + [R z; z]``: ``p`` is the perturbation, and
+    ``z`` a gadget-coset sample with ``G z = target - A p``, so the
+    congruence is exact by construction and the sum is spherical.
     """
+    q, n, k = params.q, params.n, params.k
     a_mat = np.asarray(a_mat, dtype=np.int64)
     m1_mat = np.asarray(m1_mat, dtype=np.int64)
     u_mat = np.asarray(u_mat, dtype=np.int64)
-    n, m = a_mat.shape
-    m1c = m1_mat.shape[1]
+    m = a_mat.shape[1]
     t = u_mat.shape[1]
-    _width_guard(sigma, basis, m + m1c)
 
-    e2 = sample_z_batch(sigma, np.zeros((m1c, t)), rng)
+    e2 = sample_z_batch(params.sigma, np.zeros((m1_mat.shape[1], t)), rng)
     target = (u_mat - matmul_mod(m1_mat, e2 % q, q)) % q
-    t_part = solve_particular(a_mat, target, q)                   # (m, t)
-    e1 = sample_d_batch(basis, t_part.T, sigma, rng).T            # (m, t)
+
+    y = trap.chol @ rng.normal(m * t).reshape(m, t) / math.sqrt(2.0 * math.pi)
+    p = sample_z_batch(params.sigma_r, y, rng)                       # (m, t)
+    v = (target - _mul_signed(a_mat, p, q)) % q
+    z = sample_g_batch(int_gadget_width(m), v.reshape(-1), q, rng)   # (n*t, k)
+    z = z.reshape(n, t, k).transpose(0, 2, 1).reshape(n * k, t)
+    e1 = p + np.concatenate([trap.r @ z, z], axis=0)
     return np.concatenate([e1, e2], axis=0)

@@ -324,8 +324,26 @@ class ParamsInt:
         return hashlib.shake_256(self.canonical_text().encode()).digest(8)
 
 
+def _ln_slack(m: int) -> float:
+    """The ``omega(sqrt(log m))`` slack of the integer scheme: sqrt(ln 4m)."""
+    return math.sqrt(math.log(4 * m))
+
+
+def int_gadget_width(m: int) -> float:
+    """Width ``w`` of the integer scheme's gadget-coset sampler.
+
+    The gadget basis has orthogonalized norms below sqrt(5), so ``w`` is
+    sqrt(5) times the slack.  The preimage width ``sigma`` is this width
+    scaled by the predicted largest singular value of ``[R; I]``, which
+    leaves the perturbation covariance positive definite.
+    """
+    return math.sqrt(5.0) * _ln_slack(m)
+
+
 def _int_gs_estimate(n: int, k: int, m_bar: int, sigma_r: float) -> float:
-    """Predicted orthogonalized norm of the generated trapdoor basis."""
+    """sqrt(5) times a bound on the largest singular value of ``[R; I]``,
+    with ``s1(R)`` predicted from the width of ``R``; ``sigma`` is this
+    times the slack, times 1.3."""
     s1 = sigma_r / math.sqrt(2.0 * math.pi) * (
         math.sqrt(m_bar) + math.sqrt(n * k) + T_PRIME
     )
@@ -385,7 +403,7 @@ def derive_int_params(
         m_bar = m - n * k
         sigma_r = _width_floor(m + n)
         gs_est = _int_gs_estimate(n, k, m_bar, sigma_r)
-        sigma_op = gs_est * math.sqrt(math.log(4 * m)) * 1.3
+        sigma_op = gs_est * _ln_slack(m) * 1.3
 
         if profile == "toy":
             sigma = sigma_op

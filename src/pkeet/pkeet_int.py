@@ -6,7 +6,11 @@ carry two masked payload vectors and two doubled-width vector slots formed
 under selector-dependent matrices ``(A | B + sum b_i A_i)``.  Binding uses
 the matrix one-time signature whose public key ``D`` seeds the selector
 hash, with the signature vector ``u`` checked for both the linear identity
-and shortness."""
+and shortness.
+
+The secret key holds the gadget trapdoors ``R`` of ``A`` and ``A'``
+(``A [R; I] = G``); opening a slot samples a preimage under the
+selector-dependent matrix with :func:`~pkeet.matlattice.sample_left`."""
 
 from __future__ import annotations
 
@@ -17,13 +21,13 @@ import numpy as np
 from .errors import InvalidMessage, RejectHash, RejectSignature
 from .hashing import hash_message, hash_pm_one, hash_weighted
 from .matlattice import (
-    IntTrapdoorBasis,
+    IntTrapdoor,
     balanced_mod,
     mat_uniform,
     matmul_mod,
     sample_left,
     trap_gen_int,
-    _signed_bound_ok,
+    _mul_signed,
 )
 from .ots import ots_sis_keygen, ots_sis_verify
 from .params import ParamsInt
@@ -43,10 +47,10 @@ class PkInt:
 
 @dataclass
 class SkInt:
-    """Kernel bases for the two trapdoored matrices."""
+    """Gadget trapdoors of the two trapdoored matrices."""
 
-    s_a: IntTrapdoorBasis
-    s_a_prime: IntTrapdoorBasis
+    t_a: IntTrapdoor
+    t_a_prime: IntTrapdoor
 
 
 @dataclass
@@ -64,10 +68,10 @@ class CtInt:
 
 @dataclass
 class TrapdoorTokenInt:
-    """Equality-test token: hash-slot basis plus the public material the
+    """Equality-test token: hash-slot trapdoor plus the public material the
     test needs."""
 
-    s_a_prime: IntTrapdoorBasis
+    t_a_prime: IntTrapdoor
     a_prime: np.ndarray
     a_list: list[np.ndarray]
     b: np.ndarray
@@ -75,13 +79,13 @@ class TrapdoorTokenInt:
 
 
 def setup_int(params: ParamsInt, rng: XofRng) -> tuple[PkInt, SkInt]:
-    a_mat, s_a = trap_gen_int(params, rng)
-    a_prime, s_a_prime = trap_gen_int(params, rng)
+    a_mat, t_a = trap_gen_int(params, rng)
+    a_prime, t_a_prime = trap_gen_int(params, rng)
     a_list = [mat_uniform(params.q, params.n, params.m, rng) for _ in range(params.l)]
     b_mat = mat_uniform(params.q, params.n, params.m, rng)
     u_mat = mat_uniform(params.q, params.n, params.t_msg, rng)
     pk = PkInt(a=a_mat, a_prime=a_prime, a_list=a_list, b=b_mat, u=u_mat)
-    return pk, SkInt(s_a=s_a, s_a_prime=s_a_prime)
+    return pk, SkInt(t_a=t_a, t_a_prime=t_a_prime)
 
 
 def _vec_bytes(*arrays: np.ndarray) -> bytes:
@@ -111,9 +115,7 @@ def _decode(w: np.ndarray, q: int) -> np.ndarray:
 
 def _dot_cols(e: np.ndarray, c: np.ndarray, q: int) -> np.ndarray:
     """Columnwise inner products e^T c (mod q) with overflow-safe fallback."""
-    if _signed_bound_ok(e.T, c[:, None]):
-        return (e.T @ c) % q
-    return matmul_mod(e.T % q, c[:, None], q)[:, 0]
+    return _mul_signed(e.T, c[:, None], q)[:, 0]
 
 
 def encrypt_int(pk: PkInt, msg: np.ndarray, params: ParamsInt, rng: XofRng) -> CtInt:
@@ -167,13 +169,13 @@ def _open_slot_int(
     payload: np.ndarray,
     vec_slot: np.ndarray,
     left: np.ndarray,
-    basis: IntTrapdoorBasis,
+    trap: IntTrapdoor,
     a_sum: np.ndarray,
     u_mat: np.ndarray,
     params: ParamsInt,
     rng: XofRng,
 ) -> np.ndarray:
-    e = sample_left(left, a_sum, basis, u_mat, params.sigma, rng, params.q)
+    e = sample_left(left, a_sum, trap, u_mat, params, rng)
     return _decode(payload - _dot_cols(e, vec_slot, params.q), params.q)
 
 
@@ -187,8 +189,8 @@ def decrypt_int(
     sel = hash_pm_one(params, _vec_bytes(ct.c1, ct.c2, ct.d), params.l)
     a_sum = _selector_sum(pk.b, pk.a_list, sel, q)
 
-    msg = _open_slot_int(ct.c1, ct.c3, pk.a, sk.s_a, a_sum, pk.u, params, rng)
-    hash_bits = _open_slot_int(ct.c2, ct.c4, pk.a_prime, sk.s_a_prime, a_sum, pk.u, params, rng)
+    msg = _open_slot_int(ct.c1, ct.c3, pk.a, sk.t_a, a_sum, pk.u, params, rng)
+    hash_bits = _open_slot_int(ct.c2, ct.c4, pk.a_prime, sk.t_a_prime, a_sum, pk.u, params, rng)
     if not np.array_equal(hash_bits, hash_message(params, _vec_bytes(msg))):
         raise RejectHash("decoded hash slot does not match the message hash")
     return msg
@@ -196,7 +198,7 @@ def decrypt_int(
 
 def trapdoor_int(sk: SkInt, pk: PkInt) -> TrapdoorTokenInt:
     return TrapdoorTokenInt(
-        s_a_prime=sk.s_a_prime,
+        t_a_prime=sk.t_a_prime,
         a_prime=pk.a_prime.copy(),
         a_list=[a.copy() for a in pk.a_list],
         b=pk.b.copy(),
@@ -210,7 +212,7 @@ def _test_side_int(
     sel = hash_pm_one(params, _vec_bytes(ct.c1, ct.c2, ct.d), params.l)
     a_sum = _selector_sum(td.b, td.a_list, sel, params.q)
     return _open_slot_int(
-        ct.c2, ct.c4, td.a_prime, td.s_a_prime, a_sum, td.u, params, rng
+        ct.c2, ct.c4, td.a_prime, td.t_a_prime, a_sum, td.u, params, rng
     )
 
 

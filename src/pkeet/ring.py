@@ -220,40 +220,6 @@ class RingElement:
         return cls(arr, ctx)
 
 
-@dataclass(frozen=True)
-class NttForm:
-    """Evaluation-domain mirror of a :class:`RingElement`."""
-
-    evals: np.ndarray
-    ctx: RingContext
-
-    def __post_init__(self):
-        arr = np.asarray(self.evals, dtype=np.int64)
-        if arr.shape != (self.ctx.n,):
-            raise InvalidDegree(f"expected {self.ctx.n} slots, got shape {arr.shape}")
-        object.__setattr__(self, "evals", arr)
-
-
-def ntt_forward(elem: RingElement) -> NttForm:
-    return NttForm(elem.ctx.ntt(elem.coeffs), elem.ctx)
-
-
-def ntt_inverse(form: NttForm) -> RingElement:
-    return RingElement(form.ctx.intt(form.evals), form.ctx)
-
-
-def add(a: RingElement, b: RingElement) -> RingElement:
-    return a + b
-
-
-def sub(a: RingElement, b: RingElement) -> RingElement:
-    return a - b
-
-
-def mul(a: RingElement, b: RingElement) -> RingElement:
-    return a * b
-
-
 def mul_schoolbook(a: RingElement, b: RingElement) -> RingElement:
     """Quadratic negacyclic product in exact integers; test oracle only."""
     a._check(b)

@@ -106,22 +106,6 @@ class XofRng:
         bits = np.unpackbits(np.frombuffer(self.bytes(nbytes), dtype=np.uint8), bitorder="little")[:count]
         return (2 * bits.astype(np.int64)) - 1
 
-    # ---- scalar draws (buffered, for the rejection sampler) ---------------
-
-    def uniform01_scalar(self) -> float:
-        if self._pos + 8 > len(self._buf):
-            self._refill()
-        v = int.from_bytes(self._buf[self._pos : self._pos + 8], "little")
-        self._pos += 8
-        return (v >> 11) * (2.0 ** -53)
-
-    def bit(self) -> int:
-        if self._pos >= len(self._buf):
-            self._refill()
-        b = self._buf[self._pos] & 1
-        self._pos += 1
-        return b
-
 
 def rng_from_seed(seed: bytes | None) -> XofRng:
     """Build an :class:`XofRng`, drawing a fresh seed when none is given."""

@@ -7,20 +7,19 @@ giving standard deviation ``s / sqrt(2 pi)``.  Every sampler truncates at
 
 Three engines cooperate here:
 
-* a scalar rejection sampler from a two-sided geometric proposal
-  (:func:`sample_z`), the auditable reference path;
 * a vectorized inverse-CDF sampler over the truncated window
-  (:func:`sample_z_batch`), used on hot paths, falling back to a
-  continuous-plus-rounding convolution for very wide Gaussians;
+  (:func:`sample_z_batch`), falling back to a continuous-plus-rounding
+  convolution for very wide Gaussians;
 * a batched randomized nearest-plane walk (:func:`klein_batch`) over a
-  cached orthogonalization, shared by the gadget-coset sampler and the
-  integer-lattice preimage samplers.
+  cached orthogonalization, which the gadget-coset sampler runs;
+* a Cholesky factorization of perturbation covariances
+  (:func:`cholesky_pd`), shared by the ring and integer trapdoors.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,57 +30,11 @@ from .errors import (
     WidthTooSmall,
 )
 from .params import T_TAIL
-from .ring import RingContext, RingElement, mulmod, unstack
+from .ring import RingContext, RingElement
 from .rng import XofRng
 
-_REJECT_CAP = 10_000
 _CDT_WIDTH_LIMIT = 32.0
 _CONV_ROUND_WIDTH = 8.0
-
-
-@dataclass(frozen=True)
-class GaussParams:
-    """Width, center, and tail cut of a one-dimensional discrete Gaussian."""
-
-    width: float
-    center: float = 0.0
-    tail_cut: float = float(T_TAIL)
-
-    def __post_init__(self):
-        if self.width < 1.0:
-            raise WidthTooSmall(f"width {self.width} below the supported minimum 1.0")
-        if self.tail_cut <= 0:
-            raise InvalidParams("tail cut must be positive")
-
-
-def sample_z(g: GaussParams, rng: XofRng) -> int:
-    """One draw from D_{Z, width, center}.
-
-    Rejection sampling: propose from a two-sided geometric (discrete
-    Laplace) distribution with scale ``width / 2`` and accept with the
-    ratio against the Gaussian weight, then apply the tail cut.
-    """
-    s, c, tail = g.width, g.center, g.tail_cut
-    b = s / 2.0
-    log_m = 1.0 / b + s * s / (4.0 * math.pi * b * b)
-    c0 = math.floor(c)
-    frac = c - c0
-    p_geo = math.exp(-1.0 / b)
-    for _ in range(_REJECT_CAP):
-        u = rng.uniform01_scalar()
-        mag = int(math.log(max(u, 2.0**-60)) / math.log(p_geo))
-        if rng.bit():
-            y = mag
-        else:
-            if mag == 0:
-                continue
-            y = -mag
-        if abs(y - frac) > tail * s:
-            continue
-        log_accept = -math.pi * (y - frac) ** 2 / (s * s) + abs(y) / b - log_m
-        if rng.uniform01_scalar() < math.exp(log_accept):
-            return c0 + y
-    raise InternalError("integer Gaussian rejection cap exhausted")
 
 
 def sample_z_batch(
@@ -139,10 +92,6 @@ def sample_ring(width: float, ctx: RingContext, rng: XofRng) -> RingElement:
     return RingElement(
         sample_z_batch(width, np.zeros(ctx.n), rng) % ctx.q, ctx
     )
-
-
-def sample_ring_vec(width: float, count: int, ctx: RingContext, rng: XofRng) -> list[RingElement]:
-    return unstack(sample_ring_array(width, count, ctx, rng), ctx)
 
 
 def sample_ring_array(width: float, count: int, ctx: RingContext, rng: XofRng) -> np.ndarray:
@@ -273,13 +222,6 @@ def get_gadget(q: int) -> GadgetContext:
     return g
 
 
-def sample_g(width: float, v: int, q: int, rng: XofRng) -> np.ndarray:
-    """One gadget-coset draw: z with <g, z> = v (mod q), Gaussian of the
-    given width.  Conditional per-coordinate sampling runs over the public
-    gadget kernel basis, walking the bit levels most-significant first."""
-    return sample_g_batch(width, np.array([v], dtype=np.int64), q, rng)[0]
-
-
 def sample_g_batch(width: float, targets: np.ndarray, q: int, rng: XofRng) -> np.ndarray:
     gadget = get_gadget(q)
     t = bit_decompose(np.asarray(targets, dtype=np.int64) % q, gadget.k)
@@ -287,20 +229,13 @@ def sample_g_batch(width: float, targets: np.ndarray, q: int, rng: XofRng) -> np
     return t + lattice
 
 
-def sample_poly_g(sigma: float, v: RingElement, rng: XofRng) -> list[RingElement]:
-    """Gadget preimages of a ring target: k elements z with sum 2^i z_i = v.
+def sample_poly_g_array(sigma: float, v_coeffs: np.ndarray, ctx: RingContext, rng: XofRng) -> np.ndarray:
+    """Gadget preimages of a ring target as a (k, n) integer array
+    (unreduced): rows z_i with sum 2^i z_i = v.
 
     The coefficient slots are independent integer gadget cosets, so this is
     n batched calls of the scalar sampler at width sqrt(5) * sigma.
     """
-    ctx = v.ctx
-    width = math.sqrt(5.0) * sigma
-    z = sample_g_batch(width, v.coeffs, ctx.q, rng)  # (n, k)
-    return unstack(z.T % ctx.q, ctx)
-
-
-def sample_poly_g_array(sigma: float, v_coeffs: np.ndarray, ctx: RingContext, rng: XofRng) -> np.ndarray:
-    """(k, n) integer array variant of :func:`sample_poly_g` (unreduced)."""
     width = math.sqrt(5.0) * sigma
     return sample_g_batch(width, v_coeffs, ctx.q, rng).T
 
@@ -322,27 +257,23 @@ def unembed_complex(evals: np.ndarray, n: int) -> np.ndarray:
     return (np.fft.fft(evals, axis=-1) / (n * twist)).real
 
 
-def singular_norm_tagged(t_arr: np.ndarray, ctx: RingContext, iters: int = 50, tol: float = 1e-6) -> float:
-    """Largest singular value of the stacked map [T; I] on coefficient space.
+def cholesky_pd(cov: np.ndarray, width_sq: float) -> np.ndarray:
+    """Lower Cholesky factor of a covariance, or of a stack of them.
 
-    Power iteration on the normal operator, run in the evaluation domain
-    where each slot acts independently.
+    Raises :class:`CovarianceNotPD` unless the covariance is positive
+    definite with every squared pivot above ``1e-9 * width_sq``.
     """
-    rows, k, n = t_arr.shape
-    t_hat = embed_complex(ctx.balanced(t_arr), n)
-    x = np.ones((k, n), dtype=np.complex128)
-    x /= np.linalg.norm(x)
-    value = 0.0
-    for _ in range(iters):
-        top = np.einsum("rkn,kn->rn", t_hat, x)
-        back = np.einsum("rkn,rn->kn", t_hat.conj(), top) + x
-        new_value = float(np.linalg.norm(back))
-        x = back / new_value
-        if abs(new_value - value) <= tol * max(new_value, 1.0):
-            value = new_value
-            break
-        value = new_value
-    return math.sqrt(value)
+    try:
+        chol = np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError as exc:
+        raise CovarianceNotPD("perturbation covariance not positive definite") from exc
+    pivots = np.abs(np.diagonal(chol, axis1=-2, axis2=-1)) ** 2
+    if float(pivots.min()) <= 1e-9 * width_sq:
+        raise CovarianceNotPD(
+            f"smallest covariance pivot {float(pivots.min()):.3e} under "
+            f"1e-9 times the squared width {width_sq:.3e}"
+        )
+    return chol
 
 
 class PerturbationCov:
@@ -386,19 +317,7 @@ class PerturbationCov:
         diag = self.zeta**2 - self.round_width**2
         idx = np.arange(self.m)
         sigma[:, idx, idx] += diag
-        try:
-            self._chol = np.linalg.cholesky(sigma)
-        except np.linalg.LinAlgError as exc:
-            raise CovarianceNotPD(
-                f"perturbation covariance not positive definite: zeta={zeta}, "
-                f"alpha={alpha}"
-            ) from exc
-        pivots = np.abs(self._chol[:, idx, idx]) ** 2
-        if float(pivots.min()) <= 1e-9 * self.zeta**2:
-            raise CovarianceNotPD(
-                f"smallest covariance pivot {float(pivots.min()):.3e} under "
-                f"1e-9 * zeta^2"
-            )
+        self._chol = cholesky_pd(sigma, self.zeta**2)
 
     def sample(self, rng: XofRng) -> np.ndarray:
         """(m, n) integer perturbation with covariance ``zeta^2 I - alpha^2 ...``."""
@@ -409,7 +328,3 @@ class PerturbationCov:
         y = unembed_complex(y_hat, n) / math.sqrt(2.0 * math.pi)
         return sample_z_batch(self.round_width, y, rng)
 
-
-def sample_p(cov: PerturbationCov, rng: XofRng) -> list[RingElement]:
-    """Perturbation vector as ring elements (coefficients reduced mod q)."""
-    return unstack(cov.sample(rng) % cov.ctx.q, cov.ctx)

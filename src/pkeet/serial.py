@@ -3,19 +3,23 @@
 Every file is one frame: a fixed 23-byte header (magic, version, scheme,
 kind, parameter digest, payload length) followed by the payload.  The
 payload embeds the canonical parameter text, then the object's arrays as
-raw little-endian 64-bit integers in a fixed order, so encoding is a
-bijection: decode(encode(x)) == x and re-encoding decoded bytes is
-byte-identical.
+raw little-endian 64-bit integers in a fixed order.  Decoders accept only
+canonical values: residues in ``[0, q)``, and entries of an integer-scheme
+trapdoor ``R`` (signed, ``m_bar x n*k`` per matrix) within the sampler's
+tail cut ``floor(t_tail * sigma_r)``.  So encoding is a bijection:
+decode(encode(x)) == x, and every frame that decodes re-encodes to the
+same bytes.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
 
 from .errors import FramingError, ParamsMismatch, PkeetError
-from .matlattice import IntTrapdoorBasis
+from .matlattice import IntTrapdoor
 from .params import ParamsInt, ParamsRing, params_from_text, validate
 from .pkeet_int import CtInt, PkInt, SkInt, TrapdoorTokenInt
 from .pkeet_ring import CtRing, PkRing, SkRing, TrapdoorTokenRing
@@ -43,17 +47,23 @@ def _arrays_bytes(arrays: list[np.ndarray]) -> bytes:
 
 
 class _Reader:
-    def __init__(self, body: bytes):
+    def __init__(self, body: bytes, q: int):
         self.body = body
+        self.q = q
         self.pos = 0
 
-    def take(self, shape: tuple[int, ...]) -> np.ndarray:
+    def take(self, shape: tuple[int, ...], lo: int = 0, hi: int | None = None) -> np.ndarray:
+        """Next array of ``shape``; every value must lie in ``[lo, hi)``,
+        by default the residues ``[0, q)``."""
+        hi = self.q if hi is None else hi
         count = int(np.prod(shape))
         nbytes = 8 * count
         if self.pos + nbytes > len(self.body):
             raise FramingError("payload shorter than the declared object")
         arr = np.frombuffer(self.body, dtype="<i8", count=count, offset=self.pos)
         self.pos += nbytes
+        if count and (int(arr.min()) < lo or int(arr.max()) >= hi):
+            raise FramingError(f"value outside the canonical range [{lo}, {hi})")
         return arr.astype(np.int64).reshape(shape)
 
     def done(self) -> None:
@@ -110,12 +120,12 @@ def decode_frame(data: bytes) -> tuple[int, int, ParamsRing | ParamsInt, bytes]:
 def _zero_tagged(vec: np.ndarray, params: ParamsRing) -> TaggedVector:
     ctx = get_context(params)
     zero = RingElement(np.zeros(ctx.n, dtype=np.int64), ctx)
-    return TaggedVector(vec=vec % params.q, tag=zero, ctx=ctx, trapdoor=None)
+    return TaggedVector(vec=vec, tag=zero, ctx=ctx, trapdoor=None)
 
 
 def _ring_trapdoor(t_arr: np.ndarray, params: ParamsRing) -> RingTrapdoor:
     return RingTrapdoor(
-        t_arr=t_arr % params.q, width=params.sigma_trap, ctx=get_context(params)
+        t_arr=t_arr, width=params.sigma_trap, ctx=get_context(params)
     )
 
 
@@ -126,14 +136,13 @@ def encode_ring_pk(pk: PkRing, params: ParamsRing) -> bytes:
 
 def decode_ring_pk(body: bytes, params: ParamsRing) -> PkRing:
     m, n = params.m, params.n
-    r = _Reader(body)
+    r = _Reader(body, params.q)
     a_vec, b_vec, u = r.take((m, n)), r.take((m, n)), r.take((n,))
     r.done()
-    ctx = get_context(params)
     return PkRing(
         a=_zero_tagged(a_vec, params),
         b=_zero_tagged(b_vec, params),
-        u=RingElement(u % params.q, ctx),
+        u=RingElement(u, get_context(params)),
     )
 
 
@@ -144,7 +153,7 @@ def encode_ring_sk(sk: SkRing, params: ParamsRing) -> bytes:
 
 def decode_ring_sk(body: bytes, params: ParamsRing) -> SkRing:
     shape = (params.base_len, params.k, params.n)
-    r = _Reader(body)
+    r = _Reader(body, params.q)
     t_a, t_b = r.take(shape), r.take(shape)
     r.done()
     return SkRing(t_a=_ring_trapdoor(t_a, params), t_b=_ring_trapdoor(t_b, params))
@@ -158,21 +167,21 @@ def encode_ring_ct(ct: CtRing, params: ParamsRing) -> bytes:
 
 
 def decode_ring_ct(body: bytes, params: ParamsRing) -> CtRing:
-    m, n, q = params.m, params.n, params.q
+    m, n = params.m, params.n
     ctx = get_context(params)
-    r = _Reader(body)
+    r = _Reader(body, params.q)
     sig = r.take((params.base_len, n))
     v0, v1 = r.take((n,)), r.take((n,))
     ct1, ct2 = r.take((n,)), r.take((n,))
     ct3, ct4 = r.take((m, n)), r.take((m, n))
     r.done()
     return CtRing(
-        sig=sig % q,
-        v=(RingElement(v0 % q, ctx), RingElement(v1 % q, ctx)),
-        ct1=RingElement(ct1 % q, ctx),
-        ct2=RingElement(ct2 % q, ctx),
-        ct3=ct3 % q,
-        ct4=ct4 % q,
+        sig=sig,
+        v=(RingElement(v0, ctx), RingElement(v1, ctx)),
+        ct1=RingElement(ct1, ctx),
+        ct2=RingElement(ct2, ctx),
+        ct3=ct3,
+        ct4=ct4,
     )
 
 
@@ -182,7 +191,7 @@ def encode_ring_td(td: TrapdoorTokenRing, params: ParamsRing) -> bytes:
 
 
 def decode_ring_td(body: bytes, params: ParamsRing) -> TrapdoorTokenRing:
-    r = _Reader(body)
+    r = _Reader(body, params.q)
     t_b = r.take((params.base_len, params.k, params.n))
     b_vec = r.take((params.m, params.n))
     u = r.take((params.n,))
@@ -190,7 +199,7 @@ def decode_ring_td(body: bytes, params: ParamsRing) -> TrapdoorTokenRing:
     return TrapdoorTokenRing(
         t_b=_ring_trapdoor(t_b, params),
         b=_zero_tagged(b_vec, params),
-        u=RingElement(u % params.q, get_context(params)),
+        u=RingElement(u, get_context(params)),
     )
 
 
@@ -205,30 +214,34 @@ def encode_int_pk(pk: PkInt, params: ParamsInt) -> bytes:
 
 
 def decode_int_pk(body: bytes, params: ParamsInt) -> PkInt:
-    n, m, q = params.n, params.m, params.q
-    r = _Reader(body)
-    a = r.take((n, m)) % q
-    a_prime = r.take((n, m)) % q
-    a_list = [r.take((n, m)) % q for _ in range(params.l)]
-    b = r.take((n, m)) % q
-    u = r.take((n, params.t_msg)) % q
+    n, m = params.n, params.m
+    r = _Reader(body, params.q)
+    a = r.take((n, m))
+    a_prime = r.take((n, m))
+    a_list = [r.take((n, m)) for _ in range(params.l)]
+    b = r.take((n, m))
+    u = r.take((n, params.t_msg))
     r.done()
     return PkInt(a=a, a_prime=a_prime, a_list=a_list, b=b, u=u)
 
 
+def _take_int_r(r: _Reader, params: ParamsInt) -> np.ndarray:
+    bound = math.floor(params.t_tail * params.sigma_r)
+    return r.take((params.m_bar, params.n * params.k), -bound, bound + 1)
+
+
 def encode_int_sk(sk: SkInt, params: ParamsInt) -> bytes:
-    body = _arrays_bytes([sk.s_a.s, sk.s_a_prime.s])
+    body = _arrays_bytes([sk.t_a.r, sk.t_a_prime.r])
     return encode_frame(SCHEME_INT, KIND_SK, params, body)
 
 
 def decode_int_sk(body: bytes, params: ParamsInt) -> SkInt:
-    m = params.m
-    r = _Reader(body)
-    s_a, s_ap = r.take((m, m)), r.take((m, m))
+    r = _Reader(body, params.q)
+    r_a, r_ap = _take_int_r(r, params), _take_int_r(r, params)
     r.done()
     return SkInt(
-        s_a=IntTrapdoorBasis.from_matrix(s_a),
-        s_a_prime=IntTrapdoorBasis.from_matrix(s_ap),
+        t_a=IntTrapdoor.from_r(r_a, params),
+        t_a_prime=IntTrapdoor.from_r(r_ap, params),
     )
 
 
@@ -238,34 +251,33 @@ def encode_int_ct(ct: CtInt, params: ParamsInt) -> bytes:
 
 
 def decode_int_ct(body: bytes, params: ParamsInt) -> CtInt:
-    q = params.q
-    r = _Reader(body)
-    c1 = r.take((params.t_msg,)) % q
-    c2 = r.take((params.t_msg,)) % q
-    c3 = r.take((2 * params.m,)) % q
-    c4 = r.take((2 * params.m,)) % q
-    u = r.take((params.m,)) % q
-    d = r.take((params.n, params.k_sig)) % q
+    r = _Reader(body, params.q)
+    c1 = r.take((params.t_msg,))
+    c2 = r.take((params.t_msg,))
+    c3 = r.take((2 * params.m,))
+    c4 = r.take((2 * params.m,))
+    u = r.take((params.m,))
+    d = r.take((params.n, params.k_sig))
     r.done()
     return CtInt(c1=c1, c2=c2, c3=c3, c4=c4, u=u, d=d)
 
 
 def encode_int_td(td: TrapdoorTokenInt, params: ParamsInt) -> bytes:
-    body = _arrays_bytes([td.s_a_prime.s, td.a_prime, *td.a_list, td.b, td.u])
+    body = _arrays_bytes([td.t_a_prime.r, td.a_prime, *td.a_list, td.b, td.u])
     return encode_frame(SCHEME_INT, KIND_TD, params, body)
 
 
 def decode_int_td(body: bytes, params: ParamsInt) -> TrapdoorTokenInt:
-    n, m, q = params.n, params.m, params.q
-    r = _Reader(body)
-    s_ap = r.take((m, m))
-    a_prime = r.take((n, m)) % q
-    a_list = [r.take((n, m)) % q for _ in range(params.l)]
-    b = r.take((n, m)) % q
-    u = r.take((n, params.t_msg)) % q
+    n, m = params.n, params.m
+    r = _Reader(body, params.q)
+    r_ap = _take_int_r(r, params)
+    a_prime = r.take((n, m))
+    a_list = [r.take((n, m)) for _ in range(params.l)]
+    b = r.take((n, m))
+    u = r.take((n, params.t_msg))
     r.done()
     return TrapdoorTokenInt(
-        s_a_prime=IntTrapdoorBasis.from_matrix(s_ap),
+        t_a_prime=IntTrapdoor.from_r(r_ap, params),
         a_prime=a_prime,
         a_list=a_list,
         b=b,

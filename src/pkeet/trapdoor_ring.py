@@ -38,7 +38,6 @@ from .sampling import (
     gadget_vector,
     sample_poly_g_array,
     sample_z_batch,
-    singular_norm_tagged,
 )
 
 _TRAPGEN_RETRIES = 64
@@ -66,10 +65,6 @@ class RingTrapdoor:
         bal = self.ctx.balanced(self.t_arr).astype(np.float64)
         return float(np.sqrt((bal**2).sum(axis=(0, 2)).max()))
 
-    def singular_norm(self) -> float:
-        """Largest singular value of [T; I], estimated by power iteration."""
-        return singular_norm_tagged(self.t_arr, self.ctx)
-
     def perturbation(self, params: ParamsRing) -> PerturbationCov:
         """Cached perturbation covariance for this trapdoor."""
         if self._cov is None:
@@ -95,17 +90,6 @@ class TaggedVector:
     @property
     def m(self) -> int:
         return self.vec.shape[0]
-
-    def base(self) -> np.ndarray:
-        """The uniform head of the vector (everything before the gadget tail)."""
-        k = self.vec.shape[0] - (
-            self.trapdoor.k if self.trapdoor else get_gadget_len(self.ctx.q)
-        )
-        return self.vec[:k]
-
-
-def get_gadget_len(q: int) -> int:
-    return int(q).bit_length()
 
 
 def trap_gen(
@@ -172,7 +156,7 @@ def apply_tag_shift(av: TaggedVector, shift: RingElement) -> TaggedVector:
     if shift.ctx != av.ctx:
         raise ParamsMismatch("shift built under a different context")
     ctx = av.ctx
-    k = get_gadget_len(ctx.q)
+    k = ctx.q.bit_length()
     vec = av.vec.copy()
     shift_hat = ctx.ntt(shift.coeffs)
     hg = ctx.intt(

@@ -7,6 +7,7 @@ rejection, 2 malformed input of any kind.
 import numpy as np
 import pytest
 
+from pkeet import serial
 from pkeet.cli import main
 from conftest import seeded
 
@@ -64,7 +65,7 @@ def test_tampered_ciphertext_exits_one(ring_files, capsys):
     assert main(["encrypt", "--pk", f"{d}/alice.pk", "--message", "77",
                  "--seed", SEED_A, "--out", f"{d}/ct-t"]) == 0
     blob = bytearray((d / "ct-t").read_bytes())
-    blob[-9] ^= 0x04
+    blob[-16] ^= 0x04   # low byte of a ct4 coefficient: stays a residue mod q
     (d / "ct-bad").write_bytes(bytes(blob))
     capsys.readouterr()
     rc = main(["decrypt", "--pk", f"{d}/alice.pk", "--sk", f"{d}/alice.sk",
@@ -143,3 +144,49 @@ def test_message_capacity_is_reported(ring_files, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "64" in err   # capacity in bits appears in the diagnostic
+
+
+@pytest.fixture(scope="module")
+def int_files(tmp_path_factory):
+    d = tmp_path_factory.mktemp("int-cli")
+    for name, seed in (("ivan", SEED_A), ("judy", SEED_B)):
+        assert main(["keygen", "--scheme", "int", "--n", "16", "--seed", seed,
+                     "--out-dir", str(d), "--name", name]) == 0
+    assert main(["encrypt", "--pk", f"{d}/ivan.pk", "--message", "5a",
+                 "--seed", SEED_A, "--out", f"{d}/ct"]) == 0
+    return d
+
+
+def test_mismatched_key_exits_two(ring_files, int_files, tmp_path, capsys):
+    assert main(["encrypt", "--pk", f"{ring_files}/alice.pk", "--message", "5a",
+                 "--seed", SEED_A, "--out", f"{ring_files}/ct-m"]) == 0
+    cases = ((ring_files, "alice", "bob", "ct-m"), (int_files, "ivan", "judy", "ct"))
+    for d, owner, other, ct in cases:
+        ct = f"{d}/{ct}"
+        capsys.readouterr()
+        assert main(["decrypt", "--pk", f"{d}/{owner}.pk", "--sk", f"{d}/{other}.sk",
+                     "--ct", ct]) == 2
+        assert "does not belong" in capsys.readouterr().err
+        assert main(["trapdoor", "--sk", f"{d}/{other}.sk", "--pk", f"{d}/{owner}.pk",
+                     "--out", str(tmp_path / "td")]) == 2
+        assert main(["decrypt", "--pk", f"{d}/{owner}.pk", "--sk", f"{d}/{owner}.sk",
+                     "--ct", ct]) == 0
+
+
+def test_non_canonical_ciphertext_exits_two(ring_files, int_files, capsys):
+    assert main(["encrypt", "--pk", f"{ring_files}/alice.pk", "--message", "5a",
+                 "--seed", SEED_A, "--out", f"{ring_files}/ct-n"]) == 0
+    for d, owner, ct in ((ring_files, "alice", "ct-n"), (int_files, "ivan", "ct")):
+        blob = (d / ct).read_bytes()
+        q = serial.decode_object(blob)[2].q
+        last = int.from_bytes(blob[-8:], "little") + q
+        (d / "ct-plus-q").write_bytes(blob[:-8] + last.to_bytes(8, "little"))
+        capsys.readouterr()
+        assert main(["decrypt", "--pk", f"{d}/{owner}.pk", "--sk", f"{d}/{owner}.sk",
+                     "--ct", str(d / "ct-plus-q")]) == 2
+        assert "canonical range" in capsys.readouterr().err
+
+
+def test_unknown_selftest_criterion_exits_two(capsys):
+    assert main(["selftest", "--criteria", "9"]) == 2
+    assert "unknown criteria [9]" in capsys.readouterr().err

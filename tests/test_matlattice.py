@@ -1,22 +1,20 @@
-"""Integer-lattice machinery: exact modular algebra and trapdoor bases."""
+"""Integer-lattice machinery: exact modular algebra and the gadget trapdoor."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from pkeet.errors import RankError, WidthTooSmall
+from pkeet import serial
+from pkeet import pkeet_int as pi
+from pkeet.errors import GenerationFailed
 from pkeet.matlattice import (
-    IntTrapdoorBasis,
     balanced_mod,
+    gadget_residual,
     mat_uniform,
     matmul_mod,
-    matmul_small,
-    rank_mod,
-    sample_d,
-    sample_d_batch,
     sample_left,
-    solve_particular,
     trap_gen_int,
 )
 from conftest import seeded
@@ -46,13 +44,6 @@ def test_matmul_mod_large_inner_dimension():
     assert got.tolist() == oracle
 
 
-def test_matmul_small_is_exact():
-    rng = seeded("matmul-small")
-    a = rng.uniform_mod(2001, 40 * 30).reshape(40, 30) - 1000
-    b = rng.uniform_mod(2001, 30 * 20).reshape(30, 20) - 1000
-    assert np.array_equal(matmul_small(a, b), a @ b)
-
-
 def test_balanced_mod_range():
     q = 97
     vals = np.arange(0, q, dtype=np.int64)
@@ -61,89 +52,62 @@ def test_balanced_mod_range():
     assert np.array_equal(bal % q, vals)
 
 
-def test_solver_and_rank():
-    rng = seeded("solver")
-    q = 12289
-    a = rng.uniform_mod(q, 6 * 10).reshape(6, 10)
-    x = rng.uniform_mod(q, 10 * 3).reshape(10, 3)
-    b = matmul_mod(a, x, q)
-    t = solve_particular(a, b, q)
-    assert np.array_equal(matmul_mod(a, t, q), b)
-    assert rank_mod(a, q) == 6
-
-    deficient = np.vstack([a[0], (2 * a[0]) % q, a[1]])
-    assert rank_mod(deficient, q) == 2
-    with pytest.raises(RankError):
-        solve_particular(deficient, rng.uniform_mod(q, 3).reshape(3, 1), q)
-
-
-def test_trapdoor_matrix_and_basis(int_small):
+def test_trapdoor_gadget_identity(int_small):
     rng = seeded("int-trap")
-    a_mat, basis = trap_gen_int(int_small, rng)
+    a_mat, trap = trap_gen_int(int_small, rng)
     n, m, q = int_small.n, int_small.m, int_small.q
+    nk = n * int_small.k
     assert a_mat.shape == (n, m)
-    assert basis.s.shape == (m, m)
-    # Basis columns annihilate A mod q.
-    assert not matmul_mod(a_mat, basis.s % q, q).any()
-    # Full rank: the lattice is exactly the kernel, so det = +-q^n.
-    sign, logdet = np.linalg.slogdet(basis.s.astype(np.float64))
-    assert sign != 0
-    assert abs(logdet - n * math.log(q)) < 1e-6 * n * math.log(q)
-    # The short basis must beat the trivial q-ary basis by a wide margin.
-    assert basis.ortho.max_gs_norm < q ** 0.5
+    assert trap.r.shape == (int_small.m_bar, nk)
+    # A [R; I] = G exactly, with G the block-diagonal gadget matrix.
+    stacked = np.concatenate([trap.r, np.eye(nk, dtype=np.int64)])
+    gadget = np.kron(np.eye(n, dtype=np.int64), 1 << np.arange(int_small.k))
+    assert np.array_equal(matmul_mod(a_mat, stacked % q, q), gadget)
+    assert not gadget_residual(a_mat, trap.r, q).any()
+    # R comes from the width-sigma_r sampler, inside its tail cut.
+    assert int(np.abs(trap.r).max()) <= int_small.t_tail * int_small.sigma_r
 
 
-def test_preimage_membership_and_center(int_small):
-    rng = seeded("int-member")
-    a_mat, basis = trap_gen_int(int_small, rng)
-    q = int_small.q
-    centers = rng.uniform_mod(q, 3 * int_small.m).reshape(3, int_small.m)
-    out = sample_d_batch(basis, centers.astype(np.float64), int_small.sigma, rng)
-    # Output lands in center + lattice: A(out - center) = 0 mod q.
-    diff = (out - centers) % q
-    assert not matmul_mod(a_mat, diff.T % q, q).any()
-    # And stays near the origin, not near the (far) center.
-    cap = int_small.t_tail * int_small.sigma * math.sqrt(int_small.m)
-    norms = np.sqrt((out.astype(float) ** 2).sum(axis=1))
-    assert float(norms.max()) <= cap
-
-
-def test_scaled_integer_lattice_sampler():
-    basis = IntTrapdoorBasis.from_matrix(np.eye(8, dtype=np.int64) * 3)
-    rng = seeded("ident")
-    width = 9.0
-    center = np.full(8, 0.4)
-    draws = np.stack([sample_d(basis, center, width, rng) for _ in range(2000)])
-    # Membership: draws live on the coset center + 3Z^8.
-    steps = (draws - center) / 3.0
-    assert np.allclose(steps, np.rint(steps), atol=1e-9)
-    # Each coordinate follows the width-9 Gaussian on the coset 0.4 + 3Z
-    # centered at the origin; compare moments against direct summation.
-    points = 0.4 + 3.0 * np.arange(-40, 41)
-    w = np.exp(-math.pi * points**2 / width**2)
-    w /= w.sum()
-    want_mean = float((points * w).sum())
-    want_var = float((points**2 * w).sum()) - want_mean**2
-    flat = draws.reshape(-1)
-    assert abs(float(flat.mean()) - want_mean) < 0.1
-    assert abs(float(flat.var()) / want_var - 1.0) < 0.10
+def test_preimage_hides_trapdoor(int_small):
+    """Along the top singular direction of [R; I], where an unperturbed
+    preimage would spread only about 0.65 as wide, the preimage keeps the
+    spherical deviation sigma / sqrt(2 pi)."""
+    rng = seeded("int-hidden")
+    q, m = int_small.q, int_small.m
+    a_mat, trap = trap_gen_int(int_small, rng)
+    m1 = mat_uniform(q, int_small.n, m, rng)
+    stacked = np.concatenate([trap.r, np.eye(trap.r.shape[1])]).astype(np.float64)
+    top = np.linalg.svd(stacked, full_matrices=False)[0][:, 0]
+    proj = np.concatenate([
+        top @ sample_left(a_mat, m1, trap, mat_uniform(q, int_small.n, 32, rng), int_small, rng)[:m]
+        for _ in range(10)
+    ])
+    assert proj.size >= 320
+    sd = int_small.sigma / math.sqrt(2 * math.pi)
+    assert abs(float(proj.std()) / sd - 1.0) < 0.15
 
 
 def test_width_guard(int_small):
-    rng = seeded("width-guard")
-    _, basis = trap_gen_int(int_small, rng)
-    with pytest.raises(WidthTooSmall):
-        sample_d_batch(basis, np.zeros((1, int_small.m)), 1.0, rng)
+    narrow = dataclasses.replace(int_small, sigma=int_small.sigma / 2)
+    with pytest.raises(GenerationFailed):
+        trap_gen_int(narrow, seeded("width-guard"))
+
+
+def test_int_sk_frame_holds_r(int_small):
+    pk, sk = pi.setup_int(int_small, seeded("int-sk-frame"))
+    blob = serial.encode_int_sk(sk, int_small)
+    header = 23 + 4 + len(int_small.canonical_text().encode())
+    assert len(blob) == header + 16 * int_small.m_bar * int_small.n * int_small.k
 
 
 def test_left_sampler_exact_and_gaussian(int_small):
     rng = seeded("left")
     q = int_small.q
-    a_mat, basis = trap_gen_int(int_small, rng)
+    a_mat, trap = trap_gen_int(int_small, rng)
     m1 = mat_uniform(q, int_small.n, int_small.m, rng)
     f_mat = np.concatenate([a_mat, m1], axis=1)
     u_mat = mat_uniform(q, int_small.n, 5, rng)
-    e = sample_left(a_mat, m1, basis, u_mat, int_small.sigma, rng, q)
+    e = sample_left(a_mat, m1, trap, u_mat, int_small, rng)
     assert e.shape == (2 * int_small.m, 5)
     assert np.array_equal(matmul_mod(f_mat, e % q, q), u_mat)
     sd = int_small.sigma / math.sqrt(2 * math.pi)

@@ -68,5 +68,5 @@ def test_equality_token_truth_table(int_small, user):
 def test_token_excludes_message_trapdoor(int_small, user):
     pk, sk = user
     td = pi.trapdoor_int(sk, pk)
-    assert not hasattr(td, "s_a")
-    assert td.s_a_prime is sk.s_a_prime
+    assert not hasattr(td, "t_a")
+    assert td.t_a_prime is sk.t_a_prime

@@ -20,7 +20,6 @@ from pkeet.sampling import (
     gadget_vector,
     klein_batch,
     sample_g_batch,
-    sample_p,
     sample_poly_g_array,
     sample_z_batch,
 )

@@ -148,3 +148,28 @@ def test_require_same_params(ring_small, ring_toy):
     serial.require_same_params(ring_small, ring_small)
     with pytest.raises(ParamsMismatch):
         serial.require_same_params(ring_small, ring_toy)
+
+
+def _add_to_word(blob: bytes, offset: int, delta: int) -> bytes:
+    """Add ``delta`` to the little-endian int64 word at ``offset``."""
+    word = int.from_bytes(blob[offset:offset + 8], "little", signed=True) + delta
+    return blob[:offset] + word.to_bytes(8, "little", signed=True) + blob[offset + 8:]
+
+
+def test_non_canonical_values_rejected(ring_objects, int_objects):
+    # A residue plus q is the same value mod q in a different byte string.
+    for scheme, objs in ((serial.SCHEME_RING, ring_objects), (serial.SCHEME_INT, int_objects)):
+        params = objs["params"]
+        blob = serial.encode_object(scheme, serial.KIND_CT, objs[serial.KIND_CT], params)
+        for delta in (params.q, -params.q):
+            with pytest.raises(FramingError):
+                serial.decode_object(_add_to_word(blob, len(blob) - 8, delta))
+    # An entry of R beyond the sampler's tail cut, in both directions.
+    params = int_objects["params"]
+    bound = int(params.t_tail * params.sigma_r)
+    blob = serial.encode_object(serial.SCHEME_INT, serial.KIND_SK, int_objects[serial.KIND_SK], params)
+    first = 23 + 4 + len(params.canonical_text().encode())
+    entry = int.from_bytes(blob[first:first + 8], "little", signed=True)
+    for value in (bound + 1, -bound - 1):
+        with pytest.raises(FramingError):
+            serial.decode_object(_add_to_word(blob, first, value - entry))
