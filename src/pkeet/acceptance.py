@@ -220,6 +220,7 @@ def _tamper_int(ct: pi.CtInt, params, rng: XofRng) -> pi.CtInt:
 def criterion_3(profile: str = "toy") -> CriterionResult:
     start = time.perf_counter()
     params = derive_ring_params(128, 256, profile)
+    iparams = derive_int_params(128, 32, profile)
     rng = _rng("tamper")
     from .ring import get_context
 
@@ -234,7 +235,6 @@ def criterion_3(profile: str = "toy") -> CriterionResult:
         except (RejectSignature, RejectHash):
             ring_rejects += 1
 
-    iparams = derive_int_params(128, 32, "toy")
     ipk, isk = pi.setup_int(iparams, rng)
     icts = [
         pi.encrypt_int(ipk, rng.uniform_mod(2, iparams.t_msg), iparams, rng)
@@ -476,7 +476,7 @@ def criterion_6(profile: str = "toy") -> CriterionResult:
 
 def criterion_7(profile: str = "toy") -> CriterionResult:
     start = time.perf_counter()
-    params = derive_int_params(128, 32, "toy")
+    params = derive_int_params(128, 32, profile)
     rng = _rng("int-roundtrip")
     pk, sk = pi.setup_int(params, rng)
     failures = 0

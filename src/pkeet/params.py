@@ -33,6 +33,7 @@ T_PRIME = 6            # slack term inside the perturbation width bound
 T_TAIL = 12            # tail cut multiplier for every Gaussian sampler
 GAUSS_C = 1.0 / math.sqrt(2.0 * math.pi)
 Q_CAP = 1 << 62        # coefficients must fit one 64-bit word
+MULMOD_CAP = 1 << 57   # ring.mulmod is exact only for moduli below this
 ZETA_HEADROOM = 1.01   # strict-inequality headroom above the width bound
 
 # Integer-scheme knobs.
@@ -249,6 +250,8 @@ def validate_ring(params: ParamsRing) -> list[str]:
         bad.append("q-congruence")
     if not (2 * p.n < p.q < Q_CAP):
         bad.append("q-range")
+    if p.q >= MULMOD_CAP:
+        bad.append("q-mulmod-cap")
     if p.k != p.q.bit_length():
         bad.append("k-bits")
     if p.base_len != 2 or p.m != p.k + p.base_len:

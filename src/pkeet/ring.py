@@ -25,10 +25,8 @@ from .errors import (
     NotInvertible,
     ParamsMismatch,
 )
-from .params import ParamsRing, is_prime
+from .params import MULMOD_CAP, ParamsRing, is_prime
 from .rng import XofRng
-
-_MULMOD_CAP = 1 << 57
 
 
 def mulmod(a: np.ndarray, b, q: int) -> np.ndarray:
@@ -39,6 +37,24 @@ def mulmod(a: np.ndarray, b, q: int) -> np.ndarray:
     quot = (a.astype(np.float64) * np.asarray(b, dtype=np.float64) / q).astype(np.uint64)
     rem = (low - quot * np.uint64(q)).astype(np.int64)
     return rem % q
+
+
+def invmod(a: np.ndarray, q: int) -> np.ndarray:
+    """Elementwise inverse of nonzero canonical residues modulo the prime ``q``.
+
+    Fermat's ``a^(q-2)`` by square-and-multiply over the bits of ``q - 2``,
+    one vectorized :func:`mulmod` per step, so the result is exact.
+    """
+    result = np.ones_like(a, dtype=np.int64)
+    power = np.asarray(a, dtype=np.int64)
+    e = q - 2
+    while e:
+        if e & 1:
+            result = mulmod(result, power, q)
+        e >>= 1
+        if e:
+            power = mulmod(power, power, q)
+    return result
 
 
 def _bit_reverse_permutation(n: int) -> np.ndarray:
@@ -55,7 +71,7 @@ class RingContext:
     def __init__(self, n: int, q: int):
         if n < 2 or n & (n - 1):
             raise InvalidDegree(f"degree must be a power of two, got {n}")
-        if q >= _MULMOD_CAP:
+        if q >= MULMOD_CAP:
             raise InvalidParams(
                 f"modulus {q} is at or above 2**57, outside the multiply kernel range"
             )
@@ -251,8 +267,7 @@ def invert(a: RingElement) -> RingElement:
     evals = a.ctx.ntt(a.coeffs)
     if (evals == 0).any():
         raise NotInvertible("element has a zero evaluation slot")
-    inv = np.array([pow(int(v), q - 2, q) for v in evals], dtype=np.int64)
-    return RingElement(a.ctx.intt(inv), a.ctx)
+    return RingElement(a.ctx.intt(invmod(evals, q)), a.ctx)
 
 
 def sample_uniform(ctx: RingContext, rng: XofRng) -> RingElement:

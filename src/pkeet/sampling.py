@@ -8,12 +8,17 @@ giving standard deviation ``s / sqrt(2 pi)``.  Every sampler truncates at
 Three engines cooperate here:
 
 * a vectorized inverse-CDF sampler over the truncated window
-  (:func:`sample_z_batch`), falling back to a continuous-plus-rounding
-  convolution for very wide Gaussians;
+  (:func:`sample_z_batch`).  The window is laid out window-major, one row
+  per candidate offset, so the CDF builds with one vector add per row;
+  when every center is zero all draws share a single CDF row, searched
+  by bisection.  Very wide Gaussians fall back to a continuous-plus-
+  rounding convolution;
 * a batched randomized nearest-plane walk (:func:`klein_batch`) over a
   cached orthogonalization, which the gadget-coset sampler runs;
-* a Cholesky factorization of perturbation covariances
-  (:func:`cholesky_pd`), shared by the ring and integer trapdoors.
+* a Cholesky factorization with a pivot floor (:func:`cholesky_pd`),
+  shared by the ring and integer trapdoors.  The ring perturbation
+  (:class:`PerturbationCov`) needs it only for a rows x rows Schur
+  complement per slot, because its gadget block is scalar.
 """
 
 from __future__ import annotations
@@ -68,23 +73,33 @@ def _cdt_batch(width: float, centers: np.ndarray, rng: XofRng, tail_cut: float) 
     # cut still masks the window whenever it is the tighter bound.
     reach = tail_cut * width
     span = min(reach, 5.5 * width)
-    lo = np.ceil(centers - span).astype(np.int64)
     window = int(math.floor(2.0 * span)) + 1
-    offsets = np.arange(window, dtype=np.int64)
-    cand = lo[:, None] + offsets[None, :]
-    delta = cand.astype(np.float64) - centers[:, None]
-    logp = -math.pi * delta * delta / (width * width)
-    np.exp(logp, out=logp)
+    # When every center is zero, all draws share one CDF column.
+    shared = not centers.any()
+    columns = np.zeros(1) if shared else centers
+    lo = np.ceil(columns - span)
+    # Window-major layout: row j holds candidate lo + j of every column, so
+    # the running sum below is one contiguous vector add per row.
+    delta = np.add.outer(np.arange(window, dtype=np.float64), lo)
+    delta -= columns
+    cdf = -math.pi * delta
+    cdf *= delta
+    cdf /= width * width
+    np.exp(cdf, out=cdf)
     if reach < span + 1.0:
-        logp[np.abs(delta) > reach] = 0.0
-    cdf = np.cumsum(logp, axis=1)
-    totals = cdf[:, -1]
+        cdf[np.abs(delta) > reach] = 0.0
+    for j in range(1, window):
+        np.add(cdf[j - 1], cdf[j], out=cdf[j])
+    totals = cdf[-1]
     if not (totals > 0).all():
         raise InternalError("empty discrete Gaussian window")
-    u = rng.uniform01(centers.size) * totals
-    idx = (cdf < u[:, None]).sum(axis=1)
-    idx = np.minimum(idx, window - 1)
-    return cand[np.arange(centers.size), idx]
+    if shared:
+        u = rng.uniform01(centers.size) * totals[0]
+        idx = np.searchsorted(cdf[:, 0], u, side="left")
+    else:
+        u = rng.uniform01(centers.size) * totals
+        idx = np.count_nonzero(cdf < u, axis=0)
+    return lo.astype(np.int64) + np.minimum(idx, window - 1)
 
 
 def sample_ring(width: float, ctx: RingContext, rng: XofRng) -> RingElement:
@@ -280,11 +295,17 @@ class PerturbationCov:
     """Covariance ``zeta^2 I - alpha^2 [T; I][T; I]*`` with sampling support.
 
     The covariance lives over the ring, so its coefficient embedding is
-    block-diagonal in the evaluation domain: one Hermitian (k+rows) x
-    (k+rows) matrix per slot.  Construction Cholesky-factors every slot
-    (after reserving the randomized-rounding width) and caches the factors;
-    :meth:`sample` then costs one batched matrix-vector product plus a
-    rounding pass.
+    block-diagonal in the evaluation domain: one Hermitian (rows+k) x
+    (rows+k) matrix per slot.  After reserving the randomized-rounding
+    width, ``Sigma = zeta'^2 I - alpha^2 [T; I][T; I]*`` has the scalar
+    gadget block ``d I`` with ``d = zeta'^2 - alpha^2``, so it factors with
+    the gadget coordinates first (Micciancio-Peikert 2012, Sec. 5.4): the
+    gadget coordinates are ``sqrt(d) g`` and the base coordinates are
+    ``-(alpha^2 / sqrt(d)) T g_gadget`` plus the Cholesky factor of the
+    rows x rows Schur complement ``zeta'^2 I - (alpha^2 zeta'^2 / d) T T*``
+    applied in each slot.  Construction checks ``d`` and every Schur
+    factor against the pivot floor of :func:`cholesky_pd`; :meth:`sample`
+    then costs two slotwise products plus a rounding pass.
     """
 
     def __init__(
@@ -308,23 +329,29 @@ class PerturbationCov:
         self.m = rows + k
         self.round_width = float(round_width)
 
-        t_hat = embed_complex(ctx.balanced(t_arr), n)          # (rows, k, n)
-        m_stack = np.empty((n, self.m, k), dtype=np.complex128)
-        m_stack[:, :rows, :] = np.moveaxis(t_hat, 2, 0)
-        m_stack[:, rows:, :] = np.eye(k)[None, :, :]
-        gram = m_stack @ m_stack.conj().transpose(0, 2, 1)      # (n, m, m)
-        sigma = -(self.alpha**2) * gram
-        diag = self.zeta**2 - self.round_width**2
-        idx = np.arange(self.m)
-        sigma[:, idx, idx] += diag
-        self._chol = cholesky_pd(sigma, self.zeta**2)
+        width_sq = self.zeta**2
+        zeta_sq = width_sq - self.round_width**2
+        alpha_sq = self.alpha**2
+        d = zeta_sq - alpha_sq
+        # The gadget block is d I; a 1x1 factor puts d under the same floor.
+        self._sqrt_d = float(cholesky_pd(np.array([[d]]), width_sq)[0, 0])
+        self._t_hat = embed_complex(ctx.balanced(t_arr), n)   # (rows, k, n)
+        self._t_scale = alpha_sq / self._sqrt_d
+        gram = np.einsum("akj,bkj->jab", self._t_hat, self._t_hat.conj())
+        schur = -(alpha_sq * zeta_sq / d) * gram                  # (n, rows, rows)
+        idx = np.arange(rows)
+        schur[:, idx, idx] += zeta_sq
+        self._schur_chol = cholesky_pd(schur, width_sq)
 
     def sample(self, rng: XofRng) -> np.ndarray:
         """(m, n) integer perturbation with covariance ``zeta^2 I - alpha^2 ...``."""
-        n, m = self.ctx.n, self.m
-        g = rng.normal(m * n).reshape(m, n)
+        n, rows = self.ctx.n, self.rows
+        g = rng.normal(self.m * n).reshape(self.m, n)
         g_hat = embed_complex(g, n)
-        y_hat = np.einsum("jab,bj->aj", self._chol, g_hat)
-        y = unembed_complex(y_hat, n) / math.sqrt(2.0 * math.pi)
+        base_hat = np.einsum("jab,bj->aj", self._schur_chol, g_hat[:rows])
+        base_hat -= self._t_scale * np.einsum("akj,kj->aj", self._t_hat, g_hat[rows:])
+        y = np.empty((self.m, n))
+        y[:rows] = unembed_complex(base_hat, n)
+        y[rows:] = self._sqrt_d * g[rows:]
+        y /= math.sqrt(2.0 * math.pi)
         return sample_z_batch(self.round_width, y, rng)
-

@@ -29,6 +29,7 @@ from .ring import (
     RingElement,
     dot_ntt,
     get_context,
+    invmod,
     mulmod,
     unstack,
 )
@@ -51,6 +52,7 @@ class RingTrapdoor:
     width: float
     ctx: RingContext
     _cov: PerturbationCov | None = field(default=None, repr=False)
+    _t_hat: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def base_len(self) -> int:
@@ -64,6 +66,15 @@ class RingTrapdoor:
         """Largest column norm of ``T`` in the coefficient embedding."""
         bal = self.ctx.balanced(self.t_arr).astype(np.float64)
         return float(np.sqrt((bal**2).sum(axis=(0, 2)).max()))
+
+    @property
+    def t_hat(self) -> np.ndarray:
+        """Cached NTT form of ``T``, shape (base_len, k, n)."""
+        if self._t_hat is None:
+            base_len, k, n = self.t_arr.shape
+            flat = self.ctx.ntt(self.t_arr.reshape(base_len * k, n))
+            self._t_hat = flat.reshape(base_len, k, n)
+        return self._t_hat
 
     def perturbation(self, params: ParamsRing) -> PerturbationCov:
         """Cached perturbation covariance for this trapdoor."""
@@ -137,8 +148,7 @@ def trap_gen(
             trap.perturbation(params)
         except CovarianceNotPD:
             continue
-        t_hat = ctx.ntt(t_arr.reshape(base_len * k, n)).reshape(base_len, k, n)
-        at_hat = mulmod(a_hat[:, None, :], t_hat, q).sum(axis=0) % q   # (k, n)
+        at_hat = mulmod(a_hat[:, None, :], trap.t_hat, q).sum(axis=0) % q   # (k, n)
         tail = ctx.intt((hg_hat - at_hat) % q)
         vec = np.concatenate([a_prime, tail], axis=0)
         return TaggedVector(vec=vec, tag=tag, ctx=ctx, trapdoor=trap), trap
@@ -174,8 +184,7 @@ def trapdoor_identity_residual(av: TaggedVector, trap: RingTrapdoor) -> np.ndarr
     q = ctx.q
     base_len, k = trap.base_len, trap.k
     a_hat = ctx.ntt(av.vec)
-    t_hat = ctx.ntt(trap.t_arr.reshape(base_len * k, ctx.n)).reshape(base_len, k, ctx.n)
-    head = mulmod(a_hat[:base_len, None, :], t_hat, q).sum(axis=0) % q
+    head = mulmod(a_hat[:base_len, None, :], trap.t_hat, q).sum(axis=0) % q
     full = (head + a_hat[base_len:]) % q
     tag_hat = ctx.ntt(av.tag.coeffs)
     hg = mulmod(np.broadcast_to(tag_hat, (k, ctx.n)), gadget_vector(k)[:, None] % q, q)
@@ -206,7 +215,7 @@ def sample_pre(
     tag_hat = ctx.ntt(av.tag.coeffs)
     if (tag_hat == 0).any():
         raise TagNotInvertible("vector tag has a zero evaluation slot")
-    tag_inv_hat = np.array([pow(int(v), q - 2, q) for v in tag_hat], dtype=np.int64)
+    tag_inv_hat = invmod(tag_hat, q)
 
     cov = trap.perturbation(params)
     p = cov.sample(rng) % q                                   # (m, n)
@@ -219,8 +228,7 @@ def sample_pre(
     z = sample_poly_g_array(params.sigma_trap, v, ctx, rng)    # (k, n) small ints
 
     z_hat = ctx.ntt(z % q)
-    t_hat = ctx.ntt(trap.t_arr.reshape(base_len * k, n)).reshape(base_len, k, n)
-    tz = ctx.intt(mulmod(t_hat, z_hat[None, :, :], q).sum(axis=1) % q)  # (base_len, n)
+    tz = ctx.intt(mulmod(trap.t_hat, z_hat[None, :, :], q).sum(axis=1) % q)  # (base_len, n)
 
     x = np.empty((base_len + k, n), dtype=np.int64)
     x[:base_len] = (p[:base_len] + tz) % q

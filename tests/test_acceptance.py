@@ -52,3 +52,21 @@ def test_criterion_7_integer_round_trip():
 
 def test_criterion_8_determinism_and_frozen_vectors():
     _run(8)
+
+
+@pytest.mark.parametrize("number", [3, 7])
+def test_integer_criteria_follow_profile(monkeypatch, number):
+    # The stub stops the criterion before any integer key is generated.
+    seen = []
+
+    class Stop(Exception):
+        pass
+
+    def derive(lambda_sec, n, profile):
+        seen.append(profile)
+        raise Stop
+
+    monkeypatch.setattr(acceptance, "derive_int_params", derive)
+    with pytest.raises(Stop):
+        acceptance.run_all("strict", [number])
+    assert seen == ["strict"]

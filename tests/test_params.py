@@ -6,7 +6,9 @@ import math
 import pytest
 
 from pkeet.errors import InvalidParams
+from pkeet.ring import RingContext
 from pkeet.params import (
+    MULMOD_CAP,
     derive_int_params,
     derive_ring_params,
     is_prime,
@@ -30,6 +32,15 @@ def test_ring_validation_clean():
     for n in (64, 256):
         for profile in ("toy", "strict"):
             assert validate_ring(derive_ring_params(128, n, profile)) == []
+
+
+def test_ring_validation_flags_multiply_cap():
+    # n = 2^14 derives a 60-bit modulus, which RingContext cannot run.
+    p = derive_ring_params(128, 2**14, "toy")
+    assert p.q >= MULMOD_CAP
+    assert "q-mulmod-cap" in validate_ring(p)
+    with pytest.raises(InvalidParams):
+        RingContext(p.n, p.q)
 
 
 def test_ring_correctness_inequality(ring_toy):

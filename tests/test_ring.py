@@ -17,6 +17,7 @@ from pkeet.ring import (
     encode_message,
     get_context,
     invert,
+    invmod,
     is_invertible,
     mul_schoolbook,
     sample_uniform,
@@ -86,6 +87,15 @@ def test_inverse_is_two_sided():
         one[0] = 1
         assert np.array_equal(mul_schoolbook(a, inv).coeffs, one)
         assert np.array_equal(mul_schoolbook(inv, a).coeffs, one)
+
+
+@pytest.mark.parametrize("q", [97, 127887583264769, (1 << 57) - 13])
+def test_slot_inverse_matches_python_pow(q):
+    # The last modulus is the largest prime below the multiply kernel cap.
+    values = seeded(f"invmod-{q}").uniform_mod(q - 1, 500) + 1
+    values[:2] = (1, q - 1)
+    want = np.array([pow(int(v), q - 2, q) for v in values], dtype=np.int64)
+    assert np.array_equal(invmod(values, q), want)
 
 
 def test_inverse_matches_extended_euclid_oracle():

@@ -11,11 +11,12 @@ import math
 import numpy as np
 import pytest
 
-from pkeet.errors import CovarianceNotPD, InvalidParams, WidthTooSmall
+from pkeet.errors import CovarianceNotPD, InternalError, InvalidParams, WidthTooSmall
 from pkeet.ring import RingContext, RingElement, mul_schoolbook, unstack
 from pkeet.sampling import (
     OrthoBasis,
     PerturbationCov,
+    _cdt_batch,
     bit_decompose,
     gadget_vector,
     klein_batch,
@@ -34,6 +35,74 @@ def exact_variance(width: float, cut: int) -> float:
     ks = np.arange(-cut, cut + 1, dtype=np.float64)
     w = gauss_weight(ks, width)
     return float((ks**2 * w).sum() / w.sum())
+
+
+def cdt_batch_reference(width, centers, rng, tail_cut):
+    """Row-major inverse-CDF kernel, kept as the exactness reference."""
+    reach = tail_cut * width
+    span = min(reach, 5.5 * width)
+    lo = np.ceil(centers - span).astype(np.int64)
+    window = int(math.floor(2.0 * span)) + 1
+    offsets = np.arange(window, dtype=np.int64)
+    cand = lo[:, None] + offsets[None, :]
+    delta = cand.astype(np.float64) - centers[:, None]
+    logp = -math.pi * delta * delta / (width * width)
+    np.exp(logp, out=logp)
+    if reach < span + 1.0:
+        logp[np.abs(delta) > reach] = 0.0
+    cdf = np.cumsum(logp, axis=1)
+    totals = cdf[:, -1]
+    if not (totals > 0).all():
+        raise InternalError("empty discrete Gaussian window")
+    u = rng.uniform01(centers.size) * totals
+    idx = (cdf < u[:, None]).sum(axis=1)
+    idx = np.minimum(idx, window - 1)
+    return cand[np.arange(centers.size), idx]
+
+
+def _same_draws(kernel, reference, label):
+    """Both kernels from one seed: equal draws, or both find an empty window."""
+    try:
+        want = reference(seeded(label))
+    except InternalError:
+        with pytest.raises(InternalError):
+            kernel(seeded(label))
+        return
+    got = kernel(seeded(label))
+    assert got.dtype == np.int64
+    assert np.array_equal(got, want), label
+
+
+@pytest.mark.parametrize("width", [1.0, 4.0, 4.43, 8.0, 31.9])
+@pytest.mark.parametrize("tail_cut", [12.0, 2.0, 0.3])
+@pytest.mark.parametrize("kind", ["random", "integer", "zero"])
+def test_cdt_kernel_matches_reference(width, tail_cut, kind):
+    centers = seeded(f"cdt-centers-{kind}").normal(3000) * 40.0
+    if kind == "integer":
+        centers = np.rint(centers)
+    elif kind == "zero":
+        centers = np.zeros(3000)
+    label = f"cdt-{width}-{tail_cut}-{kind}"
+    _same_draws(
+        lambda rng: _cdt_batch(width, centers, rng, tail_cut),
+        lambda rng: cdt_batch_reference(width, centers, rng, tail_cut),
+        label,
+    )
+
+
+@pytest.mark.parametrize("kind", ["random", "zero"])
+def test_convolution_path_matches_reference(kind):
+    width, r = 64.0, 8.0
+    centers = np.zeros((30, 100))
+    if kind == "random":
+        centers = seeded("conv-centers").normal(3000).reshape(30, 100) * 40.0
+
+    def reference(rng):
+        sd_extra = math.sqrt(width * width - r * r) / math.sqrt(2.0 * math.pi)
+        shifted = centers.reshape(-1) + rng.normal(centers.size) * sd_extra
+        return cdt_batch_reference(r, shifted, rng, 12.0).reshape(centers.shape)
+
+    _same_draws(lambda rng: sample_z_batch(width, centers, rng), reference, f"conv-{kind}")
 
 
 def test_width_floor_enforced():
@@ -212,6 +281,71 @@ def test_perturbation_zero_trapdoor_closed_form():
     want_tail = (zeta**2 - alpha**2) / (2 * math.pi)
     assert abs(head_var / want_head - 1.0) < 0.10
     assert abs(tail_var / want_tail - 1.0) < 0.10
+
+
+def _negacyclic(poly: np.ndarray) -> np.ndarray:
+    """Matrix of multiplication by ``poly`` in Z[x]/(x^n + 1)."""
+    n = poly.size
+    mat = np.zeros((n, n))
+    for j in range(n):
+        col = np.roll(poly.astype(np.float64), j)
+        col[:j] *= -1.0
+        mat[:, j] = col
+    return mat
+
+
+def test_perturbation_factor_reproduces_covariance():
+    n, q, k, rows = 16, 97, 4, 2
+    ctx = RingContext(n, q)
+    t_bal = seeded("pert-factor").uniform_mod(5, 2 * k * n).reshape(rows, k, n) - 2
+    zeta, alpha, round_width = 200.0, 4.0, 2.0
+    cov = PerturbationCov(zeta, alpha, t_bal % q, ctx, round_width=round_width)
+    t_slots = np.moveaxis(cov._t_hat, 2, 0)                      # (n, rows, k)
+    m = rows + k
+    factor = np.zeros((n, m, m), dtype=np.complex128)
+    factor[:, :rows, :rows] = cov._schur_chol
+    factor[:, :rows, rows:] = -cov._t_scale * t_slots
+    factor[:, rows:, rows:] = cov._sqrt_d * np.eye(k)
+    stacked = np.concatenate([t_slots, np.broadcast_to(np.eye(k), (n, k, k))], axis=1)
+    want = (zeta**2 - round_width**2) * np.eye(m) - alpha**2 * (
+        stacked @ stacked.conj().transpose(0, 2, 1)
+    )
+    got = factor @ factor.conj().transpose(0, 2, 1)
+    assert np.linalg.norm(got - want) / np.linalg.norm(want) < 1e-12
+
+
+def test_perturbation_empirical_covariance():
+    # A sparse T keeps alpha^2 T, the base-gadget cross covariance, large
+    # against zeta^2, so a wrong sign, scale or conjugation of that block
+    # fails one of the two checks below.
+    n, q, k, rows = 16, 97, 4, 2
+    ctx = RingContext(n, q)
+    t_bal = np.zeros((rows, k, n), dtype=np.int64)
+    t_bal[0, 0, 3] = 1
+    t_bal[1, 1, 5] = -1
+    t_bal[0, 2, 0] = t_bal[0, 2, 1] = 1
+    t_bal[1, 3, 7] = 2
+    basis = np.zeros(((rows + k) * n, k * n))
+    for r in range(rows):
+        for i in range(k):
+            basis[r * n:(r + 1) * n, i * n:(i + 1) * n] = _negacyclic(t_bal[r, i])
+    basis[rows * n:] = np.eye(k * n)
+    alpha, round_width = 3.0, 3.0
+    top = float(np.linalg.eigvalsh(basis @ basis.T).max())
+    zeta = math.sqrt(1.3 * alpha**2 * top + round_width**2)
+    want = (zeta**2 * np.eye(basis.shape[0]) - alpha**2 * basis @ basis.T) / (2 * math.pi)
+
+    cov = PerturbationCov(zeta, alpha, t_bal % q, ctx, round_width=round_width)
+    rng = seeded("pert-covariance")
+    count = 2000
+    draws = np.stack([cov.sample(rng).reshape(-1) for _ in range(count)]).astype(np.float64)
+    emp = draws.T @ draws / count
+    sd = np.sqrt(np.diag(want))
+    worst = float((np.abs(emp - want) / np.outer(sd, sd)).max())
+    assert worst < 0.15, f"worst normalized covariance error {worst:.3f}"
+    cross, emp_cross = want[: rows * n, rows * n:], emp[: rows * n, rows * n:]
+    c = float((emp_cross * cross).sum() / (cross * cross).sum())
+    assert abs(c - 1.0) < 0.1, f"cross-covariance ratio {c:.3f}"
 
 
 def test_perturbation_rejects_insufficient_width():
