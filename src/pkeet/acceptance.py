@@ -264,6 +264,7 @@ def criterion_3(profile: str = "toy") -> CriterionResult:
 def criterion_4(profile: str = "toy") -> CriterionResult:
     start = time.perf_counter()
     params = derive_ring_params(128, 256, profile)
+    iparams = derive_int_params(128, 32, profile)
     rng = _rng("exact-gates")
     from .ring import get_context
 
@@ -286,7 +287,6 @@ def criterion_4(profile: str = "toy") -> CriterionResult:
         x = sample_pre(trap, shifted, u, params, rng)
         pre_bad += int(apply_vector(shifted, x) != u)
 
-    iparams = derive_int_params(128, 32, "toy")
     int_traps, int_trap_bad = 10, 0
     for _ in range(int_traps):
         a_mat, itrap = ml.trap_gen_int(iparams, rng)

@@ -80,17 +80,6 @@ def hash_to_invertible(params: ParamsRing, data: bytes) -> RingElement:
     raise InternalError(f"no invertible hash output after {H1_RETRY_CAP} counters")
 
 
-def hash_to_invertible_calls(params: ParamsRing, data: bytes) -> int:
-    """Number of rejection rounds :func:`hash_to_invertible` uses on ``data``."""
-    ctx = get_context(params)
-    for counter in range(H1_RETRY_CAP):
-        stream = _hash_stream(TAG_INVERTIBLE, params, data, counter)
-        cand = RingElement(stream.uniform_mod(params.q, params.n), ctx)
-        if is_invertible(cand):
-            return counter + 1
-    raise InternalError(f"no invertible hash output after {H1_RETRY_CAP} counters")
-
-
 def hash_to_sparse(params: ParamsRing, data: bytes) -> RingElement:
     """Map bytes to a signed sparse element: exactly ``delta_w`` coefficients
     in {-1, +1}, positions chosen by a stream-driven partial shuffle."""

@@ -7,7 +7,8 @@ gadget matrix (Micciancio-Peikert, EUROCRYPT 2012, section 5.4).  Preimages
 follow the same perturb-then-gadget-sample pattern as the ring scheme: a
 perturbation ``p`` with covariance ``sigma^2 I - w^2 [R; I][R; I]^T`` hides
 ``R``, the remaining syndrome is sampled in the gadget coset at width ``w``,
-and the gadget solution re-enters through ``[R; I]``.
+and the gadget solution re-enters through ``[R; I]``.  As in the ring scheme,
+the perturbation is factored gadget-first, through an ``m_bar x m_bar`` factor.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .errors import CovarianceNotPD, GenerationFailed, InvalidParams
 from .params import ParamsInt, int_gadget_width
 from .ring import mulmod
 from .rng import XofRng
-from .sampling import cholesky_pd, sample_g_batch, sample_z_batch
+from .sampling import gadget_first_factor, sample_g_batch, sample_z_batch
 
 _TRAPGEN_RETRIES = 8
 _MATMUL_Q_CAP = 1 << 56   # elementwise products ride the exact mulmod kernel
@@ -95,23 +96,23 @@ def _gadget_rows(q: int, n: int, k: int) -> np.ndarray:
 
 @dataclass
 class IntTrapdoor:
-    """Gadget trapdoor ``R`` with the Cholesky factor of its perturbation
-    covariance ``(sigma^2 - sigma_r^2) I - w^2 [R; I][R; I]^T``; the
-    ``sigma_r^2`` share is left for the randomized rounding."""
+    """Gadget trapdoor ``R`` with the gadget-first factor of its
+    perturbation covariance ``(sigma^2 - sigma_r^2) I - w^2 [R; I][R; I]^T``
+    (see :func:`~pkeet.sampling.gadget_first_factor`); the ``sigma_r^2``
+    share is left for the randomized rounding."""
 
     r: np.ndarray              # (m_bar, n*k) signed int64
-    chol: np.ndarray           # (m, m) float64, lower triangular
+    sqrt_d: float              # sqrt(sigma^2 - sigma_r^2 - w^2)
+    chol: np.ndarray           # (m_bar, m_bar) float64, lower triangular
 
     @classmethod
     def from_r(cls, r: np.ndarray, params: ParamsInt) -> "IntTrapdoor":
         """Factor the perturbation covariance of ``R``; raises
         :class:`CovarianceNotPD` when ``sigma`` is too narrow for it."""
         r = np.asarray(r, dtype=np.int64)
-        rf = r.astype(np.float64)
-        gram = np.block([[rf @ rf.T, rf], [rf.T, np.eye(r.shape[1])]])
-        cov = -(int_gadget_width(params.m) ** 2) * gram
-        cov[np.diag_indices_from(cov)] += params.sigma**2 - params.sigma_r**2
-        return cls(r=r, chol=cholesky_pd(cov, params.sigma**2))
+        zeta_sq = params.sigma**2 - params.sigma_r**2
+        w_sq = int_gadget_width(params.m) ** 2
+        return cls(r, *gadget_first_factor(r.astype(np.float64), zeta_sq, w_sq, params.sigma**2))
 
 
 def gadget_residual(a_mat: np.ndarray, r: np.ndarray, q: int) -> np.ndarray:
@@ -178,12 +179,15 @@ def sample_left(
     t = u_mat.shape[1]
 
     e2 = sample_z_batch(params.sigma, np.zeros((m1_mat.shape[1], t)), rng)
-    target = (u_mat - matmul_mod(m1_mat, e2 % q, q)) % q
+    target = (u_mat - _mul_signed(m1_mat, e2, q)) % q
 
-    y = trap.chol @ rng.normal(m * t).reshape(m, t) / math.sqrt(2.0 * math.pi)
+    w = int_gadget_width(m)
+    g_base, g_gadget = np.split(rng.normal(m * t).reshape(m, t), [trap.r.shape[0]])
+    base = trap.chol @ g_base - (w * w / trap.sqrt_d) * (trap.r @ g_gadget)
+    y = np.concatenate([base, trap.sqrt_d * g_gadget]) / math.sqrt(2.0 * math.pi)
     p = sample_z_batch(params.sigma_r, y, rng)                       # (m, t)
     v = (target - _mul_signed(a_mat, p, q)) % q
-    z = sample_g_batch(int_gadget_width(m), v.reshape(-1), q, rng)   # (n*t, k)
+    z = sample_g_batch(w, v.reshape(-1), q, rng)                     # (n*t, k)
     z = z.reshape(n, t, k).transpose(0, 2, 1).reshape(n * k, t)
     e1 = p + np.concatenate([trap.r @ z, z], axis=0)
     return np.concatenate([e1, e2], axis=0)

@@ -88,6 +88,18 @@ def _sqrt_upper(value: int) -> Fraction:
     return Fraction(math.nextafter(math.sqrt(value), math.inf))
 
 
+def _field_violations(params) -> list[str]:
+    """Fields no valid record holds: non-finite floats, integers outside [1, Q_CAP)."""
+    bad = []
+    for f in fields(params):
+        value = getattr(params, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            bad.append(f"{f.name}-finite")
+        elif isinstance(value, int) and not 1 <= value < Q_CAP:
+            bad.append(f"{f.name}-range")
+    return bad
+
+
 def _width_floor(n: int) -> float:
     """Smallest admissible Gaussian width: sqrt(ln(2n/eps)/pi)."""
     return math.sqrt((math.log(2 * n) + EPS_LOG2 * math.log(2)) / math.pi)
@@ -168,7 +180,8 @@ def derive_ring_params(lambda_sec: int, n: int, profile: str) -> ParamsRing:
 
     The modulus is the smallest prime ``q = 1 (mod 2n)`` whose quarter
     exceeds the exact decode error budget at the widths implied by ``n``.
-    Raises :class:`ParameterOverflow` when no such prime fits below 2**62.
+    Raises :class:`ParameterOverflow` when no such prime lies below
+    ``MULMOD_CAP``, the bound of the ring multiply kernel.
     """
     if profile not in PROFILES:
         raise InvalidParams(f"unknown profile {profile!r}")
@@ -186,13 +199,13 @@ def derive_ring_params(lambda_sec: int, n: int, profile: str) -> ParamsRing:
     delta_w = -(-n // log2n)
 
     chosen = None
-    for k in range((2 * n + 1).bit_length(), 63):
+    for k in range((2 * n + 1).bit_length(), MULMOD_CAP.bit_length()):
         zeta = ZETA_HEADROOM * _zeta_floor(sigma, k, n)
         budget = _ring_error_budget(tau, zeta, gamma, k, n)
         start = 4 * (int(budget) + 1)
-        if start > Q_CAP:
+        if start >= MULMOD_CAP:
             raise ParameterOverflow(
-                f"ring modulus for n={n} would need more than 62 bits"
+                f"ring modulus for n={n} would reach the 2**57 multiply cap"
             )
         start = max(start, (1 << (k - 1)) + 1)
         if start >= (1 << k):
@@ -208,7 +221,7 @@ def derive_ring_params(lambda_sec: int, n: int, profile: str) -> ParamsRing:
         if chosen:
             break
     if chosen is None:
-        raise ParameterOverflow(f"no admissible ring modulus below 2**62 for n={n}")
+        raise ParameterOverflow(f"no admissible ring modulus below 2**57 for n={n}")
     k, q, zeta = chosen
 
     b_ots = 1
@@ -240,7 +253,9 @@ def derive_ring_params(lambda_sec: int, n: int, profile: str) -> ParamsRing:
 
 def validate_ring(params: ParamsRing) -> list[str]:
     """Return the names of every violated ring invariant (empty when valid)."""
-    bad: list[str] = []
+    bad = _field_violations(params)
+    if bad:
+        return bad
     p = params
     if not _is_power_of_two(p.n) or p.n < 16:
         bad.append("n-power-of-two")
@@ -270,8 +285,6 @@ def validate_ring(params: ParamsRing) -> list[str]:
         p.mu, p.t_tail * p.sigma_trap * p.tau * math.sqrt(2 * p.n), rel_tol=1e-12
     ):
         bad.append("mu-identity")
-    if p.t_tail < 1:
-        bad.append("tail-positive")
     if not (1 <= p.delta_w <= p.n):
         bad.append("delta-range")
     if p.b_ots < 1 or 2 * p.delta_w * p.b_ots >= p.q // 2:
@@ -471,7 +484,9 @@ def derive_int_params(
 
 def validate_int(params: ParamsInt) -> list[str]:
     """Return the names of every violated integer-scheme invariant."""
-    bad: list[str] = []
+    bad = _field_violations(params)
+    if bad:
+        return bad
     p = params
     if not is_prime(p.q):
         bad.append("q-prime")

@@ -29,7 +29,7 @@ from .matlattice import (
     trap_gen_int,
     _mul_signed,
 )
-from .ots import ots_sis_keygen, ots_sis_verify
+from .ots import ots_sis_keygen, ots_sis_sign, ots_sis_verify
 from .params import ParamsInt
 from .rng import XofRng
 
@@ -152,7 +152,7 @@ def encrypt_int(pk: PkInt, msg: np.ndarray, params: ParamsInt, rng: XofRng) -> C
     c4 = (matmul_mod(f2.T, s2[:, None], q)[:, 0] + np.concatenate([y2, r_sum.T @ y2])) % q
 
     d_sel = hash_weighted(params, _vec_bytes(c1, c2, c3, c4), params.k_sig, params.w_sig)
-    u_sig = (ots_keys.key @ d_sel) % q
+    u_sig = ots_sis_sign(ots_keys, d_sel, params) % q
     return CtInt(c1=c1, c2=c2, c3=c3, c4=c4, u=u_sig, d=d_pub)
 
 

@@ -80,17 +80,12 @@ class TrapdoorTokenRing:
     u: RingElement
 
 
-def _strip(av: TaggedVector) -> TaggedVector:
-    """Public copy of a tagged vector without the trapdoor link."""
-    return TaggedVector(vec=av.vec.copy(), tag=av.tag, ctx=av.ctx, trapdoor=None)
-
-
 def setup(params: ParamsRing, rng: XofRng) -> tuple[PkRing, SkRing]:
     """Two zero-tag trapdoored vectors plus a uniform syndrome."""
     av_a, t_a = trap_gen(params, rng)
     av_b, t_b = trap_gen(params, rng)
     u = sample_uniform(get_context(params), rng)
-    return PkRing(a=_strip(av_a), b=_strip(av_b), u=u), SkRing(t_a=t_a, t_b=t_b)
+    return PkRing(a=av_a, b=av_b, u=u), SkRing(t_a=t_a, t_b=t_b)
 
 
 def _v_bytes(v: tuple[RingElement, RingElement]) -> bytes:
@@ -198,7 +193,7 @@ def decrypt(
 
 def trapdoor(sk: SkRing, pk: PkRing) -> TrapdoorTokenRing:
     """Equality-test token: the hash-slot trapdoor plus public material."""
-    return TrapdoorTokenRing(t_b=sk.t_b, b=_strip(pk.b), u=pk.u)
+    return TrapdoorTokenRing(t_b=sk.t_b, b=pk.b, u=pk.u)
 
 
 def _test_side(

@@ -219,9 +219,6 @@ class RingElement:
     def balanced(self) -> np.ndarray:
         return self.ctx.balanced(self.coeffs)
 
-    def inf_norm(self) -> int:
-        return int(np.abs(self.balanced()).max(initial=0))
-
     def to_bytes(self) -> bytes:
         """Canonical encoding: n little-endian 8-byte words, ascending degree."""
         return self.coeffs.astype("<u8").tobytes()

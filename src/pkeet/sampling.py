@@ -15,10 +15,11 @@ Three engines cooperate here:
   rounding convolution;
 * a batched randomized nearest-plane walk (:func:`klein_batch`) over a
   cached orthogonalization, which the gadget-coset sampler runs;
-* a Cholesky factorization with a pivot floor (:func:`cholesky_pd`),
-  shared by the ring and integer trapdoors.  The ring perturbation
-  (:class:`PerturbationCov`) needs it only for a rows x rows Schur
-  complement per slot, because its gadget block is scalar.
+* one gadget-first factorization of the trapdoor perturbation covariance
+  ``zeta'^2 I - alpha^2 [T; I][T; I]*`` (:func:`gadget_first_factor`),
+  shared by the ring and integer trapdoors.  The gadget block is scalar,
+  so only the rows x rows Schur complement of each T block goes through
+  a Cholesky factorization with a pivot floor (:func:`cholesky_pd`).
 """
 
 from __future__ import annotations
@@ -256,7 +257,7 @@ def sample_poly_g_array(sigma: float, v_coeffs: np.ndarray, ctx: RingContext, rn
 
 
 # ---------------------------------------------------------------------------
-# Structured perturbations for the ring trapdoor
+# Trapdoor perturbations (ring and integer)
 # ---------------------------------------------------------------------------
 
 
@@ -291,21 +292,38 @@ def cholesky_pd(cov: np.ndarray, width_sq: float) -> np.ndarray:
     return chol
 
 
+def gadget_first_factor(
+    t_blocks: np.ndarray, zeta_sq: float, alpha_sq: float, width_sq: float
+) -> tuple[float, np.ndarray]:
+    """Gadget-first factor of ``zeta'^2 I - alpha^2 [T; I][T; I]*`` for a
+    stack ``(..., rows, k)`` of real or complex T blocks (``zeta_sq`` is
+    ``zeta'^2``; Micciancio-Peikert 2012, Sec. 5.4).  Returns ``sqrt(d)``,
+    ``d = zeta'^2 - alpha^2``, and the Cholesky factor ``L`` of the Schur
+    complement ``zeta'^2 I - (alpha^2 zeta'^2 / d) T T*``, both through the
+    pivot floor of :func:`cholesky_pd`: gadget coordinates
+    ``sqrt(d) g_gadget`` and base coordinates
+    ``L g_base - (alpha^2 / sqrt(d)) T g_gadget`` then have the covariance.
+    """
+    d = zeta_sq - alpha_sq
+    # The gadget block is d I; a 1x1 factor puts d under the same floor.
+    sqrt_d = float(cholesky_pd(np.array([[d]]), width_sq)[0, 0])
+    schur = -(alpha_sq * zeta_sq / d) * (t_blocks @ np.swapaxes(t_blocks.conj(), -1, -2))
+    idx = np.arange(t_blocks.shape[-2])
+    schur[..., idx, idx] += zeta_sq
+    return sqrt_d, cholesky_pd(schur, width_sq)
+
+
 class PerturbationCov:
     """Covariance ``zeta^2 I - alpha^2 [T; I][T; I]*`` with sampling support.
 
     The covariance lives over the ring, so its coefficient embedding is
     block-diagonal in the evaluation domain: one Hermitian (rows+k) x
     (rows+k) matrix per slot.  After reserving the randomized-rounding
-    width, ``Sigma = zeta'^2 I - alpha^2 [T; I][T; I]*`` has the scalar
-    gadget block ``d I`` with ``d = zeta'^2 - alpha^2``, so it factors with
-    the gadget coordinates first (Micciancio-Peikert 2012, Sec. 5.4): the
-    gadget coordinates are ``sqrt(d) g`` and the base coordinates are
-    ``-(alpha^2 / sqrt(d)) T g_gadget`` plus the Cholesky factor of the
-    rows x rows Schur complement ``zeta'^2 I - (alpha^2 zeta'^2 / d) T T*``
-    applied in each slot.  Construction checks ``d`` and every Schur
-    factor against the pivot floor of :func:`cholesky_pd`; :meth:`sample`
-    then costs two slotwise products plus a rounding pass.
+    width, ``Sigma = zeta'^2 I - alpha^2 [T; I][T; I]*`` is factored by
+    :func:`gadget_first_factor` with the slot values of ``T`` as a stack
+    of (rows, k) blocks, which yields ``sqrt(d)`` and one rows x rows Schur
+    factor per slot; :meth:`sample` then costs two slotwise products plus
+    a rounding pass.
     """
 
     def __init__(
@@ -321,27 +339,17 @@ class PerturbationCov:
             raise InvalidParams("trapdoor degree does not match context")
         if round_width < 1.0:
             raise WidthTooSmall("rounding width below 1.0")
-        self.zeta = float(zeta)
-        self.alpha = float(alpha)
         self.ctx = ctx
         self.rows = rows
-        self.k = k
         self.m = rows + k
         self.round_width = float(round_width)
 
-        width_sq = self.zeta**2
-        zeta_sq = width_sq - self.round_width**2
-        alpha_sq = self.alpha**2
-        d = zeta_sq - alpha_sq
-        # The gadget block is d I; a 1x1 factor puts d under the same floor.
-        self._sqrt_d = float(cholesky_pd(np.array([[d]]), width_sq)[0, 0])
+        alpha_sq, width_sq = float(alpha) ** 2, float(zeta) ** 2
         self._t_hat = embed_complex(ctx.balanced(t_arr), n)   # (rows, k, n)
+        self._sqrt_d, self._schur_chol = gadget_first_factor(
+            np.moveaxis(self._t_hat, 2, 0), width_sq - self.round_width**2, alpha_sq, width_sq
+        )
         self._t_scale = alpha_sq / self._sqrt_d
-        gram = np.einsum("akj,bkj->jab", self._t_hat, self._t_hat.conj())
-        schur = -(alpha_sq * zeta_sq / d) * gram                  # (n, rows, rows)
-        idx = np.arange(rows)
-        schur[:, idx, idx] += zeta_sq
-        self._schur_chol = cholesky_pd(schur, width_sq)
 
     def sample(self, rng: XofRng) -> np.ndarray:
         """(m, n) integer perturbation with covariance ``zeta^2 I - alpha^2 ...``."""

@@ -120,13 +120,11 @@ def decode_frame(data: bytes) -> tuple[int, int, ParamsRing | ParamsInt, bytes]:
 def _zero_tagged(vec: np.ndarray, params: ParamsRing) -> TaggedVector:
     ctx = get_context(params)
     zero = RingElement(np.zeros(ctx.n, dtype=np.int64), ctx)
-    return TaggedVector(vec=vec, tag=zero, ctx=ctx, trapdoor=None)
+    return TaggedVector(vec=vec, tag=zero, ctx=ctx)
 
 
 def _ring_trapdoor(t_arr: np.ndarray, params: ParamsRing) -> RingTrapdoor:
-    return RingTrapdoor(
-        t_arr=t_arr, width=params.sigma_trap, ctx=get_context(params)
-    )
+    return RingTrapdoor(t_arr=t_arr, ctx=get_context(params))
 
 
 def encode_ring_pk(pk: PkRing, params: ParamsRing) -> bytes:

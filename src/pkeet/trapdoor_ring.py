@@ -46,10 +46,9 @@ _TRAPGEN_RETRIES = 64
 
 @dataclass
 class RingTrapdoor:
-    """Secret ``T`` (base_len x k ring elements) with its generation width."""
+    """Secret ``T`` (base_len x k ring elements)."""
 
     t_arr: np.ndarray          # (base_len, k, n) canonical int64
-    width: float
     ctx: RingContext
     _cov: PerturbationCov | None = field(default=None, repr=False)
     _t_hat: np.ndarray | None = field(default=None, repr=False)
@@ -96,11 +95,6 @@ class TaggedVector:
     vec: np.ndarray            # (m, n) canonical int64
     tag: RingElement
     ctx: RingContext
-    trapdoor: RingTrapdoor | None = field(default=None, repr=False)
-
-    @property
-    def m(self) -> int:
-        return self.vec.shape[0]
 
 
 def trap_gen(
@@ -136,7 +130,7 @@ def trap_gen(
     norm_cap = params.t_tail * params.sigma_trap * math.sqrt(base_len * n)
     for _ in range(_TRAPGEN_RETRIES):
         t_arr = sample_z_batch(params.sigma_trap, np.zeros((base_len, k, n)), rng) % q
-        trap = RingTrapdoor(t_arr=t_arr, width=params.sigma_trap, ctx=ctx)
+        trap = RingTrapdoor(t_arr=t_arr, ctx=ctx)
         # Output contract: the trapdoor must be short enough that the
         # preimage covariance zeta^2 I - alpha^2 [T;I][T;I]* stays positive
         # definite; the width derivation leaves only a small margin over the
@@ -151,7 +145,7 @@ def trap_gen(
         at_hat = mulmod(a_hat[:, None, :], trap.t_hat, q).sum(axis=0) % q   # (k, n)
         tail = ctx.intt((hg_hat - at_hat) % q)
         vec = np.concatenate([a_prime, tail], axis=0)
-        return TaggedVector(vec=vec, tag=tag, ctx=ctx, trapdoor=trap), trap
+        return TaggedVector(vec=vec, tag=tag, ctx=ctx), trap
     raise GenerationFailed(
         f"no usable trapdoor in {_TRAPGEN_RETRIES} draws; widths too tight"
     )
@@ -160,8 +154,7 @@ def trap_gen(
 def apply_tag_shift(av: TaggedVector, shift: RingElement) -> TaggedVector:
     """Return the vector with ``shift * g`` added to the gadget tail.
 
-    The same trapdoor matrix now witnesses the shifted tag, so the link is
-    carried over.
+    The same trapdoor matrix now witnesses the shifted tag.
     """
     if shift.ctx != av.ctx:
         raise ParamsMismatch("shift built under a different context")
@@ -173,9 +166,7 @@ def apply_tag_shift(av: TaggedVector, shift: RingElement) -> TaggedVector:
         mulmod(np.broadcast_to(shift_hat, (k, ctx.n)), gadget_vector(k)[:, None] % ctx.q, ctx.q)
     )
     vec[-k:] = (vec[-k:] + hg) % ctx.q
-    return TaggedVector(
-        vec=vec, tag=av.tag + shift, ctx=ctx, trapdoor=av.trapdoor
-    )
+    return TaggedVector(vec=vec, tag=av.tag + shift, ctx=ctx)
 
 
 def trapdoor_identity_residual(av: TaggedVector, trap: RingTrapdoor) -> np.ndarray:

@@ -54,7 +54,7 @@ def test_criterion_8_determinism_and_frozen_vectors():
     _run(8)
 
 
-@pytest.mark.parametrize("number", [3, 7])
+@pytest.mark.parametrize("number", [3, 4, 7])
 def test_integer_criteria_follow_profile(monkeypatch, number):
     # The stub stops the criterion before any integer key is generated.
     seen = []

@@ -10,6 +10,7 @@ import pytest
 from pkeet import serial
 from pkeet.cli import main
 from conftest import seeded
+from test_params import _CRAFTED, crafted_frame
 
 SEED_A = "aa" * 32
 SEED_B = "bb" * 32
@@ -94,6 +95,15 @@ def test_malformed_inputs_exit_two(ring_files, tmp_path, capsys):
     for argv in cases:
         assert main(argv) == 2, f"expected exit 2 for {argv}"
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("record,name,value", _CRAFTED)
+def test_crafted_parameter_frame_exits_two(tmp_path, capsys, record, name, value):
+    td = tmp_path / "crafted.td"
+    td.write_bytes(crafted_frame(record, name, value))
+    assert main(["test", "--td-i", str(td), "--td-j", str(td),
+                 "--ct-i", str(td), "--ct-j", str(td)]) == 2
+    assert "embedded parameters violate invariants" in capsys.readouterr().err
 
 
 def test_cross_parameter_files_exit_two(ring_files, tmp_path, capsys):

@@ -2,11 +2,11 @@
 
 import numpy as np
 
+from pkeet import hashing
 from pkeet.hashing import (
     hash_message,
     hash_pm_one,
     hash_to_invertible,
-    hash_to_invertible_calls,
     hash_to_sparse,
     hash_weighted,
 )
@@ -28,11 +28,21 @@ def test_message_hash_is_binary_vector_for_int_params(int_small):
     assert np.array_equal(hash_message(int_small, b"payload"), out)
 
 
-def test_invertible_hash_lands_in_units(ring_small):
+def test_invertible_hash_lands_in_units(ring_small, monkeypatch):
+    rounds = 0
+
+    def counting(elem):
+        nonlocal rounds
+        rounds += 1
+        return is_invertible(elem)
+
+    monkeypatch.setattr(hashing, "is_invertible", counting)
+    calls = []
     for i in range(50):
+        rounds = 0
         elem = hash_to_invertible(ring_small, b"probe-%d" % i)
         assert is_invertible(elem)
-    calls = [hash_to_invertible_calls(ring_small, b"probe-%d" % i) for i in range(50)]
+        calls.append(rounds)
     assert min(calls) >= 1
     # Retries happen but stay rare: a unit is hit almost immediately.
     assert max(calls) < 50

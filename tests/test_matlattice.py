@@ -6,9 +6,11 @@ import math
 import numpy as np
 import pytest
 
-from pkeet import serial
+from pkeet import matlattice, serial
 from pkeet import pkeet_int as pi
 from pkeet.errors import GenerationFailed
+from pkeet.params import int_gadget_width
+from pkeet.sampling import sample_z_batch
 from pkeet.matlattice import (
     balanced_mod,
     gadget_residual,
@@ -66,6 +68,47 @@ def test_trapdoor_gadget_identity(int_small):
     assert not gadget_residual(a_mat, trap.r, q).any()
     # R comes from the width-sigma_r sampler, inside its tail cut.
     assert int(np.abs(trap.r).max()) <= int_small.t_tail * int_small.sigma_r
+
+
+def test_perturbation_factor_reproduces_covariance(int_small, monkeypatch):
+    """The gadget-first factor [[L, -(w^2/sqrt(d)) R], [0, sqrt(d) I]]
+    squares to (sigma^2 - sigma_r^2) I - w^2 [R; I][R; I]^T, and it is the
+    map sample_left applies to its standard normals."""
+    p = int_small
+    rng = seeded("int-factor")
+    a_mat, trap = trap_gen_int(p, rng)
+    r = trap.r.astype(np.float64)
+    m_bar, nk = r.shape
+    assert trap.chol.shape == (m_bar, m_bar)
+    w_sq = int_gadget_width(p.m) ** 2
+    factor = np.zeros((p.m, p.m))
+    factor[:m_bar, :m_bar] = trap.chol
+    factor[:m_bar, m_bar:] = -(w_sq / trap.sqrt_d) * r
+    factor[m_bar:, m_bar:] = trap.sqrt_d * np.eye(nk)
+    stacked = np.concatenate([r, np.eye(nk)])
+    want = (p.sigma**2 - p.sigma_r**2) * np.eye(p.m) - w_sq * (stacked @ stacked.T)
+    got = factor @ factor.T
+    assert np.linalg.norm(got - want) / np.linalg.norm(want) < 1e-12
+
+    # Fed the identity as its m x m normal draw, sample_left's rounding
+    # centers are the factor's columns over sqrt(2 pi).
+    class Stop(Exception):
+        pass
+
+    def rounding(width, centers, rng_, *rest):
+        if width == p.sigma_r:
+            raise Stop(centers)
+        return sample_z_batch(width, centers, rng_, *rest)
+
+    normal = rng.normal
+    monkeypatch.setattr(rng, "normal", lambda count: (
+        np.eye(p.m).reshape(-1) if count == p.m * p.m else normal(count)))
+    monkeypatch.setattr(matlattice, "sample_z_batch", rounding)
+    m1, u_mat = mat_uniform(p.q, p.n, p.m, rng), mat_uniform(p.q, p.n, p.m, rng)
+    with pytest.raises(Stop) as stop:
+        sample_left(a_mat, m1, trap, u_mat, p, rng)
+    centers = stop.value.args[0] * math.sqrt(2 * math.pi)
+    assert np.linalg.norm(centers - factor) / np.linalg.norm(factor) < 1e-12
 
 
 def test_preimage_hides_trapdoor(int_small):

@@ -1,18 +1,24 @@
 """Parameter derivation: structural invariants, inequalities, round-trips."""
 
+import dataclasses
 from fractions import Fraction
 import math
 
+from hypothesis import given, settings, strategies as st
 import pytest
 
-from pkeet.errors import InvalidParams
+from pkeet import serial
+from pkeet.errors import FramingError, InvalidParams, ParameterOverflow
 from pkeet.ring import RingContext
 from pkeet.params import (
     MULMOD_CAP,
+    Q_CAP,
+    ParamsRing,
     derive_int_params,
     derive_ring_params,
     is_prime,
     params_from_text,
+    validate,
     validate_int,
     validate_ring,
 )
@@ -35,12 +41,62 @@ def test_ring_validation_clean():
 
 
 def test_ring_validation_flags_multiply_cap():
-    # n = 2^14 derives a 60-bit modulus, which RingContext cannot run.
-    p = derive_ring_params(128, 2**14, "toy")
-    assert p.q >= MULMOD_CAP
+    # A prime q = 1 (mod 2n) at or above the cap, which RingContext cannot run.
+    base = derive_ring_params(128, 64, "toy")
+    q = MULMOD_CAP + 1
+    while not is_prime(q):
+        q += 2 * base.n
+    p = dataclasses.replace(base, q=q, k=q.bit_length(), m=q.bit_length() + 2)
     assert "q-mulmod-cap" in validate_ring(p)
     with pytest.raises(InvalidParams):
         RingContext(p.n, p.q)
+
+
+def test_ring_derivation_stops_at_multiply_cap():
+    assert derive_ring_params(128, 4096, "toy").q < MULMOD_CAP
+    with pytest.raises(ParameterOverflow):
+        derive_ring_params(128, 8192, "toy")
+
+
+_RECORDS = (
+    derive_ring_params(128, 64, "toy"),
+    derive_ring_params(128, 64, "strict"),
+    derive_int_params(128, 16, "toy"),
+    derive_int_params(128, 16, "strict"),
+)
+_CRAFTED = [(0, "n", 0), (0, "n", 2**1100), (0, "zeta", math.inf), (2, "sigma", math.nan), (2, "t_tail", 0)]
+
+
+def crafted_frame(record: int, name: str, value) -> bytes:
+    """A parameter frame whose embedded text carries its own digest."""
+    params = dataclasses.replace(_RECORDS[record], **{name: value})
+    scheme = serial.SCHEME_RING if isinstance(params, ParamsRing) else serial.SCHEME_INT
+    return serial.encode_frame(scheme, serial.KIND_PARAMS, params, b"")
+
+
+@pytest.mark.parametrize("record,name,value", _CRAFTED)
+def test_crafted_parameter_frames_rejected(record, name, value):
+    with pytest.raises(FramingError):
+        serial.decode_frame(crafted_frame(record, name, value))
+
+
+_FIELD_VALUES = {
+    int: st.one_of(st.sampled_from([0, -1, Q_CAP]), st.integers()),
+    float: st.one_of(st.sampled_from([0.0, -1.0, math.nan, math.inf, -math.inf]), st.floats()),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_validate_is_total(data):
+    record = data.draw(st.sampled_from(_RECORDS))
+    names = [f.name for f in dataclasses.fields(record) if f.name != "profile"]
+    name = data.draw(st.sampled_from(names))
+    value = data.draw(_FIELD_VALUES[type(getattr(record, name))])
+    bad = validate(dataclasses.replace(record, **{name: value}))
+    assert isinstance(bad, list)
+    if isinstance(value, float) and not math.isfinite(value) or isinstance(value, int) and value < 1:
+        assert bad
 
 
 def test_ring_correctness_inequality(ring_toy):

@@ -6,6 +6,7 @@ import pytest
 from pkeet import pkeet_ring as pr
 from pkeet.errors import InvalidMessage, PkeetError, RejectHash, RejectSignature
 from pkeet.ring import RingElement, encode_message, get_context, sample_uniform
+from pkeet.trapdoor_ring import RingTrapdoor
 from conftest import seeded
 
 
@@ -108,5 +109,6 @@ def test_token_does_not_expose_message_slot(ring_small, users):
     (pk, sk), _ = users
     td = pr.trapdoor(sk, pk)
     assert td.t_b is sk.t_b
-    assert td.b.trapdoor is None
+    for av in (pk.a, pk.b, td.b):
+        assert not any(isinstance(v, RingTrapdoor) for v in vars(av).values())
     assert not hasattr(td, "t_a")
