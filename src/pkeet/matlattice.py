@@ -22,7 +22,7 @@ from .errors import CovarianceNotPD, GenerationFailed, InvalidParams
 from .params import ParamsInt, int_gadget_width
 from .ring import mulmod
 from .rng import XofRng
-from .sampling import gadget_first_factor, sample_g_batch, sample_z_batch
+from .sampling import gadget_first_factor, gadget_vector, sample_g_batch, sample_z_batch
 
 _TRAPGEN_RETRIES = 8
 _MATMUL_Q_CAP = 1 << 56   # elementwise products ride the exact mulmod kernel
@@ -80,15 +80,6 @@ def _mul_signed(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     return matmul_mod(a % q, b % q, q)
 
 
-def _gadget_rows(q: int, n: int, k: int) -> np.ndarray:
-    """Block-diagonal stack of gadget rows: (n, n*k) with powers of two."""
-    g = np.zeros((n, n * k), dtype=np.int64)
-    powers = np.int64(1) << np.arange(k, dtype=np.int64)
-    for i in range(n):
-        g[i, i * k : (i + 1) * k] = powers
-    return g
-
-
 # ---------------------------------------------------------------------------
 # Trapdoor generation
 # ---------------------------------------------------------------------------
@@ -121,7 +112,8 @@ def gadget_residual(a_mat: np.ndarray, r: np.ndarray, q: int) -> np.ndarray:
     n = a_mat.shape[0]
     m_bar, nk = r.shape
     head = _mul_signed(a_mat[:, :m_bar], r, q)
-    return (head + a_mat[:, m_bar:] - _gadget_rows(q, n, nk // n)) % q
+    gadget = np.kron(np.eye(n, dtype=np.int64), gadget_vector(nk // n))
+    return (head + a_mat[:, m_bar:] - gadget) % q
 
 
 def trap_gen_int(params: ParamsInt, rng: XofRng) -> tuple[np.ndarray, IntTrapdoor]:
@@ -136,7 +128,7 @@ def trap_gen_int(params: ParamsInt, rng: XofRng) -> tuple[np.ndarray, IntTrapdoo
     if params.m != m_bar + nk:
         raise InvalidParams("matrix width must split as m_bar + n*k")
 
-    gadget = _gadget_rows(q, n, k)
+    gadget = np.kron(np.eye(n, dtype=np.int64), gadget_vector(k))   # G = I_n (x) g
     for _ in range(_TRAPGEN_RETRIES):
         a_bar = mat_uniform(q, n, m_bar, rng)
         r_small = sample_z_batch(params.sigma_r, np.zeros((m_bar, nk)), rng)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import InvalidMessage
 from .params import ParamsInt, ParamsRing
-from .ring import RingContext, RingElement, dot_ntt, get_context, mulmod, stack
+from .ring import RingContext, RingElement, dot_ntt, get_context, mulmod
 from .rng import XofRng
 
 

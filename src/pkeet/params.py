@@ -30,7 +30,7 @@ PROFILES = ("strict", "toy")
 # Derivation constants shared by both schemes.
 EPS_LOG2 = 80          # smoothing slack 2**-80 in the width floor
 T_PRIME = 6            # slack term inside the perturbation width bound
-T_TAIL = 12            # tail cut multiplier for every Gaussian sampler
+T_TAIL = 12            # tail bound, in widths, assumed for every Gaussian draw
 GAUSS_C = 1.0 / math.sqrt(2.0 * math.pi)
 Q_CAP = 1 << 62        # coefficients must fit one 64-bit word
 MULMOD_CAP = 1 << 57   # ring.mulmod is exact only for moduli below this
@@ -378,9 +378,7 @@ def _int_error_sd(sigma: float, m: int, l: int, noise_sd: float) -> float:
     return math.hypot(e_norm * avg_noise, noise_sd)
 
 
-def derive_int_params(
-    lambda_sec: int, n: int, profile: str, q_bound: int = INT_Q_BOUND
-) -> ParamsInt:
+def derive_int_params(lambda_sec: int, n: int, profile: str) -> ParamsInt:
     """Derive the integer-scheme parameter record.
 
     Strict mode follows the published relations with ``omega(sqrt(log n))``
@@ -393,8 +391,6 @@ def derive_int_params(
         raise InvalidParams("security label must be positive")
     if not isinstance(n, int) or n < 16:
         raise InvalidParams(f"integer-scheme dimension must be at least 16, got {n}")
-    if q_bound < 2:
-        raise InvalidParams("q_bound must be at least 2")
 
     log2n = math.log2(n)
     omega = 2.0 * math.sqrt(log2n)
@@ -424,10 +420,10 @@ def derive_int_params(
         if profile == "toy":
             sigma = sigma_op
             sd = _int_error_sd(sigma, m, l, noise_sd)
-            q_min = max(q_bound, math.ceil(DECODE_MARGIN * 4 * T_TAIL * sd))
+            q_min = max(INT_Q_BOUND, math.ceil(DECODE_MARGIN * 4 * T_TAIL * sd))
         else:
             sigma = max(m * l * omega, sigma_op)
-            q_min = max(q_bound, math.ceil(m**2.5 * omega))
+            q_min = max(INT_Q_BOUND, math.ceil(m**2.5 * omega))
         if q_min > Q_CAP:
             raise ParameterOverflow(
                 f"integer modulus for n={n} would need more than 62 bits"
@@ -477,7 +473,7 @@ def derive_int_params(
         k_sig=k_sig,
         w_sig=w_sig,
         b_sig=1,
-        q_bound=q_bound,
+        q_bound=INT_Q_BOUND,
         t_tail=T_TAIL,
     )
 

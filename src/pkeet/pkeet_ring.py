@@ -20,7 +20,6 @@ from .hashing import hash_message, hash_to_invertible, hash_to_sparse
 from .ots import OtsRingKeys, ots_ring_keygen, ots_ring_sign, ots_ring_verify
 from .params import ParamsRing
 from .ring import (
-    RingContext,
     RingElement,
     decode_bits,
     dot_ntt,

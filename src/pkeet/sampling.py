@@ -2,8 +2,9 @@
 structured perturbations.
 
 Width convention: a width ``s`` weights integers by ``exp(-pi x^2 / s^2)``,
-giving standard deviation ``s / sqrt(2 pi)``.  Every sampler truncates at
-``tail_cut * s`` around its center.
+giving standard deviation ``s / sqrt(2 pi)``.  Every inverse-CDF draw is
+cut at ``5.5 s`` around its center, inside the ``T_TAIL * s`` bound (12
+widths) that parameter derivation and the frame range of ``R`` assume.
 
 Three engines cooperate here:
 
@@ -13,8 +14,8 @@ Three engines cooperate here:
   when every center is zero all draws share a single CDF row, searched
   by bisection.  Very wide Gaussians fall back to a continuous-plus-
   rounding convolution;
-* a batched randomized nearest-plane walk (:func:`klein_batch`) over a
-  cached orthogonalization, which the gadget-coset sampler runs;
+* the gadget-coset sampler (:func:`sample_g_batch`), a randomized
+  nearest-plane walk over the fixed basis of the gadget kernel lattice;
 * one gadget-first factorization of the trapdoor perturbation covariance
   ``zeta'^2 I - alpha^2 [T; I][T; I]*`` (:func:`gadget_first_factor`),
   shared by the ring and integer trapdoors.  The gadget block is scalar,
@@ -25,7 +26,6 @@ Three engines cooperate here:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,7 +35,6 @@ from .errors import (
     InvalidParams,
     WidthTooSmall,
 )
-from .params import T_TAIL
 from .ring import RingContext, RingElement
 from .rng import XofRng
 
@@ -43,18 +42,13 @@ _CDT_WIDTH_LIMIT = 32.0
 _CONV_ROUND_WIDTH = 8.0
 
 
-def sample_z_batch(
-    width: float,
-    centers: np.ndarray,
-    rng: XofRng,
-    tail_cut: float = float(T_TAIL),
-) -> np.ndarray:
+def sample_z_batch(width: float, centers: np.ndarray, rng: XofRng) -> np.ndarray:
     """Vectorized draws from D_{Z, width, centers[i]}, one per center.
 
-    Widths up to 32 use exact inverse-CDF sampling over the truncated
-    window.  Wider Gaussians split into a continuous draw of the excess
-    variance plus a narrow randomized rounding, whose convolution matches
-    the target width.
+    Widths up to 32 use exact inverse-CDF sampling over the window of 5.5
+    widths around each center.  Wider Gaussians split into a continuous
+    draw of the excess variance plus a randomized rounding at width 8,
+    whose convolution matches the target width.
     """
     if width < 1.0:
         raise WidthTooSmall(f"width {width} below the supported minimum 1.0")
@@ -64,16 +58,14 @@ def sample_z_batch(
         r = _CONV_ROUND_WIDTH
         sd_extra = math.sqrt(width * width - r * r) / math.sqrt(2.0 * math.pi)
         shifted = flat + rng.normal(flat.size) * sd_extra
-        return _cdt_batch(r, shifted, rng, tail_cut).reshape(centers.shape)
-    return _cdt_batch(width, flat, rng, tail_cut).reshape(centers.shape)
+        return _cdt_batch(r, shifted, rng).reshape(centers.shape)
+    return _cdt_batch(width, flat, rng).reshape(centers.shape)
 
 
-def _cdt_batch(width: float, centers: np.ndarray, rng: XofRng, tail_cut: float) -> np.ndarray:
+def _cdt_batch(width: float, centers: np.ndarray, rng: XofRng) -> np.ndarray:
     # Enumerating past 5.5 widths adds nothing: the relative weight out
-    # there is under 1e-41, invisible to a float64 CDF.  The formal tail
-    # cut still masks the window whenever it is the tighter bound.
-    reach = tail_cut * width
-    span = min(reach, 5.5 * width)
+    # there is under 1e-41, invisible to a float64 CDF.
+    span = 5.5 * width
     window = int(math.floor(2.0 * span)) + 1
     # When every center is zero, all draws share one CDF column.
     shared = not centers.any()
@@ -87,8 +79,6 @@ def _cdt_batch(width: float, centers: np.ndarray, rng: XofRng, tail_cut: float) 
     cdf *= delta
     cdf /= width * width
     np.exp(cdf, out=cdf)
-    if reach < span + 1.0:
-        cdf[np.abs(delta) > reach] = 0.0
     for j in range(1, window):
         np.add(cdf[j - 1], cdf[j], out=cdf[j])
     totals = cdf[-1]
@@ -114,71 +104,6 @@ def sample_ring_array(width: float, count: int, ctx: RingContext, rng: XofRng) -
     """(count, n) canonical coefficient array of Gaussian ring elements."""
     draws = sample_z_batch(width, np.zeros((count, ctx.n)), rng)
     return draws % ctx.q
-
-
-# ---------------------------------------------------------------------------
-# Randomized nearest-plane over a cached orthogonalization
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class OrthoBasis:
-    """Integer basis columns with their Gram-Schmidt data (via QR)."""
-
-    basis: np.ndarray      # (dim, dim) int64, columns are basis vectors
-    gs_q: np.ndarray       # (dim, dim) float64, orthonormal directions
-    gs_norms: np.ndarray   # (dim,) float64, orthogonalized column lengths
-
-    @classmethod
-    def from_basis(cls, basis: np.ndarray) -> "OrthoBasis":
-        b = np.asarray(basis, dtype=np.int64)
-        if b.ndim != 2 or b.shape[0] != b.shape[1]:
-            raise InvalidParams(f"basis must be square, got {b.shape}")
-        q_mat, r_mat = np.linalg.qr(b.astype(np.float64))
-        diag = np.diag(r_mat).copy()
-        if (np.abs(diag) < 1e-9).any():
-            raise InvalidParams("basis is numerically singular")
-        flip = np.sign(diag)
-        q_mat = q_mat * flip[None, :]
-        return cls(basis=b, gs_q=q_mat, gs_norms=np.abs(diag))
-
-    @property
-    def max_gs_norm(self) -> float:
-        return float(self.gs_norms.max())
-
-
-def klein_batch(
-    ortho: OrthoBasis,
-    centers: np.ndarray,
-    width: float,
-    rng: XofRng,
-    tail_cut: float = float(T_TAIL),
-) -> np.ndarray:
-    """Batched randomized nearest-plane: lattice points near each center.
-
-    ``centers`` has shape (batch, dim); the result holds integer lattice
-    vectors of :attr:`OrthoBasis.basis` distributed close to
-    D_{Lambda, width, center} when ``width`` clears every per-level floor.
-    """
-    basis = ortho.basis
-    dim = basis.shape[0]
-    centers = np.atleast_2d(np.asarray(centers, dtype=np.float64))
-    if centers.shape[1] != dim:
-        raise InvalidParams(f"centers must have dimension {dim}")
-    if width / float(ortho.gs_norms.max()) < 1.0:
-        raise WidthTooSmall(
-            f"width {width} under the orthogonalized norm {ortho.max_gs_norm}"
-        )
-    residual = centers.copy()
-    out = np.zeros((centers.shape[0], dim), dtype=np.int64)
-    for i in range(dim - 1, -1, -1):
-        direction = ortho.gs_q[:, i]
-        level_width = width / float(ortho.gs_norms[i])
-        level_centers = residual @ direction / float(ortho.gs_norms[i])
-        z = sample_z_batch(level_width, level_centers, rng, tail_cut)
-        out += z[:, None] * basis[None, :, i]
-        residual -= z[:, None].astype(np.float64) * basis[None, :, i].astype(np.float64)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -214,46 +139,36 @@ def bit_decompose(values: np.ndarray, k: int) -> np.ndarray:
     return (v[..., None] >> np.arange(k, dtype=np.int64)) & 1
 
 
-@dataclass
-class GadgetContext:
-    """Cached gadget data for one modulus."""
-
-    q: int
-    k: int
-    ortho: OrthoBasis
-
-    @classmethod
-    def for_modulus(cls, q: int) -> "GadgetContext":
-        k = int(q).bit_length()
-        return cls(q=q, k=k, ortho=OrthoBasis.from_basis(gadget_basis(q, k)))
-
-
-_gadget_cache: dict[int, GadgetContext] = {}
-
-
-def get_gadget(q: int) -> GadgetContext:
-    g = _gadget_cache.get(q)
-    if g is None:
-        g = _gadget_cache[q] = GadgetContext.for_modulus(q)
-    return g
+def _gadget_gs(basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal directions and orthogonalized norms of the basis columns
+    (via QR, signs fixed so every norm is positive)."""
+    q_mat, r_mat = np.linalg.qr(basis.astype(np.float64))
+    diag = np.diag(r_mat)
+    return q_mat * np.sign(diag)[None, :], np.abs(diag)
 
 
 def sample_g_batch(width: float, targets: np.ndarray, q: int, rng: XofRng) -> np.ndarray:
-    gadget = get_gadget(q)
-    t = bit_decompose(np.asarray(targets, dtype=np.int64) % q, gadget.k)
-    lattice = klein_batch(gadget.ortho, -t.astype(np.float64), width, rng)
-    return t + lattice
+    """(len(targets), k) gadget-coset draws: row z with ``sum_i 2^i z_i = t
+    (mod q)`` for each target t, distributed close to D_{Lambda_t, width}.
 
-
-def sample_poly_g_array(sigma: float, v_coeffs: np.ndarray, ctx: RingContext, rng: XofRng) -> np.ndarray:
-    """Gadget preimages of a ring target as a (k, n) integer array
-    (unreduced): rows z_i with sum 2^i z_i = v.
-
-    The coefficient slots are independent integer gadget cosets, so this is
-    n batched calls of the scalar sampler at width sqrt(5) * sigma.
+    A randomized nearest-plane walk over :func:`gadget_basis` from the last
+    column down, starting at the target's bit decomposition: each level
+    draws one integer at ``width`` over that level's orthogonalized norm.
+    Those norms reach sqrt(5), so a narrower ``width`` raises
+    :class:`WidthTooSmall`.
     """
-    width = math.sqrt(5.0) * sigma
-    return sample_g_batch(width, v_coeffs, ctx.q, rng).T
+    k = int(q).bit_length()
+    basis = gadget_basis(q, k)
+    gs_q, gs_norms = _gadget_gs(basis)
+    out = bit_decompose(np.asarray(targets, dtype=np.int64) % q, k)
+    residual = -out.astype(np.float64)
+    for i in range(k - 1, -1, -1):
+        level_width = width / float(gs_norms[i])
+        level_centers = residual @ gs_q[:, i] / float(gs_norms[i])
+        z = sample_z_batch(level_width, level_centers, rng)
+        out += z[:, None] * basis[None, :, i]
+        residual -= z[:, None].astype(np.float64) * basis[None, :, i].astype(np.float64)
+    return out
 
 
 # ---------------------------------------------------------------------------

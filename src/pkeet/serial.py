@@ -4,9 +4,10 @@ Every file is one frame: a fixed 23-byte header (magic, version, scheme,
 kind, parameter digest, payload length) followed by the payload.  The
 payload embeds the canonical parameter text, then the object's arrays as
 raw little-endian 64-bit integers in a fixed order.  Decoders accept only
-canonical values: residues in ``[0, q)``, and entries of an integer-scheme
-trapdoor ``R`` (signed, ``m_bar x n*k`` per matrix) within the sampler's
-tail cut ``floor(t_tail * sigma_r)``.  So encoding is a bijection:
+canonical values: a parameter text byte-identical to the canonical form
+of the record it parses to, residues in ``[0, q)``, and entries of an
+integer-scheme trapdoor ``R`` (signed, ``m_bar x n*k`` per matrix) within
+the tail bound ``floor(t_tail * sigma_r)``.  So encoding is a bijection:
 decode(encode(x)) == x, and every frame that decodes re-encodes to the
 same bytes.
 """
@@ -101,6 +102,8 @@ def decode_frame(data: bytes) -> tuple[int, int, ParamsRing | ParamsInt, bytes]:
         params = params_from_text(text.decode())
     except (PkeetError, UnicodeDecodeError, ValueError) as exc:
         raise FramingError(f"unreadable parameter block: {exc}") from exc
+    if params.canonical_text().encode() != text:
+        raise FramingError("parameter block is not in canonical form")
     if params.digest() != digest:
         raise FramingError("parameter digest does not match the embedded record")
     bad = validate(params)

@@ -37,7 +37,7 @@ from .rng import XofRng
 from .sampling import (
     PerturbationCov,
     gadget_vector,
-    sample_poly_g_array,
+    sample_g_batch,
     sample_z_batch,
 )
 
@@ -97,36 +97,17 @@ class TaggedVector:
     ctx: RingContext
 
 
-def trap_gen(
-    params: ParamsRing,
-    rng: XofRng,
-    a_prime: np.ndarray | None = None,
-    tag: RingElement | None = None,
-) -> tuple[TaggedVector, RingTrapdoor]:
-    """Sample a tagged vector together with its trapdoor.
+def trap_gen(params: ParamsRing, rng: XofRng) -> tuple[TaggedVector, RingTrapdoor]:
+    """Sample a zero-tagged vector together with its trapdoor.
 
-    ``a_prime`` (base_len x n) defaults to uniform; ``tag`` defaults to
-    zero.  The gadget tail is computed as ``tag * g - a'^T T``, which makes
-    the trapdoor identity hold exactly by construction.
+    The head ``a'`` (base_len x n) is uniform and the gadget tail is
+    computed as ``-a'^T T``, which makes the trapdoor identity hold exactly
+    by construction; :func:`apply_tag_shift` then moves the tag.
     """
     ctx = get_context(params)
     base_len, k, n, q = params.base_len, params.k, params.n, params.q
-    if a_prime is None:
-        a_prime = rng.uniform_mod(q, base_len * n).reshape(base_len, n)
-    else:
-        a_prime = np.asarray(a_prime, dtype=np.int64) % q
-        if a_prime.shape != (base_len, n):
-            raise InvalidParams(f"head must have shape {(base_len, n)}")
-    if tag is None:
-        tag = RingElement(np.zeros(n, dtype=np.int64), ctx)
-    elif tag.ctx != ctx:
-        raise ParamsMismatch("tag built under a different context")
-
+    a_prime = rng.uniform_mod(q, base_len * n).reshape(base_len, n)
     a_hat = ctx.ntt(a_prime)                       # (base_len, n)
-    tag_hat = ctx.ntt(tag.coeffs)
-    hg_hat = mulmod(
-        np.broadcast_to(tag_hat, (k, n)), gadget_vector(k)[:, None] % q, q
-    )
     norm_cap = params.t_tail * params.sigma_trap * math.sqrt(base_len * n)
     for _ in range(_TRAPGEN_RETRIES):
         t_arr = sample_z_batch(params.sigma_trap, np.zeros((base_len, k, n)), rng) % q
@@ -143,9 +124,10 @@ def trap_gen(
         except CovarianceNotPD:
             continue
         at_hat = mulmod(a_hat[:, None, :], trap.t_hat, q).sum(axis=0) % q   # (k, n)
-        tail = ctx.intt((hg_hat - at_hat) % q)
+        tail = ctx.intt(-at_hat % q)
         vec = np.concatenate([a_prime, tail], axis=0)
-        return TaggedVector(vec=vec, tag=tag, ctx=ctx), trap
+        zero = RingElement(np.zeros(n, dtype=np.int64), ctx)
+        return TaggedVector(vec=vec, tag=zero, ctx=ctx), trap
     raise GenerationFailed(
         f"no usable trapdoor in {_TRAPGEN_RETRIES} draws; widths too tight"
     )
@@ -216,7 +198,7 @@ def sample_pre(
     v_hat = mulmod(tag_inv_hat, (ctx.ntt(u.coeffs) - ap_hat) % q, q)
     v = ctx.intt(v_hat)
 
-    z = sample_poly_g_array(params.sigma_trap, v, ctx, rng)    # (k, n) small ints
+    z = sample_g_batch(params.alpha_g, v, q, rng).T             # (k, n) small ints
 
     z_hat = ctx.ntt(z % q)
     tz = ctx.intt(mulmod(trap.t_hat, z_hat[None, :, :], q).sum(axis=1) % q)  # (base_len, n)

@@ -11,6 +11,7 @@ from pkeet import serial
 from pkeet.cli import main
 from conftest import seeded
 from test_params import _CRAFTED, crafted_frame
+from test_serial import RESPELLINGS, respelled_frame
 
 SEED_A = "aa" * 32
 SEED_B = "bb" * 32
@@ -104,6 +105,15 @@ def test_crafted_parameter_frame_exits_two(tmp_path, capsys, record, name, value
     assert main(["test", "--td-i", str(td), "--td-j", str(td),
                  "--ct-i", str(td), "--ct-j", str(td)]) == 2
     assert "embedded parameters violate invariants" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spelling", RESPELLINGS)
+def test_non_canonical_parameter_frame_exits_two(ring_small, tmp_path, capsys, spelling):
+    td = tmp_path / "respelled.td"
+    td.write_bytes(respelled_frame(ring_small, spelling))
+    assert main(["test", "--td-i", str(td), "--td-j", str(td),
+                 "--ct-i", str(td), "--ct-j", str(td)]) == 2
+    assert "canonical" in capsys.readouterr().err
 
 
 def test_cross_parameter_files_exit_two(ring_files, tmp_path, capsys):

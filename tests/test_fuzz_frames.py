@@ -1,0 +1,133 @@
+"""Mutated frames: decoding stays total and bijective, the CLI keeps its
+exit codes.
+
+A flipped, truncated or extended frame must either raise a typed
+:class:`PkeetError` or decode to an object that re-encodes to exactly the
+mutated bytes.  The keys are toy records (ring n=16, integer n=16), built
+once per module.
+"""
+
+import contextlib
+import io
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from pkeet import pkeet_int as pi
+from pkeet import pkeet_ring as pr
+from pkeet import serial
+from pkeet.cli import main
+from pkeet.errors import PkeetError
+from pkeet.params import derive_int_params, derive_ring_params
+from pkeet.ring import encode_message, get_context
+from conftest import seeded
+
+KINDS = (serial.KIND_PK, serial.KIND_SK, serial.KIND_CT, serial.KIND_TD, serial.KIND_PARAMS)
+SEED = "cc" * 32
+
+
+@pytest.fixture(scope="module")
+def frames():
+    out = {}
+    params = derive_ring_params(128, 16, "toy")
+    rng = seeded("fuzz-ring")
+    pk, sk = pr.setup(params, rng)
+    ct = pr.encrypt(pk, encode_message(rng.uniform_mod(2, 16), get_context(params)), params, rng)
+    objs = {serial.KIND_PK: pk, serial.KIND_SK: sk, serial.KIND_CT: ct,
+            serial.KIND_TD: pr.trapdoor(sk, pk), serial.KIND_PARAMS: params}
+    for kind in KINDS:
+        out[serial.SCHEME_RING, kind] = serial.encode_object(serial.SCHEME_RING, kind, objs[kind], params)
+    params = derive_int_params(128, 16, "toy")
+    rng = seeded("fuzz-int")
+    pk, sk = pi.setup_int(params, rng)
+    ct = pi.encrypt_int(pk, rng.uniform_mod(2, params.t_msg), params, rng)
+    objs = {serial.KIND_PK: pk, serial.KIND_SK: sk, serial.KIND_CT: ct,
+            serial.KIND_TD: pi.trapdoor_int(sk, pk), serial.KIND_PARAMS: params}
+    for kind in KINDS:
+        out[serial.SCHEME_INT, kind] = serial.encode_object(serial.SCHEME_INT, kind, objs[kind], params)
+    return out
+
+
+@pytest.fixture(scope="module")
+def ring_files(tmp_path_factory):
+    d = tmp_path_factory.mktemp("fuzz-cli")
+    with contextlib.redirect_stderr(io.StringIO()):
+        for name, seed, message in (("alice", "aa" * 32, "1234"), ("bob", "bb" * 32, "5678")):
+            assert main(["keygen", "--scheme", "ring", "--n", "16", "--seed", seed,
+                         "--out-dir", str(d), "--name", name]) == 0
+            assert main(["encrypt", "--pk", f"{d}/{name}.pk", "--message", message,
+                         "--seed", seed, "--out", f"{d}/{name}.ct"]) == 0
+            assert main(["trapdoor", "--sk", f"{d}/{name}.sk", "--pk", f"{d}/{name}.pk",
+                         "--out", f"{d}/{name}.td"]) == 0
+    return d
+
+
+@st.composite
+def mutations(draw, blob: bytes) -> bytes:
+    how = draw(st.sampled_from(["flip", "truncate", "extend"]))
+    if how == "truncate":
+        return blob[: draw(st.integers(0, len(blob) - 1))]
+    if how == "extend":
+        return blob + draw(st.binary(min_size=1, max_size=16))
+    # Half of the flips land in the header and parameter text.
+    near_front = draw(st.booleans())
+    i = draw(st.integers(0, (min(len(blob), 512) if near_front else len(blob)) - 1))
+    return blob[:i] + bytes([blob[i] ^ draw(st.integers(1, 255))]) + blob[i + 1:]
+
+
+@settings(max_examples=600, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_mutated_frames_fail_typed_or_round_trip(frames, data):
+    scheme, kind = data.draw(st.sampled_from(sorted(frames)))
+    bad = data.draw(mutations(frames[scheme, kind]))
+    try:
+        scheme2, kind2, params, obj = serial.decode_object(bad)
+    except PkeetError:
+        return
+    assert serial.encode_object(scheme2, kind2, obj, params) == bad
+
+
+def _run(argv: list[str]) -> int:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_cli_decrypt_of_mutated_frame_exits_one_or_two(ring_files, data):
+    d = ring_files
+    files = {"--pk": d / "alice.pk", "--sk": d / "alice.sk", "--ct": d / "alice.ct"}
+    role = data.draw(st.sampled_from(sorted(files)))
+    mutated = d / "mutated"
+    mutated.write_bytes(data.draw(mutations(files[role].read_bytes())))
+    files[role] = mutated
+    argv = ["decrypt", "--seed", SEED]
+    for flag, path in files.items():
+        argv += [flag, str(path)]
+    assert _run(argv) in (1, 2)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_cli_test_of_mutated_frame_exits_one_or_two(ring_files, data):
+    # The two ciphertexts hide different messages, so EQUAL (exit 0) is wrong.
+    d = ring_files
+    files = {"--td-i": d / "alice.td", "--td-j": d / "bob.td",
+             "--ct-i": d / "alice.ct", "--ct-j": d / "bob.ct"}
+    role = data.draw(st.sampled_from(sorted(files)))
+    mutated = d / "mutated"
+    mutated.write_bytes(data.draw(mutations(files[role].read_bytes())))
+    files[role] = mutated
+    argv = ["test", "--seed", SEED]
+    for flag, path in files.items():
+        argv += [flag, str(path)]
+    assert _run(argv) in (1, 2)
+
+
+def test_unmutated_cli_inputs_succeed(ring_files):
+    d = ring_files
+    assert _run(["decrypt", "--pk", f"{d}/alice.pk", "--sk", f"{d}/alice.sk",
+                 "--ct", f"{d}/alice.ct", "--seed", SEED]) == 0
+    assert _run(["test", "--td-i", f"{d}/alice.td", "--td-j", f"{d}/bob.td",
+                 "--ct-i", f"{d}/alice.ct", "--ct-j", f"{d}/bob.ct", "--seed", SEED]) == 1

@@ -1,5 +1,7 @@
 """Framed binary serialization: bijectivity, integrity, params binding."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from pkeet import pkeet_int as pi
 from pkeet import pkeet_ring as pr
 from pkeet import serial
 from pkeet.errors import FramingError, ParamsMismatch
+from pkeet.params import ParamsRing
 from pkeet.ring import encode_message, get_context
 from conftest import seeded
 
@@ -142,6 +145,31 @@ def test_params_frame_round_trip(ring_objects, int_objects):
         blob = serial.encode_object(scheme, serial.KIND_PARAMS, None, params)
         _, _, decoded, _ = serial.decode_object(blob, expect_kind=serial.KIND_PARAMS)
         assert decoded.canonical_text() == params.canonical_text()
+
+
+def respelled_frame(params, lambda_sec: str) -> bytes:
+    """A parameter frame whose embedded text spells ``lambda_sec`` (128 in
+    every fixture) as given; header digest and lengths are valid."""
+    scheme = serial.SCHEME_RING if isinstance(params, ParamsRing) else serial.SCHEME_INT
+    text = params.canonical_text().replace("lambda_sec=128\n", f"lambda_sec={lambda_sec}\n")
+    payload = struct.pack("<I", len(text.encode())) + text.encode()
+    header = serial._HEADER.pack(
+        serial.MAGIC, serial.VERSION, scheme, serial.KIND_PARAMS, params.digest(), len(payload)
+    )
+    return header + payload
+
+
+# Both spellings parse to 128 with int(), so only a byte comparison with the
+# canonical text tells them apart.
+RESPELLINGS = ("0_128", "0128")
+
+
+def test_non_canonical_parameter_text_rejected(ring_small, int_small):
+    for params in (ring_small, int_small):
+        assert serial.decode_object(respelled_frame(params, "128"))[3] == params
+        for spelling in RESPELLINGS:
+            with pytest.raises(FramingError, match="canonical"):
+                serial.decode_object(respelled_frame(params, spelling))
 
 
 def test_require_same_params(ring_small, ring_toy):
