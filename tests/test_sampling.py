@@ -77,19 +77,21 @@ def _same_draws(kernel, reference, label):
 
 # The reference keeps the formal tail cut.  At T_TAIL = 12 widths its mask
 # never binds for a width of at least 1, which is why the kernel has none.
+# ``spread`` scatters the centers over that many widths: far apart, a few
+# windows wide, or well inside one window.
 @pytest.mark.parametrize("width", [1.0, 4.0, 4.43, 8.0, 31.9])
-@pytest.mark.parametrize("tail_cut", [float(T_TAIL)])
+@pytest.mark.parametrize("spread", [12.0, 2.0, 0.3])
 @pytest.mark.parametrize("kind", ["random", "integer", "zero"])
-def test_cdt_kernel_matches_reference(width, tail_cut, kind):
-    centers = seeded(f"cdt-centers-{kind}").normal(3000) * 40.0
+def test_cdt_kernel_matches_reference(width, spread, kind):
+    centers = seeded(f"cdt-centers-{kind}").normal(3000) * (spread * width)
     if kind == "integer":
         centers = np.rint(centers)
     elif kind == "zero":
         centers = np.zeros(3000)
-    label = f"cdt-{width}-{tail_cut}-{kind}"
+    label = f"cdt-{width}-{spread}-{kind}"
     _same_draws(
         lambda rng: _cdt_batch(width, centers, rng),
-        lambda rng: cdt_batch_reference(width, centers, rng, tail_cut),
+        lambda rng: cdt_batch_reference(width, centers, rng, float(T_TAIL)),
         label,
     )
 
