@@ -22,7 +22,13 @@ from .errors import CovarianceNotPD, GenerationFailed, InvalidParams
 from .params import ParamsInt, int_gadget_width
 from .ring import mulmod
 from .rng import XofRng
-from .sampling import gadget_first_factor, gadget_vector, sample_g_batch, sample_z_batch
+from .sampling import (
+    gadget_first_factor,
+    gadget_vector,
+    sample_g_batch,
+    sample_z_batch,
+    sample_z_reject,
+)
 
 _TRAPGEN_RETRIES = 8
 _MATMUL_Q_CAP = 1 << 56   # elementwise products ride the exact mulmod kernel
@@ -170,14 +176,14 @@ def sample_left(
     m = a_mat.shape[1]
     t = u_mat.shape[1]
 
-    e2 = sample_z_batch(params.sigma, np.zeros((m1_mat.shape[1], t)), rng)
+    e2 = sample_z_reject(params.sigma, np.zeros((m1_mat.shape[1], t)), rng)
     target = (u_mat - _mul_signed(m1_mat, e2, q)) % q
 
     w = int_gadget_width(m)
     g_base, g_gadget = np.split(rng.normal(m * t).reshape(m, t), [trap.r.shape[0]])
     base = trap.chol @ g_base - (w * w / trap.sqrt_d) * (trap.r @ g_gadget)
     y = np.concatenate([base, trap.sqrt_d * g_gadget]) / math.sqrt(2.0 * math.pi)
-    p = sample_z_batch(params.sigma_r, y, rng)                       # (m, t)
+    p = sample_z_reject(params.sigma_r, y, rng)                      # (m, t)
     v = (target - _mul_signed(a_mat, p, q)) % q
     z = sample_g_batch(w, v.reshape(-1), q, rng)                     # (n*t, k)
     z = z.reshape(n, t, k).transpose(0, 2, 1).reshape(n * k, t)

@@ -515,7 +515,9 @@ def validate_int(params: ParamsInt) -> list[str]:
             bad.append("q-eq1-floor")
         if p.sigma < p.m * p.l * math.sqrt(ln_n):
             bad.append("sigma-eq1-floor")
-        if p.alpha > 1.0 / (p.l**2 * p.m**2 * math.sqrt(ln_n)):
+        # At n = 1 the ceiling 1 / (l^2 m^2 sqrt(ln n)) is infinite.
+        alpha_scale = p.l**2 * p.m**2 * math.sqrt(ln_n)
+        if alpha_scale > 0 and p.alpha > 1.0 / alpha_scale:
             bad.append("alpha-eq1-ceiling")
     else:
         if p.m != INT_TOY_MULTIPLIER * p.n * p.k:

@@ -118,6 +118,26 @@ def _dot_cols(e: np.ndarray, c: np.ndarray, q: int) -> np.ndarray:
     return _mul_signed(e.T, c[:, None], q)[:, 0]
 
 
+def _sign_sum_t(sel: np.ndarray, packed: list[bytes], y: np.ndarray) -> np.ndarray:
+    """Exact ``sum_i sel_i S_i^T y`` for the (m, m) sign matrices ``S_i``
+    packed little-endian at a bit per entry (set bit: +1, clear bit: -1).
+
+    Each product is one float64 BLAS call when every partial sum stays
+    below 2^53; otherwise it runs in int64."""
+    m = y.shape[0]
+    exact_float = len(sel) * m * int(np.abs(y).max(initial=0)) < 1 << 53
+    dtype = np.float64 if exact_float else np.int64
+    y = y.astype(dtype)
+    acc = np.zeros(y.shape, dtype=dtype)
+    for b_i, raw in zip(sel, packed):
+        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
+        signs = bits[: m * m].reshape(m, m).astype(dtype)
+        signs *= 2
+        signs -= 1
+        acc += int(b_i) * (signs.T @ y)
+    return acc.astype(np.int64)
+
+
 def encrypt_int(pk: PkInt, msg: np.ndarray, params: ParamsInt, rng: XofRng) -> CtInt:
     """Encrypt a bit vector of length ``t_msg``."""
     q, m = params.q, params.m
@@ -140,16 +160,13 @@ def encrypt_int(pk: PkInt, msg: np.ndarray, params: ParamsInt, rng: XofRng) -> C
     f1 = np.concatenate([pk.a, a_sum], axis=1)
     f2 = np.concatenate([pk.a_prime, a_sum], axis=1)
 
-    # Selector-weighted sum of fresh sign matrices, accumulated one at a
-    # time so only two m x m blocks are ever alive.
-    r_sum = np.zeros((m, m), dtype=np.int64)
-    for b_i in sel:
-        r_sum += b_i * rng.sign_bits(m * m).reshape(m, m)
-
-    y1 = _noise(m, params, rng)
-    y2 = _noise(m, params, rng)
-    c3 = (matmul_mod(f1.T, s1[:, None], q)[:, 0] + np.concatenate([y1, r_sum.T @ y1])) % q
-    c4 = (matmul_mod(f2.T, s2[:, None], q)[:, 0] + np.concatenate([y2, r_sum.T @ y2])) % q
+    # One fresh m x m sign matrix per selector entry, kept packed at a bit
+    # per sign; their selector-weighted sum is applied without forming it.
+    packed = [rng.bytes((m * m + 7) // 8) for _ in sel]
+    y = np.stack([_noise(m, params, rng), _noise(m, params, rng)], axis=1)
+    ry = _sign_sum_t(sel, packed, y)
+    c3 = (matmul_mod(f1.T, s1[:, None], q)[:, 0] + np.concatenate([y[:, 0], ry[:, 0]])) % q
+    c4 = (matmul_mod(f2.T, s2[:, None], q)[:, 0] + np.concatenate([y[:, 1], ry[:, 1]])) % q
 
     d_sel = hash_weighted(params, _vec_bytes(c1, c2, c3, c4), params.k_sig, params.w_sig)
     u_sig = ots_sis_sign(ots_keys, d_sel, params) % q

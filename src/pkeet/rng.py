@@ -100,12 +100,6 @@ class XofRng:
         z = np.concatenate([r * np.cos(theta), r * np.sin(theta)])
         return z[:count]
 
-    def sign_bits(self, count: int) -> np.ndarray:
-        """Array of +/-1 values, one per stream bit."""
-        nbytes = (count + 7) // 8
-        bits = np.unpackbits(np.frombuffer(self.bytes(nbytes), dtype=np.uint8), bitorder="little")[:count]
-        return (2 * bits.astype(np.int64)) - 1
-
 
 def rng_from_seed(seed: bytes | None) -> XofRng:
     """Build an :class:`XofRng`, drawing a fresh seed when none is given."""

@@ -6,14 +6,21 @@ giving standard deviation ``s / sqrt(2 pi)``.  Every inverse-CDF draw is
 cut at ``5.5 s`` around its center, inside the ``T_TAIL * s`` bound (12
 widths) that parameter derivation and the frame range of ``R`` assume.
 
-Three engines cooperate here:
+Four engines cooperate here:
 
 * a vectorized inverse-CDF sampler over the truncated window
   (:func:`sample_z_batch`).  The window is laid out window-major, one row
   per candidate offset, so the CDF builds with one vector add per row;
   when every center is zero all draws share a single CDF row, searched
   by bisection.  Very wide Gaussians fall back to a continuous-plus-
-  rounding convolution;
+  rounding convolution.  Every discrete Gaussian that reaches a key or a
+  ciphertext (trapdoors, ring encryption noise) comes from here, so those
+  outputs stay reproducible byte for byte;
+* a rejection sampler (:func:`sample_z_reject`): one half-Gaussian CDF
+  row per call, a sign bit and a Bernoulli acceptance, redrawn in rounds.
+  It is exact but variable-time, and serves the draws of preimage
+  sampling (perturbation rounding, gadget-walk levels, the integer
+  scheme's ``p`` and ``e2``), whose randomness never reaches an output;
 * the gadget-coset sampler (:func:`sample_g_batch`), a randomized
   nearest-plane walk over the fixed basis of the gadget kernel lattice;
 * one gadget-first factorization of the trapdoor perturbation covariance
@@ -93,6 +100,62 @@ def _cdt_batch(width: float, centers: np.ndarray, rng: XofRng) -> np.ndarray:
     return lo.astype(np.int64) + np.minimum(idx, window - 1)
 
 
+def sample_z_reject(width: float, centers: np.ndarray, rng: XofRng) -> np.ndarray:
+    """Draws from D_{Z, width, centers[i]} by rejection, one per center.
+
+    Each center splits as ``floor(c) + r`` with ``r`` in [0, 1).  A
+    candidate ``z = b + (2b - 1) z0`` takes ``z0 >= 0`` from one half-Gaussian
+    CDF row at ``s0 = width``, cut at 5.5 widths, and a sign bit ``b``; it
+    is accepted with probability ``exp(pi z0^2/s0^2 - pi (z - r)^2/width^2)``,
+    at most 1 because ``|z - r| >= z0``.  Centers whose candidate is
+    rejected draw again, in rounds, until every one is accepted (Falcon's
+    SamplerZ; Howe, Prest, Ricosset and Rossi, PQCrypto 2020).
+
+    The support covers the 5.5-width window of the inverse-CDF kernel, so
+    the draws are exact to float64 precision at every width, including the
+    wide ones where :func:`sample_z_batch` convolves.  The sampler is
+    variable-time and reads its own stream, so it serves only draws that
+    never reach a key or ciphertext.
+    """
+    if width < 1.0:
+        raise WidthTooSmall(f"width {width} below the supported minimum 1.0")
+    centers = np.asarray(centers, dtype=np.float64)
+    floor = np.floor(centers.reshape(-1))
+    frac = centers.reshape(-1) - floor
+    z0_max = int(math.floor(5.5 * width))
+    ks = np.arange(z0_max + 1, dtype=np.float64)
+    cdf = np.cumsum(np.exp(-math.pi * ks * ks / (width * width)))
+    neg_scale = -math.pi / (width * width)
+    out = np.empty(frac.size, dtype=np.int64)
+    pending = np.arange(frac.size)
+    # Each round works in place on a few arrays of the pending size.
+    while pending.size:
+        count = pending.size
+        raw = rng.u64(2 * count)
+        b = (raw[:count] & np.uint64(1)).astype(bool)
+        raw >>= np.uint64(11)
+        u = raw.astype(np.float64)
+        u *= 2.0**-53
+        z0 = np.searchsorted(cdf, u[:count] * cdf[-1], side="left")
+        np.minimum(z0, z0_max, out=z0)
+        # |z - r| = z0 + t with t = r (b = 0) or 1 - r (b = 1), so the log
+        # acceptance pi (z0^2 - (z - r)^2) / width^2 is -pi t (t + 2 z0) / width^2.
+        t = frac[pending]
+        np.subtract(1.0, t, out=t, where=b)
+        accept_p = 2.0 * z0
+        accept_p += t
+        t *= neg_scale
+        accept_p *= t
+        np.exp(accept_p, out=accept_p)
+        accept = u[count:] < accept_p
+        np.negative(z0, out=z0, where=~b)      # z = b + (2b - 1) z0
+        z0 += b
+        done = pending[accept]
+        out[done] = floor[done].astype(np.int64) + z0[accept]
+        pending = pending[~accept]
+    return out.reshape(centers.shape)
+
+
 def sample_ring(width: float, ctx: RingContext, rng: XofRng) -> RingElement:
     """One ring element with independent centered Gaussian coefficients."""
     return RingElement(
@@ -165,7 +228,7 @@ def sample_g_batch(width: float, targets: np.ndarray, q: int, rng: XofRng) -> np
     for i in range(k - 1, -1, -1):
         level_width = width / float(gs_norms[i])
         level_centers = residual @ gs_q[:, i] / float(gs_norms[i])
-        z = sample_z_batch(level_width, level_centers, rng)
+        z = sample_z_reject(level_width, level_centers, rng)
         out += z[:, None] * basis[None, :, i]
         residual -= z[:, None].astype(np.float64) * basis[None, :, i].astype(np.float64)
     return out
@@ -277,4 +340,4 @@ class PerturbationCov:
         y[:rows] = unembed_complex(base_hat, n)
         y[rows:] = self._sqrt_d * g[rows:]
         y /= math.sqrt(2.0 * math.pi)
-        return sample_z_batch(self.round_width, y, rng)
+        return sample_z_reject(self.round_width, y, rng)

@@ -4,12 +4,10 @@ Exit codes: 0 success (or EQUAL), 1 equality-test mismatch or decryption
 rejection, 2 malformed input of any kind.
 """
 
-import numpy as np
 import pytest
 
 from pkeet import serial
 from pkeet.cli import main
-from conftest import seeded
 from test_params import _CRAFTED, crafted_frame
 from test_serial import RESPELLINGS, respelled_frame
 

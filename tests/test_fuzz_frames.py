@@ -4,7 +4,7 @@ exit codes.
 A flipped, truncated or extended frame must either raise a typed
 :class:`PkeetError` or decode to an object that re-encodes to exactly the
 mutated bytes.  The keys are toy records (ring n=16, integer n=16), built
-once per module.
+once per module; the command-line fuzz covers both schemes.
 """
 
 import contextlib
@@ -49,18 +49,26 @@ def frames():
     return out
 
 
-@pytest.fixture(scope="module")
-def ring_files(tmp_path_factory):
-    d = tmp_path_factory.mktemp("fuzz-cli")
+def _cli_files(d, scheme: str, n: str):
     with contextlib.redirect_stderr(io.StringIO()):
         for name, seed, message in (("alice", "aa" * 32, "1234"), ("bob", "bb" * 32, "5678")):
-            assert main(["keygen", "--scheme", "ring", "--n", "16", "--seed", seed,
+            assert main(["keygen", "--scheme", scheme, "--n", n, "--seed", seed,
                          "--out-dir", str(d), "--name", name]) == 0
             assert main(["encrypt", "--pk", f"{d}/{name}.pk", "--message", message,
                          "--seed", seed, "--out", f"{d}/{name}.ct"]) == 0
             assert main(["trapdoor", "--sk", f"{d}/{name}.sk", "--pk", f"{d}/{name}.pk",
                          "--out", f"{d}/{name}.td"]) == 0
     return d
+
+
+@pytest.fixture(scope="module")
+def ring_files(tmp_path_factory):
+    return _cli_files(tmp_path_factory.mktemp("fuzz-cli"), "ring", "16")
+
+
+@pytest.fixture(scope="module")
+def int_files(tmp_path_factory):
+    return _cli_files(tmp_path_factory.mktemp("fuzz-cli-int"), "int", "16")
 
 
 @st.composite
@@ -93,41 +101,65 @@ def _run(argv: list[str]) -> int:
         return main(argv)
 
 
-@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(data=st.data())
-def test_cli_decrypt_of_mutated_frame_exits_one_or_two(ring_files, data):
-    d = ring_files
-    files = {"--pk": d / "alice.pk", "--sk": d / "alice.sk", "--ct": d / "alice.ct"}
+def _mutated_run(d, data, command: str, files: dict) -> int:
     role = data.draw(st.sampled_from(sorted(files)))
     mutated = d / "mutated"
     mutated.write_bytes(data.draw(mutations(files[role].read_bytes())))
     files[role] = mutated
-    argv = ["decrypt", "--seed", SEED]
+    argv = [command, "--seed", SEED]
     for flag, path in files.items():
         argv += [flag, str(path)]
-    assert _run(argv) in (1, 2)
+    return _run(argv)
+
+
+def _decrypt_of_mutated_frame(d, data) -> int:
+    files = {"--pk": d / "alice.pk", "--sk": d / "alice.sk", "--ct": d / "alice.ct"}
+    return _mutated_run(d, data, "decrypt", files)
+
+
+def _test_of_mutated_frame(d, data) -> int:
+    # The two ciphertexts hide different messages, so EQUAL (exit 0) is wrong.
+    files = {"--td-i": d / "alice.td", "--td-j": d / "bob.td",
+             "--ct-i": d / "alice.ct", "--ct-j": d / "bob.ct"}
+    return _mutated_run(d, data, "test", files)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_cli_decrypt_of_mutated_frame_exits_one_or_two(ring_files, data):
+    assert _decrypt_of_mutated_frame(ring_files, data) in (1, 2)
 
 
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
 def test_cli_test_of_mutated_frame_exits_one_or_two(ring_files, data):
-    # The two ciphertexts hide different messages, so EQUAL (exit 0) is wrong.
-    d = ring_files
-    files = {"--td-i": d / "alice.td", "--td-j": d / "bob.td",
-             "--ct-i": d / "alice.ct", "--ct-j": d / "bob.ct"}
-    role = data.draw(st.sampled_from(sorted(files)))
-    mutated = d / "mutated"
-    mutated.write_bytes(data.draw(mutations(files[role].read_bytes())))
-    files[role] = mutated
-    argv = ["test", "--seed", SEED]
-    for flag, path in files.items():
-        argv += [flag, str(path)]
-    assert _run(argv) in (1, 2)
+    assert _test_of_mutated_frame(ring_files, data) in (1, 2)
 
 
-def test_unmutated_cli_inputs_succeed(ring_files):
-    d = ring_files
+# Integer frames run to megabytes and one decrypt or test takes a good
+# fraction of a second, so these fuzz with few examples.
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_cli_decrypt_of_mutated_int_frame_exits_one_or_two(int_files, data):
+    assert _decrypt_of_mutated_frame(int_files, data) in (1, 2)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_cli_test_of_mutated_int_frame_exits_one_or_two(int_files, data):
+    assert _test_of_mutated_frame(int_files, data) in (1, 2)
+
+
+def _unmutated_inputs_succeed(d) -> None:
     assert _run(["decrypt", "--pk", f"{d}/alice.pk", "--sk", f"{d}/alice.sk",
                  "--ct", f"{d}/alice.ct", "--seed", SEED]) == 0
     assert _run(["test", "--td-i", f"{d}/alice.td", "--td-j", f"{d}/bob.td",
                  "--ct-i", f"{d}/alice.ct", "--ct-j", f"{d}/bob.ct", "--seed", SEED]) == 1
+
+
+def test_unmutated_cli_inputs_succeed(ring_files):
+    _unmutated_inputs_succeed(ring_files)
+
+
+def test_unmutated_int_cli_inputs_succeed(int_files):
+    _unmutated_inputs_succeed(int_files)

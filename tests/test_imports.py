@@ -1,7 +1,8 @@
-"""Every name a library module imports is used in that module.
+"""Every name a library module or test file imports is used in that file.
 
 The package re-exports names from ``__init__.py`` on purpose, so that file
-is left out; every other module under ``src/pkeet`` is parsed with ``ast``.
+is left out; every other module under ``src/pkeet`` and every file under
+``tests`` is parsed with ``ast``.
 """
 
 import ast
@@ -11,6 +12,8 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "pkeet"
 MODULES = sorted(p.stem for p in SRC.glob("*.py") if p.name != "__init__.py")
+TESTS = Path(__file__).resolve().parent
+TEST_FILES = sorted(p.stem for p in TESTS.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -32,3 +35,8 @@ def test_checker_flags_an_unused_import():
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_imports(module):
     assert unused_imports((SRC / f"{module}.py").read_text()) == []
+
+
+@pytest.mark.parametrize("test_file", TEST_FILES)
+def test_no_unused_imports_in_tests(test_file):
+    assert unused_imports((TESTS / f"{test_file}.py").read_text()) == []

@@ -10,7 +10,7 @@ from pkeet import matlattice, serial
 from pkeet import pkeet_int as pi
 from pkeet.errors import GenerationFailed
 from pkeet.params import int_gadget_width
-from pkeet.sampling import sample_z_batch
+from pkeet.sampling import sample_z_reject
 from pkeet.matlattice import (
     balanced_mod,
     gadget_residual,
@@ -98,12 +98,12 @@ def test_perturbation_factor_reproduces_covariance(int_small, monkeypatch):
     def rounding(width, centers, rng_, *rest):
         if width == p.sigma_r:
             raise Stop(centers)
-        return sample_z_batch(width, centers, rng_, *rest)
+        return sample_z_reject(width, centers, rng_, *rest)
 
     normal = rng.normal
     monkeypatch.setattr(rng, "normal", lambda count: (
         np.eye(p.m).reshape(-1) if count == p.m * p.m else normal(count)))
-    monkeypatch.setattr(matlattice, "sample_z_batch", rounding)
+    monkeypatch.setattr(matlattice, "sample_z_reject", rounding)
     m1, u_mat = mat_uniform(p.q, p.n, p.m, rng), mat_uniform(p.q, p.n, p.m, rng)
     with pytest.raises(Stop) as stop:
         sample_left(a_mat, m1, trap, u_mat, p, rng)

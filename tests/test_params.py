@@ -86,6 +86,11 @@ _FIELD_VALUES = {
 }
 
 
+def test_validate_strict_int_at_n_one():
+    # ln(1) = 0 makes the alpha ceiling of the strict profile infinite.
+    assert isinstance(validate(dataclasses.replace(_RECORDS[3], n=1)), list)
+
+
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_validate_is_total(data):

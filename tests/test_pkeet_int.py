@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pkeet import pkeet_int as pi
-from pkeet.errors import InvalidMessage, PkeetError, RejectHash, RejectSignature
+from pkeet.errors import InvalidMessage, RejectHash, RejectSignature
 from conftest import seeded
 
 
@@ -70,3 +70,21 @@ def test_token_excludes_message_trapdoor(int_small, user):
     td = pi.trapdoor_int(sk, pk)
     assert not hasattr(td, "t_a")
     assert td.t_a_prime is sk.t_a_prime
+
+
+def test_sign_sum_matches_unpacked_signs():
+    # Both the float64 path and the int64 path (values too large for 2^53)
+    # equal the selector-weighted sum of the explicit sign matrices.
+    rng = seeded("sign-sum")
+    m, count = 24, 16
+    sel = rng.uniform_mod(2, count) * 2 - 1
+    packed = [rng.bytes((m * m + 7) // 8) for _ in sel]
+    signs = [
+        2 * np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")[: m * m]
+        .reshape(m, m).astype(np.int64) - 1
+        for raw in packed
+    ]
+    r_sum = sum(int(b) * s for b, s in zip(sel, signs))
+    for scale in (1_000, 1 << 50):
+        y = (rng.uniform_mod(2 * scale, 2 * m) - scale).reshape(m, 2)
+        assert np.array_equal(pi._sign_sum_t(sel, packed, y), r_sum.T @ y)

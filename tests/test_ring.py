@@ -23,7 +23,6 @@ from pkeet.ring import (
     sample_uniform,
     scale_halfq,
     stack,
-    unstack,
 )
 from conftest import seeded
 

@@ -25,6 +25,7 @@ from pkeet.sampling import (
     gadget_vector,
     sample_g_batch,
     sample_z_batch,
+    sample_z_reject,
 )
 from conftest import seeded
 
@@ -114,6 +115,49 @@ def test_convolution_path_matches_reference(kind):
 def test_width_floor_enforced():
     with pytest.raises(WidthTooSmall):
         sample_z_batch(0.5, np.zeros(4), seeded("floor"))
+    with pytest.raises(WidthTooSmall):
+        sample_z_reject(0.99, np.zeros(4), seeded("floor"))
+
+
+def chi_square_against_pmf(draws: np.ndarray, width: float, center: float) -> tuple[float, int]:
+    """Pearson statistic of integer draws against the exact pmf of
+    D_{Z, width, center}, over about 20 bins of similar probability, and
+    its degrees of freedom."""
+    lo = math.floor(center - 6.0 * width) - 1
+    support = np.arange(lo, math.ceil(center + 6.0 * width) + 2)
+    pmf = gauss_weight(support, width, center)
+    pmf /= pmf.sum()
+    # A point's bin is set by its mid cumulative mass: heavy points get bins
+    # of their own, the light tails merge into their neighbours.
+    label = np.floor((np.cumsum(pmf) - pmf / 2.0) * 20.0).astype(np.int64)
+    bins, label = np.unique(label, return_inverse=True)
+    expected = np.bincount(label, weights=pmf) * draws.size
+    inside = (draws >= support[0]) & (draws <= support[-1])
+    assert inside.all(), f"draws outside {support[0]}..{support[-1]}"
+    observed = np.bincount(label[draws - lo], minlength=bins.size)
+    return float(((observed - expected) ** 2 / expected).sum()), bins.size - 1
+
+
+def chi_square_critical(dof: int, z: float = 4.5) -> float:
+    """Wilson-Hilferty upper quantile of chi^2(dof) at a normal z-score."""
+    h = 2.0 / (9.0 * dof)
+    return dof * (1.0 - h + z * math.sqrt(h)) ** 3
+
+
+REJECT_CENTERS = (0.0, 5.0, -7.38, 0.37)   # zero, integer, negative, fractional
+
+
+@pytest.mark.parametrize("width", [1.0, 1.7, 3.2, 4.43, 8.0, 31.9, 729.6])
+def test_rejection_sampler_matches_exact_pmf(width):
+    # The four centers interleave in one call, so each output must land in
+    # its own center's slot across the redraw rounds.
+    per_center = 60_000
+    centers = np.tile(REJECT_CENTERS, per_center)
+    draws = sample_z_reject(width, centers.reshape(-1, 4), seeded(f"reject-{width}"))
+    assert draws.shape == (per_center, 4) and draws.dtype == np.int64
+    for j, c in enumerate(REJECT_CENTERS):
+        stat, dof = chi_square_against_pmf(draws[:, j], width, c)
+        assert stat < chi_square_critical(dof), f"center {c}: chi^2 {stat:.1f} on {dof} dof"
 
 
 def test_integer_sampler_matches_exact_pmf():
@@ -173,8 +217,8 @@ def test_gram_schmidt_norms_match_manual_oracle(ring_toy, int_toy):
 def test_gadget_sampler_golden_digests(ring_toy, int_small):
     # Pins the walk's float arithmetic: any reordering changes the draws.
     for q, width, want in (
-        (ring_toy.q, ring_toy.alpha_g, "70d519555160b44d"),
-        (int_small.q, int_gadget_width(int_small.m), "e2d1a6c0b1b04202"),
+        (ring_toy.q, ring_toy.alpha_g, "0da1591ba2893e5d"),
+        (int_small.q, int_gadget_width(int_small.m), "a930ff47469cc7b9"),
     ):
         rng = XofRng(bytes([5]) * 32)
         draws = sample_g_batch(width, rng.uniform_mod(q, 64), q, rng)
