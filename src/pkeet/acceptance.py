@@ -284,8 +284,8 @@ def criterion_4(profile: str = "toy") -> CriterionResult:
     pre_bad = 0
     for _ in range(1000):
         u = sample_uniform(ctx, rng)
-        x = sample_pre(trap, shifted, u, params, rng)
-        pre_bad += int(apply_vector(shifted, x) != u)
+        x_hat = sample_pre(trap, shifted, u, params, rng)
+        pre_bad += int(apply_vector(shifted, x_hat) != u)
 
     int_traps, int_trap_bad = 10, 0
     for _ in range(int_traps):
@@ -302,11 +302,12 @@ def criterion_4(profile: str = "toy") -> CriterionResult:
 
     ots_bad = 0
     a_prime = np.stack([sample_uniform(ctx, rng).coeffs for _ in range(params.base_len)])
+    a_prime_hat = ctx.ntt(a_prime)
     for i in range(1000):
-        keys = ots.ots_ring_keygen(a_prime, params, rng)
+        keys = ots.ots_ring_keygen(a_prime_hat, params, rng)
         msg = hash_to_sparse(params, b"ots-ring-%d" % i)
         sig = ots.ots_ring_sign(keys, msg, params)
-        ots_bad += int(not ots.ots_ring_verify(a_prime, keys.pub, msg, sig, params))
+        ots_bad += int(not ots.ots_ring_verify(a_prime_hat, keys.pub, msg, sig, params))
     h_mat = ml.mat_uniform(iparams.q, iparams.n, iparams.m, rng)
     for i in range(1000):
         keys = ots.ots_sis_keygen(h_mat, iparams, rng)
@@ -447,8 +448,8 @@ def criterion_6(profile: str = "toy") -> CriterionResult:
     coords = []
     for _ in range(20):
         u = sample_uniform(ctx, rng)
-        x = sample_pre(trap, shifted, u, params, rng)
-        coords.append(np.stack([e.balanced() for e in x]))
+        x_hat = sample_pre(trap, shifted, u, params, rng)
+        coords.append(ctx.balanced(ctx.intt(x_hat)))
     target = params.zeta**2 / (2.0 * math.pi)
     pre_dev = abs(float(np.stack(coords).astype(np.float64).var()) / target - 1.0)
 

@@ -42,23 +42,23 @@ class OtsRingKeys:
     ctx: RingContext
 
 
-def _row_apply(h_row: np.ndarray, col: np.ndarray, ctx: RingContext) -> RingElement:
-    """Inner product of a public row with a secret column, both (rows, n)."""
-    out = dot_ntt(ctx.ntt(h_row % ctx.q), ctx.ntt(col % ctx.q), ctx)
+def _row_apply(h_hat: np.ndarray, col: np.ndarray, ctx: RingContext) -> RingElement:
+    """Inner product of a public row in NTT slots with a secret column, both (rows, n)."""
+    out = dot_ntt(h_hat, ctx.ntt(col % ctx.q), ctx)
     return RingElement(ctx.intt(out), ctx)
 
 
 def ots_ring_keygen(
-    h_row: np.ndarray, params: ParamsRing, rng: XofRng
+    h_hat: np.ndarray, params: ParamsRing, rng: XofRng
 ) -> OtsRingKeys:
-    """Fresh one-time key against the public row (shape (base_len, n))."""
+    """Fresh one-time key against the public row, passed as NTT slots of
+    shape (base_len, n)."""
     ctx = get_context(params)
-    h_row = np.asarray(h_row, dtype=np.int64)
-    rows = h_row.shape[0]
+    rows = h_hat.shape[0]
     b, w = params.b_ots, params.delta_w
     k1 = _uniform_signed(b, (rows, ctx.n), rng)
     k2 = _uniform_signed(w * b, (rows, ctx.n), rng)
-    pub = (_row_apply(h_row, k1, ctx), _row_apply(h_row, k2, ctx))
+    pub = (_row_apply(h_hat, k1, ctx), _row_apply(h_hat, k2, ctx))
     return OtsRingKeys(k1=k1, k2=k2, pub=pub, ctx=ctx)
 
 
@@ -84,19 +84,20 @@ def ots_ring_sign(
 
 
 def ots_ring_verify(
-    h_row: np.ndarray,
+    h_hat: np.ndarray,
     pub: tuple[RingElement, RingElement],
     msg: RingElement,
     sig: np.ndarray,
     params: ParamsRing,
 ) -> bool:
-    """Accept iff the signature is short and satisfies the linear identity."""
+    """Accept iff the signature is short and satisfies the linear identity
+    against the public row, passed as NTT slots."""
     ctx = pub[0].ctx
     sig = np.asarray(sig, dtype=np.int64) % ctx.q
     bound = 2 * params.delta_w * params.b_ots
     if int(np.abs(ctx.balanced(sig)).max(initial=0)) > bound:
         return False
-    lhs = dot_ntt(ctx.ntt(np.asarray(h_row, dtype=np.int64) % ctx.q), ctx.ntt(sig), ctx)
+    lhs = dot_ntt(h_hat, ctx.ntt(sig), ctx)
     rhs = (
         mulmod(ctx.ntt(pub[0].coeffs), ctx.ntt(msg.coeffs), ctx.q)
         + ctx.ntt(pub[1].coeffs)

@@ -110,7 +110,7 @@ def _masked_vector(
     noise[:base_len] = sample_ring_array(params.tau, base_len, ctx, rng)
     noise[base_len:] = sample_ring_array(params.gamma, k, ctx, rng)
     s_hat = ctx.ntt(s.coeffs)
-    masked = ctx.intt(mulmod(ctx.ntt(av.vec), s_hat[None, :], ctx.q))
+    masked = ctx.intt(mulmod(av.vec_hat, s_hat[None, :], ctx.q))
     return (masked + noise) % ctx.q
 
 
@@ -122,8 +122,7 @@ def encrypt(pk: PkRing, message: RingElement, params: ParamsRing, rng: XofRng) -
     if ((message.coeffs != 0) & (message.coeffs != 1)).any():
         raise InvalidMessage("message coefficients must be bits")
 
-    a_prime = pk.a.vec[: params.base_len]
-    ots_keys: OtsRingKeys = ots_ring_keygen(a_prime, params, rng)
+    ots_keys: OtsRingKeys = ots_ring_keygen(pk.a.vec_hat[: params.base_len], params, rng)
     v = ots_keys.pub
     h = hash_to_invertible(params, _v_bytes(v))
     a_h = apply_tag_shift(pk.a, h)
@@ -155,9 +154,8 @@ def _open_slot(
 ) -> np.ndarray:
     """Decode the bits hidden in a payload slot using a preimage of ``u``."""
     ctx = shifted.ctx
-    x = sample_pre(trapdoor, shifted, u, params, rng)
-    x_arr = np.stack([e.coeffs for e in x])
-    inner = dot_ntt(ctx.ntt(vec_slot), ctx.ntt(x_arr), ctx)
+    x_hat = sample_pre(trapdoor, shifted, u, params, rng)
+    inner = dot_ntt(ctx.ntt(vec_slot), x_hat, ctx)
     w = payload - RingElement(ctx.intt(inner), ctx)
     return decode_bits(w)
 
@@ -171,9 +169,9 @@ def decrypt(
     invalidates the one-time check before any trapdoor work happens.
     """
     ctx = get_context(params)
-    a_prime = pk.a.vec[: params.base_len]
+    a_prime_hat = pk.a.vec_hat[: params.base_len]
     ots_msg = hash_to_sparse(params, _ct_bytes(ct.ct1, ct.ct2, ct.ct3, ct.ct4))
-    if not ots_ring_verify(a_prime, ct.v, ots_msg, ct.sig, params):
+    if not ots_ring_verify(a_prime_hat, ct.v, ots_msg, ct.sig, params):
         raise RejectSignature("one-time signature check failed")
 
     h = hash_to_invertible(params, _v_bytes(ct.v))

@@ -298,15 +298,6 @@ def decode_bits(w: RingElement) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def stack(elems) -> np.ndarray:
-    """Stack RingElements into an (m, n) coefficient array."""
-    return np.stack([e.coeffs for e in elems])
-
-
-def unstack(arr: np.ndarray, ctx: RingContext) -> list[RingElement]:
-    return [RingElement(row, ctx) for row in np.asarray(arr, dtype=np.int64) % ctx.q]
-
-
 def dot_ntt(evals_a: np.ndarray, evals_b: np.ndarray, ctx: RingContext) -> np.ndarray:
     """Slotwise sum of products of two (m, n) evaluation stacks."""
     prod = mulmod(evals_a, evals_b, ctx.q)

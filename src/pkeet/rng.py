@@ -53,15 +53,22 @@ class XofRng:
         self._block_index += 1
 
     def bytes(self, count: int) -> bytes:
-        out = bytearray()
-        while count > 0:
+        end = self._pos + count
+        if end <= len(self._buf):
+            out = self._buf[self._pos : end]
+            self._pos = end
+            return out
+        out = bytearray(count)
+        view = memoryview(out)
+        filled = 0
+        while filled < count:
             if self._pos >= len(self._buf):
                 self._refill()
-            take = min(count, len(self._buf) - self._pos)
-            out += self._buf[self._pos : self._pos + take]
+            take = min(count - filled, len(self._buf) - self._pos)
+            view[filled : filled + take] = memoryview(self._buf)[self._pos : self._pos + take]
             self._pos += take
-            count -= take
-        return bytes(out)
+            filled += take
+        return out
 
     # ---- vectorized draws -------------------------------------------------
 

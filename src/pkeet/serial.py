@@ -120,12 +120,6 @@ def decode_frame(data: bytes) -> tuple[int, int, ParamsRing | ParamsInt, bytes]:
 # ---------------------------------------------------------------------------
 
 
-def _zero_tagged(vec: np.ndarray, params: ParamsRing) -> TaggedVector:
-    ctx = get_context(params)
-    zero = RingElement(np.zeros(ctx.n, dtype=np.int64), ctx)
-    return TaggedVector(vec=vec, tag=zero, ctx=ctx)
-
-
 def _ring_trapdoor(t_arr: np.ndarray, params: ParamsRing) -> RingTrapdoor:
     return RingTrapdoor(t_arr=t_arr, ctx=get_context(params))
 
@@ -140,10 +134,11 @@ def decode_ring_pk(body: bytes, params: ParamsRing) -> PkRing:
     r = _Reader(body, params.q)
     a_vec, b_vec, u = r.take((m, n)), r.take((m, n)), r.take((n,))
     r.done()
+    ctx = get_context(params)
     return PkRing(
-        a=_zero_tagged(a_vec, params),
-        b=_zero_tagged(b_vec, params),
-        u=RingElement(u, get_context(params)),
+        a=TaggedVector.from_coeffs(a_vec, ctx),
+        b=TaggedVector.from_coeffs(b_vec, ctx),
+        u=RingElement(u, ctx),
     )
 
 
@@ -197,10 +192,11 @@ def decode_ring_td(body: bytes, params: ParamsRing) -> TrapdoorTokenRing:
     b_vec = r.take((params.m, params.n))
     u = r.take((params.n,))
     r.done()
+    ctx = get_context(params)
     return TrapdoorTokenRing(
         t_b=_ring_trapdoor(t_b, params),
-        b=_zero_tagged(b_vec, params),
-        u=RingElement(u, get_context(params)),
+        b=TaggedVector.from_coeffs(b_vec, ctx),
+        u=RingElement(u, ctx),
     )
 
 

@@ -7,6 +7,10 @@ holds exactly; shifting the vector by ``(0, h*g)`` shifts the tag by ``h``
 without touching ``T``.  Preimage sampling follows the perturb-then-correct
 pattern: a structured perturbation hides ``T``, the remaining syndrome is
 solved in the gadget coset, and the correction re-enters through ``[T; I]``.
+
+Public vectors, tags and preimages live in NTT slots, where all of this is
+slotwise; frames keep the coefficient form, so the serial bijection is
+untouched.
 """
 
 from __future__ import annotations
@@ -31,7 +35,6 @@ from .ring import (
     get_context,
     invmod,
     mulmod,
-    unstack,
 )
 from .rng import XofRng
 from .sampling import (
@@ -90,11 +93,26 @@ class RingTrapdoor:
 
 @dataclass
 class TaggedVector:
-    """Public vector ``a`` with its current tag; see module docstring."""
+    """Public vector ``a`` with its current tag, both in NTT slots; see
+    module docstring."""
 
-    vec: np.ndarray            # (m, n) canonical int64
-    tag: RingElement
+    vec_hat: np.ndarray        # (m, n) NTT slots
+    tag_hat: np.ndarray        # (n,) NTT slots
     ctx: RingContext
+    _vec: np.ndarray | None = field(default=None, repr=False)
+
+    @classmethod
+    def from_coeffs(cls, vec: np.ndarray, ctx: RingContext) -> "TaggedVector":
+        """Zero-tagged vector from its coefficient form, which stays cached."""
+        zero = np.zeros(ctx.n, dtype=np.int64)
+        return cls(vec_hat=ctx.ntt(vec), tag_hat=zero, ctx=ctx, _vec=vec)
+
+    @property
+    def vec(self) -> np.ndarray:
+        """Cached coefficient form, shape (m, n) canonical int64."""
+        if self._vec is None:
+            self._vec = self.ctx.intt(self.vec_hat)
+        return self._vec
 
 
 def trap_gen(params: ParamsRing, rng: XofRng) -> tuple[TaggedVector, RingTrapdoor]:
@@ -123,11 +141,10 @@ def trap_gen(params: ParamsRing, rng: XofRng) -> tuple[TaggedVector, RingTrapdoo
             trap.perturbation(params)
         except CovarianceNotPD:
             continue
-        at_hat = mulmod(a_hat[:, None, :], trap.t_hat, q).sum(axis=0) % q   # (k, n)
-        tail = ctx.intt(-at_hat % q)
-        vec = np.concatenate([a_prime, tail], axis=0)
-        zero = RingElement(np.zeros(n, dtype=np.int64), ctx)
-        return TaggedVector(vec=vec, tag=zero, ctx=ctx), trap
+        tail_hat = -mulmod(a_hat[:, None, :], trap.t_hat, q).sum(axis=0) % q   # (k, n)
+        vec = np.concatenate([a_prime, ctx.intt(tail_hat)])
+        zero = np.zeros(n, dtype=np.int64)
+        return TaggedVector(np.concatenate([a_hat, tail_hat]), zero, ctx, _vec=vec), trap
     raise GenerationFailed(
         f"no usable trapdoor in {_TRAPGEN_RETRIES} draws; widths too tight"
     )
@@ -140,15 +157,12 @@ def apply_tag_shift(av: TaggedVector, shift: RingElement) -> TaggedVector:
     """
     if shift.ctx != av.ctx:
         raise ParamsMismatch("shift built under a different context")
-    ctx = av.ctx
-    k = ctx.q.bit_length()
-    vec = av.vec.copy()
-    shift_hat = ctx.ntt(shift.coeffs)
-    hg = ctx.intt(
-        mulmod(np.broadcast_to(shift_hat, (k, ctx.n)), gadget_vector(k)[:, None] % ctx.q, ctx.q)
-    )
-    vec[-k:] = (vec[-k:] + hg) % ctx.q
-    return TaggedVector(vec=vec, tag=av.tag + shift, ctx=ctx)
+    q = av.ctx.q
+    k = q.bit_length()
+    shift_hat = av.ctx.ntt(shift.coeffs)
+    vec_hat = av.vec_hat.copy()
+    vec_hat[-k:] = (vec_hat[-k:] + mulmod(shift_hat, gadget_vector(k)[:, None] % q, q)) % q
+    return TaggedVector(vec_hat=vec_hat, tag_hat=(av.tag_hat + shift_hat) % q, ctx=av.ctx)
 
 
 def trapdoor_identity_residual(av: TaggedVector, trap: RingTrapdoor) -> np.ndarray:
@@ -156,12 +170,10 @@ def trapdoor_identity_residual(av: TaggedVector, trap: RingTrapdoor) -> np.ndarr
     ctx = av.ctx
     q = ctx.q
     base_len, k = trap.base_len, trap.k
-    a_hat = ctx.ntt(av.vec)
-    head = mulmod(a_hat[:base_len, None, :], trap.t_hat, q).sum(axis=0) % q
-    full = (head + a_hat[base_len:]) % q
-    tag_hat = ctx.ntt(av.tag.coeffs)
-    hg = mulmod(np.broadcast_to(tag_hat, (k, ctx.n)), gadget_vector(k)[:, None] % q, q)
-    return ctx.intt((full - hg) % q)
+    head = mulmod(av.vec_hat[:base_len, None, :], trap.t_hat, q).sum(axis=0) % q
+    full = (head + av.vec_hat[base_len:]) % q
+    hg_hat = mulmod(av.tag_hat, gadget_vector(k)[:, None] % q, q)
+    return ctx.intt((full - hg_hat) % q)
 
 
 def sample_pre(
@@ -170,48 +182,40 @@ def sample_pre(
     u: RingElement,
     params: ParamsRing,
     rng: XofRng,
-) -> list[RingElement]:
+) -> np.ndarray:
     """Gaussian preimage: x with ``a^T x = u`` and per-coordinate width zeta.
 
     Steps: draw the structured perturbation p, reduce the target through
     the invertible tag, solve the remaining syndrome in the gadget coset,
-    and fold the solution back through ``[T; I]``.
+    and fold the solution back through ``[T; I]``.  The preimage is
+    returned in evaluation form, ``x_hat = p_hat + [T_hat z_hat; z_hat]``,
+    shape (m, n).
     """
     ctx = trap.ctx
     if av.ctx != ctx or u.ctx != ctx:
         raise ParamsMismatch("preimage request mixes ring contexts")
-    q, n = ctx.q, ctx.n
+    q = ctx.q
     base_len, k = trap.base_len, trap.k
-    if av.vec.shape[0] != base_len + k:
+    if av.vec_hat.shape[0] != base_len + k:
         raise InvalidParams("vector length does not match trapdoor shape")
 
-    tag_hat = ctx.ntt(av.tag.coeffs)
-    if (tag_hat == 0).any():
+    if (av.tag_hat == 0).any():
         raise TagNotInvertible("vector tag has a zero evaluation slot")
-    tag_inv_hat = invmod(tag_hat, q)
+    tag_inv_hat = invmod(av.tag_hat, q)
 
     cov = trap.perturbation(params)
-    p = cov.sample(rng) % q                                   # (m, n)
+    p_hat = ctx.ntt(cov.sample(rng) % q)                       # (m, n)
 
-    a_hat = ctx.ntt(av.vec)
-    ap_hat = dot_ntt(a_hat, ctx.ntt(p), ctx)
-    v_hat = mulmod(tag_inv_hat, (ctx.ntt(u.coeffs) - ap_hat) % q, q)
-    v = ctx.intt(v_hat)
+    ap_hat = dot_ntt(av.vec_hat, p_hat, ctx)
+    v = ctx.intt(mulmod(tag_inv_hat, (ctx.ntt(u.coeffs) - ap_hat) % q, q))
 
     z = sample_g_batch(params.alpha_g, v, q, rng).T             # (k, n) small ints
 
     z_hat = ctx.ntt(z % q)
-    tz = ctx.intt(mulmod(trap.t_hat, z_hat[None, :, :], q).sum(axis=1) % q)  # (base_len, n)
-
-    x = np.empty((base_len + k, n), dtype=np.int64)
-    x[:base_len] = (p[:base_len] + tz) % q
-    x[base_len:] = (p[base_len:] + z) % q
-    return unstack(x, ctx)
+    tz_hat = mulmod(trap.t_hat, z_hat[None, :, :], q).sum(axis=1) % q  # (base_len, n)
+    return (p_hat + np.concatenate([tz_hat, z_hat])) % q
 
 
-def apply_vector(av: TaggedVector, x_elems: list[RingElement]) -> RingElement:
-    """Inner product ``a^T x`` of the vector with a preimage."""
-    ctx = av.ctx
-    x = np.stack([e.coeffs for e in x_elems])
-    out = dot_ntt(ctx.ntt(av.vec), ctx.ntt(x), ctx)
-    return RingElement(ctx.intt(out), ctx)
+def apply_vector(av: TaggedVector, x_hat: np.ndarray) -> RingElement:
+    """Inner product ``a^T x`` of the vector with a preimage in evaluation form."""
+    return RingElement(av.ctx.intt(dot_ntt(av.vec_hat, x_hat, av.ctx)), av.ctx)

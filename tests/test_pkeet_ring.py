@@ -5,8 +5,17 @@ import pytest
 
 from pkeet import pkeet_ring as pr
 from pkeet.errors import InvalidMessage, PkeetError, RejectHash, RejectSignature
-from pkeet.ring import RingElement, encode_message, get_context, sample_uniform
-from pkeet.trapdoor_ring import RingTrapdoor
+from pkeet.hashing import hash_to_invertible
+from pkeet.params import _ring_error_budget
+from pkeet.ring import (
+    RingContext,
+    RingElement,
+    dot_ntt,
+    encode_message,
+    get_context,
+    sample_uniform,
+)
+from pkeet.trapdoor_ring import RingTrapdoor, apply_tag_shift, sample_pre
 from conftest import seeded
 
 
@@ -112,3 +121,56 @@ def test_token_does_not_expose_message_slot(ring_small, users):
     for av in (pk.a, pk.b, td.b):
         assert not any(isinstance(v, RingTrapdoor) for v in vars(av).values())
     assert not hasattr(td, "t_a")
+
+
+def _count_transform_rows(monkeypatch) -> list[int]:
+    """Patch the ring transforms to add their row counts to the returned cell."""
+    rows = [0]
+    for name in ("ntt", "intt"):
+        original = getattr(RingContext, name)
+
+        def counted(self, arr, _original=original):
+            rows[0] += int(np.prod(np.shape(arr)[:-1]))
+            return _original(self, arr)
+
+        monkeypatch.setattr(RingContext, name, counted)
+    return rows
+
+
+def test_transform_budget(ring_small, users, monkeypatch):
+    # Public vectors and preimages stay in NTT slots: an encrypt transforms
+    # the two masked vectors once each, a decrypt each opened slot's
+    # ciphertext vector, perturbation and gadget solution once each.
+    (pk, sk), _ = users
+    m, k = ring_small.m, ring_small.k
+    rng = seeded("ring-transforms")
+    msg = random_message(ring_small, rng)
+    rows = _count_transform_rows(monkeypatch)
+    ct = pr.encrypt(pk, msg, ring_small, rng)
+    encrypt_rows = rows[0]
+    assert pr.decrypt(pk, sk, ct, ring_small, rng) == msg
+    decrypt_rows = rows[0] - encrypt_rows
+    assert encrypt_rows <= 2 * m + 24
+    assert decrypt_rows <= 2 * (2 * m + k) + 16
+
+
+def test_decryption_noise_within_budget(ring_small, users):
+    # Rebuild the noise the message slot decodes through from the public
+    # pieces and a fresh preimage; it must stay inside the error budget the
+    # modulus was derived from.
+    (pk, sk), _ = users
+    p = ring_small
+    ctx, q = get_context(p), p.q
+    budget = _ring_error_budget(p.tau, p.zeta, p.gamma, p.k, p.n)
+    rng = seeded("ring-margin")
+    worst = 0
+    for _ in range(10):
+        msg = random_message(p, rng)
+        ct = pr.encrypt(pk, msg, p, rng)
+        assert pr.decrypt(pk, sk, ct, p, rng) == msg
+        a_h = apply_tag_shift(pk.a, hash_to_invertible(p, pr._v_bytes(ct.v)))
+        x_hat = sample_pre(sk.t_a, a_h, pk.u, p, rng)
+        inner = ctx.intt(dot_ntt(ctx.ntt(ct.ct3), x_hat, ctx))
+        noise = ctx.balanced((ct.ct1.coeffs - inner - (q // 2) * msg.coeffs) % q)
+        worst = max(worst, int(np.abs(noise).max()))
+    assert worst <= budget

@@ -15,6 +15,16 @@ def test_same_seed_same_stream():
     assert np.array_equal(a.uniform_mod(997, 50), b.uniform_mod(997, 50))
 
 
+def test_stream_independent_of_draw_split():
+    # Draws that cross the 64 KiB block boundary read the same stream as one
+    # large draw.
+    a = XofRng(b"\x05" * 32)
+    b = XofRng(b"\x05" * 32)
+    whole = a.bytes(200_000)
+    parts = b.bytes(1) + b.bytes(65_534) + b.bytes(65_537) + b.bytes(68_928)
+    assert whole == parts
+
+
 def test_different_seeds_diverge():
     a = XofRng(b"\x01" * 32)
     b = XofRng(b"\x02" * 32)

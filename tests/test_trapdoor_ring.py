@@ -8,6 +8,7 @@ import pytest
 from pkeet.errors import TagNotInvertible
 from pkeet.ring import RingElement, get_context, sample_uniform
 from pkeet.trapdoor_ring import (
+    TaggedVector,
     apply_tag_shift,
     apply_vector,
     sample_pre,
@@ -24,6 +25,17 @@ def test_identity_holds_for_zero_tag(ring_small):
         assert not trapdoor_identity_residual(av, trap).any()
 
 
+def test_trap_gen_forms_agree(ring_small):
+    # trap_gen builds the slots and the cached coefficient form separately;
+    # a sign slip in the tail or any drift between the two must show here.
+    ctx = get_context(ring_small)
+    rng = seeded("trap-forms")
+    for _ in range(5):
+        av, _ = trap_gen(ring_small, rng)
+        assert np.array_equal(TaggedVector.from_coeffs(av.vec, ctx).vec_hat, av.vec_hat)
+        assert not av.tag_hat.any()
+
+
 def test_identity_holds_for_random_tags(ring_small):
     ctx = get_context(ring_small)
     rng = seeded("trap-tagged")
@@ -38,12 +50,16 @@ def test_tag_shift_algebra(ring_small):
     rng = seeded("shift")
     av, trap = trap_gen(ring_small, rng)
     zero = RingElement(np.zeros(ctx.n, dtype=np.int64), ctx)
-    assert np.array_equal(apply_tag_shift(av, zero).vec, av.vec)
+    unshifted = apply_tag_shift(av, zero)
+    assert np.array_equal(unshifted.vec_hat, av.vec_hat)
+    assert np.array_equal(unshifted.tag_hat, av.tag_hat)
 
     h1, h2 = sample_uniform(ctx, rng), sample_uniform(ctx, rng)
     once = apply_tag_shift(apply_tag_shift(av, h1), h2)
     combined = apply_tag_shift(av, h1 + h2)
-    assert np.array_equal(once.vec, combined.vec)
+    assert np.array_equal(once.vec_hat, combined.vec_hat)
+    assert np.array_equal(once.tag_hat, combined.tag_hat)
+    assert np.array_equal(once.tag_hat, ctx.ntt((h1 + h2).coeffs))
     assert not trapdoor_identity_residual(apply_tag_shift(av, h1), trap).any()
 
 
@@ -65,8 +81,8 @@ def test_preimage_residual_exact(ring_small):
     shifted = apply_tag_shift(av, h)
     for _ in range(25):
         u = sample_uniform(ctx, rng)
-        x = sample_pre(trap, shifted, u, ring_small, rng)
-        assert apply_vector(shifted, x) == u
+        x_hat = sample_pre(trap, shifted, u, ring_small, rng)
+        assert apply_vector(shifted, x_hat) == u
 
 
 def test_preimage_norm_profile(ring_small):
@@ -78,8 +94,8 @@ def test_preimage_norm_profile(ring_small):
     cap = ring_small.t_tail * ring_small.zeta * math.sqrt(ring_small.m * ring_small.n)
     for _ in range(50):
         u = sample_uniform(ctx, rng)
-        x = sample_pre(trap, shifted, u, ring_small, rng)
-        norm = math.sqrt(sum(float(e.balanced() @ e.balanced()) for e in x))
+        x = ctx.balanced(ctx.intt(sample_pre(trap, shifted, u, ring_small, rng)))
+        norm = math.sqrt(float((x.astype(np.float64) ** 2).sum()))
         assert norm <= cap
 
 
