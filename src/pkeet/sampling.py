@@ -9,11 +9,12 @@ widths) that parameter derivation and the frame range of ``R`` assume.
 Four engines cooperate here:
 
 * a vectorized inverse-CDF sampler over the truncated window
-  (:func:`sample_z_batch`).  The window is laid out window-major, one row
+  (:func:`sample_z_batch`).  When every center is zero, all draws share a
+  single CDF row at any width, built by one cumulative sum and searched
+  by bisection.  Otherwise the window is laid out window-major, one row
   per candidate offset, so the CDF builds with one vector add per row;
-  when every center is zero all draws share a single CDF row, searched
-  by bisection.  Very wide Gaussians fall back to a continuous-plus-
-  rounding convolution.  Every discrete Gaussian that reaches a key or a
+  nonzero centers wider than 32 fall back to a continuous-plus-rounding
+  convolution.  Every discrete Gaussian that reaches a key or a
   ciphertext (trapdoors, ring encryption noise) comes from here, so those
   outputs stay reproducible byte for byte;
 * a rejection sampler (:func:`sample_z_reject`): one half-Gaussian CDF
@@ -52,16 +53,18 @@ _CONV_ROUND_WIDTH = 8.0
 def sample_z_batch(width: float, centers: np.ndarray, rng: XofRng) -> np.ndarray:
     """Vectorized draws from D_{Z, width, centers[i]}, one per center.
 
-    Widths up to 32 use exact inverse-CDF sampling over the window of 5.5
-    widths around each center.  Wider Gaussians split into a continuous
-    draw of the excess variance plus a randomized rounding at width 8,
-    whose convolution matches the target width.
+    Draws use exact inverse-CDF sampling over the window of 5.5 widths
+    around each center.  All-zero centers share one CDF row at every
+    width and consume one stream uniform per draw.  Nonzero centers wider
+    than 32 split into a continuous draw of the excess variance plus a
+    randomized rounding at width 8, whose convolution matches the target
+    width.
     """
     if width < 1.0:
         raise WidthTooSmall(f"width {width} below the supported minimum 1.0")
     centers = np.asarray(centers, dtype=np.float64)
     flat = centers.reshape(-1)
-    if width > _CDT_WIDTH_LIMIT:
+    if width > _CDT_WIDTH_LIMIT and flat.any():
         r = _CONV_ROUND_WIDTH
         sd_extra = math.sqrt(width * width - r * r) / math.sqrt(2.0 * math.pi)
         shifted = flat + rng.normal(flat.size) * sd_extra
@@ -86,8 +89,12 @@ def _cdt_batch(width: float, centers: np.ndarray, rng: XofRng) -> np.ndarray:
     cdf *= delta
     cdf /= width * width
     np.exp(cdf, out=cdf)
-    for j in range(1, window):
-        np.add(cdf[j - 1], cdf[j], out=cdf[j])
+    if shared:
+        # Same left-to-right sums as the row loop, without a Python step per row.
+        np.cumsum(cdf, axis=0, out=cdf)
+    else:
+        for j in range(1, window):
+            np.add(cdf[j - 1], cdf[j], out=cdf[j])
     totals = cdf[-1]
     if not (totals > 0).all():
         raise InternalError("empty discrete Gaussian window")
@@ -113,9 +120,9 @@ def sample_z_reject(width: float, centers: np.ndarray, rng: XofRng) -> np.ndarra
 
     The support covers the 5.5-width window of the inverse-CDF kernel, so
     the draws are exact to float64 precision at every width, including the
-    wide ones where :func:`sample_z_batch` convolves.  The sampler is
-    variable-time and reads its own stream, so it serves only draws that
-    never reach a key or ciphertext.
+    wide nonzero-center ones where :func:`sample_z_batch` convolves.  The
+    sampler is variable-time and reads its own stream, so it serves only
+    draws that never reach a key or ciphertext.
     """
     if width < 1.0:
         raise WidthTooSmall(f"width {width} below the supported minimum 1.0")

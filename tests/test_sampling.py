@@ -97,12 +97,10 @@ def test_cdt_kernel_matches_reference(width, spread, kind):
     )
 
 
-@pytest.mark.parametrize("kind", ["random", "zero"])
+@pytest.mark.parametrize("kind", ["random"])
 def test_convolution_path_matches_reference(kind):
     width, r = 64.0, 8.0
-    centers = np.zeros((30, 100))
-    if kind == "random":
-        centers = seeded("conv-centers").normal(3000).reshape(30, 100) * 40.0
+    centers = seeded("conv-centers").normal(3000).reshape(30, 100) * 40.0
 
     def reference(rng):
         sd_extra = math.sqrt(width * width - r * r) / math.sqrt(2.0 * math.pi)
@@ -110,6 +108,38 @@ def test_convolution_path_matches_reference(kind):
         return cdt_batch_reference(r, shifted, rng, 12.0).reshape(centers.shape)
 
     _same_draws(lambda rng: sample_z_batch(width, centers, rng), reference, f"conv-{kind}")
+
+
+# 3685.5 and 7540.4 are gamma, the encryption tail width, at ring n=64 and 256.
+@pytest.mark.parametrize("width", [64.0, 729.6, 3685.5, 7540.4])
+def test_wide_zero_center_matches_reference(width):
+    # Zero centers share one CDF row at every width, with no convolution.
+    # The reference runs in blocks of 20 centers to bound its window
+    # memory; each block takes the next uniforms of the same stream.
+    def reference(rng):
+        return np.concatenate(
+            [cdt_batch_reference(width, np.zeros(20), rng, float(T_TAIL)) for _ in range(10)]
+        )
+
+    _same_draws(
+        lambda rng: sample_z_batch(width, np.zeros(200), rng), reference, f"wide-zero-{width}"
+    )
+
+
+@pytest.mark.parametrize("width", [3685.5, 7540.4])
+def test_wide_zero_center_matches_exact_pmf(width):
+    draws = sample_z_batch(width, np.zeros(200_000), seeded(f"wide-zero-pmf-{width}"))
+    stat, dof = chi_square_against_pmf(draws, width, 0.0)
+    assert stat < chi_square_critical(dof), f"chi^2 {stat:.1f} on {dof} dof"
+
+
+def test_wide_zero_center_stream_use():
+    # One uniform per draw: the stream continues where uniform01 leaves it.
+    count = 5000
+    sampled, plain = seeded("wide-zero-stream"), seeded("wide-zero-stream")
+    sample_z_batch(7540.4, np.zeros(count), sampled)
+    plain.uniform01(count)
+    assert np.array_equal(sampled.u64(4), plain.u64(4))
 
 
 def test_width_floor_enforced():
@@ -180,7 +210,8 @@ def test_integer_sampler_center_shift():
 
 
 def test_wide_sampler_variance():
-    # Widths above the direct-table threshold go through convolution.
+    # A width above the convolution threshold, with zero centers, so the
+    # draws come from the shared CDF row.
     width = 64.0
     rng = seeded("wide")
     draws = sample_z_batch(width, np.zeros(300_000), rng)
