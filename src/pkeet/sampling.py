@@ -12,11 +12,12 @@ Four engines cooperate here:
   (:func:`sample_z_batch`).  When every center is zero, all draws share a
   single CDF row at any width, built by one cumulative sum and searched
   by bisection.  Otherwise the window is laid out window-major, one row
-  per candidate offset, so the CDF builds with one vector add per row;
-  nonzero centers wider than 32 fall back to a continuous-plus-rounding
-  convolution.  Every discrete Gaussian that reaches a key or a
-  ciphertext (trapdoors, ring encryption noise) comes from here, so those
-  outputs stay reproducible byte for byte;
+  per candidate offset, and each column sums along the window; nonzero
+  centers wider than 32 fall back to a continuous-plus-rounding
+  convolution, which no caller in the package reaches.  Every discrete
+  Gaussian that reaches a key or a ciphertext (trapdoors, ring
+  encryption noise) comes from here, so those outputs stay reproducible
+  byte for byte;
 * a rejection sampler (:func:`sample_z_reject`): one half-Gaussian CDF
   row per call, a sign bit and a Bernoulli acceptance, redrawn in rounds.
   It is exact but variable-time, and serves the draws of preimage
@@ -58,7 +59,9 @@ def sample_z_batch(width: float, centers: np.ndarray, rng: XofRng) -> np.ndarray
     width and consume one stream uniform per draw.  Nonzero centers wider
     than 32 split into a continuous draw of the excess variance plus a
     randomized rounding at width 8, whose convolution matches the target
-    width.
+    width; every caller in the package passes zero centers, so only the
+    tests reach that branch.  It stays because a per-center window at the
+    encryption width would hold 82,945 rows per center.
     """
     if width < 1.0:
         raise WidthTooSmall(f"width {width} below the supported minimum 1.0")
@@ -81,20 +84,15 @@ def _cdt_batch(width: float, centers: np.ndarray, rng: XofRng) -> np.ndarray:
     shared = not centers.any()
     columns = np.zeros(1) if shared else centers
     lo = np.ceil(columns - span)
-    # Window-major layout: row j holds candidate lo + j of every column, so
-    # the running sum below is one contiguous vector add per row.
+    # Window-major layout: row j holds candidate lo + j of every column.
     delta = np.add.outer(np.arange(window, dtype=np.float64), lo)
     delta -= columns
     cdf = -math.pi * delta
     cdf *= delta
     cdf /= width * width
     np.exp(cdf, out=cdf)
-    if shared:
-        # Same left-to-right sums as the row loop, without a Python step per row.
-        np.cumsum(cdf, axis=0, out=cdf)
-    else:
-        for j in range(1, window):
-            np.add(cdf[j - 1], cdf[j], out=cdf[j])
+    # Each column sums its rows strictly left to right, one row at a time.
+    np.cumsum(cdf, axis=0, out=cdf)
     totals = cdf[-1]
     if not (totals > 0).all():
         raise InternalError("empty discrete Gaussian window")
