@@ -438,7 +438,7 @@ def criterion_6(profile: str = "toy") -> CriterionResult:
 
     ctx = get_context(params)
 
-    draws = sample_z_batch(4.0, np.zeros(1_000_000), rng)
+    draws = sample_z_batch(4.0, 1_000_000, rng)
     exact = _exact_discrete_variance(4.0)
     base_dev = abs(float(draws.var()) / exact - 1.0)
 
@@ -528,7 +528,7 @@ def criterion_8(profile: str = "toy") -> CriterionResult:
     )
     check(
         "gauss_width4",
-        sample_z_batch(4.0, np.zeros(8), XofRng(b"\x07" * 32)).tolist(),
+        sample_z_batch(4.0, 8, XofRng(b"\x07" * 32)).tolist(),
         FROZEN["gauss_width4"],
     )
 

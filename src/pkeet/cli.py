@@ -76,6 +76,13 @@ def _read_frame(path: str, kind: int):
     return params, obj
 
 
+def _write_frame(path: Path, blob: bytes) -> None:
+    try:
+        path.write_bytes(blob)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from exc
+
+
 def _check_key_pair(pk, sk, params) -> None:
     """Raise :class:`KeyMismatch` unless ``sk`` holds the trapdoors of ``pk``."""
     if isinstance(params, ParamsRing):
@@ -104,17 +111,20 @@ def cmd_keygen(args: argparse.Namespace) -> int:
     params = _derive(args.scheme, args.profile, args.n, args.security)
     rng = XofRng(_parse_seed(args.seed))
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"cannot create {out_dir}: {exc}") from exc
     pk_path = out_dir / f"{args.name}.pk"
     sk_path = out_dir / f"{args.name}.sk"
     if args.scheme == "ring":
         pk, sk = pkeet_ring.setup(params, rng)
-        pk_path.write_bytes(serial.encode_ring_pk(pk, params))
-        sk_path.write_bytes(serial.encode_ring_sk(sk, params))
+        _write_frame(pk_path, serial.encode_ring_pk(pk, params))
+        _write_frame(sk_path, serial.encode_ring_sk(sk, params))
     else:
         pk, sk = pkeet_int.setup_int(params, rng)
-        pk_path.write_bytes(serial.encode_int_pk(pk, params))
-        sk_path.write_bytes(serial.encode_int_sk(sk, params))
+        _write_frame(pk_path, serial.encode_int_pk(pk, params))
+        _write_frame(sk_path, serial.encode_int_sk(sk, params))
     print(f"wrote {pk_path} and {sk_path}", file=sys.stderr)
     return 0
 
@@ -134,7 +144,7 @@ def cmd_encrypt(args: argparse.Namespace) -> int:
     else:
         ct = pkeet_int.encrypt_int(pk, bits, params, rng)
         blob = serial.encode_int_ct(ct, params)
-    Path(args.out).write_bytes(blob)
+    _write_frame(Path(args.out), blob)
     print(f"wrote {args.out}", file=sys.stderr)
     return 0
 
@@ -170,7 +180,7 @@ def cmd_trapdoor(args: argparse.Namespace) -> int:
     else:
         td = pkeet_int.trapdoor_int(sk, pk)
         blob = serial.encode_int_td(td, params)
-    Path(args.out).write_bytes(blob)
+    _write_frame(Path(args.out), blob)
     print(f"wrote {args.out}", file=sys.stderr)
     return 0
 

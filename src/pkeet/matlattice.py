@@ -137,7 +137,7 @@ def trap_gen_int(params: ParamsInt, rng: XofRng) -> tuple[np.ndarray, IntTrapdoo
     gadget = np.kron(np.eye(n, dtype=np.int64), gadget_vector(k))   # G = I_n (x) g
     for _ in range(_TRAPGEN_RETRIES):
         a_bar = mat_uniform(q, n, m_bar, rng)
-        r_small = sample_z_batch(params.sigma_r, np.zeros((m_bar, nk)), rng)
+        r_small = sample_z_batch(params.sigma_r, (m_bar, nk), rng)
         try:
             trap = IntTrapdoor.from_r(r_small, params)
         except CovarianceNotPD:

@@ -29,7 +29,7 @@ from .ring import (
     scale_halfq,
 )
 from .rng import XofRng
-from .sampling import sample_ring, sample_ring_array
+from .sampling import sample_ring_array
 from .trapdoor_ring import (
     RingTrapdoor,
     TaggedVector,
@@ -130,8 +130,7 @@ def encrypt(pk: PkRing, message: RingElement, params: ParamsRing, rng: XofRng) -
 
     s1 = sample_uniform(ctx, rng)
     s2 = sample_uniform(ctx, rng)
-    e1 = sample_ring(params.tau, ctx, rng)
-    e2 = sample_ring(params.tau, ctx, rng)
+    e1, e2 = (RingElement(e, ctx) for e in sample_ring_array(params.tau, 2, ctx, rng))
     ct1 = pk.u * s1 + e1 + scale_halfq(message)
     ct2 = pk.u * s2 + e2 + scale_halfq(hash_message(params, message.to_bytes()))
 

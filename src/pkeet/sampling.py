@@ -6,30 +6,28 @@ giving standard deviation ``s / sqrt(2 pi)``.  Every inverse-CDF draw is
 cut at ``5.5 s`` around its center, inside the ``T_TAIL * s`` bound (12
 widths) that parameter derivation and the frame range of ``R`` assume.
 
-Four engines cooperate here:
+Two integer kernels, one job each, feed the rest:
 
-* a vectorized inverse-CDF sampler over the truncated window
-  (:func:`sample_z_batch`).  When every center is zero, all draws share a
-  single CDF row at any width, built by one cumulative sum and searched
-  by bisection.  Otherwise the window is laid out window-major, one row
-  per candidate offset, and each column sums along the window; nonzero
-  centers wider than 32 fall back to a continuous-plus-rounding
-  convolution, which no caller in the package reaches.  Every discrete
-  Gaussian that reaches a key or a ciphertext (trapdoors, ring
-  encryption noise) comes from here, so those outputs stay reproducible
-  byte for byte;
-* a rejection sampler (:func:`sample_z_reject`): one half-Gaussian CDF
-  row per call, a sign bit and a Bernoulli acceptance, redrawn in rounds.
-  It is exact but variable-time, and serves the draws of preimage
-  sampling (perturbation rounding, gadget-walk levels, the integer
-  scheme's ``p`` and ``e2``), whose randomness never reaches an output;
-* the gadget-coset sampler (:func:`sample_g_batch`), a randomized
-  nearest-plane walk over the fixed basis of the gadget kernel lattice;
-* one gadget-first factorization of the trapdoor perturbation covariance
-  ``zeta'^2 I - alpha^2 [T; I][T; I]*`` (:func:`gadget_first_factor`),
-  shared by the ring and integer trapdoors.  The gadget block is scalar,
-  so only the rows x rows Schur complement of each T block goes through
-  a Cholesky factorization with a pivot floor (:func:`cholesky_pd`).
+* a zero-centred inverse-CDF sampler (:func:`sample_z_batch`): one CDF
+  row over the window around 0, built by one cumulative sum at any width
+  and searched by bisection.  Every discrete Gaussian that reaches a key
+  or a ciphertext (trapdoors, encryption noise) is zero-centred and comes
+  from here, so those outputs stay reproducible byte for byte;
+* a rejection sampler (:func:`sample_z_reject`) for arbitrary centers:
+  one half-Gaussian CDF row per call, a sign bit and a Bernoulli
+  acceptance, redrawn in rounds.  It is exact but variable-time, and
+  serves the draws of preimage sampling (perturbation rounding,
+  gadget-walk levels, the integer scheme's ``p`` and ``e2``), whose
+  randomness never reaches an output.
+
+On top of them sit the gadget-coset sampler (:func:`sample_g_batch`), a
+randomized nearest-plane walk over the fixed basis of the gadget kernel
+lattice, and one gadget-first factorization of the trapdoor perturbation
+covariance ``zeta'^2 I - alpha^2 [T; I][T; I]*``
+(:func:`gadget_first_factor`), shared by the ring and integer trapdoors.
+The gadget block is scalar, so only the rows x rows Schur complement of
+each T block goes through a Cholesky factorization with a pivot floor
+(:func:`cholesky_pd`).
 """
 
 from __future__ import annotations
@@ -38,71 +36,35 @@ import math
 
 import numpy as np
 
-from .errors import (
-    CovarianceNotPD,
-    InternalError,
-    InvalidParams,
-    WidthTooSmall,
-)
-from .ring import RingContext, RingElement
+from .errors import CovarianceNotPD, InvalidParams, WidthTooSmall
+from .ring import RingContext
 from .rng import XofRng
 
-_CDT_WIDTH_LIMIT = 32.0
-_CONV_ROUND_WIDTH = 8.0
+_CDT_WIDTH_LIMIT = 32.0   # only perfbench/spans.py (_count_sample_z) reads it
 
 
-def sample_z_batch(width: float, centers: np.ndarray, rng: XofRng) -> np.ndarray:
-    """Vectorized draws from D_{Z, width, centers[i]}, one per center.
+def sample_z_batch(width: float, shape: int | tuple[int, ...], rng: XofRng) -> np.ndarray:
+    """int64 array of ``shape`` with independent draws from D_{Z, width}.
 
-    Draws use exact inverse-CDF sampling over the window of 5.5 widths
-    around each center.  All-zero centers share one CDF row at every
-    width and consume one stream uniform per draw.  Nonzero centers wider
-    than 32 split into a continuous draw of the excess variance plus a
-    randomized rounding at width 8, whose convolution matches the target
-    width; every caller in the package passes zero centers, so only the
-    tests reach that branch.  It stays because a per-center window at the
-    encryption width would hold 82,945 rows per center.
+    Exact inverse-CDF sampling over the window of 5.5 widths around 0:
+    one shared CDF row at every width and one stream uniform per draw.
     """
     if width < 1.0:
         raise WidthTooSmall(f"width {width} below the supported minimum 1.0")
-    centers = np.asarray(centers, dtype=np.float64)
-    flat = centers.reshape(-1)
-    if width > _CDT_WIDTH_LIMIT and flat.any():
-        r = _CONV_ROUND_WIDTH
-        sd_extra = math.sqrt(width * width - r * r) / math.sqrt(2.0 * math.pi)
-        shifted = flat + rng.normal(flat.size) * sd_extra
-        return _cdt_batch(r, shifted, rng).reshape(centers.shape)
-    return _cdt_batch(width, flat, rng).reshape(centers.shape)
-
-
-def _cdt_batch(width: float, centers: np.ndarray, rng: XofRng) -> np.ndarray:
     # Enumerating past 5.5 widths adds nothing: the relative weight out
     # there is under 1e-41, invisible to a float64 CDF.
     span = 5.5 * width
     window = int(math.floor(2.0 * span)) + 1
-    # When every center is zero, all draws share one CDF column.
-    shared = not centers.any()
-    columns = np.zeros(1) if shared else centers
-    lo = np.ceil(columns - span)
-    # Window-major layout: row j holds candidate lo + j of every column.
-    delta = np.add.outer(np.arange(window, dtype=np.float64), lo)
-    delta -= columns
+    lo = math.ceil(-span)
+    delta = np.arange(window, dtype=np.float64) + lo
     cdf = -math.pi * delta
     cdf *= delta
     cdf /= width * width
     np.exp(cdf, out=cdf)
-    # Each column sums its rows strictly left to right, one row at a time.
-    np.cumsum(cdf, axis=0, out=cdf)
-    totals = cdf[-1]
-    if not (totals > 0).all():
-        raise InternalError("empty discrete Gaussian window")
-    if shared:
-        u = rng.uniform01(centers.size) * totals[0]
-        idx = np.searchsorted(cdf[:, 0], u, side="left")
-    else:
-        u = rng.uniform01(centers.size) * totals
-        idx = np.count_nonzero(cdf < u, axis=0)
-    return lo.astype(np.int64) + np.minimum(idx, window - 1)
+    np.cumsum(cdf, out=cdf)
+    # u * cdf[-1] never exceeds cdf[-1], so every index stays in the window.
+    u = rng.uniform01(int(np.prod(shape))) * cdf[-1]
+    return (lo + np.searchsorted(cdf, u, side="left")).reshape(shape)
 
 
 def sample_z_reject(width: float, centers: np.ndarray, rng: XofRng) -> np.ndarray:
@@ -116,11 +78,10 @@ def sample_z_reject(width: float, centers: np.ndarray, rng: XofRng) -> np.ndarra
     rejected draw again, in rounds, until every one is accepted (Falcon's
     SamplerZ; Howe, Prest, Ricosset and Rossi, PQCrypto 2020).
 
-    The support covers the 5.5-width window of the inverse-CDF kernel, so
-    the draws are exact to float64 precision at every width, including the
-    wide nonzero-center ones where :func:`sample_z_batch` convolves.  The
-    sampler is variable-time and reads its own stream, so it serves only
-    draws that never reach a key or ciphertext.
+    The support covers the 5.5-width window of :func:`sample_z_batch`, so
+    the draws are exact to float64 precision at every width and center.
+    The sampler is variable-time and reads its own stream, so it serves
+    only draws that never reach a key or ciphertext.
     """
     if width < 1.0:
         raise WidthTooSmall(f"width {width} below the supported minimum 1.0")
@@ -161,17 +122,9 @@ def sample_z_reject(width: float, centers: np.ndarray, rng: XofRng) -> np.ndarra
     return out.reshape(centers.shape)
 
 
-def sample_ring(width: float, ctx: RingContext, rng: XofRng) -> RingElement:
-    """One ring element with independent centered Gaussian coefficients."""
-    return RingElement(
-        sample_z_batch(width, np.zeros(ctx.n), rng) % ctx.q, ctx
-    )
-
-
 def sample_ring_array(width: float, count: int, ctx: RingContext, rng: XofRng) -> np.ndarray:
     """(count, n) canonical coefficient array of Gaussian ring elements."""
-    draws = sample_z_batch(width, np.zeros((count, ctx.n)), rng)
-    return draws % ctx.q
+    return sample_z_batch(width, (count, ctx.n), rng) % ctx.q
 
 
 # ---------------------------------------------------------------------------

@@ -128,7 +128,7 @@ def trap_gen(params: ParamsRing, rng: XofRng) -> tuple[TaggedVector, RingTrapdoo
     a_hat = ctx.ntt(a_prime)                       # (base_len, n)
     norm_cap = params.t_tail * params.sigma_trap * math.sqrt(base_len * n)
     for _ in range(_TRAPGEN_RETRIES):
-        t_arr = sample_z_batch(params.sigma_trap, np.zeros((base_len, k, n)), rng) % q
+        t_arr = sample_z_batch(params.sigma_trap, (base_len, k, n), rng) % q
         trap = RingTrapdoor(t_arr=t_arr, ctx=ctx)
         # Output contract: the trapdoor must be short enough that the
         # preimage covariance zeta^2 I - alpha^2 [T;I][T;I]* stays positive

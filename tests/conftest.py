@@ -1,7 +1,12 @@
-"""Shared fixtures: small parameter sets and seeded rngs for fast tests."""
+"""Shared fixtures: small parameter sets and seeded rngs for fast tests, and
+the reference inverse-CDF kernel."""
 
+import math
+
+import numpy as np
 import pytest
 
+from pkeet.errors import InternalError
 from pkeet.params import derive_int_params, derive_ring_params
 from pkeet.rng import XofRng
 
@@ -37,3 +42,27 @@ def seeded(label: str) -> XofRng:
     import hashlib
 
     return XofRng(hashlib.shake_256(b"pkeet-tests:" + label.encode()).digest(32))
+
+
+def cdt_batch_reference(width, centers, rng, tail_cut):
+    """Row-major inverse-CDF kernel, one window per center, kept as the
+    exactness reference (and to rebuild the retired nonzero-center draws)."""
+    reach = tail_cut * width
+    span = min(reach, 5.5 * width)
+    lo = np.ceil(centers - span).astype(np.int64)
+    window = int(math.floor(2.0 * span)) + 1
+    offsets = np.arange(window, dtype=np.int64)
+    cand = lo[:, None] + offsets[None, :]
+    delta = cand.astype(np.float64) - centers[:, None]
+    logp = -math.pi * delta * delta / (width * width)
+    np.exp(logp, out=logp)
+    if reach < span + 1.0:
+        logp[np.abs(delta) > reach] = 0.0
+    cdf = np.cumsum(logp, axis=1)
+    totals = cdf[:, -1]
+    if not (totals > 0).all():
+        raise InternalError("empty discrete Gaussian window")
+    u = rng.uniform01(centers.size) * totals
+    idx = (cdf < u[:, None]).sum(axis=1)
+    idx = np.minimum(idx, window - 1)
+    return cand[np.arange(centers.size), idx]

@@ -208,3 +208,23 @@ def test_non_canonical_ciphertext_exits_two(ring_files, int_files, capsys):
 def test_unknown_selftest_criterion_exits_two(capsys):
     assert main(["selftest", "--criteria", "9"]) == 2
     assert "unknown criteria [9]" in capsys.readouterr().err
+
+
+
+@pytest.mark.parametrize("command", ["keygen", "encrypt", "trapdoor"])
+def test_unwritable_output_exits_two(ring_files, tmp_path, capsys, command):
+    # A path under a regular file can be neither created nor written.
+    d = ring_files
+    blocked = tmp_path / "file"
+    blocked.write_bytes(b"")
+    argv = {
+        "keygen": ["keygen", "--scheme", "ring", "--n", "64", "--seed", SEED_A,
+                   "--out-dir", str(blocked / "keys")],
+        "encrypt": ["encrypt", "--pk", f"{d}/alice.pk", "--message", "01",
+                    "--seed", SEED_A, "--out", str(blocked / "ct")],
+        "trapdoor": ["trapdoor", "--sk", f"{d}/alice.sk", "--pk", f"{d}/alice.pk",
+                     "--out", str(blocked / "td")],
+    }[command]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: cannot ")

@@ -15,7 +15,7 @@ from pkeet import pkeet_int as pi
 from pkeet import pkeet_ring as pr
 from pkeet import sampling, serial
 from pkeet.ring import RingElement, get_context
-from conftest import seeded
+from conftest import cdt_batch_reference, seeded
 
 RING_N64 = {
     serial.KIND_PK: "bdbee138c3208f63",
@@ -57,18 +57,18 @@ def test_ring_frames_pinned(ring_small):
 
 
 def test_ring_ct_moved_only_by_wide_noise(ring_small, monkeypatch):
-    # Rebuild the width-8 convolution for the wide draws: every other
-    # encrypt draw is unchanged, so the old CT frame comes back, and a
-    # ciphertext with the old noise still decrypts.
+    # Rebuild the retired width-8 convolution for the draws wider than 32:
+    # every other encrypt draw is unchanged, so the old CT frame comes
+    # back, and a ciphertext with the old noise still decrypts.
     shared_row = sampling.sample_ring_array
 
     def convolved(width, count, ctx, rng):
-        if width <= sampling._CDT_WIDTH_LIMIT:
+        if width <= 32.0:
             return shared_row(width, count, ctx, rng)
-        r = sampling._CONV_ROUND_WIDTH
+        r = 8.0
         sd_extra = math.sqrt(width * width - r * r) / math.sqrt(2.0 * math.pi)
-        shifted = np.zeros(count * ctx.n) + rng.normal(count * ctx.n) * sd_extra
-        return sampling._cdt_batch(r, shifted, rng).reshape(count, ctx.n) % ctx.q
+        shifted = rng.normal(count * ctx.n) * sd_extra
+        return cdt_batch_reference(r, shifted, rng, 12.0).reshape(count, ctx.n) % ctx.q
 
     monkeypatch.setattr(pr, "sample_ring_array", convolved)
     p = ring_small

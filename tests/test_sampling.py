@@ -12,13 +12,12 @@ import math
 import numpy as np
 import pytest
 
-from pkeet.errors import CovarianceNotPD, InternalError, WidthTooSmall
+from pkeet.errors import CovarianceNotPD, WidthTooSmall
 from pkeet.params import T_TAIL, int_gadget_width
 from pkeet.ring import RingContext
 from pkeet.rng import XofRng
 from pkeet.sampling import (
     PerturbationCov,
-    _cdt_batch,
     _gadget_gs,
     bit_decompose,
     gadget_basis,
@@ -27,7 +26,7 @@ from pkeet.sampling import (
     sample_z_batch,
     sample_z_reject,
 )
-from conftest import seeded
+from conftest import cdt_batch_reference, seeded
 
 
 def gauss_weight(points: np.ndarray, width: float, center: float = 0.0) -> np.ndarray:
@@ -40,95 +39,79 @@ def exact_variance(width: float, cut: int) -> float:
     return float((ks**2 * w).sum() / w.sum())
 
 
-def cdt_batch_reference(width, centers, rng, tail_cut):
-    """Row-major inverse-CDF kernel, kept as the exactness reference."""
-    reach = tail_cut * width
-    span = min(reach, 5.5 * width)
+def randomized_pit(draws, width, centers, rng):
+    """``F(x - 1) + U p(x)`` under each center's exact pmf over the
+    reference's 5.5-width window: uniform on [0, 1) when the draws are exact."""
+    span = 5.5 * width
     lo = np.ceil(centers - span).astype(np.int64)
     window = int(math.floor(2.0 * span)) + 1
-    offsets = np.arange(window, dtype=np.int64)
-    cand = lo[:, None] + offsets[None, :]
-    delta = cand.astype(np.float64) - centers[:, None]
-    logp = -math.pi * delta * delta / (width * width)
-    np.exp(logp, out=logp)
-    if reach < span + 1.0:
-        logp[np.abs(delta) > reach] = 0.0
-    cdf = np.cumsum(logp, axis=1)
-    totals = cdf[:, -1]
-    if not (totals > 0).all():
-        raise InternalError("empty discrete Gaussian window")
-    u = rng.uniform01(centers.size) * totals
-    idx = (cdf < u[:, None]).sum(axis=1)
-    idx = np.minimum(idx, window - 1)
-    return cand[np.arange(centers.size), idx]
+    cand = lo[:, None] + np.arange(window, dtype=np.int64)[None, :]
+    weights = gauss_weight(cand.astype(np.float64), width, centers[:, None])
+    cdf = np.cumsum(weights, axis=1) / weights.sum(axis=1, keepdims=True)
+    idx = draws - lo
+    assert ((idx >= 0) & (idx < window)).all()
+    rows = np.arange(draws.size)
+    below = np.where(idx > 0, cdf[rows, np.maximum(idx - 1, 0)], 0.0)
+    return below + rng.uniform01(draws.size) * (cdf[rows, idx] - below)
 
 
-def _same_draws(kernel, reference, label):
-    """Both kernels from one seed: equal draws, or both find an empty window."""
-    try:
-        want = reference(seeded(label))
-    except InternalError:
-        with pytest.raises(InternalError):
-            kernel(seeded(label))
-        return
-    got = kernel(seeded(label))
-    assert got.dtype == np.int64
-    assert np.array_equal(got, want), label
+def ks_uniform(values: np.ndarray) -> float:
+    """Kolmogorov-Smirnov distance of ``values`` from Uniform[0, 1)."""
+    v = np.sort(values)
+    n = v.size
+    return float(max((np.arange(1, n + 1) / n - v).max(), (v - np.arange(n) / n).max()))
 
 
 # The reference keeps the formal tail cut.  At T_TAIL = 12 widths its mask
-# never binds for a width of at least 1, which is why the kernel has none.
+# never binds for a width of at least 1, which is why the kernels have none.
 # ``spread`` scatters the centers over that many widths: far apart, a few
-# windows wide, or well inside one window.
+# windows wide, or well inside one window.  Zero and integer centers come
+# from the shared CDF row, draw for draw: at an integer center c the
+# reference window is the zero window moved by c.  Other centers go through
+# sample_z_reject, which reads its own stream, so its draws are checked in
+# distribution against the reference's per-center window.
 @pytest.mark.parametrize("width", [1.0, 4.0, 4.43, 8.0, 31.9])
 @pytest.mark.parametrize("spread", [12.0, 2.0, 0.3])
 @pytest.mark.parametrize("kind", ["random", "integer", "zero"])
 def test_cdt_kernel_matches_reference(width, spread, kind):
     centers = seeded(f"cdt-centers-{kind}").normal(3000) * (spread * width)
-    if kind == "integer":
-        centers = np.rint(centers)
-    elif kind == "zero":
-        centers = np.zeros(3000)
     label = f"cdt-{width}-{spread}-{kind}"
-    _same_draws(
-        lambda rng: _cdt_batch(width, centers, rng),
-        lambda rng: cdt_batch_reference(width, centers, rng, float(T_TAIL)),
-        label,
-    )
+    if kind == "random":
+        draws = sample_z_reject(width, centers, seeded(label))
+        assert draws.dtype == np.int64
+        pit = randomized_pit(draws, width, centers, seeded(f"{label}-pit"))
+        # 1.95 / sqrt(n) is the KS critical value at alpha = 0.001.
+        assert ks_uniform(pit) < 1.95 / math.sqrt(pit.size), label
+        return
+    centers = np.rint(centers) if kind == "integer" else np.zeros(3000)
+    want = cdt_batch_reference(width, centers, seeded(label), float(T_TAIL))
+    got = centers.astype(np.int64) + sample_z_batch(width, centers.size, seeded(label))
+    assert got.dtype == np.int64
+    assert np.array_equal(got, want), label
 
 
-@pytest.mark.parametrize("kind", ["random"])
-def test_convolution_path_matches_reference(kind):
-    width, r = 64.0, 8.0
-    centers = seeded("conv-centers").normal(3000).reshape(30, 100) * 40.0
-
-    def reference(rng):
-        sd_extra = math.sqrt(width * width - r * r) / math.sqrt(2.0 * math.pi)
-        shifted = centers.reshape(-1) + rng.normal(centers.size) * sd_extra
-        return cdt_batch_reference(r, shifted, rng, 12.0).reshape(centers.shape)
-
-    _same_draws(lambda rng: sample_z_batch(width, centers, rng), reference, f"conv-{kind}")
-
-
-# 3685.5 and 7540.4 are gamma, the encryption tail width, at ring n=64 and 256.
-@pytest.mark.parametrize("width", [64.0, 729.6, 3685.5, 7540.4])
+# 4.43 is the trapdoor and tau width at ring n=256; 3685.5 and 7540.4 are
+# gamma, the encryption tail width, at ring n=64 and 256.
+@pytest.mark.parametrize("width", [1.0, 4.0, 4.43, 8.0, 31.9, 64.0, 729.6, 3685.5, 7540.4])
 def test_wide_zero_center_matches_reference(width):
-    # Zero centers share one CDF row at every width, with no convolution.
-    # The reference runs in blocks of 20 centers to bound its window
-    # memory; each block takes the next uniforms of the same stream.
-    def reference(rng):
-        return np.concatenate(
-            [cdt_batch_reference(width, np.zeros(20), rng, float(T_TAIL)) for _ in range(10)]
-        )
-
-    _same_draws(
-        lambda rng: sample_z_batch(width, np.zeros(200), rng), reference, f"wide-zero-{width}"
+    # The reference keeps the formal tail cut; at T_TAIL = 12 widths its
+    # mask never binds for a width of at least 1, which is why the kernel
+    # has none.  It holds one window row per draw, so wide widths run in
+    # blocks of 20 draws; each block takes the next uniforms of the stream.
+    blocks, block = (1, 3000) if width < 32.0 else (10, 20)
+    label = f"wide-zero-{width}"
+    rng = seeded(label)
+    want = np.concatenate(
+        [cdt_batch_reference(width, np.zeros(block), rng, float(T_TAIL)) for _ in range(blocks)]
     )
+    got = sample_z_batch(width, blocks * block, seeded(label))
+    assert got.dtype == np.int64
+    assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("width", [3685.5, 7540.4])
 def test_wide_zero_center_matches_exact_pmf(width):
-    draws = sample_z_batch(width, np.zeros(200_000), seeded(f"wide-zero-pmf-{width}"))
+    draws = sample_z_batch(width, 200_000, seeded(f"wide-zero-pmf-{width}"))
     stat, dof = chi_square_against_pmf(draws, width, 0.0)
     assert stat < chi_square_critical(dof), f"chi^2 {stat:.1f} on {dof} dof"
 
@@ -137,14 +120,38 @@ def test_wide_zero_center_stream_use():
     # One uniform per draw: the stream continues where uniform01 leaves it.
     count = 5000
     sampled, plain = seeded("wide-zero-stream"), seeded("wide-zero-stream")
-    sample_z_batch(7540.4, np.zeros(count), sampled)
+    sample_z_batch(7540.4, count, sampled)
     plain.uniform01(count)
+    assert np.array_equal(sampled.u64(4), plain.u64(4))
+
+
+# Every width the package draws through the shared row.
+@pytest.mark.parametrize(
+    "fixture,field",
+    [
+        ("ring_small", "sigma_trap"),
+        ("ring_toy", "sigma_trap"),
+        ("int_small", "sigma_r"),
+        ("int_toy", "sigma_r"),
+        ("ring_toy", "tau"),
+        ("ring_small", "gamma"),
+        ("ring_toy", "gamma"),
+    ],
+)
+def test_shared_row_stream_use(request, fixture, field):
+    # One uniform per draw: the stream continues where uniform01 leaves it.
+    width = getattr(request.getfixturevalue(fixture), field)
+    shape = (5, 10, 100)
+    sampled, plain = seeded("wide-zero-stream"), seeded("wide-zero-stream")
+    draws = sample_z_batch(width, shape, sampled)
+    assert draws.dtype == np.int64 and draws.shape == shape
+    plain.uniform01(draws.size)
     assert np.array_equal(sampled.u64(4), plain.u64(4))
 
 
 def test_width_floor_enforced():
     with pytest.raises(WidthTooSmall):
-        sample_z_batch(0.5, np.zeros(4), seeded("floor"))
+        sample_z_batch(0.5, 4, seeded("floor"))
     with pytest.raises(WidthTooSmall):
         sample_z_reject(0.99, np.zeros(4), seeded("floor"))
 
@@ -193,7 +200,7 @@ def test_rejection_sampler_matches_exact_pmf(width):
 def test_integer_sampler_matches_exact_pmf():
     width, count = 3.0, 200_000
     rng = seeded("pmf")
-    draws = sample_z_batch(width, np.zeros(count), rng)
+    draws = sample_z_batch(width, count, rng)
     cut = 36
     support = np.arange(-cut, cut + 1)
     exact = gauss_weight(support, width)
@@ -204,17 +211,16 @@ def test_integer_sampler_matches_exact_pmf():
 
 
 def test_integer_sampler_center_shift():
+    # Nonzero centers go through the rejection sampler.
     rng = seeded("center")
-    draws = sample_z_batch(4.0, np.full(100_000, 0.5), rng)
+    draws = sample_z_reject(4.0, np.full(100_000, 0.5), rng)
     assert abs(float(draws.mean()) - 0.5) < 0.02
 
 
 def test_wide_sampler_variance():
-    # A width above the convolution threshold, with zero centers, so the
-    # draws come from the shared CDF row.
     width = 64.0
     rng = seeded("wide")
-    draws = sample_z_batch(width, np.zeros(300_000), rng)
+    draws = sample_z_batch(width, 300_000, rng)
     target = exact_variance(width, 900)
     assert abs(float(draws.var()) / target - 1.0) < 0.03
 
@@ -222,7 +228,7 @@ def test_wide_sampler_variance():
 def test_tail_cut_respected():
     width = 4.0
     rng = seeded("tail")
-    draws = sample_z_batch(width, np.zeros(100_000), rng)
+    draws = sample_z_batch(width, 100_000, rng)
     assert int(np.abs(draws).max()) <= math.ceil(12 * width)
 
 
