@@ -284,7 +284,7 @@ def criterion_4(profile: str = "toy") -> CriterionResult:
     pre_bad = 0
     for _ in range(1000):
         u = sample_uniform(ctx, rng)
-        x_hat = sample_pre(trap, shifted, u, params, rng)
+        x_hat = sample_pre([(trap, shifted, u)], params, rng)[0]
         pre_bad += int(apply_vector(shifted, x_hat) != u)
 
     int_traps, int_trap_bad = 10, 0
@@ -448,7 +448,7 @@ def criterion_6(profile: str = "toy") -> CriterionResult:
     coords = []
     for _ in range(20):
         u = sample_uniform(ctx, rng)
-        x_hat = sample_pre(trap, shifted, u, params, rng)
+        x_hat = sample_pre([(trap, shifted, u)], params, rng)[0]
         coords.append(ctx.balanced(ctx.intt(x_hat)))
     target = params.zeta**2 / (2.0 * math.pi)
     pre_dev = abs(float(np.stack(coords).astype(np.float64).var()) / target - 1.0)

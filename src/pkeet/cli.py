@@ -119,12 +119,17 @@ def cmd_keygen(args: argparse.Namespace) -> int:
     sk_path = out_dir / f"{args.name}.sk"
     if args.scheme == "ring":
         pk, sk = pkeet_ring.setup(params, rng)
-        _write_frame(pk_path, serial.encode_ring_pk(pk, params))
-        _write_frame(sk_path, serial.encode_ring_sk(sk, params))
+        pk_blob, sk_blob = serial.encode_ring_pk(pk, params), serial.encode_ring_sk(sk, params)
     else:
         pk, sk = pkeet_int.setup_int(params, rng)
-        _write_frame(pk_path, serial.encode_int_pk(pk, params))
-        _write_frame(sk_path, serial.encode_int_sk(sk, params))
+        pk_blob, sk_blob = serial.encode_int_pk(pk, params), serial.encode_int_sk(sk, params)
+    _write_frame(pk_path, pk_blob)
+    try:
+        _write_frame(sk_path, sk_blob)
+    except UsageError:
+        # A public key whose secret key was never saved is useless.
+        pk_path.unlink(missing_ok=True)
+        raise
     print(f"wrote {pk_path} and {sk_path}", file=sys.stderr)
     return 0
 

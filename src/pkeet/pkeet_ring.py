@@ -142,18 +142,10 @@ def encrypt(pk: PkRing, message: RingElement, params: ParamsRing, rng: XofRng) -
     return CtRing(sig=sig, v=v, ct1=ct1, ct2=ct2, ct3=ct3, ct4=ct4)
 
 
-def _open_slot(
-    payload: RingElement,
-    vec_slot: np.ndarray,
-    trapdoor: RingTrapdoor,
-    shifted: TaggedVector,
-    u: RingElement,
-    params: ParamsRing,
-    rng: XofRng,
-) -> np.ndarray:
-    """Decode the bits hidden in a payload slot using a preimage of ``u``."""
-    ctx = shifted.ctx
-    x_hat = sample_pre(trapdoor, shifted, u, params, rng)
+def _open_slot(payload: RingElement, vec_slot: np.ndarray, x_hat: np.ndarray) -> np.ndarray:
+    """Decode the bits hidden in a payload slot using a preimage of ``u``
+    (evaluation form, shape (m, n))."""
+    ctx = payload.ctx
     inner = dot_ntt(ctx.ntt(vec_slot), x_hat, ctx)
     w = payload - RingElement(ctx.intt(inner), ctx)
     return decode_bits(w)
@@ -177,8 +169,9 @@ def decrypt(
     a_h = apply_tag_shift(pk.a, h)
     b_h = apply_tag_shift(pk.b, h)
 
-    msg_bits = _open_slot(ct.ct1, ct.ct3, sk.t_a, a_h, pk.u, params, rng)
-    hash_bits = _open_slot(ct.ct2, ct.ct4, sk.t_b, b_h, pk.u, params, rng)
+    x_hat = sample_pre([(sk.t_a, a_h, pk.u), (sk.t_b, b_h, pk.u)], params, rng)
+    msg_bits = _open_slot(ct.ct1, ct.ct3, x_hat[0])
+    hash_bits = _open_slot(ct.ct2, ct.ct4, x_hat[1])
 
     message = RingElement(msg_bits, ctx)
     expected = hash_message(params, message.to_bytes())
@@ -192,12 +185,11 @@ def trapdoor(sk: SkRing, pk: PkRing) -> TrapdoorTokenRing:
     return TrapdoorTokenRing(t_b=sk.t_b, b=pk.b, u=pk.u)
 
 
-def _test_side(
-    td: TrapdoorTokenRing, ct: CtRing, params: ParamsRing, rng: XofRng
-) -> np.ndarray:
+def _test_job(
+    td: TrapdoorTokenRing, ct: CtRing, params: ParamsRing
+) -> tuple[RingTrapdoor, TaggedVector, RingElement]:
     h = hash_to_invertible(params, _v_bytes(ct.v))
-    b_h = apply_tag_shift(td.b, h)
-    return _open_slot(ct.ct2, ct.ct4, td.t_b, b_h, td.u, params, rng)
+    return td.t_b, apply_tag_shift(td.b, h), td.u
 
 
 def test(
@@ -209,6 +201,8 @@ def test(
     rng: XofRng,
 ) -> int:
     """1 iff the two ciphertexts hide the same message (hash-slot equality)."""
-    side_i = _test_side(td_i, ct_i, params, rng)
-    side_j = _test_side(td_j, ct_j, params, rng)
+    jobs = [_test_job(td_i, ct_i, params), _test_job(td_j, ct_j, params)]
+    x_hat = sample_pre(jobs, params, rng)
+    side_i = _open_slot(ct_i.ct2, ct_i.ct4, x_hat[0])
+    side_j = _open_slot(ct_j.ct2, ct_j.ct4, x_hat[1])
     return int(np.array_equal(side_i, side_j))

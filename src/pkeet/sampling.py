@@ -32,6 +32,7 @@ each T block goes through a Cholesky factorization with a pivot floor
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -51,6 +52,15 @@ def sample_z_batch(width: float, shape: int | tuple[int, ...], rng: XofRng) -> n
     """
     if width < 1.0:
         raise WidthTooSmall(f"width {width} below the supported minimum 1.0")
+    lo, cdf = _zero_centred_cdf(float(width))
+    # u * cdf[-1] never exceeds cdf[-1], so every index stays in the window.
+    u = rng.uniform01(int(np.prod(shape))) * cdf[-1]
+    return (lo + np.searchsorted(cdf, u, side="left")).reshape(shape)
+
+
+@functools.lru_cache(maxsize=16)
+def _zero_centred_cdf(width: float) -> tuple[int, np.ndarray]:
+    """Lowest window value and read-only CDF row of D_{Z, width} around 0."""
     # Enumerating past 5.5 widths adds nothing: the relative weight out
     # there is under 1e-41, invisible to a float64 CDF.
     span = 5.5 * width
@@ -62,9 +72,8 @@ def sample_z_batch(width: float, shape: int | tuple[int, ...], rng: XofRng) -> n
     cdf /= width * width
     np.exp(cdf, out=cdf)
     np.cumsum(cdf, out=cdf)
-    # u * cdf[-1] never exceeds cdf[-1], so every index stays in the window.
-    u = rng.uniform01(int(np.prod(shape))) * cdf[-1]
-    return (lo + np.searchsorted(cdf, u, side="left")).reshape(shape)
+    cdf.flags.writeable = False
+    return lo, cdf
 
 
 def sample_z_reject(width: float, centers: np.ndarray, rng: XofRng) -> np.ndarray:
@@ -187,8 +196,16 @@ def sample_g_batch(width: float, targets: np.ndarray, q: int, rng: XofRng) -> np
         level_width = width / float(gs_norms[i])
         level_centers = residual @ gs_q[:, i] / float(gs_norms[i])
         z = sample_z_reject(level_width, level_centers, rng)
-        out += z[:, None] * basis[None, :, i]
-        residual -= z[:, None].astype(np.float64) * basis[None, :, i].astype(np.float64)
+        if i == k - 1:
+            out += z[:, None] * basis[None, :, i]
+            residual -= z[:, None].astype(np.float64) * basis[None, :, i].astype(np.float64)
+        else:
+            # Column 2 e_i - e_{i+1} touches two coordinates of the draw.
+            # Of the residual only coordinate i is read again: every later
+            # direction gs_q[:, j], j < i, is exactly 0 past coordinate j + 1.
+            out[:, i] += 2 * z
+            out[:, i + 1] -= z
+            residual[:, i] -= 2.0 * z
     return out
 
 

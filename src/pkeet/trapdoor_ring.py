@@ -16,6 +16,7 @@ untouched.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -177,43 +178,47 @@ def trapdoor_identity_residual(av: TaggedVector, trap: RingTrapdoor) -> np.ndarr
 
 
 def sample_pre(
-    trap: RingTrapdoor,
-    av: TaggedVector,
-    u: RingElement,
+    jobs: Sequence[tuple[RingTrapdoor, TaggedVector, RingElement]],
     params: ParamsRing,
     rng: XofRng,
 ) -> np.ndarray:
-    """Gaussian preimage: x with ``a^T x = u`` and per-coordinate width zeta.
+    """Gaussian preimages: for each job ``(trapdoor, av, u)`` an x with
+    ``av^T x = u`` and per-coordinate width zeta.
 
-    Steps: draw the structured perturbation p, reduce the target through
-    the invertible tag, solve the remaining syndrome in the gadget coset,
-    and fold the solution back through ``[T; I]``.  The preimage is
-    returned in evaluation form, ``x_hat = p_hat + [T_hat z_hat; z_hat]``,
-    shape (m, n).
+    Steps: draw each job's structured perturbation p, reduce the targets
+    through the invertible tags (one inversion chain for all of them),
+    solve the remaining syndromes in the gadget coset (one walk for all
+    of them), and fold the solutions back through ``[T; I]``.  The
+    preimages are returned in evaluation form,
+    ``x_hat[j] = p_hat[j] + [T_hat[j] z_hat[j]; z_hat[j]]``, shape (J, m, n).
     """
-    ctx = trap.ctx
-    if av.ctx != ctx or u.ctx != ctx:
-        raise ParamsMismatch("preimage request mixes ring contexts")
+    ctx = jobs[0][0].ctx
     q = ctx.q
-    base_len, k = trap.base_len, trap.k
-    if av.vec_hat.shape[0] != base_len + k:
-        raise InvalidParams("vector length does not match trapdoor shape")
+    for trap, av, u in jobs:
+        if trap.ctx != ctx or av.ctx != ctx or u.ctx != ctx:
+            raise ParamsMismatch("preimage request mixes ring contexts")
+        if av.vec_hat.shape[0] != trap.base_len + trap.k:
+            raise InvalidParams("vector length does not match trapdoor shape")
 
-    if (av.tag_hat == 0).any():
+    tag_hat = np.stack([av.tag_hat for _, av, _ in jobs])           # (J, n)
+    if (tag_hat == 0).any():
         raise TagNotInvertible("vector tag has a zero evaluation slot")
-    tag_inv_hat = invmod(av.tag_hat, q)
+    tag_inv_hat = invmod(tag_hat, q)
 
-    cov = trap.perturbation(params)
-    p_hat = ctx.ntt(cov.sample(rng) % q)                       # (m, n)
+    p = np.stack([trap.perturbation(params).sample(rng) for trap, _, _ in jobs])
+    p_hat = ctx.ntt(p % q)                                           # (J, m, n)
+    u_hat = ctx.ntt(np.stack([u.coeffs for _, _, u in jobs]))       # (J, n)
 
-    ap_hat = dot_ntt(av.vec_hat, p_hat, ctx)
-    v = ctx.intt(mulmod(tag_inv_hat, (ctx.ntt(u.coeffs) - ap_hat) % q, q))
+    vec_hat = np.stack([av.vec_hat for _, av, _ in jobs])
+    ap_hat = mulmod(vec_hat, p_hat, q).sum(axis=1) % q
+    v = ctx.intt(mulmod(tag_inv_hat, (u_hat - ap_hat) % q, q))      # (J, n)
 
-    z = sample_g_batch(params.alpha_g, v, q, rng).T             # (k, n) small ints
+    z = sample_g_batch(params.alpha_g, v.reshape(-1), q, rng)       # (J n, k) small ints
+    z_hat = ctx.ntt(np.swapaxes(z.reshape(*v.shape, -1), 1, 2) % q)  # (J, k, n)
 
-    z_hat = ctx.ntt(z % q)
-    tz_hat = mulmod(trap.t_hat, z_hat[None, :, :], q).sum(axis=1) % q  # (base_len, n)
-    return (p_hat + np.concatenate([tz_hat, z_hat])) % q
+    t_hat = np.stack([trap.t_hat for trap, _, _ in jobs])           # (J, base_len, k, n)
+    tz_hat = mulmod(t_hat, z_hat[:, None], q).sum(axis=2) % q        # (J, base_len, n)
+    return (p_hat + np.concatenate([tz_hat, z_hat], axis=1)) % q
 
 
 def apply_vector(av: TaggedVector, x_hat: np.ndarray) -> RingElement:

@@ -1,5 +1,5 @@
 """Shared fixtures: small parameter sets and seeded rngs for fast tests, and
-the reference inverse-CDF kernel."""
+the reference inverse-CDF kernel and gadget walk."""
 
 import math
 
@@ -9,6 +9,7 @@ import pytest
 from pkeet.errors import InternalError
 from pkeet.params import derive_int_params, derive_ring_params
 from pkeet.rng import XofRng
+from pkeet.sampling import _gadget_gs, bit_decompose, gadget_basis, sample_z_reject
 
 
 @pytest.fixture(scope="session")
@@ -66,3 +67,21 @@ def cdt_batch_reference(width, centers, rng, tail_cut):
     idx = (cdf < u[:, None]).sum(axis=1)
     idx = np.minimum(idx, window - 1)
     return cand[np.arange(centers.size), idx]
+
+
+def gadget_walk_reference(width, targets, q, rng):
+    """Dense gadget walk: every level subtracts its whole basis column from
+    the full (N, k) state, kept as the exactness reference for
+    ``sample_g_batch``."""
+    k = int(q).bit_length()
+    basis = gadget_basis(q, k)
+    gs_q, gs_norms = _gadget_gs(basis)
+    out = bit_decompose(np.asarray(targets, dtype=np.int64) % q, k)
+    residual = -out.astype(np.float64)
+    for i in range(k - 1, -1, -1):
+        level_width = width / float(gs_norms[i])
+        level_centers = residual @ gs_q[:, i] / float(gs_norms[i])
+        z = sample_z_reject(level_width, level_centers, rng)
+        out += z[:, None] * basis[None, :, i]
+        residual -= z[:, None].astype(np.float64) * basis[None, :, i].astype(np.float64)
+    return out

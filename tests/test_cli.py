@@ -228,3 +228,14 @@ def test_unwritable_output_exits_two(ring_files, tmp_path, capsys, command):
     capsys.readouterr()
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error: cannot ")
+
+
+def test_keygen_sk_write_failure_leaves_no_public_key(tmp_path, capsys):
+    # The public key is written first; when the secret key cannot be
+    # written, the orphan public key must not stay behind.
+    (tmp_path / "alice.sk").mkdir()
+    capsys.readouterr()
+    assert main(["keygen", "--scheme", "ring", "--n", "64", "--seed", SEED_A,
+                 "--out-dir", str(tmp_path), "--name", "alice"]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot ")
+    assert not (tmp_path / "alice.pk").exists()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pkeet import pkeet_ring as pr
+from pkeet import ring, trapdoor_ring
 from pkeet.errors import InvalidMessage, PkeetError, RejectHash, RejectSignature
 from pkeet.hashing import hash_to_invertible
 from pkeet.params import _ring_error_budget
@@ -169,8 +170,40 @@ def test_decryption_noise_within_budget(ring_small, users):
         ct = pr.encrypt(pk, msg, p, rng)
         assert pr.decrypt(pk, sk, ct, p, rng) == msg
         a_h = apply_tag_shift(pk.a, hash_to_invertible(p, pr._v_bytes(ct.v)))
-        x_hat = sample_pre(sk.t_a, a_h, pk.u, p, rng)
+        x_hat = sample_pre([(sk.t_a, a_h, pk.u)], p, rng)[0]
         inner = ctx.intt(dot_ntt(ctx.ntt(ct.ct3), x_hat, ctx))
         noise = ctx.balanced((ct.ct1.coeffs - inner - (q // 2) * msg.coeffs) % q)
         worst = max(worst, int(np.abs(noise).max()))
     assert worst <= budget
+
+
+def test_one_walk_and_one_inversion_per_decrypt_and_test(ring_small, users, monkeypatch):
+    # Both slots of a decrypt, and both sides of a test, share one gadget
+    # walk and one tag inversion chain.
+    (pk, sk), _ = users
+    calls = {"walk": 0, "invmod": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(
+        trapdoor_ring, "sample_g_batch", counted("walk", trapdoor_ring.sample_g_batch)
+    )
+    inv = counted("invmod", ring.invmod)
+    for module in (ring, trapdoor_ring):
+        monkeypatch.setattr(module, "invmod", inv)
+
+    rng = seeded("ring-one-walk")
+    msg = random_message(ring_small, rng)
+    ct = pr.encrypt(pk, msg, ring_small, rng)
+    td = pr.trapdoor(sk, pk)
+    for run in (
+        lambda: pr.decrypt(pk, sk, ct, ring_small, rng) == msg,
+        lambda: pr.test(td, td, ct, ct, ring_small, rng) == 1,
+    ):
+        calls.update(walk=0, invmod=0)
+        assert run()
+        assert calls == {"walk": 1, "invmod": 1}

@@ -26,7 +26,7 @@ from pkeet.sampling import (
     sample_z_batch,
     sample_z_reject,
 )
-from conftest import cdt_batch_reference, seeded
+from conftest import cdt_batch_reference, gadget_walk_reference, seeded
 
 
 def gauss_weight(points: np.ndarray, width: float, center: float = 0.0) -> np.ndarray:
@@ -260,6 +260,35 @@ def test_gadget_sampler_golden_digests(ring_toy, int_small):
         rng = XofRng(bytes([5]) * 32)
         draws = sample_g_batch(width, rng.uniform_mod(q, 64), q, rng)
         assert hashlib.sha256(draws.astype("<i8").tobytes()).hexdigest()[:16] == want
+
+
+@pytest.mark.parametrize("modulus", ["ring_toy", "int_small", "5", "12289"])
+def test_gadget_walk_matches_dense_reference(ring_toy, int_small, modulus):
+    # The walk updates two coordinates per level below the last; it must
+    # draw exactly what the dense full-row walk draws, and leave the stream
+    # where the dense walk leaves it.
+    q, width = {
+        "ring_toy": (ring_toy.q, ring_toy.alpha_g),
+        "int_small": (int_small.q, int_gadget_width(int_small.m)),
+        "5": (5, 4.0),
+        "12289": (12289, ring_toy.alpha_g),
+    }[modulus]
+    targets = seeded(f"walk-targets-{modulus}").uniform_mod(q, 1000)
+    rng_fast, rng_ref = seeded("walk-ref"), seeded("walk-ref")
+    fast = sample_g_batch(width, targets, q, rng_fast)
+    ref = gadget_walk_reference(width, targets, q, rng_ref)
+    assert fast.shape == ref.shape == (1000, q.bit_length())
+    assert np.array_equal(fast, ref)
+    assert np.array_equal(rng_fast.u64(4), rng_ref.u64(4))
+
+
+def test_gadget_directions_vanish_below_subdiagonal(ring_toy, int_small):
+    # The walk skips the residual update of coordinate i + 1 at level i
+    # because no later direction reads it: gs_q[r, j] is exactly 0 for r > j + 1.
+    for q in (ring_toy.q, int_small.q, 5, 12289):
+        k = q.bit_length()
+        gs_q, _ = _gadget_gs(gadget_basis(q, k))
+        assert not np.tril(gs_q, -2).any()
 
 
 def test_bit_decompose_round_trip():

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from pkeet.errors import TagNotInvertible
+from pkeet.errors import ParamsMismatch, TagNotInvertible
+from pkeet.params import derive_ring_params
 from pkeet.ring import RingElement, get_context, sample_uniform
 from pkeet.trapdoor_ring import (
     TaggedVector,
@@ -81,7 +82,7 @@ def test_preimage_residual_exact(ring_small):
     shifted = apply_tag_shift(av, h)
     for _ in range(25):
         u = sample_uniform(ctx, rng)
-        x_hat = sample_pre(trap, shifted, u, ring_small, rng)
+        x_hat = sample_pre([(trap, shifted, u)], ring_small, rng)[0]
         assert apply_vector(shifted, x_hat) == u
 
 
@@ -94,7 +95,7 @@ def test_preimage_norm_profile(ring_small):
     cap = ring_small.t_tail * ring_small.zeta * math.sqrt(ring_small.m * ring_small.n)
     for _ in range(50):
         u = sample_uniform(ctx, rng)
-        x = ctx.balanced(ctx.intt(sample_pre(trap, shifted, u, ring_small, rng)))
+        x = ctx.balanced(ctx.intt(sample_pre([(trap, shifted, u)], ring_small, rng)[0]))
         norm = math.sqrt(float((x.astype(np.float64) ** 2).sum()))
         assert norm <= cap
 
@@ -105,7 +106,59 @@ def test_zero_tag_is_not_invertible(ring_small):
     av, trap = trap_gen(ring_small, rng)
     u = sample_uniform(ctx, rng)
     with pytest.raises(TagNotInvertible):
-        sample_pre(trap, av, u, ring_small, rng)
+        sample_pre([(trap, av, u)], ring_small, rng)
+
+
+def test_two_job_preimages_exact(ring_small):
+    # Two trapdoors, two tags and two targets in one call: each row is a
+    # preimage under its own vector.
+    ctx = get_context(ring_small)
+    rng = seeded("preimage-two-jobs")
+    av1, trap1 = trap_gen(ring_small, rng)
+    av2, trap2 = trap_gen(ring_small, rng)
+    for _ in range(10):
+        jobs = [
+            (trap1, apply_tag_shift(av1, sample_uniform(ctx, rng)), sample_uniform(ctx, rng)),
+            (trap2, apply_tag_shift(av2, sample_uniform(ctx, rng)), sample_uniform(ctx, rng)),
+        ]
+        x_hat = sample_pre(jobs, ring_small, rng)
+        assert x_hat.shape == (2, ring_small.m, ring_small.n)
+        for j, (_, shifted, u) in enumerate(jobs):
+            assert apply_vector(shifted, x_hat[j]) == u
+
+
+@pytest.mark.parametrize("zero_job", [0, 1])
+def test_two_job_zero_tag_slot_rejected(ring_small, zero_job):
+    ctx = get_context(ring_small)
+    rng = seeded("two-jobs-zero-slot")
+    jobs = []
+    for _ in range(2):
+        av, trap = trap_gen(ring_small, rng)
+        jobs.append((trap, apply_tag_shift(av, sample_uniform(ctx, rng)), sample_uniform(ctx, rng)))
+    trap, shifted, u = jobs[zero_job]
+    tag_hat = shifted.tag_hat.copy()
+    tag_hat[3] = 0
+    jobs[zero_job] = (trap, TaggedVector(shifted.vec_hat, tag_hat, ctx), u)
+    with pytest.raises(TagNotInvertible):
+        sample_pre(jobs, ring_small, rng)
+
+
+def test_two_job_mixed_contexts_rejected(ring_small):
+    ctx = get_context(ring_small)
+    rng = seeded("two-jobs-contexts")
+    av, trap = trap_gen(ring_small, rng)
+    job = (trap, apply_tag_shift(av, sample_uniform(ctx, rng)), sample_uniform(ctx, rng))
+    other = derive_ring_params(128, 32, "toy")
+    other_ctx = get_context(other)
+    av_o, trap_o = trap_gen(other, rng)
+    other_job = (
+        trap_o,
+        apply_tag_shift(av_o, sample_uniform(other_ctx, rng)),
+        sample_uniform(other_ctx, rng),
+    )
+    for jobs in ([job, other_job], [other_job, job]):
+        with pytest.raises(ParamsMismatch):
+            sample_pre(jobs, ring_small, rng)
 
 
 def test_head_slots_uniform_chi_square(ring_small):
