@@ -287,18 +287,23 @@ def criterion_4(profile: str = "toy") -> CriterionResult:
         x_hat = sample_pre([(trap, shifted, u)], params, rng)[0]
         pre_bad += int(apply_vector(shifted, x_hat) != u)
 
-    int_traps, int_trap_bad = 10, 0
+    int_traps, int_trap_bad, slots = 10, 0, []
     for _ in range(int_traps):
         a_mat, itrap = ml.trap_gen_int(iparams, rng)
         int_trap_bad += int(ml.gadget_residual(a_mat, itrap.r, iparams.q).any())
+        slots.append((a_mat, itrap))
+    # Decrypt-shaped calls: two trapdoored slots under one shared M1.
     m1 = ml.mat_uniform(iparams.q, iparams.n, iparams.m, rng)
-    f_mat = np.concatenate([a_mat, m1], axis=1)
+    f_mats = [np.concatenate([a_mat, m1], axis=1) for a_mat, _ in slots[-2:]]
     left_bad = 0
     for _ in range(20):
         u_mat = ml.mat_uniform(iparams.q, iparams.n, iparams.t_msg, rng)
-        e = ml.sample_left(a_mat, m1, itrap, u_mat, iparams, rng)
-        res = (ml.matmul_mod(f_mat, e % iparams.q, iparams.q) - u_mat) % iparams.q
-        left_bad += int(res.any())
+        jobs = [(a_mat, m1, itrap, u_mat) for a_mat, itrap in slots[-2:]]
+        e = ml.sample_left(jobs, iparams, rng)
+        left_bad += int(any(
+            ((ml.matmul_mod(f, e_j % iparams.q, iparams.q) - u_mat) % iparams.q).any()
+            for f, e_j in zip(f_mats, e)
+        ))
 
     ots_bad = 0
     a_prime = np.stack([sample_uniform(ctx, rng).coeffs for _ in range(params.base_len)])

@@ -1,5 +1,6 @@
-"""Integer-lattice machinery: exact mod-q matrix products, trapdoor matrix
-generation with a gadget trapdoor, and Gaussian preimage sampling.
+"""Integer-lattice machinery: exact integer and mod-q matrix products,
+trapdoor matrix generation with a gadget trapdoor, and Gaussian preimage
+sampling.
 
 The trapdoor generator outputs ``A = [A_bar | G - A_bar R]`` for a small
 random ``R``, so that ``A [R; I] = G`` exactly, with ``G = I_n (x) g`` the
@@ -8,12 +9,19 @@ follow the same perturb-then-gadget-sample pattern as the ring scheme: a
 perturbation ``p`` with covariance ``sigma^2 I - w^2 [R; I][R; I]^T`` hides
 ``R``, the remaining syndrome is sampled in the gadget coset at width ``w``,
 and the gadget solution re-enters through ``[R; I]``.  As in the ring scheme,
-the perturbation is factored gadget-first, through an ``m_bar x m_bar`` factor.
+the perturbation is factored gadget-first, through an ``m_bar x m_bar`` factor,
+and one :func:`sample_left` call serves every slot a decrypt or a test opens:
+one draw per kind of randomness and one gadget walk for all of its jobs.
+
+Every exact product of signed integer matrices follows one rule
+(:func:`_exact_matmul`): a float64 BLAS product while no partial sum can
+reach 2^53, numpy's int64 product below 2^62, and :func:`matmul_mod` above.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,17 +81,29 @@ def mat_uniform(q: int, rows: int, cols: int, rng: XofRng) -> np.ndarray:
     return rng.uniform_mod(q, rows * cols).reshape(rows, cols)
 
 
-def _signed_bound_ok(a: np.ndarray, b: np.ndarray) -> bool:
-    """True when a direct int64 product of the two matrices cannot overflow."""
+def _exact_matmul(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
+    """``a @ b`` for signed integer matrices, exact while the bound
+    ``inner * max|a| * max|b|`` on every partial sum stays below 2^62;
+    above it the result is only the product's residue mod ``q``.
+
+    Below 2^53 the product is one float64 BLAS call, in which every
+    partial sum is an exactly representable integer; below 2^62 it is
+    numpy's int64 product, which does not use BLAS; above that it goes
+    through :func:`matmul_mod`.  Callers that want residues reduce the
+    result; the ``R z`` fold-back keeps the signed product, its bound
+    being far below 2^53.
+    """
     bound = a.shape[1] * int(np.abs(a).max(initial=0)) * int(np.abs(b).max(initial=0))
-    return bound < 1 << 62
+    if bound < 1 << 53:
+        return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
+    if bound < 1 << 62:
+        return a.astype(np.int64) @ b.astype(np.int64)
+    return matmul_mod(a, b, q)
 
 
 def _mul_signed(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
-    """``a @ b mod q`` for signed integer matrices, directly when int64 suffices."""
-    if _signed_bound_ok(a, b):
-        return (a @ b) % q
-    return matmul_mod(a % q, b % q, q)
+    """``a @ b mod q`` for signed integer matrices."""
+    return _exact_matmul(a, b, q) % q
 
 
 # ---------------------------------------------------------------------------
@@ -155,37 +175,50 @@ def trap_gen_int(params: ParamsInt, rng: XofRng) -> tuple[np.ndarray, IntTrapdoo
 
 
 def sample_left(
-    a_mat: np.ndarray,
-    m1_mat: np.ndarray,
-    trap: IntTrapdoor,
-    u_mat: np.ndarray,
+    jobs: Sequence[tuple[np.ndarray, np.ndarray, IntTrapdoor, np.ndarray]],
     params: ParamsInt,
     rng: XofRng,
 ) -> np.ndarray:
-    """Columns ``e`` with ``(A | M1) e = U mod q`` and Gaussian profile.
+    """Gaussian preimages: for each job ``(A, M1, trap, U)`` columns ``e``
+    with ``(A | M1) e = U mod q`` and Gaussian profile, stacked as
+    (J, 2m, t); every ``U`` has the same t columns.
 
     The second half of each column is a fresh Gaussian of width ``sigma``.
     The first half is ``p + [R z; z]``: ``p`` is the perturbation, and
     ``z`` a gadget-coset sample with ``G z = target - A p``, so the
-    congruence is exact by construction and the sum is spherical.
+    congruence is exact by construction and the sum is spherical.  All
+    jobs share one draw of the ``M1`` halves, one of the standard normals,
+    one rounding of ``p`` and one gadget walk over ``J n t`` targets; the
+    factor and ``R`` products stay per job, since the trapdoors differ.
     """
-    q, n, k = params.q, params.n, params.k
-    a_mat = np.asarray(a_mat, dtype=np.int64)
-    m1_mat = np.asarray(m1_mat, dtype=np.int64)
-    u_mat = np.asarray(u_mat, dtype=np.int64)
-    m = a_mat.shape[1]
-    t = u_mat.shape[1]
+    q, n, m = params.q, params.n, params.m
+    count, t = len(jobs), np.shape(jobs[0][3])[1]
+    shapes = {
+        (np.shape(a), np.shape(m1), sum(trap.r.shape), np.shape(u)) for a, m1, trap, u in jobs
+    }
+    if shapes != {((n, m), (n, m), m, (n, t))}:
+        raise InvalidParams("preimage jobs do not match the parameter shapes")
 
-    e2 = sample_z_reject(params.sigma, np.zeros((m1_mat.shape[1], t)), rng)
-    target = (u_mat - _mul_signed(m1_mat, e2, q)) % q
-
+    e2 = sample_z_reject(params.sigma, np.zeros((count, m, t)), rng)
     w = int_gadget_width(m)
-    g_base, g_gadget = np.split(rng.normal(m * t).reshape(m, t), [trap.r.shape[0]])
-    base = trap.chol @ g_base - (w * w / trap.sqrt_d) * (trap.r @ g_gadget)
-    y = np.concatenate([base, trap.sqrt_d * g_gadget]) / math.sqrt(2.0 * math.pi)
-    p = sample_z_reject(params.sigma_r, y, rng)                      # (m, t)
-    v = (target - _mul_signed(a_mat, p, q)) % q
-    z = sample_g_batch(w, v.reshape(-1), q, rng)                     # (n*t, k)
-    z = z.reshape(n, t, k).transpose(0, 2, 1).reshape(n * k, t)
-    e1 = p + np.concatenate([trap.r @ z, z], axis=0)
-    return np.concatenate([e1, e2], axis=0)
+    normals = rng.normal(count * m * t).reshape(count, m, t)
+    y = np.empty((count, m, t))
+    for j, (_, _, trap, _) in enumerate(jobs):
+        m_bar = trap.r.shape[0]
+        g_base, g_gadget = normals[j, :m_bar], normals[j, m_bar:]
+        y[j, :m_bar] = trap.chol @ g_base - (w * w / trap.sqrt_d) * (trap.r @ g_gadget)
+        y[j, m_bar:] = trap.sqrt_d * g_gadget
+    y /= math.sqrt(2.0 * math.pi)
+    p = sample_z_reject(params.sigma_r, y, rng)                      # (J, m, t)
+
+    v = np.empty((count, n, t), dtype=np.int64)
+    for j, (a_mat, m1_mat, _, u_mat) in enumerate(jobs):
+        target = u_mat - _mul_signed(m1_mat, e2[j], q)
+        v[j] = (target - _mul_signed(a_mat, p[j], q)) % q
+    z = sample_g_batch(w, v.reshape(-1), q, rng)                     # (J n t, k)
+    z = z.reshape(count, n, t, -1).transpose(0, 1, 3, 2).reshape(count, -1, t)
+    e1 = p + np.stack([
+        np.concatenate([_exact_matmul(trap.r, z_j, q), z_j])
+        for (_, _, trap, _), z_j in zip(jobs, z)
+    ])
+    return np.concatenate([e1, e2], axis=1)

@@ -9,8 +9,11 @@ hash, with the signature vector ``u`` checked for both the linear identity
 and shortness.
 
 The secret key holds the gadget trapdoors ``R`` of ``A`` and ``A'``
-(``A [R; I] = G``); opening a slot samples a preimage under the
-selector-dependent matrix with :func:`~pkeet.matlattice.sample_left`."""
+(``A [R; I] = G``).  A decrypt opens both slots, and an equality test the
+hash slot of each ciphertext, with one two-job
+:func:`~pkeet.matlattice.sample_left` call.  Encryption keeps its ``l``
+fresh ``m x m`` sign matrices packed at a bit per entry and applies their
+selector-weighted sum through one small-integer fold and one exact product."""
 
 from __future__ import annotations
 
@@ -27,6 +30,7 @@ from .matlattice import (
     matmul_mod,
     sample_left,
     trap_gen_int,
+    _exact_matmul,
     _mul_signed,
 )
 from .ots import ots_sis_keygen, ots_sis_sign, ots_sis_verify
@@ -113,29 +117,30 @@ def _decode(w: np.ndarray, q: int) -> np.ndarray:
     return ((w >= lo) & (w < hi)).astype(np.int64)
 
 
-def _dot_cols(e: np.ndarray, c: np.ndarray, q: int) -> np.ndarray:
-    """Columnwise inner products e^T c (mod q) with overflow-safe fallback."""
-    return _mul_signed(e.T, c[:, None], q)[:, 0]
+def _open_slot_int(payload: np.ndarray, vec_slot: np.ndarray, e: np.ndarray, q: int) -> np.ndarray:
+    """Bits of ``payload - e^T vec_slot (mod q)`` for a slot's preimage ``e``."""
+    return _decode(payload - _mul_signed(e.T, vec_slot[:, None], q)[:, 0], q)
 
 
-def _sign_sum_t(sel: np.ndarray, packed: list[bytes], y: np.ndarray) -> np.ndarray:
-    """Exact ``sum_i sel_i S_i^T y`` for the (m, m) sign matrices ``S_i``
-    packed little-endian at a bit per entry (set bit: +1, clear bit: -1).
+def _sign_sum_t(sel: np.ndarray, packed: list[bytes], y: np.ndarray, q: int) -> np.ndarray:
+    """``sum_i sel_i S_i^T y`` for the (m, m) sign matrices ``S_i`` packed
+    little-endian at a bit per entry (set bit: +1, clear bit: -1); exact
+    whenever :func:`~pkeet.matlattice._exact_matmul` is, else mod ``q``.
 
-    Each product is one float64 BLAS call when every partial sum stays
-    below 2^53; otherwise it runs in int64."""
+    With ``B_i`` the bit matrices, ``S_i = 2 B_i - 1``, so the signed sum
+    is ``2 W - sum_i sel_i`` for ``W = sum_i sel_i B_i``.  Each ``B_i`` is
+    unpacked and folded into ``W`` in turn, in the narrowest integer type
+    that holds ``2 |W| <= 2 l``, and the sum meets ``y`` in one product,
+    taken as ``(y^T S)^T`` so that ``S`` is read row by row."""
     m = y.shape[0]
-    exact_float = len(sel) * m * int(np.abs(y).max(initial=0)) < 1 << 53
-    dtype = np.float64 if exact_float else np.int64
-    y = y.astype(dtype)
-    acc = np.zeros(y.shape, dtype=dtype)
+    s_sum = np.zeros((m, m), dtype=np.min_scalar_type(-2 * len(sel)))
     for b_i, raw in zip(sel, packed):
-        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
-        signs = bits[: m * m].reshape(m, m).astype(dtype)
-        signs *= 2
-        signs -= 1
-        acc += int(b_i) * (signs.T @ y)
-    return acc.astype(np.int64)
+        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=m * m, bitorder="little")
+        fold = np.add if b_i > 0 else np.subtract
+        fold(s_sum, bits.reshape(m, m), out=s_sum, dtype=s_sum.dtype, casting="unsafe")
+    s_sum *= 2
+    s_sum -= int(sel.sum())
+    return _exact_matmul(y.T, s_sum, q).T
 
 
 def encrypt_int(pk: PkInt, msg: np.ndarray, params: ParamsInt, rng: XofRng) -> CtInt:
@@ -164,7 +169,7 @@ def encrypt_int(pk: PkInt, msg: np.ndarray, params: ParamsInt, rng: XofRng) -> C
     # per sign; their selector-weighted sum is applied without forming it.
     packed = [rng.bytes((m * m + 7) // 8) for _ in sel]
     y = np.stack([_noise(m, params, rng), _noise(m, params, rng)], axis=1)
-    ry = _sign_sum_t(sel, packed, y)
+    ry = _sign_sum_t(sel, packed, y, q)
     c3 = (matmul_mod(f1.T, s1[:, None], q)[:, 0] + np.concatenate([y[:, 0], ry[:, 0]])) % q
     c4 = (matmul_mod(f2.T, s2[:, None], q)[:, 0] + np.concatenate([y[:, 1], ry[:, 1]])) % q
 
@@ -182,20 +187,6 @@ def _check_signature(pk_a: np.ndarray, ct: CtInt, params: ParamsInt) -> None:
         raise RejectSignature("signature vector fails the one-time check")
 
 
-def _open_slot_int(
-    payload: np.ndarray,
-    vec_slot: np.ndarray,
-    left: np.ndarray,
-    trap: IntTrapdoor,
-    a_sum: np.ndarray,
-    u_mat: np.ndarray,
-    params: ParamsInt,
-    rng: XofRng,
-) -> np.ndarray:
-    e = sample_left(left, a_sum, trap, u_mat, params, rng)
-    return _decode(payload - _dot_cols(e, vec_slot, params.q), params.q)
-
-
 def decrypt_int(
     pk: PkInt, sk: SkInt, ct: CtInt, params: ParamsInt, rng: XofRng
 ) -> np.ndarray:
@@ -206,8 +197,11 @@ def decrypt_int(
     sel = hash_pm_one(params, _vec_bytes(ct.c1, ct.c2, ct.d), params.l)
     a_sum = _selector_sum(pk.b, pk.a_list, sel, q)
 
-    msg = _open_slot_int(ct.c1, ct.c3, pk.a, sk.t_a, a_sum, pk.u, params, rng)
-    hash_bits = _open_slot_int(ct.c2, ct.c4, pk.a_prime, sk.t_a_prime, a_sum, pk.u, params, rng)
+    e_msg, e_hash = sample_left(
+        [(pk.a, a_sum, sk.t_a, pk.u), (pk.a_prime, a_sum, sk.t_a_prime, pk.u)], params, rng
+    )
+    msg = _open_slot_int(ct.c1, ct.c3, e_msg, q)
+    hash_bits = _open_slot_int(ct.c2, ct.c4, e_hash, q)
     if not np.array_equal(hash_bits, hash_message(params, _vec_bytes(msg))):
         raise RejectHash("decoded hash slot does not match the message hash")
     return msg
@@ -223,14 +217,10 @@ def trapdoor_int(sk: SkInt, pk: PkInt) -> TrapdoorTokenInt:
     )
 
 
-def _test_side_int(
-    td: TrapdoorTokenInt, ct: CtInt, params: ParamsInt, rng: XofRng
-) -> np.ndarray:
+def _hash_slot_job(td: TrapdoorTokenInt, ct: CtInt, params: ParamsInt) -> tuple:
     sel = hash_pm_one(params, _vec_bytes(ct.c1, ct.c2, ct.d), params.l)
     a_sum = _selector_sum(td.b, td.a_list, sel, params.q)
-    return _open_slot_int(
-        ct.c2, ct.c4, td.a_prime, td.t_a_prime, a_sum, td.u, params, rng
-    )
+    return td.a_prime, a_sum, td.t_a_prime, td.u
 
 
 def test_int(
@@ -242,6 +232,9 @@ def test_int(
     rng: XofRng,
 ) -> int:
     """1 iff the two ciphertexts hide the same message (hash-slot equality)."""
-    side_i = _test_side_int(td_i, ct_i, params, rng)
-    side_j = _test_side_int(td_j, ct_j, params, rng)
+    q = params.q
+    jobs = [_hash_slot_job(td_i, ct_i, params), _hash_slot_job(td_j, ct_j, params)]
+    e_i, e_j = sample_left(jobs, params, rng)
+    side_i = _open_slot_int(ct_i.c2, ct_i.c4, e_i, q)
+    side_j = _open_slot_int(ct_j.c2, ct_j.c4, e_j, q)
     return int(np.array_equal(side_i, side_j))

@@ -5,11 +5,12 @@ kind, parameter digest, payload length) followed by the payload.  The
 payload embeds the canonical parameter text, then the object's arrays as
 raw little-endian 64-bit integers in a fixed order.  Decoders accept only
 canonical values: a parameter text byte-identical to the canonical form
-of the record it parses to, residues in ``[0, q)``, and entries of an
+of the record it parses to, residues in ``[0, q)``, entries of an
 integer-scheme trapdoor ``R`` (signed, ``m_bar x n*k`` per matrix) within
-the tail bound ``floor(t_tail * sigma_r)``.  So encoding is a bijection:
-decode(encode(x)) == x, and every frame that decodes re-encodes to the
-same bytes.
+the tail bound ``floor(t_tail * sigma_r)``, and ring trapdoor ``T``
+residues whose balanced values lie within ``floor(t_tail * sigma_trap)``.
+So encoding is a bijection: decode(encode(x)) == x, and every frame that
+decodes re-encodes to the same bytes.
 """
 
 from __future__ import annotations
@@ -120,7 +121,13 @@ def decode_frame(data: bytes) -> tuple[int, int, ParamsRing | ParamsInt, bytes]:
 # ---------------------------------------------------------------------------
 
 
-def _ring_trapdoor(t_arr: np.ndarray, params: ParamsRing) -> RingTrapdoor:
+def _take_ring_t(r: _Reader, params: ParamsRing) -> RingTrapdoor:
+    """Next trapdoor ``T``: residues whose balanced values lie within the
+    sampler's tail bound, as :func:`_take_int_r` holds ``R`` to it."""
+    t_arr = r.take((params.base_len, params.k, params.n))
+    bound = math.floor(params.t_tail * params.sigma_trap)
+    if ((t_arr > bound) & (t_arr < params.q - bound)).any():
+        raise FramingError(f"trapdoor entry beyond the tail bound {bound}")
     return RingTrapdoor(t_arr=t_arr, ctx=get_context(params))
 
 
@@ -148,11 +155,10 @@ def encode_ring_sk(sk: SkRing, params: ParamsRing) -> bytes:
 
 
 def decode_ring_sk(body: bytes, params: ParamsRing) -> SkRing:
-    shape = (params.base_len, params.k, params.n)
     r = _Reader(body, params.q)
-    t_a, t_b = r.take(shape), r.take(shape)
+    t_a, t_b = _take_ring_t(r, params), _take_ring_t(r, params)
     r.done()
-    return SkRing(t_a=_ring_trapdoor(t_a, params), t_b=_ring_trapdoor(t_b, params))
+    return SkRing(t_a=t_a, t_b=t_b)
 
 
 def encode_ring_ct(ct: CtRing, params: ParamsRing) -> bytes:
@@ -188,13 +194,13 @@ def encode_ring_td(td: TrapdoorTokenRing, params: ParamsRing) -> bytes:
 
 def decode_ring_td(body: bytes, params: ParamsRing) -> TrapdoorTokenRing:
     r = _Reader(body, params.q)
-    t_b = r.take((params.base_len, params.k, params.n))
+    t_b = _take_ring_t(r, params)
     b_vec = r.take((params.m, params.n))
     u = r.take((params.n,))
     r.done()
     ctx = get_context(params)
     return TrapdoorTokenRing(
-        t_b=_ring_trapdoor(t_b, params),
+        t_b=t_b,
         b=TaggedVector.from_coeffs(b_vec, ctx),
         u=RingElement(u, ctx),
     )

@@ -1,6 +1,7 @@
 """Integer-lattice machinery: exact modular algebra and the gadget trapdoor."""
 
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 
 from pkeet import matlattice, serial
 from pkeet import pkeet_int as pi
-from pkeet.errors import GenerationFailed
+from pkeet.errors import GenerationFailed, InvalidParams
 from pkeet.params import int_gadget_width
 from pkeet.sampling import sample_z_reject
 from pkeet.matlattice import (
@@ -106,7 +107,7 @@ def test_perturbation_factor_reproduces_covariance(int_small, monkeypatch):
     monkeypatch.setattr(matlattice, "sample_z_reject", rounding)
     m1, u_mat = mat_uniform(p.q, p.n, p.m, rng), mat_uniform(p.q, p.n, p.m, rng)
     with pytest.raises(Stop) as stop:
-        sample_left(a_mat, m1, trap, u_mat, p, rng)
+        sample_left([(a_mat, m1, trap, u_mat)], p, rng)
     centers = stop.value.args[0] * math.sqrt(2 * math.pi)
     assert np.linalg.norm(centers - factor) / np.linalg.norm(factor) < 1e-12
 
@@ -122,7 +123,7 @@ def test_preimage_hides_trapdoor(int_small):
     stacked = np.concatenate([trap.r, np.eye(trap.r.shape[1])]).astype(np.float64)
     top = np.linalg.svd(stacked, full_matrices=False)[0][:, 0]
     proj = np.concatenate([
-        top @ sample_left(a_mat, m1, trap, mat_uniform(q, int_small.n, 32, rng), int_small, rng)[:m]
+        top @ sample_left([(a_mat, m1, trap, mat_uniform(q, int_small.n, 32, rng))], int_small, rng)[0, :m]
         for _ in range(10)
     ])
     assert proj.size >= 320
@@ -150,9 +151,49 @@ def test_left_sampler_exact_and_gaussian(int_small):
     m1 = mat_uniform(q, int_small.n, int_small.m, rng)
     f_mat = np.concatenate([a_mat, m1], axis=1)
     u_mat = mat_uniform(q, int_small.n, 5, rng)
-    e = sample_left(a_mat, m1, trap, u_mat, int_small, rng)
+    e = sample_left([(a_mat, m1, trap, u_mat)], int_small, rng)[0]
     assert e.shape == (2 * int_small.m, 5)
     assert np.array_equal(matmul_mod(f_mat, e % q, q), u_mat)
     sd = int_small.sigma / math.sqrt(2 * math.pi)
     emp = float(e.astype(float).std())
     assert 0.5 * sd < emp < 2.0 * sd
+
+
+def test_two_job_preimages_exact(int_small):
+    # Two trapdoors, two selector matrices, two syndromes, one call.
+    rng = seeded("left-two-jobs")
+    q, n, m = int_small.q, int_small.n, int_small.m
+    jobs = []
+    for _ in range(2):
+        a_mat, trap = trap_gen_int(int_small, rng)
+        jobs.append((a_mat, mat_uniform(q, n, m, rng), trap, mat_uniform(q, n, 7, rng)))
+    e = sample_left(jobs, int_small, rng)
+    assert e.shape == (2, 2 * m, 7)
+    for (a_mat, m1, _, u_mat), e_j in zip(jobs, e):
+        f_mat = np.concatenate([a_mat, m1], axis=1)
+        assert np.array_equal(matmul_mod(f_mat, e_j % q, q), u_mat)
+
+
+def test_one_job_preimage_pinned(int_small):
+    # A one-job call reads the stream as the per-slot sampler did before
+    # jobs were batched and its products moved to float64: same draws,
+    # same preimage.
+    rng = seeded("left-pin")
+    p = int_small
+    a_mat, trap = trap_gen_int(p, rng)
+    m1 = mat_uniform(p.q, p.n, p.m, rng)
+    u_mat = mat_uniform(p.q, p.n, p.t_msg, rng)
+    e = sample_left([(a_mat, m1, trap, u_mat)], p, rng)[0]
+    assert hashlib.sha256(e.astype("<i8").tobytes()).hexdigest()[:16] == "fb6aa7a272dec8bc"
+
+
+def test_preimage_jobs_must_match_shapes(int_small):
+    rng = seeded("left-shapes")
+    p = int_small
+    a_mat, trap = trap_gen_int(p, rng)
+    m1 = mat_uniform(p.q, p.n, p.m, rng)
+    with pytest.raises(InvalidParams):
+        sample_left([(a_mat, m1, trap, mat_uniform(p.q, p.n, 3, rng)),
+                     (a_mat, m1, trap, mat_uniform(p.q, p.n, 4, rng))], p, rng)
+    with pytest.raises(InvalidParams):
+        sample_left([(a_mat[:, :-1], m1, trap, mat_uniform(p.q, p.n, 3, rng))], p, rng)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from pkeet import matlattice as ml
 from pkeet import pkeet_int as pi
 from pkeet.errors import InvalidMessage, RejectHash, RejectSignature
 from conftest import seeded
@@ -72,19 +73,79 @@ def test_token_excludes_message_trapdoor(int_small, user):
     assert td.t_a_prime is sk.t_a_prime
 
 
-def test_sign_sum_matches_unpacked_signs():
-    # Both the float64 path and the int64 path (values too large for 2^53)
-    # equal the selector-weighted sum of the explicit sign matrices.
+def test_sign_sum_matches_unpacked_signs(int_small):
+    # At an odd m the pad bits past m^2 are ignored.  Random, all +1 and
+    # all -1 selectors; y just below and just above the float64 switch
+    # (bound m max|S| max|y| = 2^53), on the int64 path, and past 2^62,
+    # where only the residue mod q is exact.
+    q = int_small.q
     rng = seeded("sign-sum")
-    m, count = 24, 16
-    sel = rng.uniform_mod(2, count) * 2 - 1
-    packed = [rng.bytes((m * m + 7) // 8) for _ in sel]
+    m, count = 23, 16
+    packed = [rng.bytes((m * m + 7) // 8) for _ in range(count)]
     signs = [
         2 * np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")[: m * m]
         .reshape(m, m).astype(np.int64) - 1
         for raw in packed
     ]
-    r_sum = sum(int(b) * s for b, s in zip(sel, signs))
-    for scale in (1_000, 1 << 50):
-        y = (rng.uniform_mod(2 * scale, 2 * m) - scale).reshape(m, 2)
-        assert np.array_equal(pi._sign_sum_t(sel, packed, y), r_sum.T @ y)
+    ones = np.ones(count, dtype=np.int64)
+    for sel in (rng.uniform_mod(2, count) * 2 - 1, ones, -ones):
+        r_sum = sum(int(b) * s for b, s in zip(sel, signs))
+        float_max = ((1 << 53) - 1) // (m * int(np.abs(r_sum).max()))
+        for scale in (1_000, float_max, float_max + 1, 1 << 50):
+            y = (rng.uniform_mod(2 * scale, 2 * m) - scale).reshape(m, 2)
+            y[0, 0] = scale
+            assert np.array_equal(pi._sign_sum_t(sel, packed, y, q), r_sum.T @ y)
+        y = (rng.uniform_mod(1 << 60, 2 * m) - (1 << 59)).reshape(m, 2)
+        oracle = (r_sum.astype(object).T @ y.astype(object)) % q
+        assert np.array_equal(pi._sign_sum_t(sel, packed, y, q) % q, oracle.astype(np.int64))
+
+
+@pytest.mark.parametrize("shape", [(448, 448, 32), (16, 896, 32), (32, 1792, 1)])
+def test_exact_product_at_both_switches(int_small, shape):
+    # sample_left's R z, A p and e^T c shapes, with every entry at its
+    # maximum but one per odd row, so that those rows sum to the odd value
+    # bound - max|b|: just below and just above each switch, and four
+    # times past it, where float64 (past 2^53, odd sums) or int64 (past
+    # 2^63) is no longer exact.
+    q = int_small.q
+    rows, inner, cols = shape
+    for switch, b_max in ((53, (1 << 20) + 1), (62, (1 << 26) + 3)):
+        a_floor = ((1 << switch) - 1) // (inner * b_max)
+        for a_max in (a_floor, a_floor + 1, 4 * a_floor + 1):
+            a = np.full((rows, inner), a_max, dtype=np.int64)
+            a[1::2, 0] -= 1
+            b = np.full((inner, cols), b_max, dtype=np.int64)
+            got = ml._exact_matmul(a, b, q)
+            bound = inner * a_max * b_max
+            if bound < 1 << 62:
+                assert np.array_equal(got, a @ b)
+            if bound < 1 << 63:
+                assert np.array_equal(got % q, (a @ b) % q)
+            assert np.array_equal(got % q, ml.matmul_mod(a, b, q))
+
+
+def test_one_walk_per_decrypt_and_test(int_small, user, monkeypatch):
+    # Both slots of a decrypt, and both sides of a test, share one
+    # sample_left call and so one gadget walk.
+    pk, sk = user
+    calls = {"left": 0, "walk": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(pi, "sample_left", counted("left", pi.sample_left))
+    monkeypatch.setattr(ml, "sample_g_batch", counted("walk", ml.sample_g_batch))
+    rng = seeded("int-one-walk")
+    msg = rng.uniform_mod(2, int_small.t_msg)
+    ct = pi.encrypt_int(pk, msg, int_small, rng)
+    td = pi.trapdoor_int(sk, pk)
+    for run in (
+        lambda: np.array_equal(pi.decrypt_int(pk, sk, ct, int_small, rng), msg),
+        lambda: pi.test_int(td, td, ct, ct, int_small, rng) == 1,
+    ):
+        calls.update(left=0, walk=0)
+        assert run()
+        assert calls == {"left": 1, "walk": 1}

@@ -201,3 +201,29 @@ def test_non_canonical_values_rejected(ring_objects, int_objects):
     for value in (bound + 1, -bound - 1):
         with pytest.raises(FramingError):
             serial.decode_object(_add_to_word(blob, first, value - entry))
+
+
+def test_ring_trapdoor_beyond_tail_rejected(ring_objects):
+    # An entry of T one past the sampler's tail bound, in both directions,
+    # as the first word of a secret key and of a trapdoor token.
+    params = ring_objects["params"]
+    bound = int(params.t_tail * params.sigma_trap)
+    first = 23 + 4 + len(params.canonical_text().encode())
+    for kind in (serial.KIND_SK, serial.KIND_TD):
+        blob = serial.encode_object(serial.SCHEME_RING, kind, ring_objects[kind], params)
+        entry = int.from_bytes(blob[first:first + 8], "little", signed=True)
+        for value in (bound, params.q - bound):
+            serial.decode_object(_add_to_word(blob, first, value - entry))
+        for value in (bound + 1, params.q - bound - 1):
+            with pytest.raises(FramingError, match="tail bound"):
+                serial.decode_object(_add_to_word(blob, first, value - entry))
+
+
+def test_seeded_ring_keys_within_tail_bound(ring_small):
+    for label in ("tail-a", "tail-b", "tail-c"):
+        pk, sk = pr.setup(ring_small, seeded(label))
+        for kind, obj in ((serial.KIND_SK, sk), (serial.KIND_TD, pr.trapdoor(sk, pk))):
+            blob = serial.encode_object(serial.SCHEME_RING, kind, obj, ring_small)
+            assert serial.encode_object(
+                serial.SCHEME_RING, kind, serial.decode_object(blob)[3], ring_small
+            ) == blob
