@@ -10,7 +10,7 @@ from __future__ import annotations
 import hashlib
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -18,6 +18,7 @@ from . import matlattice as ml
 from . import ots
 from . import pkeet_int as pi
 from . import pkeet_ring as pr
+from . import serial
 from .errors import RejectHash, RejectSignature
 from .hashing import (
     hash_message,
@@ -172,49 +173,20 @@ def criterion_2(profile: str = "toy") -> CriterionResult:
 # ---------------------------------------------------------------------------
 
 
-def _tamper_ring(ct: pr.CtRing, params, rng: XofRng) -> pr.CtRing:
-    fields = ["ct1", "ct2", "ct3", "ct4", "sig", "v"]
-    which = fields[int(rng.uniform_mod(len(fields), 1)[0])]
+def _tamper(ct, scheme: int, params, rng: XofRng):
+    """Copy of ``ct`` with one word moved by a nonzero residue: the field
+    uniformly from the scheme's CT layout, then a word of that field."""
+    _, fields = serial._LAYOUTS[scheme, serial.KIND_CT]
+    field = fields[int(rng.uniform_mod(len(fields), 1)[0])]
+    arrays = [np.array(a) for a in field.take(getattr(ct, field.name))]
+    word = int(rng.uniform_mod(sum(a.size for a in arrays), 1)[0])
     delta = 1 + int(rng.uniform_mod(params.q - 1, 1)[0])
-    sig, v = ct.sig.copy(), (ct.v[0], ct.v[1])
-    ct1, ct2, ct3, ct4 = ct.ct1, ct.ct2, ct.ct3.copy(), ct.ct4.copy()
-    n = params.n
-    pos = int(rng.uniform_mod(n, 1)[0])
-    if which == "ct1":
-        c = ct1.coeffs.copy(); c[pos] = (c[pos] + delta) % params.q
-        ct1 = RingElement(c, ct1.ctx)
-    elif which == "ct2":
-        c = ct2.coeffs.copy(); c[pos] = (c[pos] + delta) % params.q
-        ct2 = RingElement(c, ct2.ctx)
-    elif which == "ct3":
-        row = int(rng.uniform_mod(params.m, 1)[0])
-        ct3[row, pos] = (ct3[row, pos] + delta) % params.q
-    elif which == "ct4":
-        row = int(rng.uniform_mod(params.m, 1)[0])
-        ct4[row, pos] = (ct4[row, pos] + delta) % params.q
-    elif which == "sig":
-        row = int(rng.uniform_mod(sig.shape[0], 1)[0])
-        sig[row, pos] = (sig[row, pos] + delta) % params.q
-    else:
-        side = int(rng.uniform_mod(2, 1)[0])
-        c = v[side].coeffs.copy(); c[pos] = (c[pos] + delta) % params.q
-        v = (RingElement(c, v[0].ctx), v[1]) if side == 0 else (v[0], RingElement(c, v[1].ctx))
-    return pr.CtRing(sig=sig, v=v, ct1=ct1, ct2=ct2, ct3=ct3, ct4=ct4)
-
-
-def _tamper_int(ct: pi.CtInt, params, rng: XofRng) -> pi.CtInt:
-    fields = ["c1", "c2", "c3", "c4", "u", "d"]
-    which = fields[int(rng.uniform_mod(len(fields), 1)[0])]
-    delta = 1 + int(rng.uniform_mod(params.q - 1, 1)[0])
-    out = pi.CtInt(
-        c1=ct.c1.copy(), c2=ct.c2.copy(), c3=ct.c3.copy(), c4=ct.c4.copy(),
-        u=ct.u.copy(), d=ct.d.copy(),
-    )
-    arr = getattr(out, which)
-    flat = arr.reshape(-1)
-    pos = int(rng.uniform_mod(flat.size, 1)[0])
-    flat[pos] = (flat[pos] + delta) % params.q
-    return out
+    for arr in arrays:
+        if word < arr.size:
+            arr.flat[word] = (arr.flat[word] + delta) % params.q
+            break
+        word -= arr.size
+    return replace(ct, **{field.name: field.build(arrays, params)})
 
 
 def criterion_3(profile: str = "toy") -> CriterionResult:
@@ -229,7 +201,7 @@ def criterion_3(profile: str = "toy") -> CriterionResult:
     cts = [pr.encrypt(pk, _random_message(ctx, rng), params, rng) for _ in range(5)]
     ring_rejects = 0
     for i in range(100):
-        bad = _tamper_ring(cts[i % len(cts)], params, rng)
+        bad = _tamper(cts[i % len(cts)], serial.SCHEME_RING, params, rng)
         try:
             pr.decrypt(pk, sk, bad, params, rng)
         except (RejectSignature, RejectHash):
@@ -242,7 +214,7 @@ def criterion_3(profile: str = "toy") -> CriterionResult:
     ]
     int_rejects = 0
     for i in range(50):
-        bad = _tamper_int(icts[i % len(icts)], iparams, rng)
+        bad = _tamper(icts[i % len(icts)], serial.SCHEME_INT, iparams, rng)
         try:
             pi.decrypt_int(ipk, isk, bad, iparams, rng)
         except (RejectSignature, RejectHash):

@@ -54,8 +54,7 @@ def is_prime(value: int) -> bool:
     """Deterministic Miller-Rabin, exact for every value below 3.3e24."""
     if value < 2:
         return False
-    small = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-    for p in small:
+    for p in _MR_BASES:
         if value % p == 0:
             return value == p
     d = value - 1
@@ -74,6 +73,14 @@ def is_prime(value: int) -> bool:
         else:
             return False
     return True
+
+
+def _first_prime(start: int, step: int, k: int) -> int | None:
+    """First prime ``>= start`` and ``= 1 (mod step)`` below ``2**k``, if any."""
+    for cand in range(start + (1 - start) % step, 1 << k, step):
+        if is_prime(cand):
+            return cand
+    return None
 
 
 def _is_power_of_two(value: int) -> bool:
@@ -207,18 +214,9 @@ def derive_ring_params(lambda_sec: int, n: int, profile: str) -> ParamsRing:
             raise ParameterOverflow(
                 f"ring modulus for n={n} would reach the 2**57 multiply cap"
             )
-        start = max(start, (1 << (k - 1)) + 1)
-        if start >= (1 << k):
-            continue
-        cand = start + ((1 - start) % (2 * n))
-        if cand < start:
-            cand += 2 * n
-        while cand < (1 << k):
-            if is_prime(cand):
-                chosen = (k, cand, zeta)
-                break
-            cand += 2 * n
-        if chosen:
+        q = _first_prime(max(start, (1 << (k - 1)) + 1), 2 * n, k)
+        if q is not None:
+            chosen = (k, q, zeta)
             break
     if chosen is None:
         raise ParameterOverflow(f"no admissible ring modulus below 2**57 for n={n}")
@@ -428,16 +426,9 @@ def derive_int_params(lambda_sec: int, n: int, profile: str) -> ParamsInt:
             raise ParameterOverflow(
                 f"integer modulus for n={n} would need more than 62 bits"
             )
-        start = max(q_min, (1 << (k - 1)) + 1)
-        if start >= (1 << k):
-            continue
-        cand = start if start % 2 == 1 else start + 1
-        while cand < (1 << k):
-            if is_prime(cand):
-                chosen = (k, cand, sigma, sigma_r)
-                break
-            cand += 2
-        if chosen:
+        q = _first_prime(max(q_min, (1 << (k - 1)) + 1), 2, k)
+        if q is not None:
+            chosen = (k, q, sigma, sigma_r)
             break
     if chosen is None:
         raise ParameterOverflow(f"no admissible integer modulus below 2**62 for n={n}")

@@ -157,9 +157,7 @@ class RingContext:
 _context_cache: dict[tuple[int, int], RingContext] = {}
 
 
-def get_context(params: ParamsRing | RingContext) -> RingContext:
-    if isinstance(params, RingContext):
-        return params
+def get_context(params: ParamsRing) -> RingContext:
     key = (params.n, params.q)
     ctx = _context_cache.get(key)
     if ctx is None:
@@ -222,15 +220,6 @@ class RingElement:
     def to_bytes(self) -> bytes:
         """Canonical encoding: n little-endian 8-byte words, ascending degree."""
         return self.coeffs.astype("<u8").tobytes()
-
-    @classmethod
-    def from_bytes(cls, data: bytes, ctx: RingContext) -> "RingElement":
-        if len(data) != 8 * ctx.n:
-            raise InvalidParams(f"expected {8 * ctx.n} bytes, got {len(data)}")
-        arr = np.frombuffer(data, dtype="<u8").astype(np.int64)
-        if (arr < 0).any() or (arr >= ctx.q).any():
-            raise InvalidParams("coefficient out of canonical range")
-        return cls(arr, ctx)
 
 
 def mul_schoolbook(a: RingElement, b: RingElement) -> RingElement:

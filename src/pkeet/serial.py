@@ -3,13 +3,15 @@
 Every file is one frame: a fixed 23-byte header (magic, version, scheme,
 kind, parameter digest, payload length) followed by the payload.  The
 payload embeds the canonical parameter text, then the object's arrays as
-raw little-endian 64-bit integers in a fixed order.  Decoders accept only
-canonical values: a parameter text byte-identical to the canonical form
-of the record it parses to, residues in ``[0, q)``, entries of an
-integer-scheme trapdoor ``R`` (signed, ``m_bar x n*k`` per matrix) within
-the tail bound ``floor(t_tail * sigma_r)``, and ring trapdoor ``T``
-residues whose balanced values lie within ``floor(t_tail * sigma_trap)``.
-So encoding is a bijection: decode(encode(x)) == x, and every frame that
+raw little-endian 64-bit integers in the order of its layout: one entry of
+``_LAYOUTS`` per ``(scheme, kind)``, read by one encode loop and one decode
+loop.  Both loops hold every array to its layout's shape and canonical
+range: residues in ``[0, q)``, integer trapdoor ``R`` entries (signed)
+within ``floor(t_tail * sigma_r)``, and ring trapdoor ``T`` residues whose
+balanced values lie within ``floor(t_tail * sigma_trap)``.  Decoding also
+requires the parameter text to be byte-identical to its record's canonical
+form.  So encoding is a bijection: an object that does not fit its frame
+raises :class:`FramingError`, decode(encode(x)) == x, and every frame that
 decodes re-encodes to the same bytes.
 """
 
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import math
 import struct
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -39,38 +42,7 @@ KIND_TD = 4
 KIND_PARAMS = 5
 
 _HEADER = struct.Struct("<4sBBB8sQ")
-
-
-def _arrays_bytes(arrays: list[np.ndarray]) -> bytes:
-    return b"".join(
-        np.ascontiguousarray(a, dtype=np.int64).astype("<i8").tobytes()
-        for a in arrays
-    )
-
-
-class _Reader:
-    def __init__(self, body: bytes, q: int):
-        self.body = body
-        self.q = q
-        self.pos = 0
-
-    def take(self, shape: tuple[int, ...], lo: int = 0, hi: int | None = None) -> np.ndarray:
-        """Next array of ``shape``; every value must lie in ``[lo, hi)``,
-        by default the residues ``[0, q)``."""
-        hi = self.q if hi is None else hi
-        count = int(np.prod(shape))
-        nbytes = 8 * count
-        if self.pos + nbytes > len(self.body):
-            raise FramingError("payload shorter than the declared object")
-        arr = np.frombuffer(self.body, dtype="<i8", count=count, offset=self.pos)
-        self.pos += nbytes
-        if count and (int(arr.min()) < lo or int(arr.max()) >= hi):
-            raise FramingError(f"value outside the canonical range [{lo}, {hi})")
-        return arr.astype(np.int64).reshape(shape)
-
-    def done(self) -> None:
-        if self.pos != len(self.body):
-            raise FramingError("payload longer than the declared object")
+_SCHEMES = {ParamsRing: SCHEME_RING, ParamsInt: SCHEME_INT}
 
 
 def encode_frame(scheme: int, kind: int, params, body: bytes) -> bytes:
@@ -110,218 +82,154 @@ def decode_frame(data: bytes) -> tuple[int, int, ParamsRing | ParamsInt, bytes]:
     bad = validate(params)
     if bad:
         raise FramingError(f"embedded parameters violate invariants: {bad}")
-    expect_scheme = SCHEME_RING if isinstance(params, ParamsRing) else SCHEME_INT
-    if scheme != expect_scheme:
+    if scheme != _SCHEMES[type(params)]:
         raise FramingError("scheme byte does not match the parameter record")
     return scheme, kind, params, payload[4 + text_len :]
 
 
 # ---------------------------------------------------------------------------
-# Ring scheme codecs
+# Layouts: one per (scheme, kind), walked by both directions
 # ---------------------------------------------------------------------------
 
 
-def _take_ring_t(r: _Reader, params: ParamsRing) -> RingTrapdoor:
-    """Next trapdoor ``T``: residues whose balanced values lie within the
-    sampler's tail bound, as :func:`_take_int_r` holds ``R`` to it."""
-    t_arr = r.take((params.base_len, params.k, params.n))
-    bound = math.floor(params.t_tail * params.sigma_trap)
-    if ((t_arr > bound) & (t_arr < params.q - bound)).any():
-        raise FramingError(f"trapdoor entry beyond the tail bound {bound}")
-    return RingTrapdoor(t_arr=t_arr, ctx=get_context(params))
+class _Field(NamedTuple):
+    """One field of a frame object: ``specs(params)`` lists the ``(shape,
+    lo, hi, tail)`` of each array it stores (values in ``[lo, hi)`` and, if
+    ``tail`` is set, residues whose balanced values lie within it);
+    ``take(value)`` gives those arrays, ``build(arrays, params)`` the value."""
+
+    name: str
+    specs: Callable
+    take: Callable = lambda value: [value]
+    build: Callable = lambda arrays, params: arrays[0]
 
 
-def encode_ring_pk(pk: PkRing, params: ParamsRing) -> bytes:
-    body = _arrays_bytes([pk.a.vec, pk.b.vec, pk.u.coeffs])
-    return encode_frame(SCHEME_RING, KIND_PK, params, body)
+def _residues(shape: Callable, count: Callable = lambda p: 1) -> Callable:
+    """Specs of ``count(params)`` residue arrays of ``shape(params)``."""
+    return lambda p: [(shape(p), 0, p.q, None)] * count(p)
 
 
-def decode_ring_pk(body: bytes, params: ParamsRing) -> PkRing:
-    m, n = params.m, params.n
-    r = _Reader(body, params.q)
-    a_vec, b_vec, u = r.take((m, n)), r.take((m, n)), r.take((n,))
-    r.done()
-    ctx = get_context(params)
-    return PkRing(
-        a=TaggedVector.from_coeffs(a_vec, ctx),
-        b=TaggedVector.from_coeffs(b_vec, ctx),
-        u=RingElement(u, ctx),
-    )
+def _int_r_specs(p: ParamsInt) -> list[tuple]:
+    bound = math.floor(p.t_tail * p.sigma_r)
+    return [((p.m_bar, p.n * p.k), -bound, bound + 1, None)]
 
 
-def encode_ring_sk(sk: SkRing, params: ParamsRing) -> bytes:
-    body = _arrays_bytes([sk.t_a.t_arr, sk.t_b.t_arr])
-    return encode_frame(SCHEME_RING, KIND_SK, params, body)
+# (specs, take, build) of each value type a field holds other than one array.
+_ELEMENT = (
+    _residues(lambda p: (p.n,)),
+    lambda e: [e.coeffs],
+    lambda arrays, p: RingElement(arrays[0], get_context(p)),
+)
+_ELEMENT_PAIR = (
+    _residues(lambda p: (p.n,), lambda p: 2),
+    lambda pair: [e.coeffs for e in pair],
+    lambda arrays, p: tuple(RingElement(a, get_context(p)) for a in arrays),
+)
+_TAGGED = (
+    _residues(lambda p: (p.m, p.n)),
+    lambda tv: [tv.vec],
+    lambda arrays, p: TaggedVector.from_coeffs(arrays[0], get_context(p)),
+)
+_RING_T = (
+    lambda p: [((p.base_len, p.k, p.n), 0, p.q, math.floor(p.t_tail * p.sigma_trap))],
+    lambda trap: [trap.t_arr],
+    lambda arrays, p: RingTrapdoor(t_arr=arrays[0], ctx=get_context(p)),
+)
+_INT_R = (
+    _int_r_specs,
+    lambda trap: [trap.r],
+    lambda arrays, p: IntTrapdoor.from_r(arrays[0], p),
+)
+_INT_MATRIX = _residues(lambda p: (p.n, p.m))
 
+_RING_PUBLIC = (_Field("b", *_TAGGED), _Field("u", *_ELEMENT))
+_INT_PUBLIC = (
+    _Field("a_prime", _INT_MATRIX),
+    _Field("a_list", _residues(lambda p: (p.n, p.m), lambda p: p.l), list, lambda a, p: a),
+    _Field("b", _INT_MATRIX),
+    _Field("u", _residues(lambda p: (p.n, p.t_msg))),
+)
 
-def decode_ring_sk(body: bytes, params: ParamsRing) -> SkRing:
-    r = _Reader(body, params.q)
-    t_a, t_b = _take_ring_t(r, params), _take_ring_t(r, params)
-    r.done()
-    return SkRing(t_a=t_a, t_b=t_b)
-
-
-def encode_ring_ct(ct: CtRing, params: ParamsRing) -> bytes:
-    body = _arrays_bytes(
-        [ct.sig, ct.v[0].coeffs, ct.v[1].coeffs, ct.ct1.coeffs, ct.ct2.coeffs, ct.ct3, ct.ct4]
-    )
-    return encode_frame(SCHEME_RING, KIND_CT, params, body)
-
-
-def decode_ring_ct(body: bytes, params: ParamsRing) -> CtRing:
-    m, n = params.m, params.n
-    ctx = get_context(params)
-    r = _Reader(body, params.q)
-    sig = r.take((params.base_len, n))
-    v0, v1 = r.take((n,)), r.take((n,))
-    ct1, ct2 = r.take((n,)), r.take((n,))
-    ct3, ct4 = r.take((m, n)), r.take((m, n))
-    r.done()
-    return CtRing(
-        sig=sig,
-        v=(RingElement(v0, ctx), RingElement(v1, ctx)),
-        ct1=RingElement(ct1, ctx),
-        ct2=RingElement(ct2, ctx),
-        ct3=ct3,
-        ct4=ct4,
-    )
-
-
-def encode_ring_td(td: TrapdoorTokenRing, params: ParamsRing) -> bytes:
-    body = _arrays_bytes([td.t_b.t_arr, td.b.vec, td.u.coeffs])
-    return encode_frame(SCHEME_RING, KIND_TD, params, body)
-
-
-def decode_ring_td(body: bytes, params: ParamsRing) -> TrapdoorTokenRing:
-    r = _Reader(body, params.q)
-    t_b = _take_ring_t(r, params)
-    b_vec = r.take((params.m, params.n))
-    u = r.take((params.n,))
-    r.done()
-    ctx = get_context(params)
-    return TrapdoorTokenRing(
-        t_b=t_b,
-        b=TaggedVector.from_coeffs(b_vec, ctx),
-        u=RingElement(u, ctx),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Integer scheme codecs
-# ---------------------------------------------------------------------------
-
-
-def encode_int_pk(pk: PkInt, params: ParamsInt) -> bytes:
-    body = _arrays_bytes([pk.a, pk.a_prime, *pk.a_list, pk.b, pk.u])
-    return encode_frame(SCHEME_INT, KIND_PK, params, body)
-
-
-def decode_int_pk(body: bytes, params: ParamsInt) -> PkInt:
-    n, m = params.n, params.m
-    r = _Reader(body, params.q)
-    a = r.take((n, m))
-    a_prime = r.take((n, m))
-    a_list = [r.take((n, m)) for _ in range(params.l)]
-    b = r.take((n, m))
-    u = r.take((n, params.t_msg))
-    r.done()
-    return PkInt(a=a, a_prime=a_prime, a_list=a_list, b=b, u=u)
-
-
-def _take_int_r(r: _Reader, params: ParamsInt) -> np.ndarray:
-    bound = math.floor(params.t_tail * params.sigma_r)
-    return r.take((params.m_bar, params.n * params.k), -bound, bound + 1)
-
-
-def encode_int_sk(sk: SkInt, params: ParamsInt) -> bytes:
-    body = _arrays_bytes([sk.t_a.r, sk.t_a_prime.r])
-    return encode_frame(SCHEME_INT, KIND_SK, params, body)
-
-
-def decode_int_sk(body: bytes, params: ParamsInt) -> SkInt:
-    r = _Reader(body, params.q)
-    r_a, r_ap = _take_int_r(r, params), _take_int_r(r, params)
-    r.done()
-    return SkInt(
-        t_a=IntTrapdoor.from_r(r_a, params),
-        t_a_prime=IntTrapdoor.from_r(r_ap, params),
-    )
-
-
-def encode_int_ct(ct: CtInt, params: ParamsInt) -> bytes:
-    body = _arrays_bytes([ct.c1, ct.c2, ct.c3, ct.c4, ct.u, ct.d])
-    return encode_frame(SCHEME_INT, KIND_CT, params, body)
-
-
-def decode_int_ct(body: bytes, params: ParamsInt) -> CtInt:
-    r = _Reader(body, params.q)
-    c1 = r.take((params.t_msg,))
-    c2 = r.take((params.t_msg,))
-    c3 = r.take((2 * params.m,))
-    c4 = r.take((2 * params.m,))
-    u = r.take((params.m,))
-    d = r.take((params.n, params.k_sig))
-    r.done()
-    return CtInt(c1=c1, c2=c2, c3=c3, c4=c4, u=u, d=d)
-
-
-def encode_int_td(td: TrapdoorTokenInt, params: ParamsInt) -> bytes:
-    body = _arrays_bytes([td.t_a_prime.r, td.a_prime, *td.a_list, td.b, td.u])
-    return encode_frame(SCHEME_INT, KIND_TD, params, body)
-
-
-def decode_int_td(body: bytes, params: ParamsInt) -> TrapdoorTokenInt:
-    n, m = params.n, params.m
-    r = _Reader(body, params.q)
-    r_ap = _take_int_r(r, params)
-    a_prime = r.take((n, m))
-    a_list = [r.take((n, m)) for _ in range(params.l)]
-    b = r.take((n, m))
-    u = r.take((n, params.t_msg))
-    r.done()
-    return TrapdoorTokenInt(
-        t_a_prime=IntTrapdoor.from_r(r_ap, params),
-        a_prime=a_prime,
-        a_list=a_list,
-        b=b,
-        u=u,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Dispatch
-# ---------------------------------------------------------------------------
-
-_ENCODERS = {
-    (SCHEME_RING, KIND_PK): encode_ring_pk,
-    (SCHEME_RING, KIND_SK): encode_ring_sk,
-    (SCHEME_RING, KIND_CT): encode_ring_ct,
-    (SCHEME_RING, KIND_TD): encode_ring_td,
-    (SCHEME_INT, KIND_PK): encode_int_pk,
-    (SCHEME_INT, KIND_SK): encode_int_sk,
-    (SCHEME_INT, KIND_CT): encode_int_ct,
-    (SCHEME_INT, KIND_TD): encode_int_td,
+# One layout per (scheme, kind): the object's class and its fields in frame order.
+_LAYOUTS = {
+    (SCHEME_RING, KIND_PK): (PkRing, (_Field("a", *_TAGGED), *_RING_PUBLIC)),
+    (SCHEME_RING, KIND_SK): (SkRing, (_Field("t_a", *_RING_T), _Field("t_b", *_RING_T))),
+    (SCHEME_RING, KIND_CT): (CtRing, (
+        _Field("sig", _residues(lambda p: (p.base_len, p.n))),
+        _Field("v", *_ELEMENT_PAIR),
+        _Field("ct1", *_ELEMENT),
+        _Field("ct2", *_ELEMENT),
+        _Field("ct3", _residues(lambda p: (p.m, p.n))),
+        _Field("ct4", _residues(lambda p: (p.m, p.n))),
+    )),
+    (SCHEME_RING, KIND_TD): (TrapdoorTokenRing, (_Field("t_b", *_RING_T), *_RING_PUBLIC)),
+    (SCHEME_INT, KIND_PK): (PkInt, (_Field("a", _INT_MATRIX), *_INT_PUBLIC)),
+    (SCHEME_INT, KIND_SK): (SkInt, (_Field("t_a", *_INT_R), _Field("t_a_prime", *_INT_R))),
+    (SCHEME_INT, KIND_CT): (CtInt, (
+        _Field("c1", _residues(lambda p: (p.t_msg,))),
+        _Field("c2", _residues(lambda p: (p.t_msg,))),
+        _Field("c3", _residues(lambda p: (2 * p.m,))),
+        _Field("c4", _residues(lambda p: (2 * p.m,))),
+        _Field("u", _residues(lambda p: (p.m,))),
+        _Field("d", _residues(lambda p: (p.n, p.k_sig))),
+    )),
+    (SCHEME_INT, KIND_TD): (TrapdoorTokenInt, (_Field("t_a_prime", *_INT_R), *_INT_PUBLIC)),
 }
 
-_DECODERS = {
-    (SCHEME_RING, KIND_PK): decode_ring_pk,
-    (SCHEME_RING, KIND_SK): decode_ring_sk,
-    (SCHEME_RING, KIND_CT): decode_ring_ct,
-    (SCHEME_RING, KIND_TD): decode_ring_td,
-    (SCHEME_INT, KIND_PK): decode_int_pk,
-    (SCHEME_INT, KIND_SK): decode_int_sk,
-    (SCHEME_INT, KIND_CT): decode_int_ct,
-    (SCHEME_INT, KIND_TD): decode_int_td,
-}
+
+def _checked(arr: np.ndarray, spec: tuple) -> np.ndarray:
+    """``arr`` itself once it has the spec's shape and canonical range."""
+    shape, lo, hi, tail = spec
+    if arr.shape != shape:
+        raise FramingError(f"array of shape {arr.shape} where the layout declares {shape}")
+    if arr.size and (int(arr.min()) < lo or int(arr.max()) >= hi):
+        raise FramingError(f"value outside the canonical range [{lo}, {hi})")
+    if tail is not None and ((arr > tail) & (arr < hi - tail)).any():
+        raise FramingError(f"trapdoor entry beyond the tail bound {tail}")
+    return arr
+
+
+def _layout(scheme: int, kind: int) -> tuple[type, tuple[_Field, ...]]:
+    if (scheme, kind) not in _LAYOUTS:
+        raise FramingError(f"no layout for scheme={scheme} kind={kind}")
+    return _LAYOUTS[scheme, kind]
 
 
 def encode_object(scheme: int, kind: int, obj, params) -> bytes:
+    """Frame of ``obj`` under ``params``; raises :class:`FramingError` when
+    the object, its shapes or its values do not fit ``(scheme, kind, params)``."""
+    if _SCHEMES.get(type(params)) != scheme:
+        raise FramingError(f"parameter record does not belong to scheme {scheme}")
     if kind == KIND_PARAMS:
         return encode_frame(scheme, kind, params, b"")
-    enc = _ENCODERS.get((scheme, kind))
-    if enc is None:
-        raise FramingError(f"no encoder for scheme={scheme} kind={kind}")
-    return enc(obj, params)
+    cls, fields = _layout(scheme, kind)
+    if not isinstance(obj, cls):
+        raise FramingError(f"expected a {cls.__name__}, got {type(obj).__name__}")
+    chunks = []
+    for f in fields:
+        arrays, specs = f.take(getattr(obj, f.name)), f.specs(params)
+        if len(arrays) != len(specs):
+            raise FramingError(f"field {f.name} holds {len(arrays)} arrays, not {len(specs)}")
+        for arr, spec in zip(arrays, specs):
+            chunks.append(_checked(np.asarray(arr), spec).astype("<i8", copy=False).tobytes())
+    return encode_frame(scheme, kind, params, b"".join(chunks))
+
+
+def _encoder(scheme: int, kind: int) -> Callable:
+    def encode(obj, params) -> bytes:
+        return encode_object(scheme, kind, obj, params)
+
+    return encode
+
+
+encode_ring_pk = _encoder(SCHEME_RING, KIND_PK)
+encode_ring_sk = _encoder(SCHEME_RING, KIND_SK)
+encode_ring_ct = _encoder(SCHEME_RING, KIND_CT)
+encode_ring_td = _encoder(SCHEME_RING, KIND_TD)
+encode_int_pk = _encoder(SCHEME_INT, KIND_PK)
+encode_int_sk = _encoder(SCHEME_INT, KIND_SK)
+encode_int_ct = _encoder(SCHEME_INT, KIND_CT)
+encode_int_td = _encoder(SCHEME_INT, KIND_TD)
 
 
 def decode_object(data: bytes, expect_kind: int | None = None):
@@ -333,10 +241,22 @@ def decode_object(data: bytes, expect_kind: int | None = None):
         if body:
             raise FramingError("parameter frame carries an unexpected body")
         return scheme, kind, params, params
-    dec = _DECODERS.get((scheme, kind))
-    if dec is None:
-        raise FramingError(f"no decoder for scheme={scheme} kind={kind}")
-    return scheme, kind, params, dec(body, params)
+    cls, fields = _layout(scheme, kind)
+    pos, field_arrays = 0, []
+    for f in fields:
+        arrays = []
+        for spec in f.specs(params):
+            count = math.prod(spec[0])
+            if pos + 8 * count > len(body):
+                raise FramingError("payload shorter than the declared object")
+            arr = np.frombuffer(body, dtype="<i8", count=count, offset=pos)
+            arrays.append(_checked(arr.astype(np.int64).reshape(spec[0]), spec))
+            pos += 8 * count
+        field_arrays.append(arrays)
+    if pos != len(body):
+        raise FramingError("payload longer than the declared object")
+    values = {f.name: f.build(a, params) for f, a in zip(fields, field_arrays)}
+    return scheme, kind, params, cls(**values)
 
 
 def require_same_params(*records) -> None:

@@ -139,14 +139,6 @@ def test_bit_codec_noise_margin():
     assert not np.array_equal(decode_bits(big), bits)
 
 
-def test_element_byte_codec(ring_small):
-    ctx = get_context(ring_small)
-    rng = seeded("bytes")
-    a = sample_uniform(ctx, rng)
-    again = RingElement.from_bytes(a.to_bytes(), ctx)
-    assert again == a
-
-
 def test_shape_and_context_guards():
     ctx = RingContext(4, 97)
     other = RingContext(8, 97)

@@ -1,5 +1,6 @@
 """Framed binary serialization: bijectivity, integrity, params binding."""
 
+import dataclasses
 import struct
 
 import numpy as np
@@ -9,8 +10,9 @@ from pkeet import pkeet_int as pi
 from pkeet import pkeet_ring as pr
 from pkeet import serial
 from pkeet.errors import FramingError, ParamsMismatch
-from pkeet.params import ParamsRing
+from pkeet.params import ParamsRing, derive_ring_params
 from pkeet.ring import encode_message, get_context
+from pkeet.trapdoor_ring import RingTrapdoor
 from conftest import seeded
 
 
@@ -227,3 +229,35 @@ def test_seeded_ring_keys_within_tail_bound(ring_small):
             assert serial.encode_object(
                 serial.SCHEME_RING, kind, serial.decode_object(blob)[3], ring_small
             ) == blob
+
+
+@pytest.mark.parametrize("key", sorted(serial._LAYOUTS))
+def test_layout_names_every_field_in_order(key):
+    # A field added to a frame class but left out of its layout fails here.
+    cls, fields = serial._LAYOUTS[key]
+    assert [f.name for f in fields] == [f.name for f in dataclasses.fields(cls)]
+
+
+def test_encoders_refuse_objects_that_do_not_fit(ring_objects, int_objects):
+    params, int_params = ring_objects["params"], int_objects["params"]
+    ring_pk, ct = ring_objects[serial.KIND_PK], ring_objects[serial.KIND_CT]
+    pk16, _ = pr.setup(derive_ring_params(128, 16, "toy"), seeded("serial-n16"))
+    ct3 = ct.ct3.copy()
+    ct3[0, 0] = params.q
+    sk = ring_objects[serial.KIND_SK]
+    t_arr = sk.t_a.t_arr.copy()
+    t_arr[0, 0, 0] = int(params.t_tail * params.sigma_trap) + 1
+    sk_beyond_tail = pr.SkRing(t_a=RingTrapdoor(t_arr=t_arr, ctx=sk.t_a.ctx), t_b=sk.t_b)
+    ring, integer = serial.SCHEME_RING, serial.SCHEME_INT
+    cases = [  # (named encoder, scheme, kind, object, params)
+        (serial.encode_int_pk, integer, serial.KIND_PK, ring_pk, int_params),
+        (serial.encode_ring_pk, ring, serial.KIND_PK, ring_pk, int_params),
+        (serial.encode_ring_pk, ring, serial.KIND_PK, pk16, derive_ring_params(128, 32, "toy")),
+        (serial.encode_ring_ct, ring, serial.KIND_CT, dataclasses.replace(ct, ct3=ct3), params),
+        (serial.encode_ring_sk, ring, serial.KIND_SK, sk_beyond_tail, params),
+    ]
+    for encoder, scheme, kind, obj, obj_params in cases:
+        with pytest.raises(FramingError):
+            serial.encode_object(scheme, kind, obj, obj_params)
+        with pytest.raises(FramingError):
+            encoder(obj, obj_params)
