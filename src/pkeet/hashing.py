@@ -69,14 +69,19 @@ def hash_message(params: ParamsRing | ParamsInt, data: bytes):
     raise InvalidParams(f"not a parameter record: {type(params)!r}")
 
 
-def hash_to_invertible(params: ParamsRing, data: bytes) -> RingElement:
-    """Map bytes to an invertible ring element by counter rejection."""
+def hash_to_invertible(params: ParamsRing, data: bytes) -> np.ndarray:
+    """Map bytes to an invertible ring element by counter rejection.
+
+    Returns the element's NTT slots, shape (n,), which the invertibility
+    check computes anyway; ``get_context(params).intt`` gives the
+    coefficients.
+    """
     ctx = get_context(params)
     for counter in range(H1_RETRY_CAP):
         stream = _hash_stream(TAG_INVERTIBLE, params, data, counter)
-        cand = RingElement(stream.uniform_mod(params.q, params.n), ctx)
-        if is_invertible(cand):
-            return cand
+        slots = ctx.ntt(stream.uniform_mod(params.q, params.n))
+        if is_invertible(slots):
+            return slots
     raise InternalError(f"no invertible hash output after {H1_RETRY_CAP} counters")
 
 

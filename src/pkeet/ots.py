@@ -34,18 +34,14 @@ def _uniform_signed(bound: int, shape: tuple[int, ...], rng: XofRng) -> np.ndarr
 @dataclass
 class OtsRingKeys:
     """Secret columns ``k1`` (bound b) and ``k2`` (bound w*b), public pair
-    ``(H k1, H k2)`` under the row ``H`` used at generation time."""
+    ``(H k1, H k2)`` under the row ``H`` used at generation time, and the
+    NTT slots of ``k1``, which signing reuses."""
 
     k1: np.ndarray             # (rows, n) balanced, |entries| <= b
     k2: np.ndarray             # (rows, n) balanced, |entries| <= w*b
+    k1_hat: np.ndarray         # (rows, n) NTT slots of k1 mod q
     pub: tuple[RingElement, RingElement]
     ctx: RingContext
-
-
-def _row_apply(h_hat: np.ndarray, col: np.ndarray, ctx: RingContext) -> RingElement:
-    """Inner product of a public row in NTT slots with a secret column, both (rows, n)."""
-    out = dot_ntt(h_hat, ctx.ntt(col % ctx.q), ctx)
-    return RingElement(ctx.intt(out), ctx)
 
 
 def ots_ring_keygen(
@@ -58,8 +54,9 @@ def ots_ring_keygen(
     b, w = params.b_ots, params.delta_w
     k1 = _uniform_signed(b, (rows, ctx.n), rng)
     k2 = _uniform_signed(w * b, (rows, ctx.n), rng)
-    pub = (_row_apply(h_hat, k1, ctx), _row_apply(h_hat, k2, ctx))
-    return OtsRingKeys(k1=k1, k2=k2, pub=pub, ctx=ctx)
+    k_hat = ctx.ntt(np.stack([k1, k2]) % ctx.q)                     # (2, rows, n)
+    pub1, pub2 = (RingElement(c, ctx) for c in ctx.intt(dot_ntt(h_hat, k_hat, ctx)))
+    return OtsRingKeys(k1=k1, k2=k2, k1_hat=k_hat[0], pub=(pub1, pub2), ctx=ctx)
 
 
 def _check_ring_message(msg: RingElement, params: ParamsRing) -> None:
@@ -78,8 +75,7 @@ def ots_ring_sign(
     """Signature ``s = k1 * msg + k2`` as a (rows, n) canonical array."""
     _check_ring_message(msg, params)
     ctx = keys.ctx
-    m_hat = ctx.ntt(msg.coeffs)
-    prod = ctx.intt(mulmod(ctx.ntt(keys.k1 % ctx.q), m_hat[None, :], ctx.q))
+    prod = ctx.intt(mulmod(keys.k1_hat, ctx.ntt(msg.coeffs), ctx.q))
     return (prod + keys.k2) % ctx.q
 
 
@@ -97,11 +93,11 @@ def ots_ring_verify(
     bound = 2 * params.delta_w * params.b_ots
     if int(np.abs(ctx.balanced(sig)).max(initial=0)) > bound:
         return False
-    lhs = dot_ntt(h_hat, ctx.ntt(sig), ctx)
-    rhs = (
-        mulmod(ctx.ntt(pub[0].coeffs), ctx.ntt(msg.coeffs), ctx.q)
-        + ctx.ntt(pub[1].coeffs)
-    ) % ctx.q
+    rows = sig.shape[0]
+    hats = ctx.ntt(np.concatenate([sig, np.stack([pub[0].coeffs, pub[1].coeffs, msg.coeffs])]))
+    sig_hat, (pub1_hat, pub2_hat, m_hat) = hats[:rows], hats[rows:]
+    lhs = dot_ntt(h_hat, sig_hat, ctx)
+    rhs = (mulmod(pub1_hat, m_hat, ctx.q) + pub2_hat) % ctx.q
     return bool(np.array_equal(lhs, rhs))
 
 

@@ -100,23 +100,19 @@ def _ct_bytes(ct1: RingElement, ct2: RingElement, ct3: np.ndarray, ct4: np.ndarr
     )
 
 
-def _masked_vector(
-    av: TaggedVector, s: RingElement, params: ParamsRing, rng: XofRng
-) -> np.ndarray:
-    """``av * s`` plus per-slot noise: narrow on the head, wide on the tail."""
-    ctx = av.ctx
-    base_len, k = params.base_len, params.k
+def _vector_noise(params: ParamsRing, rng: XofRng) -> np.ndarray:
+    """(m, n) noise of one vector slot: narrow on the head, wide on the tail."""
+    ctx = get_context(params)
     noise = np.empty((params.m, ctx.n), dtype=np.int64)
-    noise[:base_len] = sample_ring_array(params.tau, base_len, ctx, rng)
-    noise[base_len:] = sample_ring_array(params.gamma, k, ctx, rng)
-    s_hat = ctx.ntt(s.coeffs)
-    masked = ctx.intt(mulmod(av.vec_hat, s_hat[None, :], ctx.q))
-    return (masked + noise) % ctx.q
+    noise[: params.base_len] = sample_ring_array(params.tau, params.base_len, ctx, rng)
+    noise[params.base_len :] = sample_ring_array(params.gamma, params.k, ctx, rng)
+    return noise
 
 
 def encrypt(pk: PkRing, message: RingElement, params: ParamsRing, rng: XofRng) -> CtRing:
     """Encrypt a binary-coefficient ring element."""
     ctx = get_context(params)
+    q = ctx.q
     if message.ctx != ctx:
         raise ParamsMismatch("message built under a different ring context")
     if ((message.coeffs != 0) & (message.coeffs != 1)).any():
@@ -124,31 +120,36 @@ def encrypt(pk: PkRing, message: RingElement, params: ParamsRing, rng: XofRng) -
 
     ots_keys: OtsRingKeys = ots_ring_keygen(pk.a.vec_hat[: params.base_len], params, rng)
     v = ots_keys.pub
-    h = hash_to_invertible(params, _v_bytes(v))
-    a_h = apply_tag_shift(pk.a, h)
-    b_h = apply_tag_shift(pk.b, h)
+    h_hat = hash_to_invertible(params, _v_bytes(v))
+    a_h = apply_tag_shift(pk.a, h_hat)
+    b_h = apply_tag_shift(pk.b, h_hat)
 
-    s1 = sample_uniform(ctx, rng)
-    s2 = sample_uniform(ctx, rng)
+    s1, s2 = sample_uniform(ctx, rng), sample_uniform(ctx, rng)
     e1, e2 = (RingElement(e, ctx) for e in sample_ring_array(params.tau, 2, ctx, rng))
-    ct1 = pk.u * s1 + e1 + scale_halfq(message)
-    ct2 = pk.u * s2 + e2 + scale_halfq(hash_message(params, message.to_bytes()))
+    hats = ctx.ntt(np.stack([pk.u.coeffs, s1.coeffs, s2.coeffs]))
+    s_hat = hats[1:]                                                 # (2, n)
+    us1, us2 = (RingElement(c, ctx) for c in ctx.intt(mulmod(hats[0], s_hat, q)))
+    ct1 = us1 + e1 + scale_halfq(message)
+    ct2 = us2 + e2 + scale_halfq(hash_message(params, message.to_bytes()))
 
-    ct3 = _masked_vector(a_h, s1, params, rng)
-    ct4 = _masked_vector(b_h, s2, params, rng)
+    noise = np.stack([_vector_noise(params, rng) for _ in range(2)])
+    vec_hat = np.stack([a_h.vec_hat, b_h.vec_hat])
+    ct3, ct4 = (ctx.intt(mulmod(vec_hat, s_hat[:, None, :], q)) + noise) % q
 
     ots_msg = hash_to_sparse(params, _ct_bytes(ct1, ct2, ct3, ct4))
     sig = ots_ring_sign(ots_keys, ots_msg, params)
     return CtRing(sig=sig, v=v, ct1=ct1, ct2=ct2, ct3=ct3, ct4=ct4)
 
 
-def _open_slot(payload: RingElement, vec_slot: np.ndarray, x_hat: np.ndarray) -> np.ndarray:
-    """Decode the bits hidden in a payload slot using a preimage of ``u``
-    (evaluation form, shape (m, n))."""
-    ctx = payload.ctx
-    inner = dot_ntt(ctx.ntt(vec_slot), x_hat, ctx)
-    w = payload - RingElement(ctx.intt(inner), ctx)
-    return decode_bits(w)
+def _open_slots(
+    payloads: list[RingElement], vec_slots: list[np.ndarray], x_hat: np.ndarray
+) -> list[np.ndarray]:
+    """Decode the bits hidden in each payload slot using its vector slot and
+    a preimage of ``u`` (evaluation form, shape (J, m, n)): one transform
+    each way for all of them."""
+    ctx = payloads[0].ctx
+    inner = ctx.intt(dot_ntt(ctx.ntt(np.stack(vec_slots)), x_hat, ctx))
+    return [decode_bits(p - RingElement(c, ctx)) for p, c in zip(payloads, inner)]
 
 
 def decrypt(
@@ -165,13 +166,12 @@ def decrypt(
     if not ots_ring_verify(a_prime_hat, ct.v, ots_msg, ct.sig, params):
         raise RejectSignature("one-time signature check failed")
 
-    h = hash_to_invertible(params, _v_bytes(ct.v))
-    a_h = apply_tag_shift(pk.a, h)
-    b_h = apply_tag_shift(pk.b, h)
+    h_hat = hash_to_invertible(params, _v_bytes(ct.v))
+    a_h = apply_tag_shift(pk.a, h_hat)
+    b_h = apply_tag_shift(pk.b, h_hat)
 
     x_hat = sample_pre([(sk.t_a, a_h, pk.u), (sk.t_b, b_h, pk.u)], params, rng)
-    msg_bits = _open_slot(ct.ct1, ct.ct3, x_hat[0])
-    hash_bits = _open_slot(ct.ct2, ct.ct4, x_hat[1])
+    msg_bits, hash_bits = _open_slots([ct.ct1, ct.ct2], [ct.ct3, ct.ct4], x_hat)
 
     message = RingElement(msg_bits, ctx)
     expected = hash_message(params, message.to_bytes())
@@ -188,8 +188,8 @@ def trapdoor(sk: SkRing, pk: PkRing) -> TrapdoorTokenRing:
 def _test_job(
     td: TrapdoorTokenRing, ct: CtRing, params: ParamsRing
 ) -> tuple[RingTrapdoor, TaggedVector, RingElement]:
-    h = hash_to_invertible(params, _v_bytes(ct.v))
-    return td.t_b, apply_tag_shift(td.b, h), td.u
+    h_hat = hash_to_invertible(params, _v_bytes(ct.v))
+    return td.t_b, apply_tag_shift(td.b, h_hat), td.u
 
 
 def test(
@@ -203,6 +203,5 @@ def test(
     """1 iff the two ciphertexts hide the same message (hash-slot equality)."""
     jobs = [_test_job(td_i, ct_i, params), _test_job(td_j, ct_j, params)]
     x_hat = sample_pre(jobs, params, rng)
-    side_i = _open_slot(ct_i.ct2, ct_i.ct4, x_hat[0])
-    side_j = _open_slot(ct_j.ct2, ct_j.ct4, x_hat[1])
+    side_i, side_j = _open_slots([ct_i.ct2, ct_j.ct2], [ct_i.ct4, ct_j.ct4], x_hat)
     return int(np.array_equal(side_i, side_j))

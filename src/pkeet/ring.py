@@ -8,9 +8,21 @@ turning ring multiplication into slotwise modular multiplication.
 Coefficients are stored canonically in ``[0, q)`` as ``int64``.  Products of
 two canonical values can reach ``q^2``, which does not fit in 64 bits, so
 :func:`mulmod` recovers the exact product residue from the wrapped low word
-plus a float64 quotient estimate.  The estimate is off by at most a few
-multiples of ``q`` whenever ``q < 2**57``, and one final ``% q`` absorbs the
-slack; moduli at or above ``2**57`` are rejected.
+minus ``q`` times a float64 quotient estimate.
+
+Fold bound.  For ``q < 2**52`` the estimate is off by at most one multiple
+of ``q``, so one compare-and-add and one compare-and-subtract finish the
+reduction.  Proof: ``a``, ``b`` and ``q`` are exact in float64, and the
+estimate of ``x = a b / q`` is two correctly rounded steps, ``(a b) / q``
+or ``a (b / q)``, so it equals ``x (1 + e1)(1 + e2)`` with
+``|e1|, |e2| <= 2**-53``.  As ``x < q``, its error is below
+``q (2**-52 + 2**-106) < 1``, its floor is ``floor(x)`` or one off, and
+``a b - q floor(estimate)`` lies in ``[-q, 2q)``; that fits int64, so the
+wrapped low words give it exactly.  From ``2**52`` to the ``2**57`` cap the
+estimate can be off by several multiples of ``q`` and the remainder goes
+through one ``% q`` instead; moduli at or above ``2**57`` are rejected.
+The transforms' ``even +- odd`` sums lie in ``(-q, 2q)`` at any modulus and
+take the same compare corrections.
 """
 
 from __future__ import annotations
@@ -29,32 +41,71 @@ from .params import MULMOD_CAP, ParamsRing, is_prime
 from .rng import XofRng
 
 
-def mulmod(a: np.ndarray, b, q: int) -> np.ndarray:
-    """Exact elementwise ``a * b mod q`` for canonical int64 operands."""
-    au = a.astype(np.uint64)
-    bu = np.asarray(b, dtype=np.int64).astype(np.uint64)
-    low = au * bu
-    quot = (a.astype(np.float64) * np.asarray(b, dtype=np.float64) / q).astype(np.uint64)
-    rem = (low - quot * np.uint64(q)).astype(np.int64)
-    return rem % q
+_FOLD_BOUND = 1 << 52   # below it mulmod needs no % q; see the module docstring
+
+# The folds compare through an unsigned view: a negative x reads as at least
+# 2^63, so x + q wraps below x exactly when x < 0, and x - q wraps above x
+# exactly when x < q; one minimum then picks the corrected value.
+
+
+def _fold_up(x: np.ndarray, q: int) -> None:
+    """In place, ``x + q`` where ``x`` is negative: ``[-q, q)`` to ``[0, q)``."""
+    u = x.view(np.uint64)
+    np.minimum(u, u + q, out=u)
+
+
+def _fold_down(x: np.ndarray, q: int) -> None:
+    """In place, ``x - q`` where ``x >= q``: ``[0, 2q)`` to ``[0, q)``."""
+    u = x.view(np.uint64)
+    np.minimum(u, u - q, out=u)
+
+
+def mulmod(a: np.ndarray, b, q: int, b_over_q=None) -> np.ndarray:
+    """Exact elementwise ``a * b mod q`` for canonical int64 operands.
+
+    ``b_over_q`` is ``b / q`` in float64, passed when it is precomputed for
+    a fixed operand (the transform twiddles); the result is the same.
+    """
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
+    if b_over_q is None:
+        quot = np.multiply(a, b, dtype=np.float64)
+        quot /= q
+    else:
+        quot = np.multiply(a, b_over_q, dtype=np.float64)
+    rem = a * b                      # low 64 bits of the product, wrapped
+    quot_q = quot.astype(np.int64)
+    quot_q *= q
+    rem -= quot_q
+    if q >= _FOLD_BOUND:
+        return rem % q
+    _fold_up(rem, q)
+    _fold_down(rem, q)
+    return rem
 
 
 def invmod(a: np.ndarray, q: int) -> np.ndarray:
     """Elementwise inverse of nonzero canonical residues modulo the prime ``q``.
 
-    Fermat's ``a^(q-2)`` by square-and-multiply over the bits of ``q - 2``,
-    one vectorized :func:`mulmod` per step, so the result is exact.
+    Montgomery's batch inversion in exact Python integers: prefix products,
+    one ``pow(acc, -1, q)`` for all of them, then one pass back that peels
+    each inverse off, three products per residue.  A zero residue makes the
+    whole product zero and raises ``ValueError``; callers check for zeros
+    first.
     """
-    result = np.ones_like(a, dtype=np.int64)
-    power = np.asarray(a, dtype=np.int64)
-    e = q - 2
-    while e:
-        if e & 1:
-            result = mulmod(result, power, q)
-        e >>= 1
-        if e:
-            power = mulmod(power, power, q)
-    return result
+    arr = np.asarray(a, dtype=np.int64)
+    values = arr.reshape(-1).tolist()
+    prefix = [1] * len(values)
+    acc = 1
+    for i, value in enumerate(values):
+        prefix[i] = acc
+        acc = acc * value % q
+    inv = pow(acc, -1, q)
+    out = [0] * len(values)
+    for i in range(len(values) - 1, -1, -1):
+        out[i] = inv * prefix[i] % q
+        inv = inv * values[i] % q
+    return np.array(out, dtype=np.int64).reshape(arr.shape)
 
 
 def _bit_reverse_permutation(n: int) -> np.ndarray:
@@ -86,6 +137,8 @@ class RingContext:
         inv_pows = [pow(inv_psi, int(r), q) for r in rev]
         self._psi_rev = np.array(psi_pows, dtype=np.int64)
         self._inv_psi_rev = np.array(inv_pows, dtype=np.int64)
+        self._psi_rev_quot = self._psi_rev / q          # twiddle quotients w / q
+        self._inv_psi_rev_quot = self._inv_psi_rev / q
         self._n_inv = pow(n, q - 2, q)
 
     def _find_psi(self) -> int:
@@ -108,45 +161,56 @@ class RingContext:
 
     # -- batched kernels on (..., n) int64 arrays ---------------------------
 
+    def _columns(self, arr: np.ndarray) -> np.ndarray:
+        """Private (n, rows) copy of a stack of rows.  With the rows side by
+        side, each butterfly half is one contiguous run of ``t * rows``
+        entries however short the butterfly stride ``t``, and the halves
+        update in place."""
+        if arr.shape[-1:] != (self.n,):
+            raise InvalidDegree(f"expected rows of {self.n} entries, got shape {arr.shape}")
+        return arr.reshape(-1, self.n).T.copy()
+
     def ntt(self, coeffs: np.ndarray) -> np.ndarray:
         """Forward transform; output slots are evaluations in bit-reversed order."""
-        a = np.array(coeffs, dtype=np.int64)
+        coeffs = np.asarray(coeffs, dtype=np.int64)
         n, q = self.n, self.q
-        batch = a.shape[:-1]
-        t = n
+        a = self._columns(coeffs)
         m = 1
         while m < n:
-            t >>= 1
-            v = a.reshape(*batch, m, 2, t)
-            w = self._psi_rev[m : 2 * m].reshape(m, 1)
-            even = v[..., 0, :].copy()
-            odd = mulmod(v[..., 1, :], w, q)
-            v[..., 0, :] = (even + odd) % q
-            v[..., 1, :] = (even - odd) % q
+            v = a.reshape(m, 2, -1)
+            even, odd_half = v[:, 0], v[:, 1]
+            w, w_quot = self._psi_rev[m : 2 * m, None], self._psi_rev_quot[m : 2 * m, None]
+            odd = mulmod(odd_half, w, q, w_quot)
+            np.subtract(even, odd, out=odd_half)
+            _fold_up(odd_half, q)
+            even += odd
+            _fold_down(even, q)
             m <<= 1
-        return a
+        return np.ascontiguousarray(a.T).reshape(coeffs.shape)
 
     def intt(self, evals: np.ndarray) -> np.ndarray:
         """Inverse transform back to canonical coefficients."""
-        a = np.array(evals, dtype=np.int64)
+        evals = np.asarray(evals, dtype=np.int64)
         n, q = self.n, self.q
-        batch = a.shape[:-1]
-        t = 1
+        a = self._columns(evals)
         m = n
         while m > 1:
             h = m >> 1
-            v = a.reshape(*batch, h, 2, t)
-            w = self._inv_psi_rev[h : 2 * h].reshape(h, 1)
-            upper = v[..., 0, :].copy()
-            lower = v[..., 1, :].copy()
-            v[..., 0, :] = (upper + lower) % q
-            v[..., 1, :] = mulmod((upper - lower) % q, w, q)
-            t <<= 1
+            v = a.reshape(h, 2, -1)
+            upper, lower = v[:, 0], v[:, 1]
+            diff = upper - lower
+            _fold_up(diff, q)
+            upper += lower
+            _fold_down(upper, q)
+            w, w_quot = self._inv_psi_rev[h : 2 * h, None], self._inv_psi_rev_quot[h : 2 * h, None]
+            v[:, 1] = mulmod(diff, w, q, w_quot)
             m = h
-        return mulmod(a, np.int64(self._n_inv), q)
+        a = mulmod(a, self._n_inv, q, self._n_inv / q)
+        return np.ascontiguousarray(a.T).reshape(evals.shape)
 
     def mul_coeffs(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return self.intt(mulmod(self.ntt(a), self.ntt(b), self.q))
+        a_hat, b_hat = self.ntt(np.stack([a, b]))
+        return self.intt(mulmod(a_hat, b_hat, self.q))
 
     def balanced(self, coeffs: np.ndarray) -> np.ndarray:
         """Lift canonical residues to the symmetric range (-q/2, q/2]."""
@@ -242,18 +306,18 @@ def mul_schoolbook(a: RingElement, b: RingElement) -> RingElement:
     return RingElement(np.array([v % q for v in out], dtype=np.int64), a.ctx)
 
 
-def is_invertible(a: RingElement) -> bool:
-    """A residue polynomial is invertible iff no evaluation slot is zero."""
-    return bool((a.ctx.ntt(a.coeffs) != 0).all())
+def is_invertible(slots: np.ndarray) -> bool:
+    """A residue polynomial is invertible iff none of its evaluation slots
+    (its :meth:`RingContext.ntt`) is zero."""
+    return bool((slots != 0).all())
 
 
 def invert(a: RingElement) -> RingElement:
-    """Slotwise Fermat inversion; raises :class:`NotInvertible` on zero slots."""
-    q = a.ctx.q
+    """Slotwise inversion; raises :class:`NotInvertible` on zero slots."""
     evals = a.ctx.ntt(a.coeffs)
-    if (evals == 0).any():
+    if not is_invertible(evals):
         raise NotInvertible("element has a zero evaluation slot")
-    return RingElement(a.ctx.intt(invmod(evals, q)), a.ctx)
+    return RingElement(a.ctx.intt(invmod(evals, a.ctx.q)), a.ctx)
 
 
 def sample_uniform(ctx: RingContext, rng: XofRng) -> RingElement:
@@ -288,6 +352,6 @@ def decode_bits(w: RingElement) -> np.ndarray:
 
 
 def dot_ntt(evals_a: np.ndarray, evals_b: np.ndarray, ctx: RingContext) -> np.ndarray:
-    """Slotwise sum of products of two (m, n) evaluation stacks."""
+    """Slotwise sum of products of two (..., m, n) evaluation stacks over m."""
     prod = mulmod(evals_a, evals_b, ctx.q)
-    return prod.sum(axis=0) % ctx.q
+    return prod.sum(axis=-2) % ctx.q

@@ -3,7 +3,10 @@
 The generator stretches the seed into an unbounded byte stream by hashing
 ``prefix || seed || block_index`` per 64 KiB block.  Identical seeds give
 bit-identical streams, which is what makes seeded key generation and
-encryption reproducible byte for byte.
+encryption reproducible byte for byte.  Short streams, such as the hash
+maps' rejection streams, read a few KiB; so a stream's first block is
+squeezed at 4 KiB and squeezed again whole only when a read runs past
+that, which gives the same bytes because SHAKE output is prefix-consistent.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from .errors import InvalidParams
 
 SEED_BYTES = 32
 _BLOCK = 1 << 16
+_FIRST_SQUEEZE = 1 << 12
 _PREFIX = b"pkeet-rng-v1"
 
 
@@ -34,6 +38,7 @@ class XofRng:
             raise InvalidParams(f"seed must be {SEED_BYTES} bytes, got {len(seed) if isinstance(seed, (bytes, bytearray)) else type(seed)}")
         self._seed = bytes(seed)
         self._block_index = 0
+        self._xof = None
         self._buf = b""
         self._pos = 0
 
@@ -47,8 +52,13 @@ class XofRng:
         return XofRng(child)
 
     def _refill(self) -> None:
-        h = hashlib.shake_256(_PREFIX + self._seed + self._block_index.to_bytes(8, "little"))
-        self._buf = h.digest(_BLOCK)
+        if 0 < len(self._buf) < _BLOCK:
+            # The short first squeeze ran out: squeeze the same block whole.
+            self._buf = self._xof.digest(_BLOCK)
+            return
+        block = self._block_index.to_bytes(8, "little")
+        self._xof = hashlib.shake_256(_PREFIX + self._seed + block)
+        self._buf = self._xof.digest(_FIRST_SQUEEZE if self._block_index == 0 else _BLOCK)
         self._pos = 0
         self._block_index += 1
 

@@ -14,7 +14,7 @@ Two integer kernels, one job each, feed the rest:
   or a ciphertext (trapdoors, encryption noise) is zero-centred and comes
   from here, so those outputs stay reproducible byte for byte;
 * a rejection sampler (:func:`sample_z_reject`) for arbitrary centers:
-  one half-Gaussian CDF row per call, a sign bit and a Bernoulli
+  one cached half-Gaussian CDF row per width, a sign bit and a Bernoulli
   acceptance, redrawn in rounds.  It is exact but variable-time, and
   serves the draws of preimage sampling (perturbation rounding,
   gadget-walk levels, the integer scheme's ``p`` and ``e2``), whose
@@ -97,9 +97,7 @@ def sample_z_reject(width: float, centers: np.ndarray, rng: XofRng) -> np.ndarra
     centers = np.asarray(centers, dtype=np.float64)
     floor = np.floor(centers.reshape(-1))
     frac = centers.reshape(-1) - floor
-    z0_max = int(math.floor(5.5 * width))
-    ks = np.arange(z0_max + 1, dtype=np.float64)
-    cdf = np.cumsum(np.exp(-math.pi * ks * ks / (width * width)))
+    cdf = _half_gaussian_cdf(float(width))
     neg_scale = -math.pi / (width * width)
     out = np.empty(frac.size, dtype=np.int64)
     pending = np.arange(frac.size)
@@ -111,8 +109,8 @@ def sample_z_reject(width: float, centers: np.ndarray, rng: XofRng) -> np.ndarra
         raw >>= np.uint64(11)
         u = raw.astype(np.float64)
         u *= 2.0**-53
+        # u * cdf[-1] never exceeds cdf[-1], so z0 stays at most 5.5 widths.
         z0 = np.searchsorted(cdf, u[:count] * cdf[-1], side="left")
-        np.minimum(z0, z0_max, out=z0)
         # |z - r| = z0 + t with t = r (b = 0) or 1 - r (b = 1), so the log
         # acceptance pi (z0^2 - (z - r)^2) / width^2 is -pi t (t + 2 z0) / width^2.
         t = frac[pending]
@@ -129,6 +127,15 @@ def sample_z_reject(width: float, centers: np.ndarray, rng: XofRng) -> np.ndarra
         out[done] = floor[done].astype(np.int64) + z0[accept]
         pending = pending[~accept]
     return out.reshape(centers.shape)
+
+
+@functools.lru_cache(maxsize=256)    # a gadget walk alone uses k <= 57 widths
+def _half_gaussian_cdf(width: float) -> np.ndarray:
+    """Read-only CDF row of ``exp(-pi z0^2 / width^2)`` over z0 = 0 .. 5.5 widths."""
+    ks = np.arange(int(math.floor(5.5 * width)) + 1, dtype=np.float64)
+    cdf = np.cumsum(np.exp(-math.pi * ks * ks / (width * width)))
+    cdf.flags.writeable = False
+    return cdf
 
 
 def sample_ring_array(width: float, count: int, ctx: RingContext, rng: XofRng) -> np.ndarray:

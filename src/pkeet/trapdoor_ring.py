@@ -151,16 +151,16 @@ def trap_gen(params: ParamsRing, rng: XofRng) -> tuple[TaggedVector, RingTrapdoo
     )
 
 
-def apply_tag_shift(av: TaggedVector, shift: RingElement) -> TaggedVector:
-    """Return the vector with ``shift * g`` added to the gadget tail.
+def apply_tag_shift(av: TaggedVector, shift_hat: np.ndarray) -> TaggedVector:
+    """Return the vector with ``shift * g`` added to the gadget tail; the
+    shift comes as NTT slots, shape (n,).
 
     The same trapdoor matrix now witnesses the shifted tag.
     """
-    if shift.ctx != av.ctx:
-        raise ParamsMismatch("shift built under a different context")
+    if np.shape(shift_hat) != (av.ctx.n,):
+        raise ParamsMismatch("shift slots do not match the vector's ring degree")
     q = av.ctx.q
     k = q.bit_length()
-    shift_hat = av.ctx.ntt(shift.coeffs)
     vec_hat = av.vec_hat.copy()
     vec_hat[-k:] = (vec_hat[-k:] + mulmod(shift_hat, gadget_vector(k)[:, None] % q, q)) % q
     return TaggedVector(vec_hat=vec_hat, tag_hat=(av.tag_hat + shift_hat) % q, ctx=av.ctx)
@@ -206,8 +206,9 @@ def sample_pre(
     tag_inv_hat = invmod(tag_hat, q)
 
     p = np.stack([trap.perturbation(params).sample(rng) for trap, _, _ in jobs])
-    p_hat = ctx.ntt(p % q)                                           # (J, m, n)
-    u_hat = ctx.ntt(np.stack([u.coeffs for _, _, u in jobs]))       # (J, n)
+    targets = np.stack([u.coeffs for _, _, u in jobs])[:, None, :]
+    pu_hat = ctx.ntt(np.concatenate([p % q, targets], axis=1))       # (J, m + 1, n)
+    p_hat, u_hat = pu_hat[:, :-1], pu_hat[:, -1]
 
     vec_hat = np.stack([av.vec_hat for _, av, _ in jobs])
     ap_hat = mulmod(vec_hat, p_hat, q).sum(axis=1) % q

@@ -1,5 +1,5 @@
 """Shared fixtures: small parameter sets and seeded rngs for fast tests, and
-the reference inverse-CDF kernel and gadget walk."""
+the reference inverse-CDF kernel, gadget walk and ring kernels."""
 
 import math
 
@@ -85,3 +85,54 @@ def gadget_walk_reference(width, targets, q, rng):
         out += z[:, None] * basis[None, :, i]
         residual -= z[:, None].astype(np.float64) * basis[None, :, i].astype(np.float64)
     return out
+
+
+def mulmod_reference(a, b, q):
+    """Float-quotient product reduced by one final ``% q``, kept as the
+    exactness reference for ``ring.mulmod``."""
+    au = a.astype(np.uint64)
+    bu = np.asarray(b, dtype=np.int64).astype(np.uint64)
+    low = au * bu
+    quot = (a.astype(np.float64) * np.asarray(b, dtype=np.float64) / q).astype(np.uint64)
+    rem = (low - quot * np.uint64(q)).astype(np.int64)
+    return rem % q
+
+
+def ntt_reference(ctx, coeffs):
+    """Copying butterflies with ``% q`` after every sum, kept as the
+    exactness reference for ``RingContext.ntt``."""
+    a = np.array(coeffs, dtype=np.int64)
+    n, q = ctx.n, ctx.q
+    batch = a.shape[:-1]
+    t = n
+    m = 1
+    while m < n:
+        t >>= 1
+        v = a.reshape(*batch, m, 2, t)
+        w = ctx._psi_rev[m : 2 * m].reshape(m, 1)
+        even = v[..., 0, :].copy()
+        odd = mulmod_reference(v[..., 1, :], w, q)
+        v[..., 0, :] = (even + odd) % q
+        v[..., 1, :] = (even - odd) % q
+        m <<= 1
+    return a
+
+
+def intt_reference(ctx, evals):
+    """Reference for ``RingContext.intt``, in the style of :func:`ntt_reference`."""
+    a = np.array(evals, dtype=np.int64)
+    n, q = ctx.n, ctx.q
+    batch = a.shape[:-1]
+    t = 1
+    m = n
+    while m > 1:
+        h = m >> 1
+        v = a.reshape(*batch, h, 2, t)
+        w = ctx._inv_psi_rev[h : 2 * h].reshape(h, 1)
+        upper = v[..., 0, :].copy()
+        lower = v[..., 1, :].copy()
+        v[..., 0, :] = (upper + lower) % q
+        v[..., 1, :] = mulmod_reference((upper - lower) % q, w, q)
+        t <<= 1
+        m = h
+    return mulmod_reference(a, np.int64(ctx._n_inv), q)

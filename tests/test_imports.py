@@ -6,9 +6,13 @@ is left out; every other module under ``src/pkeet`` and every file under
 ``tests`` is parsed with ``ast``.  A module-level function, class or
 constant, or a method, of ``src/pkeet`` counts as used when a name,
 attribute or import in ``src``, ``tests`` or ``perfbench`` refers to it.
+An attribute taken from a builtin (``int.from_bytes``), a literal or a
+module imported from outside the package (``np.copy``) refers to nothing
+of the package, so it does not keep a method of the same name alive.
 """
 
 import ast
+import builtins
 from pathlib import Path
 
 import pytest
@@ -48,13 +52,27 @@ def definitions(source: str) -> list[str]:
 
 
 def references(source: str) -> set[str]:
-    """Names read, attributes taken and names imported in ``source``."""
+    """Names read, attributes taken and names imported in ``source``;
+    attributes of builtins, literals and outside modules are left out."""
+    tree = ast.parse(source)
+    foreign = set(dir(builtins))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            foreign |= {
+                a.asname or a.name.partition(".")[0]
+                for a in node.names
+                if a.name.partition(".")[0] != "pkeet"
+            }
     refs = set()
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             refs.add(node.id)
         elif isinstance(node, ast.Attribute):
-            refs.add(node.attr)
+            base = node.value
+            if not isinstance(base, ast.Constant) and not (
+                isinstance(base, ast.Name) and base.id in foreign
+            ):
+                refs.add(node.attr)
         elif isinstance(node, ast.alias):
             refs.add(node.name.rpartition(".")[2])
     return refs
@@ -82,6 +100,27 @@ def test_checker_flags_a_dead_definition():
     )
     refs = references(source) | references("from m import used\nBox().read()\n")
     assert dead_definitions(source, refs) == ["unused", "dead"]
+
+
+def test_checker_ignores_builtin_and_outside_attributes():
+    # A dead method is not kept alive by a builtin's or numpy's attribute of
+    # the same name, only by a use through its class or another object.
+    source = (
+        "class RingElement:\n"
+        "    def from_bytes(cls): pass\n"
+        "    def copy(self): pass\n"
+        "    def to_bytes(self): pass\n"
+        "    def scale(self): pass\n"
+    )
+    user = (
+        "import numpy as np\n"
+        "from pkeet.ring import RingElement\n"
+        "int.from_bytes(b'', 'big')\n"
+        "np.copy(RingElement)\n"
+        "b''.join([elem.to_bytes()])\n"
+        "RingElement.scale\n"
+    )
+    assert dead_definitions(source, references(user)) == ["from_bytes", "copy"]
 
 
 @pytest.mark.parametrize("module", MODULES)

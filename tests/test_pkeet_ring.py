@@ -124,18 +124,19 @@ def test_token_does_not_expose_message_slot(ring_small, users):
     assert not hasattr(td, "t_a")
 
 
-def _count_transform_rows(monkeypatch) -> list[int]:
-    """Patch the ring transforms to add their row counts to the returned cell."""
-    rows = [0]
+def _count_transforms(monkeypatch) -> dict[str, int]:
+    """Patch the ring transforms to add their calls and rows to the returned counts."""
+    counts = {"calls": 0, "rows": 0}
     for name in ("ntt", "intt"):
         original = getattr(RingContext, name)
 
         def counted(self, arr, _original=original):
-            rows[0] += int(np.prod(np.shape(arr)[:-1]))
+            counts["calls"] += 1
+            counts["rows"] += int(np.prod(np.shape(arr)[:-1]))
             return _original(self, arr)
 
         monkeypatch.setattr(RingContext, name, counted)
-    return rows
+    return counts
 
 
 def test_transform_budget(ring_small, users, monkeypatch):
@@ -146,13 +147,26 @@ def test_transform_budget(ring_small, users, monkeypatch):
     m, k = ring_small.m, ring_small.k
     rng = seeded("ring-transforms")
     msg = random_message(ring_small, rng)
-    rows = _count_transform_rows(monkeypatch)
+    counts = _count_transforms(monkeypatch)
     ct = pr.encrypt(pk, msg, ring_small, rng)
-    encrypt_rows = rows[0]
+    encrypt_rows = counts["rows"]
     assert pr.decrypt(pk, sk, ct, ring_small, rng) == msg
-    decrypt_rows = rows[0] - encrypt_rows
+    decrypt_rows = counts["rows"] - encrypt_rows
     assert encrypt_rows <= 2 * m + 24
     assert decrypt_rows <= 2 * (2 * m + k) + 16
+
+
+def test_one_transform_call_per_operand_batch(ring_small, users, monkeypatch):
+    # Each ring operand goes through the NTT once per operation, and operands
+    # needed together share one call: an encrypt and a decrypt make at most
+    # 15 transform calls between them.
+    (pk, sk), _ = users
+    rng = seeded("ring-transform-calls")
+    msg = random_message(ring_small, rng)
+    counts = _count_transforms(monkeypatch)
+    ct = pr.encrypt(pk, msg, ring_small, rng)
+    assert pr.decrypt(pk, sk, ct, ring_small, rng) == msg
+    assert counts["calls"] <= 15
 
 
 def test_decryption_noise_within_budget(ring_small, users):

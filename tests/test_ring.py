@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 from pkeet.errors import InvalidDegree, NotInvertible, ParamsMismatch
+from pkeet.params import MULMOD_CAP, derive_ring_params, is_prime
 from pkeet.ring import (
+    _FOLD_BOUND,
     RingContext,
     RingElement,
     decode_bits,
@@ -20,10 +22,22 @@ from pkeet.ring import (
     invmod,
     is_invertible,
     mul_schoolbook,
+    mulmod,
     sample_uniform,
     scale_halfq,
 )
-from conftest import seeded
+from conftest import intt_reference, mulmod_reference, ntt_reference, seeded
+
+# (n, q) for the kernel exactness tests: q = 97, the toy moduli at n = 64,
+# 256 and 1024, the ring primes (q = 1 mod 128) just below and just above
+# the 2^52 fold bound, and the largest ring prime below the 2^57 cap.
+KERNEL_MODULI = [
+    (16, 97),
+    *((n, derive_ring_params(128, n, "toy").q) for n in (64, 256, 1024)),
+    (64, 4503599627367553),
+    (64, 4503599627373697),
+    (64, 144115188075849217),
+]
 
 
 def test_transform_round_trip(ring_small):
@@ -32,6 +46,51 @@ def test_transform_round_trip(ring_small):
     for _ in range(20):
         coeffs = rng.uniform_mod(ctx.q, ctx.n)
         assert np.array_equal(ctx.intt(ctx.ntt(coeffs)), coeffs)
+
+
+def test_kernel_moduli_straddle_the_bounds():
+    below, above, top = (q for _, q in KERNEL_MODULI[-3:])
+    assert below < _FOLD_BOUND < above < top < MULMOD_CAP
+    for q in (below, above, top):
+        assert is_prime(q) and q % 128 == 1
+    # Each is the nearest ring prime to its bound: no candidate 1 mod 128
+    # strictly between lies prime.
+    for lo, hi in ((below, _FOLD_BOUND), (_FOLD_BOUND, above), (top, MULMOD_CAP)):
+        first = lo - (lo - 1) % 128 + 128
+        assert not any(is_prime(c) for c in range(first, hi, 128))
+
+
+def _kernel_inputs(q, n, label):
+    """(6, n) canonical rows: one random row, the edge values 0, 1, q-1,
+    q-2 tiled, then each edge value as a whole row."""
+    edges = np.array([0, 1, q - 1, q - 2], dtype=np.int64)
+    rows = seeded(label).uniform_mod(q, 6 * n).reshape(6, n)
+    rows[2:] = edges[:, None]
+    rows[1] = np.resize(edges, n)
+    return rows
+
+
+@pytest.mark.parametrize("n, q", KERNEL_MODULI)
+def test_mulmod_matches_reference(n, q):
+    a = _kernel_inputs(q, n, f"mulmod-a-{q}")
+    b = _kernel_inputs(q, n, f"mulmod-b-{q}")[::-1]
+    edges = np.array([0, 1, q - 1, q - 2], dtype=np.int64)
+    pairs_a, pairs_b = np.repeat(edges, 4), np.tile(edges, 4)
+    assert np.array_equal(mulmod(pairs_a, pairs_b, q), mulmod_reference(pairs_a, pairs_b, q))
+    assert np.array_equal(mulmod(a, b, q), mulmod_reference(a, b, q))
+    # A fixed column with its quotient precomputed, broadcast across rows.
+    col = b[:, :1]
+    assert np.array_equal(mulmod(a, col, q, col / q), mulmod_reference(a, col, q))
+
+
+@pytest.mark.parametrize("n, q", KERNEL_MODULI)
+def test_transforms_match_reference(n, q):
+    ctx = RingContext(n, q)
+    rows = _kernel_inputs(q, n, f"ntt-{q}")
+    assert np.array_equal(ctx.ntt(rows), ntt_reference(ctx, rows))
+    assert np.array_equal(ctx.intt(rows), intt_reference(ctx, rows))
+    assert np.array_equal(ctx.ntt(rows[0]), ntt_reference(ctx, rows[0]))
+    assert np.array_equal(ctx.intt(ctx.ntt(rows)), rows)
 
 
 def test_product_matches_schoolbook_small():
@@ -77,7 +136,7 @@ def test_inverse_is_two_sided():
     done = 0
     while done < 50:
         a = sample_uniform(ctx, rng)
-        if not is_invertible(a):
+        if not is_invertible(ctx.ntt(a.coeffs)):
             continue
         done += 1
         inv = invert(a)
@@ -104,7 +163,7 @@ def test_inverse_matches_extended_euclid_oracle():
     for _ in range(100):
         a = sample_uniform(ctx, rng)
         oracle = _poly_inverse_xgcd(a.coeffs, 4, 97)
-        if is_invertible(a):
+        if is_invertible(ctx.ntt(a.coeffs)):
             assert oracle is not None
             assert np.array_equal(invert(a).coeffs, oracle)
         else:
@@ -115,7 +174,7 @@ def test_non_invertible_rejected():
     ctx = RingContext(4, 97)
     hat = np.array([0, 5, 9, 13], dtype=np.int64)   # one zero evaluation slot
     elem = RingElement(ctx.intt(hat), ctx)
-    assert not is_invertible(elem)
+    assert not is_invertible(hat)
     with pytest.raises(NotInvertible):
         invert(elem)
 

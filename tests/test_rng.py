@@ -1,10 +1,12 @@
 """Seeded stream generator: determinism, ranges, and uniformity."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from pkeet.errors import InvalidParams
-from pkeet.rng import XofRng, fresh_seed
+from pkeet.rng import _BLOCK, _PREFIX, XofRng, fresh_seed
 
 
 def test_same_seed_same_stream():
@@ -23,6 +25,22 @@ def test_stream_independent_of_draw_split():
     whole = a.bytes(200_000)
     parts = b.bytes(1) + b.bytes(65_534) + b.bytes(65_537) + b.bytes(68_928)
     assert whole == parts
+
+
+def test_short_first_squeeze_reads_the_whole_blocks():
+    # The first block is squeezed at 4 KiB and again whole once a read runs
+    # past it; odd-sized reads across the 4 KiB and 64 KiB boundaries must
+    # give the bytes of the whole blocks, as hashed per block index.
+    seed = bytes(range(32))
+    blocks = b"".join(
+        hashlib.shake_256(_PREFIX + seed + i.to_bytes(8, "little")).digest(_BLOCK)
+        for i in range(3)
+    )
+    rng = XofRng(seed)
+    sizes = (1, 7, 4085, 3, 5, 4099, 57_331, 11, 65_533, 13, 9_999)
+    stream = b"".join(bytes(rng.bytes(k)) for k in sizes)
+    assert stream == blocks[: sum(sizes)]
+    assert XofRng(seed).bytes(4096) == blocks[:4096]
 
 
 def test_different_seeds_diverge():

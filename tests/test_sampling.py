@@ -19,6 +19,7 @@ from pkeet.rng import XofRng
 from pkeet.sampling import (
     PerturbationCov,
     _gadget_gs,
+    _half_gaussian_cdf,
     bit_decompose,
     gadget_basis,
     gadget_vector,
@@ -195,6 +196,40 @@ def test_rejection_sampler_matches_exact_pmf(width):
     for j, c in enumerate(REJECT_CENTERS):
         stat, dof = chi_square_against_pmf(draws[:, j], width, c)
         assert stat < chi_square_critical(dof), f"center {c}: chi^2 {stat:.1f} on {dof} dof"
+
+
+class _TopUniformRng(XofRng):
+    """Every draw round reads all-ones words for its candidates (sign bit 1,
+    uniform ``1 - 2^-53``, the largest the stream gives) and zero words for
+    its acceptance uniforms, so every candidate is accepted."""
+
+    def u64(self, count):
+        out = np.zeros(count, dtype=np.uint64)
+        out[: count // 2] = np.uint64(2**64 - 1)
+        return out
+
+
+@pytest.mark.parametrize("width", [1.0, 1.7, 4.43, 31.9, 729.6])
+def test_rejection_sampler_top_uniform_stays_in_window(width):
+    # u * cdf[-1] <= cdf[-1] for every stream uniform u < 1, so the search
+    # never runs past the 5.5-width row and the sampler needs no clamp.
+    top = float(np.uint64(2**64 - 1) >> np.uint64(11)) * 2.0**-53
+    assert top == 1.0 - 2.0**-53
+    cdf = _half_gaussian_cdf(width)
+    z0_max = math.floor(5.5 * width)
+    assert cdf.size == z0_max + 1 and top * cdf[-1] <= cdf[-1]
+    draws = sample_z_reject(width, np.zeros(8), _TopUniformRng(bytes(32)))
+    z0 = draws - 1                                  # z = b + (2b - 1) z0, b = 1
+    assert ((0 <= z0) & (z0 <= z0_max)).all()
+    assert (z0 == np.searchsorted(cdf, top * cdf[-1], side="left")).all()
+
+
+def test_half_gaussian_row_cached_read_only():
+    row = _half_gaussian_cdf(4.43)
+    assert _half_gaussian_cdf(4.43) is row
+    assert not row.flags.writeable
+    ks = np.arange(math.floor(5.5 * 4.43) + 1, dtype=np.float64)
+    assert np.array_equal(row, np.cumsum(np.exp(-math.pi * ks * ks / (4.43 * 4.43))))
 
 
 def test_integer_sampler_matches_exact_pmf():

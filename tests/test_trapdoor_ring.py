@@ -7,7 +7,7 @@ import pytest
 
 from pkeet.errors import ParamsMismatch, TagNotInvertible
 from pkeet.params import derive_ring_params
-from pkeet.ring import RingElement, get_context, sample_uniform
+from pkeet.ring import get_context, sample_uniform
 from pkeet.trapdoor_ring import (
     TaggedVector,
     apply_tag_shift,
@@ -17,6 +17,11 @@ from pkeet.trapdoor_ring import (
     trapdoor_identity_residual,
 )
 from conftest import seeded
+
+
+def uniform_shift(ctx, rng):
+    """NTT slots of a uniform ring element, the form a tag shift takes."""
+    return ctx.ntt(sample_uniform(ctx, rng).coeffs)
 
 
 def test_identity_holds_for_zero_tag(ring_small):
@@ -42,7 +47,7 @@ def test_identity_holds_for_random_tags(ring_small):
     rng = seeded("trap-tagged")
     for _ in range(10):
         av, trap = trap_gen(ring_small, rng)
-        tagged = apply_tag_shift(av, sample_uniform(ctx, rng))
+        tagged = apply_tag_shift(av, uniform_shift(ctx, rng))
         assert not trapdoor_identity_residual(tagged, trap).any()
 
 
@@ -50,18 +55,24 @@ def test_tag_shift_algebra(ring_small):
     ctx = get_context(ring_small)
     rng = seeded("shift")
     av, trap = trap_gen(ring_small, rng)
-    zero = RingElement(np.zeros(ctx.n, dtype=np.int64), ctx)
-    unshifted = apply_tag_shift(av, zero)
+    unshifted = apply_tag_shift(av, np.zeros(ctx.n, dtype=np.int64))
     assert np.array_equal(unshifted.vec_hat, av.vec_hat)
     assert np.array_equal(unshifted.tag_hat, av.tag_hat)
 
     h1, h2 = sample_uniform(ctx, rng), sample_uniform(ctx, rng)
-    once = apply_tag_shift(apply_tag_shift(av, h1), h2)
-    combined = apply_tag_shift(av, h1 + h2)
+    h1_hat, h2_hat, sum_hat = ctx.ntt(np.stack([h1.coeffs, h2.coeffs, (h1 + h2).coeffs]))
+    once = apply_tag_shift(apply_tag_shift(av, h1_hat), h2_hat)
+    combined = apply_tag_shift(av, sum_hat)
     assert np.array_equal(once.vec_hat, combined.vec_hat)
     assert np.array_equal(once.tag_hat, combined.tag_hat)
-    assert np.array_equal(once.tag_hat, ctx.ntt((h1 + h2).coeffs))
-    assert not trapdoor_identity_residual(apply_tag_shift(av, h1), trap).any()
+    assert np.array_equal(once.tag_hat, sum_hat)
+    assert not trapdoor_identity_residual(apply_tag_shift(av, h1_hat), trap).any()
+
+
+def test_tag_shift_rejects_other_degree(ring_small):
+    av, _ = trap_gen(ring_small, seeded("shift-degree"))
+    with pytest.raises(ParamsMismatch):
+        apply_tag_shift(av, np.zeros(ring_small.n // 2, dtype=np.int64))
 
 
 def test_trapdoor_norm_contract(ring_small):
@@ -78,8 +89,7 @@ def test_preimage_residual_exact(ring_small):
     ctx = get_context(ring_small)
     rng = seeded("preimage")
     av, trap = trap_gen(ring_small, rng)
-    h = sample_uniform(ctx, rng)
-    shifted = apply_tag_shift(av, h)
+    shifted = apply_tag_shift(av, uniform_shift(ctx, rng))
     for _ in range(25):
         u = sample_uniform(ctx, rng)
         x_hat = sample_pre([(trap, shifted, u)], ring_small, rng)[0]
@@ -90,8 +100,7 @@ def test_preimage_norm_profile(ring_small):
     ctx = get_context(ring_small)
     rng = seeded("preimage-norm")
     av, trap = trap_gen(ring_small, rng)
-    h = sample_uniform(ctx, rng)
-    shifted = apply_tag_shift(av, h)
+    shifted = apply_tag_shift(av, uniform_shift(ctx, rng))
     cap = ring_small.t_tail * ring_small.zeta * math.sqrt(ring_small.m * ring_small.n)
     for _ in range(50):
         u = sample_uniform(ctx, rng)
@@ -118,8 +127,8 @@ def test_two_job_preimages_exact(ring_small):
     av2, trap2 = trap_gen(ring_small, rng)
     for _ in range(10):
         jobs = [
-            (trap1, apply_tag_shift(av1, sample_uniform(ctx, rng)), sample_uniform(ctx, rng)),
-            (trap2, apply_tag_shift(av2, sample_uniform(ctx, rng)), sample_uniform(ctx, rng)),
+            (trap1, apply_tag_shift(av1, uniform_shift(ctx, rng)), sample_uniform(ctx, rng)),
+            (trap2, apply_tag_shift(av2, uniform_shift(ctx, rng)), sample_uniform(ctx, rng)),
         ]
         x_hat = sample_pre(jobs, ring_small, rng)
         assert x_hat.shape == (2, ring_small.m, ring_small.n)
@@ -134,7 +143,7 @@ def test_two_job_zero_tag_slot_rejected(ring_small, zero_job):
     jobs = []
     for _ in range(2):
         av, trap = trap_gen(ring_small, rng)
-        jobs.append((trap, apply_tag_shift(av, sample_uniform(ctx, rng)), sample_uniform(ctx, rng)))
+        jobs.append((trap, apply_tag_shift(av, uniform_shift(ctx, rng)), sample_uniform(ctx, rng)))
     trap, shifted, u = jobs[zero_job]
     tag_hat = shifted.tag_hat.copy()
     tag_hat[3] = 0
@@ -147,13 +156,13 @@ def test_two_job_mixed_contexts_rejected(ring_small):
     ctx = get_context(ring_small)
     rng = seeded("two-jobs-contexts")
     av, trap = trap_gen(ring_small, rng)
-    job = (trap, apply_tag_shift(av, sample_uniform(ctx, rng)), sample_uniform(ctx, rng))
+    job = (trap, apply_tag_shift(av, uniform_shift(ctx, rng)), sample_uniform(ctx, rng))
     other = derive_ring_params(128, 32, "toy")
     other_ctx = get_context(other)
     av_o, trap_o = trap_gen(other, rng)
     other_job = (
         trap_o,
-        apply_tag_shift(av_o, sample_uniform(other_ctx, rng)),
+        apply_tag_shift(av_o, uniform_shift(other_ctx, rng)),
         sample_uniform(other_ctx, rng),
     )
     for jobs in ([job, other_job], [other_job, job]):
