@@ -85,6 +85,46 @@ def hash_to_invertible(params: ParamsRing, data: bytes) -> np.ndarray:
     raise InternalError(f"no invertible hash output after {H1_RETRY_CAP} counters")
 
 
+# Words per ``uniform_mod(bound, 1)`` read: ``need + need // 16 + 8``.
+_DRAW_WORDS = 9
+
+
+def _shuffle_draws(stream: XofRng, n: int, weight: int) -> np.ndarray:
+    """``stream.uniform_mod(n - i, 1)[0]`` for ``i < weight`` in turn, from
+    one read.
+
+    Each such call reads nine words and keeps the first below its rejection
+    limit ``floor(2^64 / b) * b`` (any word when ``b`` is a power of two),
+    reading nine more if none is.  So the ``weight`` draws are the first
+    accepted word of each group of nine, as long as every group has one;
+    from the first group that has none, the calls are replayed one by one
+    on the words left, then on the stream.
+    """
+    bounds = np.arange(n, n - weight, -1, dtype=np.uint64)
+    # 2^64 mod b, from (2^64 - 1) mod b; the limit 2^64 - that wraps to 0
+    # exactly when b accepts every word.
+    excess = (np.uint64(2**64 - 1) % bounds + np.uint64(1)) % bounds
+    limits = (np.uint64(0) - excess)[:, None]
+    words = stream.u64(_DRAW_WORDS * weight).reshape(weight, _DRAW_WORDS)
+    ok = (words < limits) | (excess == 0)[:, None]
+    first = ok.argmax(axis=1)
+    draws = words[np.arange(weight), first] % bounds
+    short = np.flatnonzero(~ok.any(axis=1))
+    if short.size:
+        # Replay the calls from the first short group: its words, the
+        # groups after it, then fresh groups from the stream.
+        g = int(short[0])
+        groups = list(words[g:])
+        for i in range(g, weight):
+            while True:
+                group = groups.pop(0) if groups else stream.u64(_DRAW_WORDS)
+                good = group[(group < limits[i]) | (excess[i] == 0)]
+                if good.size:
+                    draws[i] = good[0] % bounds[i]
+                    break
+    return draws.astype(np.int64)
+
+
 def hash_to_sparse(params: ParamsRing, data: bytes) -> RingElement:
     """Map bytes to a signed sparse element: exactly ``delta_w`` coefficients
     in {-1, +1}, positions chosen by a stream-driven partial shuffle."""
@@ -93,8 +133,8 @@ def hash_to_sparse(params: ParamsRing, data: bytes) -> RingElement:
         raise InvalidParams(f"sparse weight {weight} outside [1, {n}]")
     stream = _hash_stream(TAG_SPARSE, params, data)
     idx = np.arange(n)
-    for i in range(weight):
-        j = i + int(stream.uniform_mod(n - i, 1)[0])
+    for i, offset in enumerate(_shuffle_draws(stream, n, weight).tolist()):
+        j = i + offset
         idx[i], idx[j] = idx[j], idx[i]
     signs = 2 * _stream_bits(stream, weight) - 1
     coeffs = np.zeros(n, dtype=np.int64)

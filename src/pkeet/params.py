@@ -33,7 +33,7 @@ T_PRIME = 6            # slack term inside the perturbation width bound
 T_TAIL = 12            # tail bound, in widths, assumed for every Gaussian draw
 GAUSS_C = 1.0 / math.sqrt(2.0 * math.pi)
 Q_CAP = 1 << 62        # coefficients must fit one 64-bit word
-MULMOD_CAP = 1 << 57   # ring.mulmod is exact only for moduli below this
+MULMOD_CAP = 1 << 56   # ring.mulmod is proven exact only for moduli below this
 ZETA_HEADROOM = 1.01   # strict-inequality headroom above the width bound
 
 # Integer-scheme knobs.
@@ -212,14 +212,14 @@ def derive_ring_params(lambda_sec: int, n: int, profile: str) -> ParamsRing:
         start = 4 * (int(budget) + 1)
         if start >= MULMOD_CAP:
             raise ParameterOverflow(
-                f"ring modulus for n={n} would reach the 2**57 multiply cap"
+                f"ring modulus for n={n} would reach the 2**56 multiply cap"
             )
         q = _first_prime(max(start, (1 << (k - 1)) + 1), 2 * n, k)
         if q is not None:
             chosen = (k, q, zeta)
             break
     if chosen is None:
-        raise ParameterOverflow(f"no admissible ring modulus below 2**57 for n={n}")
+        raise ParameterOverflow(f"no admissible ring modulus below 2**56 for n={n}")
     k, q, zeta = chosen
 
     b_ots = 1

@@ -18,9 +18,17 @@ or ``a (b / q)``, so it equals ``x (1 + e1)(1 + e2)`` with
 ``|e1|, |e2| <= 2**-53``.  As ``x < q``, its error is below
 ``q (2**-52 + 2**-106) < 1``, its floor is ``floor(x)`` or one off, and
 ``a b - q floor(estimate)`` lies in ``[-q, 2q)``; that fits int64, so the
-wrapped low words give it exactly.  From ``2**52`` to the ``2**57`` cap the
-estimate can be off by several multiples of ``q`` and the remainder goes
-through one ``% q`` instead; moduli at or above ``2**57`` are rejected.
+wrapped low words give it exactly.
+
+From ``2**52`` to the ``2**56`` cap the operands are no longer exact in
+float64, and the estimate takes at most five correctly rounded steps
+(``a``, ``b`` and ``q`` converted, then the product and the quotient; or
+``b``, ``q`` and ``b / q``, then ``a`` and the product).  So its relative
+error is below ``(1 + 2**-53)**5 - 1 < 2**-50``, and as ``x < q < 2**56``
+its absolute error is below 64.  The remainder ``a b - q trunc(estimate)``
+then lies in ``(-65 q, 65 q)``, inside ``(-2**63, 2**63)`` because
+``65 * 2**56 < 2**63``; the wrapped low words give it exactly, and one
+``% q`` finishes the reduction.  Moduli at or above ``2**56`` are rejected.
 The transforms' ``even +- odd`` sums lie in ``(-q, 2q)`` at any modulus and
 take the same compare corrections.
 """
@@ -124,7 +132,7 @@ class RingContext:
             raise InvalidDegree(f"degree must be a power of two, got {n}")
         if q >= MULMOD_CAP:
             raise InvalidParams(
-                f"modulus {q} is at or above 2**57, outside the multiply kernel range"
+                f"modulus {q} is at or above 2**56, outside the multiply kernel range"
             )
         if q % (2 * n) != 1 or not is_prime(q):
             raise InvalidParams(f"q={q} is not a prime congruent to 1 mod {2 * n}")

@@ -129,7 +129,7 @@ def sample_z_reject(width: float, centers: np.ndarray, rng: XofRng) -> np.ndarra
     return out.reshape(centers.shape)
 
 
-@functools.lru_cache(maxsize=256)    # a gadget walk alone uses k <= 57 widths
+@functools.lru_cache(maxsize=256)    # a gadget walk alone uses k <= 56 widths
 def _half_gaussian_cdf(width: float) -> np.ndarray:
     """Read-only CDF row of ``exp(-pi z0^2 / width^2)`` over z0 = 0 .. 5.5 widths."""
     ks = np.arange(int(math.floor(5.5 * width)) + 1, dtype=np.float64)

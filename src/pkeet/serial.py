@@ -2,21 +2,26 @@
 
 Every file is one frame: a fixed 23-byte header (magic, version, scheme,
 kind, parameter digest, payload length) followed by the payload.  The
-payload embeds the canonical parameter text, then the object's arrays as
-raw little-endian 64-bit integers in the order of its layout: one entry of
-``_LAYOUTS`` per ``(scheme, kind)``, read by one encode loop and one decode
-loop.  Both loops hold every array to its layout's shape and canonical
-range: residues in ``[0, q)``, integer trapdoor ``R`` entries (signed)
-within ``floor(t_tail * sigma_r)``, and ring trapdoor ``T`` residues whose
-balanced values lie within ``floor(t_tail * sigma_trap)``.  Decoding also
-requires the parameter text to be byte-identical to its record's canonical
-form.  So encoding is a bijection: an object that does not fit its frame
-raises :class:`FramingError`, decode(encode(x)) == x, and every frame that
-decodes re-encodes to the same bytes.
+payload embeds the canonical parameter text, then the object's arrays in
+the order of its layout: one entry of ``_LAYOUTS`` per ``(scheme, kind)``,
+read by one encode loop and one decode loop.  The layout gives each array
+a shape and a canonical range ``[lo, hi)``: residues in ``[0, q)``, and the
+trapdoors (integer ``R``, ring ``T``) signed within ``floor(t_tail *
+sigma)`` of their sampler.  An array is stored as its values minus ``lo``,
+packed little-endian at ``bits = (hi - lo - 1).bit_length()`` each (value
+``i`` at bits ``[i * bits, (i + 1) * bits)`` of the array's bit string,
+as FIPS 203's ``ByteEncode``) and padded with zero bits to a whole byte.
+
+Decoding requires the version to be ``VERSION``, every value in range,
+every pad bit zero and the parameter text byte-identical to its record's
+canonical form.  So encoding is a bijection: an object that does not fit
+its frame raises :class:`FramingError`, decode(encode(x)) == x, and every
+frame that decodes re-encodes to the same bytes.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from typing import Callable, NamedTuple
@@ -32,7 +37,7 @@ from .ring import RingElement, get_context
 from .trapdoor_ring import RingTrapdoor, TaggedVector
 
 MAGIC = b"LPKT"
-VERSION = 1
+VERSION = 2
 SCHEME_RING = 1
 SCHEME_INT = 2
 KIND_PK = 1
@@ -94,8 +99,7 @@ def decode_frame(data: bytes) -> tuple[int, int, ParamsRing | ParamsInt, bytes]:
 
 class _Field(NamedTuple):
     """One field of a frame object: ``specs(params)`` lists the ``(shape,
-    lo, hi, tail)`` of each array it stores (values in ``[lo, hi)`` and, if
-    ``tail`` is set, residues whose balanced values lie within it);
+    lo, hi)`` of each array it stores, values in ``[lo, hi)``;
     ``take(value)`` gives those arrays, ``build(arrays, params)`` the value."""
 
     name: str
@@ -106,12 +110,24 @@ class _Field(NamedTuple):
 
 def _residues(shape: Callable, count: Callable = lambda p: 1) -> Callable:
     """Specs of ``count(params)`` residue arrays of ``shape(params)``."""
-    return lambda p: [(shape(p), 0, p.q, None)] * count(p)
+    return lambda p: [(shape(p), 0, p.q)] * count(p)
 
 
-def _int_r_specs(p: ParamsInt) -> list[tuple]:
-    bound = math.floor(p.t_tail * p.sigma_r)
-    return [((p.m_bar, p.n * p.k), -bound, bound + 1, None)]
+def _signed(shape: Callable, width: str) -> Callable:
+    """Spec of one trapdoor array of ``shape(params)`` whose entries lie
+    within the tail cut ``floor(t_tail * params.<width>)``."""
+    def specs(p) -> list[tuple]:
+        bound = math.floor(p.t_tail * getattr(p, width))
+        return [(shape(p), -bound, bound + 1)]
+
+    return specs
+
+
+def _signed_t(trap: RingTrapdoor) -> list[np.ndarray]:
+    """``T`` balanced, once its residues are canonical."""
+    q = trap.ctx.q
+    t = _checked(np.asarray(trap.t_arr), (np.shape(trap.t_arr), 0, q))
+    return [t - q * (t > q // 2)]
 
 
 # (specs, take, build) of each value type a field holds other than one array.
@@ -131,12 +147,12 @@ _TAGGED = (
     lambda arrays, p: TaggedVector.from_coeffs(arrays[0], get_context(p)),
 )
 _RING_T = (
-    lambda p: [((p.base_len, p.k, p.n), 0, p.q, math.floor(p.t_tail * p.sigma_trap))],
-    lambda trap: [trap.t_arr],
-    lambda arrays, p: RingTrapdoor(t_arr=arrays[0], ctx=get_context(p)),
+    _signed(lambda p: (p.base_len, p.k, p.n), "sigma_trap"),
+    _signed_t,
+    lambda arrays, p: RingTrapdoor(t_arr=arrays[0] + p.q * (arrays[0] < 0), ctx=get_context(p)),
 )
 _INT_R = (
-    _int_r_specs,
+    _signed(lambda p: (p.m_bar, p.n * p.k), "sigma_r"),
     lambda trap: [trap.r],
     lambda arrays, p: IntTrapdoor.from_r(arrays[0], p),
 )
@@ -179,14 +195,84 @@ _LAYOUTS = {
 
 def _checked(arr: np.ndarray, spec: tuple) -> np.ndarray:
     """``arr`` itself once it has the spec's shape and canonical range."""
-    shape, lo, hi, tail = spec
+    shape, lo, hi = spec
     if arr.shape != shape:
         raise FramingError(f"array of shape {arr.shape} where the layout declares {shape}")
     if arr.size and (int(arr.min()) < lo or int(arr.max()) >= hi):
         raise FramingError(f"value outside the canonical range [{lo}, {hi})")
-    if tail is not None and ((arr > tail) & (arr < hi - tail)).any():
-        raise FramingError(f"trapdoor entry beyond the tail bound {tail}")
     return arr
+
+
+def _bits(lo: int, hi: int) -> int:
+    """Bit width of one value of the range ``[lo, hi)``, stored as ``v - lo``."""
+    return (hi - lo - 1).bit_length()
+
+
+@functools.lru_cache(maxsize=None)
+def _octet(bits: int) -> tuple[np.ndarray, tuple, np.dtype]:
+    """Where each of 8 consecutive packed values lies in its ``bits`` bytes.
+
+    Eight values take ``bits`` whole bytes, so value ``8 j + r`` starts
+    ``j * bits`` bytes after value ``r``, at byte ``bases[r]`` and bit
+    ``shifts[r]``.  Each is read through a little-endian window of
+    ``dtype``, the fewest bytes (1, 2, 4 or 8) that hold every ``shift +
+    bits``; past 57 bits an 8-byte window can miss the top of a value,
+    which then lies in the byte after the window (``spills[r]``).  A window
+    is never wider than ``bits`` bytes, so the windows of one ``r`` do not
+    overlap.
+    """
+    bases, shifts = zip(*(divmod(r * bits, 8) for r in range(8)))
+    width = next(w for w in (1, 2, 4, 8) if max(shifts) + bits <= 8 * w or w == 8)
+    spills = tuple(shift + bits > 64 for shift in shifts)
+    return np.array(shifts, dtype=f"<u{width}"), tuple(zip(bases, spills)), np.dtype(f"<u{width}")
+
+
+def _views(buf: np.ndarray, bits: int, rows: int, base: int, dtype) -> np.ndarray:
+    """The ``rows`` values of one octet position: ``dtype`` windows of
+    ``buf`` from byte ``base``, ``bits`` bytes apart."""
+    return np.ndarray((rows,), dtype, buf, base, (bits,))
+
+
+def _pack(values: np.ndarray, lo: int, bits: int) -> bytes:
+    """``values - lo`` (each below ``2**bits``) as one little-endian bit
+    string, padded with zero bits to a whole byte: the spilled tops, one
+    shift of every value into place, then one OR per octet position."""
+    count, size = values.size, (values.size * bits + 7) // 8
+    rows = -(-count // 8)
+    shifts, windows, dtype = _octet(bits)
+    v = np.zeros((rows, 8), dtype=dtype)
+    np.subtract(values.reshape(-1), lo, out=v.reshape(-1)[:count], casting="unsafe")
+    buf = np.zeros(rows * bits + 9, dtype=np.uint8)
+    for r, (base, spill) in enumerate(windows):
+        if spill:
+            top = _views(buf, bits, rows, base + 8, np.uint8)
+            top |= (v[:, r] >> (np.uint64(64) - shifts[r])).astype(np.uint8)
+    v <<= shifts
+    for r, (base, _) in enumerate(windows):
+        window = _views(buf, bits, rows, base, dtype)
+        window |= v[:, r]
+    return buf[:size].tobytes()
+
+
+def _unpack(body, pos: int, count: int, bits: int) -> np.ndarray:
+    """The ``count`` values packed at ``bits`` each from byte ``pos`` of
+    ``body``, as int64; raises :class:`FramingError` on nonzero pad bits."""
+    size, rows = (count * bits + 7) // 8, -(-count // 8)
+    buf = np.zeros(rows * bits + 9, dtype=np.uint8)
+    buf[:size] = np.frombuffer(body, dtype=np.uint8, count=size, offset=pos)
+    if count * bits % 8 and buf[size - 1] >> (count * bits % 8):
+        raise FramingError("nonzero pad bits after a packed array")
+    shifts, windows, dtype = _octet(bits)
+    out = np.empty((rows, 8), dtype=np.uint64)
+    for r, (base, _) in enumerate(windows):
+        out[:, r] = _views(buf, bits, rows, base, dtype)
+    out >>= shifts.astype(np.uint64)
+    for r, (base, spill) in enumerate(windows):
+        if spill:
+            top = _views(buf, bits, rows, base + 8, np.uint8).astype(np.uint64)
+            out[:, r] |= top << (np.uint64(64) - shifts[r])
+    out &= np.uint64((1 << bits) - 1)
+    return out.reshape(-1)[:count].view(np.int64)
 
 
 def _layout(scheme: int, kind: int) -> tuple[type, tuple[_Field, ...]]:
@@ -210,8 +296,9 @@ def encode_object(scheme: int, kind: int, obj, params) -> bytes:
         arrays, specs = f.take(getattr(obj, f.name)), f.specs(params)
         if len(arrays) != len(specs):
             raise FramingError(f"field {f.name} holds {len(arrays)} arrays, not {len(specs)}")
-        for arr, spec in zip(arrays, specs):
-            chunks.append(_checked(np.asarray(arr), spec).astype("<i8", copy=False).tobytes())
+        for arr, (shape, lo, hi) in zip(arrays, specs):
+            arr = _checked(np.asarray(arr), (shape, lo, hi))
+            chunks.append(_pack(arr, lo, _bits(lo, hi)))
     return encode_frame(scheme, kind, params, b"".join(chunks))
 
 
@@ -245,13 +332,15 @@ def decode_object(data: bytes, expect_kind: int | None = None):
     pos, field_arrays = 0, []
     for f in fields:
         arrays = []
-        for spec in f.specs(params):
-            count = math.prod(spec[0])
-            if pos + 8 * count > len(body):
+        for shape, lo, hi in f.specs(params):
+            count, bits = math.prod(shape), _bits(lo, hi)
+            size = (count * bits + 7) // 8
+            if pos + size > len(body):
                 raise FramingError("payload shorter than the declared object")
-            arr = np.frombuffer(body, dtype="<i8", count=count, offset=pos)
-            arrays.append(_checked(arr.astype(np.int64).reshape(spec[0]), spec))
-            pos += 8 * count
+            arr = _unpack(body, pos, count, bits).reshape(shape)
+            arr += lo
+            arrays.append(_checked(arr, (shape, lo, hi)))
+            pos += size
         field_arrays.append(arrays)
     if pos != len(body):
         raise FramingError("payload longer than the declared object")

@@ -4,12 +4,27 @@ Exit codes: 0 success (or EQUAL), 1 equality-test mismatch or decryption
 rejection, 2 malformed input of any kind.
 """
 
+import dataclasses
+
 import pytest
 
+from pkeet import pkeet_int as pi
+from pkeet import pkeet_ring as pr
 from pkeet import serial
 from pkeet.cli import main
+from pkeet.params import ParamsRing, derive_int_params, derive_ring_params
+from pkeet.ring import RingElement, get_context
+from conftest import seeded
 from test_params import _CRAFTED, crafted_frame
-from test_serial import RESPELLINGS, respelled_frame
+from test_serial import (
+    RESPELLINGS,
+    packed_arrays,
+    respelled_frame,
+    with_body_length,
+    with_pad_bit,
+    with_value,
+    with_version,
+)
 
 SEED_A = "aa" * 32
 SEED_B = "bb" * 32
@@ -65,7 +80,7 @@ def test_tampered_ciphertext_exits_one(ring_files, capsys):
     assert main(["encrypt", "--pk", f"{d}/alice.pk", "--message", "77",
                  "--seed", SEED_A, "--out", f"{d}/ct-t"]) == 0
     blob = bytearray((d / "ct-t").read_bytes())
-    blob[-16] ^= 0x04   # low byte of a ct4 coefficient: stays a residue mod q
+    blob[-16] ^= 0x04   # a low bit of a ct4 coefficient: stays a residue mod q
     (d / "ct-bad").write_bytes(bytes(blob))
     capsys.readouterr()
     rc = main(["decrypt", "--pk", f"{d}/alice.pk", "--sk", f"{d}/alice.sk",
@@ -197,12 +212,91 @@ def test_non_canonical_ciphertext_exits_two(ring_files, int_files, capsys):
     for d, owner, ct in ((ring_files, "alice", "ct-n"), (int_files, "ivan", "ct")):
         blob = (d / ct).read_bytes()
         q = serial.decode_object(blob)[2].q
-        last = int.from_bytes(blob[-8:], "little") + q
-        (d / "ct-plus-q").write_bytes(blob[:-8] + last.to_bytes(8, "little"))
+        last = len(packed_arrays(blob)) - 1
+        (d / "ct-plus-q").write_bytes(with_value(blob, last, 0, q))
         capsys.readouterr()
         assert main(["decrypt", "--pk", f"{d}/{owner}.pk", "--sk", f"{d}/{owner}.sk",
                      "--ct", str(d / "ct-plus-q")]) == 2
         assert "canonical range" in capsys.readouterr().err
+
+
+def _write_party(d, name: str, params) -> None:
+    """``name``.pk/.sk/.td/.ct under ``params``, written straight from objects."""
+    rng = seeded(f"packed-{name}")
+    if isinstance(params, ParamsRing):
+        scheme, (pk, sk) = serial.SCHEME_RING, pr.setup(params, rng)
+        msg = RingElement(rng.uniform_mod(2, params.n), get_context(params))
+        ct, td = pr.encrypt(pk, msg, params, rng), pr.trapdoor(sk, pk)
+    else:
+        scheme, (pk, sk) = serial.SCHEME_INT, pi.setup_int(params, rng)
+        ct = pi.encrypt_int(pk, rng.uniform_mod(2, params.t_msg), params, rng)
+        td = pi.trapdoor_int(sk, pk)
+    for ext, kind, obj in (("pk", serial.KIND_PK, pk), ("sk", serial.KIND_SK, sk),
+                           ("td", serial.KIND_TD, td), ("ct", serial.KIND_CT, ct)):
+        (d / f"{name}.{ext}").write_bytes(serial.encode_object(scheme, kind, obj, params))
+
+
+@pytest.fixture(scope="module")
+def packed_files(tmp_path_factory):
+    """Ring n=16 files, and integer n=16 files under a 33-bit message length,
+    so the c1 and c2 arrays of an integer ciphertext end mid-byte."""
+    out = {}
+    for scheme, params in (("ring", derive_ring_params(128, 16, "toy")),
+                           ("int", dataclasses.replace(derive_int_params(128, 16, "toy"), t_msg=33))):
+        d = out[scheme] = tmp_path_factory.mktemp(f"packed-{scheme}")
+        for name in ("ivan", "judy"):
+            _write_party(d, name, params)
+    return out
+
+
+def _faulty(blob: bytes, fault: str) -> bytes:
+    q = serial.decode_object(blob)[2].q
+    last, count = len(packed_arrays(blob)) - 1, packed_arrays(blob)[-1][1]
+    if fault == "pad-bit":
+        return with_pad_bit(blob, 0)
+    if fault == "residue-q":
+        return with_value(blob, last, count - 1, q)
+    if fault == "residue-top":
+        return with_value(blob, last, count - 1, (1 << q.bit_length()) - 1)
+    if fault == "trapdoor-past-bound":
+        return with_value(blob, 0, 0, -packed_arrays(blob)[0][2] + 1)
+    if fault == "short":
+        return with_body_length(blob, -1)
+    if fault == "long":
+        return with_body_length(blob, 1)
+    return with_version(blob, 1)
+
+
+FAULTS = ["pad-bit", "residue-q", "residue-top", "trapdoor-past-bound", "short", "long", "version-1"]
+# Every ring array holds a multiple of n >= 16 values, so it ends on a byte
+# boundary and has no pad bits to set.
+FAULT_CASES = [(s, f) for s in ("ring", "int") for f in FAULTS if (s, f) != ("ring", "pad-bit")]
+
+
+@pytest.mark.parametrize("scheme,fault", FAULT_CASES)
+def test_malformed_packed_frame_exits_two(packed_files, tmp_path, capsys, scheme, fault):
+    d = packed_files[scheme]
+    # A trapdoor fault lands in the secret key or the token, any other in the ciphertext.
+    dec_role, test_role = ("sk", "td") if fault == "trapdoor-past-bound" else ("ct", "ct")
+    for role in {dec_role, test_role}:
+        (tmp_path / f"bad.{role}").write_bytes(_faulty((d / f"ivan.{role}").read_bytes(), fault))
+    files = {ext: str(tmp_path / f"bad.{ext}") if ext in (dec_role, test_role) else f"{d}/ivan.{ext}"
+             for ext in ("pk", "sk", "td", "ct")}
+    capsys.readouterr()
+    assert main(["decrypt", "--pk", files["pk"], "--sk", files["sk"], "--ct", files["ct"]]) == 2
+    assert main(["test", "--td-i", files["td"], "--td-j", f"{d}/judy.td",
+                 "--ct-i", files["ct"], "--ct-j", f"{d}/judy.ct"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error") == 2
+
+
+def test_unmutated_packed_files_run(packed_files, capsys):
+    for d in packed_files.values():
+        assert main(["decrypt", "--pk", f"{d}/ivan.pk", "--sk", f"{d}/ivan.sk",
+                     "--ct", f"{d}/ivan.ct"]) == 0
+        assert main(["test", "--td-i", f"{d}/ivan.td", "--td-j", f"{d}/judy.td",
+                     "--ct-i", f"{d}/ivan.ct", "--ct-j", f"{d}/judy.ct"]) == 1
+    capsys.readouterr()
 
 
 def test_unknown_selftest_criterion_exits_two(capsys):

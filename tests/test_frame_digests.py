@@ -4,12 +4,19 @@ Keys, trapdoor tokens and ciphertexts made from fixed seeds must encode to
 the same bytes release after release, so any change to a keygen- or
 encrypt-side draw, or to its order, fails here.  Decrypt and test draw
 their own randomness, which never reaches a frame and is not pinned.
+
+The digests are of version-2 (packed) frames.  The same objects written in
+the version-1 layout, one 8-byte word per value and ring ``T`` as residues,
+still hash to the version-1 digests, so the move to packing changed the
+encoding and nothing else.
 """
 
 import hashlib
 import math
+import struct
 
 import numpy as np
+import pytest
 
 from pkeet import pkeet_int as pi
 from pkeet import pkeet_ring as pr
@@ -18,15 +25,30 @@ from pkeet.ring import RingElement, get_context
 from conftest import cdt_batch_reference, seeded
 
 RING_N64 = {
+    serial.KIND_PK: "9938c843a6009bb7",
+    serial.KIND_SK: "d05bc0585584d088",
+    serial.KIND_TD: "5e97525ca87f8050",
+    serial.KIND_CT: "9744888cfac82f25",
+}
+# The ring CT digest before the wide zero-centered noise (gamma) moved from
+# the width-8 convolution to the shared CDF row.
+RING_N64_CONVOLVED_CT = "77152acd61fd1dcd"
+INT_N16 = {
+    serial.KIND_PK: "f352da8b4e103080",
+    serial.KIND_SK: "07e12fda721a8be5",
+    serial.KIND_TD: "b97069e888e9575d",
+    serial.KIND_CT: "9438e942ac24c02d",
+}
+
+# The same frames in the version-1 layout.
+RING_N64_V1 = {
     serial.KIND_PK: "bdbee138c3208f63",
     serial.KIND_SK: "b97b06706fdaaa3f",
     serial.KIND_TD: "13007121d81adfb1",
     serial.KIND_CT: "18716cb9ff7a9de3",
 }
-# The ring CT digest before the wide zero-centered noise (gamma) moved from
-# the width-8 convolution to the shared CDF row.
-RING_N64_CONVOLVED_CT = "b512cd69d6cd3cb4"
-INT_N16 = {
+RING_N64_CONVOLVED_CT_V1 = "b512cd69d6cd3cb4"
+INT_N16_V1 = {
     serial.KIND_PK: "35e5b2db10982c9c",
     serial.KIND_SK: "3065a8ed2a300b7e",
     serial.KIND_TD: "cffb74a62cd3142f",
@@ -39,6 +61,30 @@ def _digests(scheme: int, objs: dict, params) -> dict:
         kind: hashlib.sha256(serial.encode_object(scheme, kind, obj, params)).hexdigest()[:16]
         for kind, obj in objs.items()
     }
+
+
+def _v1_frame(scheme: int, kind: int, obj, params) -> bytes:
+    """``obj`` in the version-1 layout: every value one little-endian int64
+    word, ring ``T`` as residues in ``[0, q)``."""
+    words = []
+    for f in serial._LAYOUTS[scheme, kind][1]:
+        for arr, (_, lo, _) in zip(f.take(getattr(obj, f.name)), f.specs(params)):
+            if scheme == serial.SCHEME_RING and lo < 0:
+                arr = arr % params.q
+            words.append(np.asarray(arr).astype("<i8").tobytes())
+    text = params.canonical_text().encode()
+    payload = struct.pack("<I", len(text)) + text + b"".join(words)
+    header = serial._HEADER.pack(serial.MAGIC, 1, scheme, kind, params.digest(), len(payload))
+    return header + payload
+
+
+def _v1_digests(scheme: int, objs: dict, params) -> dict:
+    """Digests of ``objs`` after a version-2 round trip, rewritten as version 1."""
+    out = {}
+    for kind, obj in objs.items():
+        decoded = serial.decode_object(serial.encode_object(scheme, kind, obj, params), kind)[3]
+        out[kind] = hashlib.sha256(_v1_frame(scheme, kind, decoded, params)).hexdigest()[:16]
+    return out
 
 
 def _ring_pinned_objects(p):
@@ -56,10 +102,9 @@ def test_ring_frames_pinned(ring_small):
     assert _digests(serial.SCHEME_RING, objs, ring_small) == RING_N64
 
 
-def test_ring_ct_moved_only_by_wide_noise(ring_small, monkeypatch):
-    # Rebuild the retired width-8 convolution for the draws wider than 32:
-    # every other encrypt draw is unchanged, so the old CT frame comes
-    # back, and a ciphertext with the old noise still decrypts.
+@pytest.fixture
+def convolved_noise(monkeypatch):
+    """Encrypt's draws wider than 32 from the retired width-8 convolution."""
     shared_row = sampling.sample_ring_array
 
     def convolved(width, count, ctx, rng):
@@ -71,6 +116,11 @@ def test_ring_ct_moved_only_by_wide_noise(ring_small, monkeypatch):
         return cdt_batch_reference(r, shifted, rng, 12.0).reshape(count, ctx.n) % ctx.q
 
     monkeypatch.setattr(pr, "sample_ring_array", convolved)
+
+
+def test_ring_ct_moved_only_by_wide_noise(ring_small, convolved_noise):
+    # Every encrypt draw other than the wide ones is unchanged, so the old
+    # CT frame comes back, and a ciphertext with the old noise still decrypts.
     p = ring_small
     objs, message = _ring_pinned_objects(p)
     digests = _digests(serial.SCHEME_RING, objs, p)
@@ -80,11 +130,25 @@ def test_ring_ct_moved_only_by_wide_noise(ring_small, monkeypatch):
     assert np.array_equal(got.coeffs, message.coeffs)
 
 
-def test_int_frames_pinned(int_small):
-    p = int_small
+def _int_pinned_objects(p):
     rng = seeded("pin-int")
     pk, sk = pi.setup_int(p, rng)
     ct = pi.encrypt_int(pk, rng.uniform_mod(2, p.t_msg), p, rng)
-    objs = {serial.KIND_PK: pk, serial.KIND_SK: sk,
+    return {serial.KIND_PK: pk, serial.KIND_SK: sk,
             serial.KIND_TD: pi.trapdoor_int(sk, pk), serial.KIND_CT: ct}
-    assert _digests(serial.SCHEME_INT, objs, p) == INT_N16
+
+
+def test_int_frames_pinned(int_small):
+    assert _digests(serial.SCHEME_INT, _int_pinned_objects(int_small), int_small) == INT_N16
+
+
+def test_frames_moved_only_by_packing(ring_small, int_small):
+    ring_objs, _ = _ring_pinned_objects(ring_small)
+    assert _v1_digests(serial.SCHEME_RING, ring_objs, ring_small) == RING_N64_V1
+    int_objs = _int_pinned_objects(int_small)
+    assert _v1_digests(serial.SCHEME_INT, int_objs, int_small) == INT_N16_V1
+
+
+def test_convolved_ct_moved_only_by_packing(ring_small, convolved_noise):
+    ct = {serial.KIND_CT: _ring_pinned_objects(ring_small)[0][serial.KIND_CT]}
+    assert _v1_digests(serial.SCHEME_RING, ct, ring_small) == {serial.KIND_CT: RING_N64_CONVOLVED_CT_V1}

@@ -11,6 +11,7 @@ from pkeet.hashing import (
     hash_weighted,
 )
 from pkeet.ring import get_context, is_invertible
+from pkeet.rng import XofRng
 
 
 def test_message_hash_is_binary_ring_element(ring_small):
@@ -101,3 +102,68 @@ def test_params_digest_binds_output(ring_small, ring_toy):
     strict = derive_ring_params(128, 256, "strict")
     other = hash_to_sparse(strict, b"bound")
     assert not np.array_equal(toy.coeffs, other.coeffs)
+
+
+def _sparse_by_calls(params, data: bytes) -> np.ndarray:
+    """hash_to_sparse's coefficients with one ``uniform_mod`` call per
+    shuffle draw, as the shuffle was first written."""
+    n, weight = params.n, params.delta_w
+    stream = hashing._hash_stream(hashing.TAG_SPARSE, params, data)
+    idx = np.arange(n)
+    for i in range(weight):
+        j = i + int(stream.uniform_mod(n - i, 1)[0])
+        idx[i], idx[j] = idx[j], idx[i]
+    coeffs = np.zeros(n, dtype=np.int64)
+    coeffs[idx[:weight]] = 2 * hashing._stream_bits(stream, weight) - 1
+    return coeffs % params.q
+
+
+def test_sparse_shuffle_read_matches_per_call_draws():
+    from pkeet.params import derive_ring_params
+
+    for n in (64, 256, 1024):
+        params = derive_ring_params(128, n, "toy")
+        for i in range(50):
+            data = b"shuffle-%d" % i
+            assert np.array_equal(hash_to_sparse(params, data).coeffs, _sparse_by_calls(params, data))
+
+
+class _JammedStream(XofRng):
+    """A stream whose words ``[start, stop)`` read as 2^64 - 1, which every
+    bound but a power of two rejects; it logs the size of each read."""
+
+    def __init__(self, seed: bytes, start: int, stop: int):
+        super().__init__(seed)
+        self.reads, self._at, self._jam = [], 0, (8 * start, 8 * stop)
+
+    def bytes(self, count: int) -> bytes:
+        out = bytearray(super().bytes(count))
+        lo, hi = max(self._jam[0] - self._at, 0), min(self._jam[1] - self._at, count)
+        if lo < hi:
+            out[lo:hi] = b"\xff" * (hi - lo)
+        self._at += count
+        self.reads.append(count)
+        return bytes(out)
+
+
+def test_sparse_shuffle_falls_back_to_per_call_draws(ring_small, monkeypatch):
+    # Each draw reads a group of nine words.  Jamming words 9..44 (groups
+    # 1-4) makes draw 1 (bound n - 1) reject four groups and take group 5,
+    # so every later draw reads four groups further on, the last four from
+    # the stream; draw 0 (bound n, a power of two) accepts all-ones words.
+    # The other windows jam groups 0-1, and group 3 with parts of 2 and 4.
+    stream = hashing._hash_stream
+    for start, stop in ((9, 45), (0, 18), (20, 40)):
+        streams = []
+
+        def jammed(*args, **kwargs):
+            streams.append(_JammedStream(stream(*args, **kwargs).seed, start, stop))
+            return streams[-1]
+
+        monkeypatch.setattr(hashing, "_hash_stream", jammed)
+        for i in range(5):
+            data = b"jammed-%d" % i
+            assert np.array_equal(hash_to_sparse(ring_small, data).coeffs, _sparse_by_calls(ring_small, data))
+        weight = ring_small.delta_w
+        # The batched read, then per-call reads of nine words: the fallback ran.
+        assert streams[0].reads[0] == 8 * 9 * weight and 8 * 9 in streams[0].reads[1:]

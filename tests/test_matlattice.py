@@ -141,7 +141,10 @@ def test_int_sk_frame_holds_r(int_small):
     pk, sk = pi.setup_int(int_small, seeded("int-sk-frame"))
     blob = serial.encode_int_sk(sk, int_small)
     header = 23 + 4 + len(int_small.canonical_text().encode())
-    assert len(blob) == header + 16 * int_small.m_bar * int_small.n * int_small.k
+    # Two R matrices, entries in [-53, 53] packed at 7 bits.
+    bits = (2 * math.floor(int_small.t_tail * int_small.sigma_r)).bit_length()
+    assert bits == 7
+    assert len(blob) == header + 2 * ((int_small.m_bar * int_small.n * int_small.k * bits + 7) // 8)
 
 
 def test_left_sampler_exact_and_gaussian(int_small):

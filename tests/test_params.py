@@ -31,7 +31,7 @@ def test_ring_modulus_structure(ring_toy):
     assert p.k == p.q.bit_length()
     assert p.m == p.k + p.base_len
     assert p.base_len == 2
-    assert p.q < 1 << 57
+    assert p.q < MULMOD_CAP
 
 
 def test_ring_validation_clean():
@@ -52,9 +52,26 @@ def test_ring_validation_flags_multiply_cap():
         RingContext(p.n, p.q)
 
 
+# The ring modulus of every degree that derives: the same under the 2^56
+# multiply cap as under the 2^57 cap before it.
+RING_MODULI = {
+    16: 400641032801,
+    32: 1671602155649,
+    64: 7050030948097,
+    128: 29954998903553,
+    256: 127887583264769,
+    512: 547543115493377,
+    1024: 2412720128278529,
+    2048: 10339340924895233,
+    4096: 44299501063200769,
+}
+
+
 def test_ring_derivation_stops_at_multiply_cap():
-    assert derive_ring_params(128, 4096, "toy").q < MULMOD_CAP
-    with pytest.raises(ParameterOverflow):
+    for n, q in RING_MODULI.items():
+        for profile in ("toy", "strict"):
+            assert derive_ring_params(128, n, profile).q == q < MULMOD_CAP
+    with pytest.raises(ParameterOverflow, match="2\\*\\*56"):
         derive_ring_params(128, 8192, "toy")
 
 

@@ -5,11 +5,13 @@ integers; the inversion oracle is a polynomial extended Euclid over Z_q.
 Both are slow and obviously correct, which is the point.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from pkeet.errors import InvalidDegree, NotInvertible, ParamsMismatch
-from pkeet.params import MULMOD_CAP, derive_ring_params, is_prime
+from pkeet.errors import InvalidDegree, InvalidParams, NotInvertible, ParamsMismatch
+from pkeet.params import MULMOD_CAP, derive_ring_params, is_prime, validate_ring
 from pkeet.ring import (
     _FOLD_BOUND,
     RingContext,
@@ -30,13 +32,13 @@ from conftest import intt_reference, mulmod_reference, ntt_reference, seeded
 
 # (n, q) for the kernel exactness tests: q = 97, the toy moduli at n = 64,
 # 256 and 1024, the ring primes (q = 1 mod 128) just below and just above
-# the 2^52 fold bound, and the largest ring prime below the 2^57 cap.
+# the 2^52 fold bound, and the largest ring prime below the 2^56 cap.
 KERNEL_MODULI = [
     (16, 97),
     *((n, derive_ring_params(128, n, "toy").q) for n in (64, 256, 1024)),
     (64, 4503599627367553),
     (64, 4503599627373697),
-    (64, 144115188075849217),
+    (64, 72057594037926529),
 ]
 
 
@@ -46,6 +48,21 @@ def test_transform_round_trip(ring_small):
     for _ in range(20):
         coeffs = rng.uniform_mod(ctx.q, ctx.n)
         assert np.array_equal(ctx.intt(ctx.ntt(coeffs)), coeffs)
+
+
+# Ring primes (1 mod 128) in [2^56, 2^57): the smallest and the largest,
+# which the 2^57 cap of earlier releases admitted.
+ABOVE_CAP = (72057594037931393, 144115188075849217)
+
+
+def test_ring_primes_above_the_cap_refused():
+    base = derive_ring_params(128, 64, "toy")
+    for q in ABOVE_CAP:
+        assert is_prime(q) and q % 128 == 1 and MULMOD_CAP <= q < 2 * MULMOD_CAP
+        with pytest.raises(InvalidParams, match="2\\*\\*56"):
+            RingContext(64, q)
+        p = dataclasses.replace(base, q=q, k=q.bit_length(), m=q.bit_length() + 2)
+        assert "q-mulmod-cap" in validate_ring(p)
 
 
 def test_kernel_moduli_straddle_the_bounds():
@@ -146,7 +163,7 @@ def test_inverse_is_two_sided():
         assert np.array_equal(mul_schoolbook(inv, a).coeffs, one)
 
 
-@pytest.mark.parametrize("q", [97, 127887583264769, (1 << 57) - 13])
+@pytest.mark.parametrize("q", [97, 127887583264769, (1 << 56) - 5])
 def test_slot_inverse_matches_python_pow(q):
     # The last modulus is the largest prime below the multiply kernel cap.
     values = seeded(f"invmod-{q}").uniform_mod(q - 1, 500) + 1

@@ -1,6 +1,8 @@
-"""Framed binary serialization: bijectivity, integrity, params binding."""
+"""Framed binary serialization: bijectivity, integrity, params binding,
+and the packed body checked bit for bit."""
 
 import dataclasses
+import math
 import struct
 
 import numpy as np
@@ -180,45 +182,190 @@ def test_require_same_params(ring_small, ring_toy):
         serial.require_same_params(ring_small, ring_toy)
 
 
-def _add_to_word(blob: bytes, offset: int, delta: int) -> bytes:
-    """Add ``delta`` to the little-endian int64 word at ``offset``."""
-    word = int.from_bytes(blob[offset:offset + 8], "little", signed=True) + delta
-    return blob[:offset] + word.to_bytes(8, "little", signed=True) + blob[offset + 8:]
+def packed_arrays(blob: bytes) -> list[tuple[int, int, int, int]]:
+    """``(offset, count, lo, bits)`` of each packed array of a frame, in
+    frame order, from its layout."""
+    scheme, kind, params, _ = serial.decode_frame(blob)
+    pos = serial._HEADER.size + 4 + len(params.canonical_text().encode())
+    out = []
+    for f in serial._LAYOUTS[scheme, kind][1]:
+        for shape, lo, hi in f.specs(params):
+            count, bits = math.prod(shape), (hi - lo - 1).bit_length()
+            out.append((pos, count, lo, bits))
+            pos += (count * bits + 7) // 8
+    return out
+
+
+def _with_bits(blob: bytes, array: int, start: int, width: int, value: int) -> bytes:
+    """``blob`` with bits ``[start, start + width)`` of packed array ``array``
+    set to ``value``."""
+    pos, count, _, bits = packed_arrays(blob)[array]
+    size = (count * bits + 7) // 8
+    field = int.from_bytes(blob[pos:pos + size], "little")
+    field = field & ~(((1 << width) - 1) << start) | value << start
+    return blob[:pos] + field.to_bytes(size, "little") + blob[pos + size:]
+
+
+def stored(blob: bytes, array: int, index: int) -> int:
+    """The value at ``index`` of packed array ``array``, read bit by bit."""
+    pos, count, lo, bits = packed_arrays(blob)[array]
+    field = int.from_bytes(blob[pos:pos + (count * bits + 7) // 8], "little")
+    return (field >> (index * bits) & (1 << bits) - 1) + lo
+
+
+def with_value(blob: bytes, array: int, index: int, value: int) -> bytes:
+    """``blob`` with the value at ``index`` of packed array ``array`` set to
+    ``value``, which must fit the array's bit width."""
+    _, _, lo, bits = packed_arrays(blob)[array]
+    assert 0 <= value - lo < 1 << bits
+    return _with_bits(blob, array, index * bits, bits, value - lo)
+
+
+def with_pad_bit(blob: bytes, array: int) -> bytes:
+    """``blob`` with the first pad bit after packed array ``array`` set."""
+    _, count, _, bits = packed_arrays(blob)[array]
+    assert count * bits % 8, "the array ends on a byte boundary"
+    return _with_bits(blob, array, count * bits, 1, 1)
+
+
+def with_body_length(blob: bytes, delta: int) -> bytes:
+    """``blob`` one or more bytes shorter (``delta < 0``) or longer, with the
+    header's payload length moved to match."""
+    body = blob[:delta] if delta < 0 else blob + bytes(delta)
+    header = list(serial._HEADER.unpack_from(blob))
+    header[-1] += delta
+    return serial._HEADER.pack(*header) + body[serial._HEADER.size:]
+
+
+def with_version(blob: bytes, version: int) -> bytes:
+    return blob[:4] + bytes([version]) + blob[5:]
+
+
+def _reference_pack(values: list[int], bits: int) -> bytes:
+    """Values as one little-endian bit string: a Python-int accumulator."""
+    acc = 0
+    for i, v in enumerate(values):
+        acc |= v << (i * bits)
+    return acc.to_bytes((len(values) * bits + 7) // 8, "little")
+
+
+# Trapdoor entries take 7 bits, residues 28 (integer n=16), 47 (ring n=256)
+# and up to 56 (ring) or 62 (integer moduli below 2^62); past 57 bits a
+# value can spill out of its 8-byte window, and an odd width such as 61
+# meets every bit offset.  1 and 3 bits take 1- and 2-byte windows.
+@pytest.mark.parametrize("bits", [1, 3, 7, 28, 47, 56, 61, 62])
+@pytest.mark.parametrize("count", [1, 5, 13, 63, 100, 1001])
+def test_packer_matches_bit_string_reference(bits, count):
+    values = seeded(f"pack-{bits}-{count}").u64(count) >> np.uint64(64 - bits)
+    values[: min(count, 2)] = ((1 << bits) - 1, 0)[: min(count, 2)]
+    packed = serial._pack(values, 0, bits)
+    assert packed == _reference_pack(values.tolist(), bits)
+    assert np.array_equal(serial._unpack(packed, 0, count, bits), values.astype(np.int64))
+
+
+@pytest.mark.parametrize("bits", [3, 7, 47])
+def test_unpacker_refuses_nonzero_pad_bits(bits):
+    count = 5
+    packed = serial._pack(np.arange(count, dtype=np.uint64), 0, bits)
+    for pad in range(count * bits, 8 * len(packed)):
+        bad = (int.from_bytes(packed, "little") | 1 << pad).to_bytes(len(packed), "little")
+        with pytest.raises(FramingError, match="pad bits"):
+            serial._unpack(bad, 0, count, bits)
+
+
+def test_nonzero_pad_bits_rejected(int_small):
+    # With a 33-bit message, c1 and c2 end mid-byte (33 values of 28 bits).
+    params = dataclasses.replace(int_small, t_msg=33)
+    rng = seeded("serial-pad")
+    pk, _ = pi.setup_int(params, rng)
+    ct = pi.encrypt_int(pk, rng.uniform_mod(2, params.t_msg), params, rng)
+    blob = serial.encode_object(serial.SCHEME_INT, serial.KIND_CT, ct, params)
+    assert serial.decode_object(blob)[3].c1.shape == (33,)
+    for array in (0, 1):
+        with pytest.raises(FramingError, match="pad bits"):
+            serial.decode_object(with_pad_bit(blob, array))
+
+
+def test_frame_sizes_follow_the_layout(ring_objects, int_objects):
+    # Residues take ceil(log2 q) bits, trapdoor entries the bits of their range.
+    for scheme, objs in ((serial.SCHEME_RING, ring_objects), (serial.SCHEME_INT, int_objects)):
+        params = objs["params"]
+        for kind in KINDS:
+            blob = serial.encode_object(scheme, kind, objs[kind], params)
+            arrays = packed_arrays(blob)
+            pos, count, lo, bits = arrays[-1]
+            assert len(blob) == pos + (count * bits + 7) // 8
+            for _, _, lo, bits in arrays:
+                assert bits == ((params.q - 1).bit_length() if lo == 0 else 7)
+
+
+def _trapdoor_frames(objs: dict, scheme: int, width: str):
+    """(sk frame, tail bound) and (td frame, tail bound): both open with a
+    trapdoor array whose entries lie within ``floor(t_tail * width)``."""
+    params = objs["params"]
+    bound = math.floor(params.t_tail * getattr(params, width))
+    for kind in (serial.KIND_SK, serial.KIND_TD):
+        yield serial.encode_object(scheme, kind, objs[kind], params), bound
+
+
+def _assert_first_entry_bounded(blob: bytes, bound: int) -> None:
+    # -bound is stored as 0, so only the upper side has room for a value
+    # past the bound.
+    for value in (bound, -bound):
+        edge = with_value(blob, 0, 0, value)
+        scheme, kind, params, obj = serial.decode_object(edge)
+        assert serial.encode_object(scheme, kind, obj, params) == edge
+    with pytest.raises(FramingError, match="canonical range"):
+        serial.decode_object(with_value(blob, 0, 0, bound + 1))
 
 
 def test_non_canonical_values_rejected(ring_objects, int_objects):
-    # A residue plus q is the same value mod q in a different byte string.
+    # A residue field holding a value from q to 2^k - 1.
     for scheme, objs in ((serial.SCHEME_RING, ring_objects), (serial.SCHEME_INT, int_objects)):
         params = objs["params"]
         blob = serial.encode_object(scheme, serial.KIND_CT, objs[serial.KIND_CT], params)
-        for delta in (params.q, -params.q):
-            with pytest.raises(FramingError):
-                serial.decode_object(_add_to_word(blob, len(blob) - 8, delta))
-    # An entry of R beyond the sampler's tail cut, in both directions.
-    params = int_objects["params"]
-    bound = int(params.t_tail * params.sigma_r)
-    blob = serial.encode_object(serial.SCHEME_INT, serial.KIND_SK, int_objects[serial.KIND_SK], params)
-    first = 23 + 4 + len(params.canonical_text().encode())
-    entry = int.from_bytes(blob[first:first + 8], "little", signed=True)
-    for value in (bound + 1, -bound - 1):
-        with pytest.raises(FramingError):
-            serial.decode_object(_add_to_word(blob, first, value - entry))
+        last, count = len(packed_arrays(blob)) - 1, packed_arrays(blob)[-1][1]
+        for value in (params.q, (1 << params.q.bit_length()) - 1):
+            with pytest.raises(FramingError, match="canonical range"):
+                serial.decode_object(with_value(blob, last, count - 1, value))
+    # An entry of R one past the sampler's tail cut.
+    for blob, bound in _trapdoor_frames(int_objects, serial.SCHEME_INT, "sigma_r"):
+        _assert_first_entry_bounded(blob, bound)
 
 
 def test_ring_trapdoor_beyond_tail_rejected(ring_objects):
-    # An entry of T one past the sampler's tail bound, in both directions,
-    # as the first word of a secret key and of a trapdoor token.
+    # T is stored signed, as R is: an entry one past the tail bound fails.
+    for blob, bound in _trapdoor_frames(ring_objects, serial.SCHEME_RING, "sigma_trap"):
+        _assert_first_entry_bounded(blob, bound)
+
+
+def test_ring_trapdoor_stored_signed(ring_objects):
+    # The first entry of T decodes to the residue of its stored signed value.
     params = ring_objects["params"]
-    bound = int(params.t_tail * params.sigma_trap)
-    first = 23 + 4 + len(params.canonical_text().encode())
-    for kind in (serial.KIND_SK, serial.KIND_TD):
-        blob = serial.encode_object(serial.SCHEME_RING, kind, ring_objects[kind], params)
-        entry = int.from_bytes(blob[first:first + 8], "little", signed=True)
-        for value in (bound, params.q - bound):
-            serial.decode_object(_add_to_word(blob, first, value - entry))
-        for value in (bound + 1, params.q - bound - 1):
-            with pytest.raises(FramingError, match="tail bound"):
-                serial.decode_object(_add_to_word(blob, first, value - entry))
+    sk = ring_objects[serial.KIND_SK]
+    blob = serial.encode_object(serial.SCHEME_RING, serial.KIND_SK, sk, params)
+    assert stored(blob, 0, 0) % params.q == sk.t_a.t_arr[0, 0, 0]
+    for value in (-1, 1):
+        obj = serial.decode_object(with_value(blob, 0, 0, value))[3]
+        assert obj.t_a.t_arr[0, 0, 0] == value % params.q
+
+
+def test_body_one_byte_off_rejected(ring_objects, int_objects):
+    for scheme, objs in ((serial.SCHEME_RING, ring_objects), (serial.SCHEME_INT, int_objects)):
+        params = objs["params"]
+        for kind in KINDS:
+            blob = serial.encode_object(scheme, kind, objs[kind], params)
+            with pytest.raises(FramingError, match="shorter"):
+                serial.decode_object(with_body_length(blob, -1))
+            with pytest.raises(FramingError, match="longer"):
+                serial.decode_object(with_body_length(blob, 1))
+
+
+def test_version_one_frames_rejected(ring_objects, int_objects):
+    for scheme, objs in ((serial.SCHEME_RING, ring_objects), (serial.SCHEME_INT, int_objects)):
+        blob = serial.encode_object(scheme, serial.KIND_CT, objs[serial.KIND_CT], objs["params"])
+        with pytest.raises(FramingError, match="unsupported version 1"):
+            serial.decode_object(with_version(blob, 1))
 
 
 def test_seeded_ring_keys_within_tail_bound(ring_small):
