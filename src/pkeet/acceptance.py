@@ -31,8 +31,8 @@ from .params import derive_int_params, derive_ring_params
 from .ring import (
     RingContext,
     RingElement,
+    balanced,
     decode_bits,
-    encode_message,
     get_context,
     invert,
     is_invertible,
@@ -99,7 +99,7 @@ def _digest(arr: np.ndarray) -> str:
 
 
 def _random_message(ctx: RingContext, rng: XofRng) -> RingElement:
-    return encode_message(rng.uniform_mod(2, ctx.n), ctx)
+    return RingElement(rng.uniform_mod(2, ctx.n), ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +282,7 @@ def criterion_4(profile: str = "toy") -> CriterionResult:
     h_mat = ml.mat_uniform(iparams.q, iparams.n, iparams.m, rng)
     for i in range(1000):
         keys = ots.ots_sis_keygen(h_mat, iparams, rng)
-        msg = hash_weighted(iparams, b"ots-sis-%d" % i, iparams.k_sig, iparams.w_sig)
+        msg = hash_weighted(iparams, b"ots-sis-%d" % i)
         sig = ots.ots_sis_sign(keys, msg, iparams)
         ots_bad += int(not ots.ots_sis_verify(h_mat, keys.pub, msg, sig, iparams))
 
@@ -360,8 +360,8 @@ def criterion_5(profile: str = "toy") -> CriterionResult:
     codec_bad = 0
     for value in range(16):
         bits = np.array([(value >> i) & 1 for i in range(4)], dtype=np.int64)
-        msg = encode_message(bits, ctx4)
-        codec_bad += int(not np.array_equal(decode_bits(scale_halfq(msg)), bits))
+        msg = RingElement(bits, ctx4)
+        codec_bad += int(not np.array_equal(decode_bits(scale_halfq(msg).coeffs, ctx4.q), bits))
 
     inv_bad = 0
     checked = 0
@@ -416,7 +416,7 @@ def criterion_6(profile: str = "toy") -> CriterionResult:
     for _ in range(20):
         u = sample_uniform(ctx, rng)
         x_hat = sample_pre([(trap, shifted, u)], params, rng)[0]
-        coords.append(ctx.balanced(ctx.intt(x_hat)))
+        coords.append(balanced(ctx.intt(x_hat), ctx.q))
     target = params.zeta**2 / (2.0 * math.pi)
     pre_dev = abs(float(np.stack(coords).astype(np.float64).var()) / target - 1.0)
 
@@ -519,10 +519,10 @@ def criterion_8(profile: str = "toy") -> CriterionResult:
     h_coeffs = get_context(ring_toy).intt(hash_to_invertible(ring_toy, probe))
     check("hash_invertible_digest", _digest(h_coeffs), FROZEN["hash_invertible_digest"])
     check("hash_sparse_digest", _digest(hash_to_sparse(ring_toy, probe).coeffs), FROZEN["hash_sparse_digest"])
-    check("hash_pm_one_digest", _digest(hash_pm_one(int_toy, probe, int_toy.l)), FROZEN["hash_pm_one_digest"])
+    check("hash_pm_one_digest", _digest(hash_pm_one(int_toy, probe)), FROZEN["hash_pm_one_digest"])
     check(
         "hash_weighted_digest",
-        _digest(hash_weighted(int_toy, probe, int_toy.k_sig, int_toy.w_sig)),
+        _digest(hash_weighted(int_toy, probe)),
         FROZEN["hash_weighted_digest"],
     )
 

@@ -7,6 +7,10 @@ reproducible from the payload alone under fixed parameters.
 
 Tags: 0x01 message hash, 0x02 invertible-element hash, 0x03 sparse-signed
 hash, 0x04 plus/minus-one hash, 0x05 fixed-weight hash.
+
+Integer-array payloads (ring coefficients, residue vectors and matrices)
+are encoded by :func:`words` alone.  Output lengths and weights come from
+the parameter record, whose ranges :func:`~pkeet.params.validate` checks.
 """
 
 from __future__ import annotations
@@ -45,6 +49,12 @@ def _hash_stream(tag: int, params, payload: bytes, counter: int | None = None) -
     frame += payload
     seed = hashlib.shake_256(_FRAME_PREFIX + bytes(frame)).digest(32)
     return XofRng(seed)
+
+
+def words(*arrays: np.ndarray) -> bytes:
+    """Hash payload of integer arrays: each entry as one little-endian
+    8-byte word, array after array, each in row-major order."""
+    return b"".join(np.asarray(a).astype("<u8").tobytes() for a in arrays)
 
 
 def _stream_bits(stream: XofRng, count: int) -> np.ndarray:
@@ -129,8 +139,6 @@ def hash_to_sparse(params: ParamsRing, data: bytes) -> RingElement:
     """Map bytes to a signed sparse element: exactly ``delta_w`` coefficients
     in {-1, +1}, positions chosen by a stream-driven partial shuffle."""
     n, weight = params.n, params.delta_w
-    if not 1 <= weight <= n:
-        raise InvalidParams(f"sparse weight {weight} outside [1, {n}]")
     stream = _hash_stream(TAG_SPARSE, params, data)
     idx = np.arange(n)
     for i, offset in enumerate(_shuffle_draws(stream, n, weight).tolist()):
@@ -142,19 +150,16 @@ def hash_to_sparse(params: ParamsRing, data: bytes) -> RingElement:
     return RingElement(coeffs, get_context(params))
 
 
-def hash_pm_one(params: ParamsInt, data: bytes, l: int) -> np.ndarray:
+def hash_pm_one(params: ParamsInt, data: bytes) -> np.ndarray:
     """Map bytes to a vector in {-1, +1}^l."""
-    if l < 1:
-        raise InvalidParams("selector length must be positive")
     stream = _hash_stream(TAG_PM_ONE, params, data)
-    return 2 * _stream_bits(stream, l) - 1
+    return 2 * _stream_bits(stream, params.l) - 1
 
 
-def hash_weighted(params: ParamsInt, data: bytes, k_sig: int, w_sig: int) -> np.ndarray:
+def hash_weighted(params: ParamsInt, data: bytes) -> np.ndarray:
     """Map bytes to a 0/1 vector of length ``k_sig`` with weight exactly
     ``w_sig`` by unranking a stream-uniform combination index."""
-    if not 1 <= w_sig <= k_sig:
-        raise InvalidParams(f"weight {w_sig} outside [1, {k_sig}]")
+    k_sig, w_sig = params.k_sig, params.w_sig
     total = math.comb(k_sig, w_sig)
     stream = _hash_stream(TAG_WEIGHTED, params, data)
     nbits = total.bit_length() + 64

@@ -42,12 +42,6 @@ _TRAPGEN_RETRIES = 8
 _MATMUL_Q_CAP = 1 << 56   # elementwise products ride the exact mulmod kernel
 
 
-def balanced_mod(values: np.ndarray, q: int) -> np.ndarray:
-    """Signed representatives in (-q/2, q/2]."""
-    values = np.asarray(values, dtype=np.int64) % q
-    return values - q * (values > q // 2)
-
-
 def matmul_mod(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     """Exact ``a @ b mod q`` for residue matrices of any supported modulus.
 

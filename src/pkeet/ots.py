@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import InvalidMessage
 from .params import ParamsInt, ParamsRing
-from .ring import RingContext, RingElement, dot_ntt, get_context, mulmod
+from .ring import RingContext, RingElement, balanced, dot_ntt, get_context, mulmod
 from .rng import XofRng
 
 
@@ -60,7 +60,7 @@ def ots_ring_keygen(
 
 
 def _check_ring_message(msg: RingElement, params: ParamsRing) -> None:
-    bal = msg.balanced()
+    bal = balanced(msg.coeffs, msg.ctx.q)
     if np.abs(bal).max(initial=0) > 1:
         raise InvalidMessage("message coefficients must lie in {-1, 0, 1}")
     if int(np.abs(bal).sum()) > params.delta_w:
@@ -91,7 +91,7 @@ def ots_ring_verify(
     ctx = pub[0].ctx
     sig = np.asarray(sig, dtype=np.int64) % ctx.q
     bound = 2 * params.delta_w * params.b_ots
-    if int(np.abs(ctx.balanced(sig)).max(initial=0)) > bound:
+    if int(np.abs(balanced(sig, ctx.q)).max(initial=0)) > bound:
         return False
     rows = sig.shape[0]
     hats = ctx.ntt(np.concatenate([sig, np.stack([pub[0].coeffs, pub[1].coeffs, msg.coeffs])]))

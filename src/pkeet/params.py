@@ -472,9 +472,14 @@ def derive_int_params(lambda_sec: int, n: int, profile: str) -> ParamsInt:
 def validate_int(params: ParamsInt) -> list[str]:
     """Return the names of every violated integer-scheme invariant."""
     bad = _field_violations(params)
+    if params.n < 16:
+        bad.append("n-floor")
     if bad:
         return bad
     p = params
+    mult = INT_STRICT_MULTIPLIER if p.profile == "strict" else INT_TOY_MULTIPLIER
+    if p.m != mult * p.n * p.k:
+        bad.append("m-structure")
     if not is_prime(p.q):
         bad.append("q-prime")
     if p.k != p.q.bit_length():
@@ -500,21 +505,14 @@ def validate_int(params: ParamsInt) -> list[str]:
         bad.append("decode-margin")
     if p.profile == "strict":
         ln_n = math.log(p.n)
-        if p.m < INT_STRICT_MULTIPLIER * p.n * p.k:
-            bad.append("m-trapgen-floor")
         if p.q < max(p.q_bound, p.m**2.5 * math.sqrt(ln_n)):
             bad.append("q-eq1-floor")
         if p.sigma < p.m * p.l * math.sqrt(ln_n):
             bad.append("sigma-eq1-floor")
-        # At n = 1 the ceiling 1 / (l^2 m^2 sqrt(ln n)) is infinite.
-        alpha_scale = p.l**2 * p.m**2 * math.sqrt(ln_n)
-        if alpha_scale > 0 and p.alpha > 1.0 / alpha_scale:
+        if p.alpha > 1.0 / (p.l**2 * p.m**2 * math.sqrt(ln_n)):
             bad.append("alpha-eq1-ceiling")
-    else:
-        if p.m != INT_TOY_MULTIPLIER * p.n * p.k:
-            bad.append("m-toy-structure")
-        if not p.insecure:
-            bad.append("insecure-label")
+    elif not p.insecure:
+        bad.append("insecure-label")
     return bad
 
 

@@ -13,7 +13,10 @@ The secret key holds the gadget trapdoors ``R`` of ``A`` and ``A'``
 hash slot of each ciphertext, with one two-job
 :func:`~pkeet.matlattice.sample_left` call.  Encryption keeps its ``l``
 fresh ``m x m`` sign matrices packed at a bit per entry and applies their
-selector-weighted sum through one small-integer fold and one exact product."""
+selector-weighted sum through one small-integer fold and one exact product.
+Each binding has one helper that encrypt, decrypt and test call:
+:func:`_selector` for ``h(c1, c2, D)`` and its matrix, and
+:func:`_ots_digest` for the signed digest."""
 
 from __future__ import annotations
 
@@ -22,10 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidMessage, RejectHash, RejectSignature
-from .hashing import hash_message, hash_pm_one, hash_weighted
+from .hashing import hash_message, hash_pm_one, hash_weighted, words
 from .matlattice import (
     IntTrapdoor,
-    balanced_mod,
     mat_uniform,
     matmul_mod,
     sample_left,
@@ -35,6 +37,7 @@ from .matlattice import (
 )
 from .ots import ots_sis_keygen, ots_sis_sign, ots_sis_verify
 from .params import ParamsInt
+from .ring import balanced, decode_bits
 from .rng import XofRng
 
 
@@ -92,34 +95,30 @@ def setup_int(params: ParamsInt, rng: XofRng) -> tuple[PkInt, SkInt]:
     return pk, SkInt(t_a=t_a, t_a_prime=t_a_prime)
 
 
-def _vec_bytes(*arrays: np.ndarray) -> bytes:
-    """Canonical little-endian byte view of residue arrays, for hashing."""
-    return b"".join(np.ascontiguousarray(a).astype("<u8").tobytes() for a in arrays)
-
-
 def _noise(count: int, params: ParamsInt, rng: XofRng) -> np.ndarray:
     """Signed rounded-Gaussian noise: round(q * X) for X of width alpha."""
     sd = params.alpha * params.q / np.sqrt(2.0 * np.pi)
     return np.rint(rng.normal(count) * sd).astype(np.int64)
 
 
-def _selector_sum(pk_b: np.ndarray, a_list: list[np.ndarray], sel: np.ndarray, q: int) -> np.ndarray:
-    acc = pk_b.copy()
+def _selector(params: ParamsInt, b_mat, a_list, c1, c2, d) -> tuple[np.ndarray, np.ndarray]:
+    """The selector ``sel = h(c1, c2, D)`` in {-1, +1}^l and its matrix
+    ``B + sum_i sel_i A_i`` mod q."""
+    sel = hash_pm_one(params, words(c1, c2, d))
+    acc = b_mat.copy()
     for b_i, a_i in zip(sel, a_list):
         acc += b_i * a_i
-    return acc % q
+    return sel, acc % params.q
 
 
-def _decode(w: np.ndarray, q: int) -> np.ndarray:
-    lo = -(-q // 4)
-    hi = (3 * q) // 4
-    w = w % q
-    return ((w >= lo) & (w < hi)).astype(np.int64)
+def _ots_digest(params: ParamsInt, c1, c2, c3, c4) -> np.ndarray:
+    """The weight-``w_sig`` digest the one-time signature binds: all four slots."""
+    return hash_weighted(params, words(c1, c2, c3, c4))
 
 
 def _open_slot_int(payload: np.ndarray, vec_slot: np.ndarray, e: np.ndarray, q: int) -> np.ndarray:
     """Bits of ``payload - e^T vec_slot (mod q)`` for a slot's preimage ``e``."""
-    return _decode(payload - _mul_signed(e.T, vec_slot[:, None], q)[:, 0], q)
+    return decode_bits(payload - _mul_signed(e.T, vec_slot[:, None], q)[:, 0], q)
 
 
 def _sign_sum_t(sel: np.ndarray, packed: list[bytes], y: np.ndarray, q: int) -> np.ndarray:
@@ -157,11 +156,10 @@ def encrypt_int(pk: PkInt, msg: np.ndarray, params: ParamsInt, rng: XofRng) -> C
     s2 = rng.uniform_mod(q, params.n)
     half = q // 2
     c1 = (matmul_mod(pk.u.T, s1[:, None], q)[:, 0] + _noise(params.t_msg, params, rng) + half * msg) % q
-    hash_bits = hash_message(params, _vec_bytes(msg))
+    hash_bits = hash_message(params, words(msg))
     c2 = (matmul_mod(pk.u.T, s2[:, None], q)[:, 0] + _noise(params.t_msg, params, rng) + half * hash_bits) % q
 
-    sel = hash_pm_one(params, _vec_bytes(c1, c2, d_pub), params.l)
-    a_sum = _selector_sum(pk.b, pk.a_list, sel, q)
+    sel, a_sum = _selector(params, pk.b, pk.a_list, c1, c2, d_pub)
     f1 = np.concatenate([pk.a, a_sum], axis=1)
     f2 = np.concatenate([pk.a_prime, a_sum], axis=1)
 
@@ -173,16 +171,13 @@ def encrypt_int(pk: PkInt, msg: np.ndarray, params: ParamsInt, rng: XofRng) -> C
     c3 = (matmul_mod(f1.T, s1[:, None], q)[:, 0] + np.concatenate([y[:, 0], ry[:, 0]])) % q
     c4 = (matmul_mod(f2.T, s2[:, None], q)[:, 0] + np.concatenate([y[:, 1], ry[:, 1]])) % q
 
-    d_sel = hash_weighted(params, _vec_bytes(c1, c2, c3, c4), params.k_sig, params.w_sig)
-    u_sig = ots_sis_sign(ots_keys, d_sel, params) % q
+    u_sig = ots_sis_sign(ots_keys, _ots_digest(params, c1, c2, c3, c4), params) % q
     return CtInt(c1=c1, c2=c2, c3=c3, c4=c4, u=u_sig, d=d_pub)
 
 
 def _check_signature(pk_a: np.ndarray, ct: CtInt, params: ParamsInt) -> None:
-    d_sel = hash_weighted(
-        params, _vec_bytes(ct.c1, ct.c2, ct.c3, ct.c4), params.k_sig, params.w_sig
-    )
-    sig = balanced_mod(ct.u, params.q)
+    d_sel = _ots_digest(params, ct.c1, ct.c2, ct.c3, ct.c4)
+    sig = balanced(ct.u % params.q, params.q)
     if not ots_sis_verify(pk_a, ct.d, d_sel, sig, params):
         raise RejectSignature("signature vector fails the one-time check")
 
@@ -194,15 +189,14 @@ def decrypt_int(
     q = params.q
     _check_signature(pk.a, ct, params)
 
-    sel = hash_pm_one(params, _vec_bytes(ct.c1, ct.c2, ct.d), params.l)
-    a_sum = _selector_sum(pk.b, pk.a_list, sel, q)
+    _, a_sum = _selector(params, pk.b, pk.a_list, ct.c1, ct.c2, ct.d)
 
     e_msg, e_hash = sample_left(
         [(pk.a, a_sum, sk.t_a, pk.u), (pk.a_prime, a_sum, sk.t_a_prime, pk.u)], params, rng
     )
     msg = _open_slot_int(ct.c1, ct.c3, e_msg, q)
     hash_bits = _open_slot_int(ct.c2, ct.c4, e_hash, q)
-    if not np.array_equal(hash_bits, hash_message(params, _vec_bytes(msg))):
+    if not np.array_equal(hash_bits, hash_message(params, words(msg))):
         raise RejectHash("decoded hash slot does not match the message hash")
     return msg
 
@@ -218,8 +212,7 @@ def trapdoor_int(sk: SkInt, pk: PkInt) -> TrapdoorTokenInt:
 
 
 def _hash_slot_job(td: TrapdoorTokenInt, ct: CtInt, params: ParamsInt) -> tuple:
-    sel = hash_pm_one(params, _vec_bytes(ct.c1, ct.c2, ct.d), params.l)
-    a_sum = _selector_sum(td.b, td.a_list, sel, params.q)
+    _, a_sum = _selector(params, td.b, td.a_list, ct.c1, ct.c2, ct.d)
     return td.a_prime, a_sum, td.t_a_prime, td.u
 
 

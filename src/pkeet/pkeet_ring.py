@@ -6,7 +6,9 @@ and its binary hash) and two vector slots that let the matching trapdoor
 recover the masks, all bound together by a one-time signature whose public
 key doubles as the tag seed.  Holding the trapdoor for ``a`` opens the
 message slot; holding only the trapdoor for ``b`` opens just the hash slot,
-which is exactly the power an equality-test token needs.
+which is exactly the power an equality-test token needs.  Each binding has
+one helper that encrypt, decrypt and test all call: :func:`_tag_shift` for
+the tag of ``v`` and :func:`_ots_message` for the signed message.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidMessage, ParamsMismatch, RejectHash, RejectSignature
-from .hashing import hash_message, hash_to_invertible, hash_to_sparse
+from .hashing import hash_message, hash_to_invertible, hash_to_sparse, words
 from .ots import OtsRingKeys, ots_ring_keygen, ots_ring_sign, ots_ring_verify
 from .params import ParamsRing
 from .ring import (
@@ -87,17 +89,16 @@ def setup(params: ParamsRing, rng: XofRng) -> tuple[PkRing, SkRing]:
     return PkRing(a=av_a, b=av_b, u=u), SkRing(t_a=t_a, t_b=t_b)
 
 
-def _v_bytes(v: tuple[RingElement, RingElement]) -> bytes:
-    return v[0].to_bytes() + v[1].to_bytes()
+def _tag_shift(params: ParamsRing, v, *vectors: TaggedVector) -> list[TaggedVector]:
+    """``vectors`` shifted by the invertible tag hashed from the one-time
+    key ``v`` of a ciphertext."""
+    h_hat = hash_to_invertible(params, words(v[0].coeffs, v[1].coeffs))
+    return [apply_tag_shift(vec, h_hat) for vec in vectors]
 
 
-def _ct_bytes(ct1: RingElement, ct2: RingElement, ct3: np.ndarray, ct4: np.ndarray) -> bytes:
-    return (
-        ct1.to_bytes()
-        + ct2.to_bytes()
-        + ct3.astype("<u8").tobytes()
-        + ct4.astype("<u8").tobytes()
-    )
+def _ots_message(params: ParamsRing, ct1, ct2, ct3, ct4) -> RingElement:
+    """The sparse message the one-time signature binds: all four slots."""
+    return hash_to_sparse(params, words(ct1.coeffs, ct2.coeffs, ct3, ct4))
 
 
 def _vector_noise(params: ParamsRing, rng: XofRng) -> np.ndarray:
@@ -120,9 +121,7 @@ def encrypt(pk: PkRing, message: RingElement, params: ParamsRing, rng: XofRng) -
 
     ots_keys: OtsRingKeys = ots_ring_keygen(pk.a.vec_hat[: params.base_len], params, rng)
     v = ots_keys.pub
-    h_hat = hash_to_invertible(params, _v_bytes(v))
-    a_h = apply_tag_shift(pk.a, h_hat)
-    b_h = apply_tag_shift(pk.b, h_hat)
+    a_h, b_h = _tag_shift(params, v, pk.a, pk.b)
 
     s1, s2 = sample_uniform(ctx, rng), sample_uniform(ctx, rng)
     e1, e2 = (RingElement(e, ctx) for e in sample_ring_array(params.tau, 2, ctx, rng))
@@ -130,26 +129,25 @@ def encrypt(pk: PkRing, message: RingElement, params: ParamsRing, rng: XofRng) -
     s_hat = hats[1:]                                                 # (2, n)
     us1, us2 = (RingElement(c, ctx) for c in ctx.intt(mulmod(hats[0], s_hat, q)))
     ct1 = us1 + e1 + scale_halfq(message)
-    ct2 = us2 + e2 + scale_halfq(hash_message(params, message.to_bytes()))
+    ct2 = us2 + e2 + scale_halfq(hash_message(params, words(message.coeffs)))
 
     noise = np.stack([_vector_noise(params, rng) for _ in range(2)])
     vec_hat = np.stack([a_h.vec_hat, b_h.vec_hat])
     ct3, ct4 = (ctx.intt(mulmod(vec_hat, s_hat[:, None, :], q)) + noise) % q
 
-    ots_msg = hash_to_sparse(params, _ct_bytes(ct1, ct2, ct3, ct4))
-    sig = ots_ring_sign(ots_keys, ots_msg, params)
+    sig = ots_ring_sign(ots_keys, _ots_message(params, ct1, ct2, ct3, ct4), params)
     return CtRing(sig=sig, v=v, ct1=ct1, ct2=ct2, ct3=ct3, ct4=ct4)
 
 
 def _open_slots(
     payloads: list[RingElement], vec_slots: list[np.ndarray], x_hat: np.ndarray
-) -> list[np.ndarray]:
+) -> np.ndarray:
     """Decode the bits hidden in each payload slot using its vector slot and
     a preimage of ``u`` (evaluation form, shape (J, m, n)): one transform
     each way for all of them."""
     ctx = payloads[0].ctx
     inner = ctx.intt(dot_ntt(ctx.ntt(np.stack(vec_slots)), x_hat, ctx))
-    return [decode_bits(p - RingElement(c, ctx)) for p, c in zip(payloads, inner)]
+    return decode_bits(np.stack([p.coeffs for p in payloads]) - inner, ctx.q)
 
 
 def decrypt(
@@ -162,22 +160,18 @@ def decrypt(
     """
     ctx = get_context(params)
     a_prime_hat = pk.a.vec_hat[: params.base_len]
-    ots_msg = hash_to_sparse(params, _ct_bytes(ct.ct1, ct.ct2, ct.ct3, ct.ct4))
+    ots_msg = _ots_message(params, ct.ct1, ct.ct2, ct.ct3, ct.ct4)
     if not ots_ring_verify(a_prime_hat, ct.v, ots_msg, ct.sig, params):
         raise RejectSignature("one-time signature check failed")
 
-    h_hat = hash_to_invertible(params, _v_bytes(ct.v))
-    a_h = apply_tag_shift(pk.a, h_hat)
-    b_h = apply_tag_shift(pk.b, h_hat)
+    a_h, b_h = _tag_shift(params, ct.v, pk.a, pk.b)
 
     x_hat = sample_pre([(sk.t_a, a_h, pk.u), (sk.t_b, b_h, pk.u)], params, rng)
     msg_bits, hash_bits = _open_slots([ct.ct1, ct.ct2], [ct.ct3, ct.ct4], x_hat)
 
-    message = RingElement(msg_bits, ctx)
-    expected = hash_message(params, message.to_bytes())
-    if not np.array_equal(hash_bits, expected.coeffs):
+    if not np.array_equal(hash_bits, hash_message(params, words(msg_bits)).coeffs):
         raise RejectHash("decoded hash slot does not match the message hash")
-    return message
+    return RingElement(msg_bits, ctx)
 
 
 def trapdoor(sk: SkRing, pk: PkRing) -> TrapdoorTokenRing:
@@ -188,8 +182,7 @@ def trapdoor(sk: SkRing, pk: PkRing) -> TrapdoorTokenRing:
 def _test_job(
     td: TrapdoorTokenRing, ct: CtRing, params: ParamsRing
 ) -> tuple[RingTrapdoor, TaggedVector, RingElement]:
-    h_hat = hash_to_invertible(params, _v_bytes(ct.v))
-    return td.t_b, apply_tag_shift(td.b, h_hat), td.u
+    return td.t_b, _tag_shift(params, ct.v, td.b)[0], td.u
 
 
 def test(

@@ -8,7 +8,9 @@ turning ring multiplication into slotwise modular multiplication.
 Coefficients are stored canonically in ``[0, q)`` as ``int64``.  Products of
 two canonical values can reach ``q^2``, which does not fit in 64 bits, so
 :func:`mulmod` recovers the exact product residue from the wrapped low word
-minus ``q`` times a float64 quotient estimate.
+minus ``q`` times a float64 quotient estimate.  Both schemes lift residues
+to ``(-q/2, q/2]`` with :func:`balanced` and round them to bits with
+:func:`decode_bits`.
 
 Fold bound.  For ``q < 2**52`` the estimate is off by at most one multiple
 of ``q``, so one compare-and-add and one compare-and-subtract finish the
@@ -116,6 +118,12 @@ def invmod(a: np.ndarray, q: int) -> np.ndarray:
     return np.array(out, dtype=np.int64).reshape(arr.shape)
 
 
+def balanced(values: np.ndarray, q: int) -> np.ndarray:
+    """Lift canonical residues in [0, q) to the symmetric range (-q/2, q/2]."""
+    c = np.asarray(values, dtype=np.int64)
+    return c - q * (c > q // 2)
+
+
 def _bit_reverse_permutation(n: int) -> np.ndarray:
     bits = n.bit_length() - 1
     out = np.zeros(n, dtype=np.int64)
@@ -220,11 +228,6 @@ class RingContext:
         a_hat, b_hat = self.ntt(np.stack([a, b]))
         return self.intt(mulmod(a_hat, b_hat, self.q))
 
-    def balanced(self, coeffs: np.ndarray) -> np.ndarray:
-        """Lift canonical residues to the symmetric range (-q/2, q/2]."""
-        c = np.asarray(coeffs, dtype=np.int64)
-        return np.where(c > self.q // 2, c - self.q, c)
-
 
 _context_cache: dict[tuple[int, int], RingContext] = {}
 
@@ -286,13 +289,6 @@ class RingElement:
             and np.array_equal(self.coeffs, other.coeffs)
         )
 
-    def balanced(self) -> np.ndarray:
-        return self.ctx.balanced(self.coeffs)
-
-    def to_bytes(self) -> bytes:
-        """Canonical encoding: n little-endian 8-byte words, ascending degree."""
-        return self.coeffs.astype("<u8").tobytes()
-
 
 def mul_schoolbook(a: RingElement, b: RingElement) -> RingElement:
     """Quadratic negacyclic product in exact integers; test oracle only."""
@@ -332,26 +328,15 @@ def sample_uniform(ctx: RingContext, rng: XofRng) -> RingElement:
     return RingElement(rng.uniform_mod(ctx.q, ctx.n), ctx)
 
 
-def encode_message(bits, ctx: RingContext) -> RingElement:
-    """Pack a 0/1 coefficient vector into an element of the message space."""
-    arr = np.asarray(bits, dtype=np.int64)
-    if arr.shape != (ctx.n,) or ((arr != 0) & (arr != 1)).any():
-        raise InvalidParams("message must be a 0/1 vector of length n")
-    return RingElement(arr, ctx)
-
-
 def scale_halfq(message: RingElement) -> RingElement:
     """Lift a message-space element by the half-modulus step floor(q/2)."""
     return message.scale(message.ctx.q // 2)
 
 
-def decode_bits(w: RingElement) -> np.ndarray:
-    """Round each coefficient to a bit: 1 inside [ceil(q/4), floor(3q/4))."""
-    q = w.ctx.q
-    lo = -(-q // 4)
-    hi = (3 * q) // 4
-    c = w.coeffs
-    return ((c >= lo) & (c < hi)).astype(np.int64)
+def decode_bits(values: np.ndarray, q: int) -> np.ndarray:
+    """Round each value mod ``q`` to a bit: 1 inside [ceil(q/4), floor(3q/4))."""
+    c = np.asarray(values, dtype=np.int64) % q
+    return ((c >= -(-q // 4)) & (c < (3 * q) // 4)).astype(np.int64)
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,7 @@ import math
 import numpy as np
 
 from .errors import CovarianceNotPD, InvalidParams, WidthTooSmall
-from .ring import RingContext
+from .ring import RingContext, balanced
 from .rng import XofRng
 
 _CDT_WIDTH_LIMIT = 32.0   # only perfbench/spans.py (_count_sample_z) reads it
@@ -305,7 +305,7 @@ class PerturbationCov:
         self.round_width = float(round_width)
 
         alpha_sq, width_sq = float(alpha) ** 2, float(zeta) ** 2
-        self._t_hat = embed_complex(ctx.balanced(t_arr), n)   # (rows, k, n)
+        self._t_hat = embed_complex(balanced(t_arr, ctx.q), n)   # (rows, k, n)
         self._sqrt_d, self._schur_chol = gadget_first_factor(
             np.moveaxis(self._t_hat, 2, 0), width_sq - self.round_width**2, alpha_sq, width_sq
         )

@@ -33,7 +33,7 @@ from .matlattice import IntTrapdoor
 from .params import ParamsInt, ParamsRing, params_from_text, validate
 from .pkeet_int import CtInt, PkInt, SkInt, TrapdoorTokenInt
 from .pkeet_ring import CtRing, PkRing, SkRing, TrapdoorTokenRing
-from .ring import RingElement, get_context
+from .ring import RingElement, balanced, get_context
 from .trapdoor_ring import RingTrapdoor, TaggedVector
 
 MAGIC = b"LPKT"
@@ -126,8 +126,7 @@ def _signed(shape: Callable, width: str) -> Callable:
 def _signed_t(trap: RingTrapdoor) -> list[np.ndarray]:
     """``T`` balanced, once its residues are canonical."""
     q = trap.ctx.q
-    t = _checked(np.asarray(trap.t_arr), (np.shape(trap.t_arr), 0, q))
-    return [t - q * (t > q // 2)]
+    return [balanced(_checked(np.asarray(trap.t_arr), (np.shape(trap.t_arr), 0, q)), q)]
 
 
 # (specs, take, build) of each value type a field holds other than one array.

@@ -32,6 +32,7 @@ from .params import ParamsRing
 from .ring import (
     RingContext,
     RingElement,
+    balanced,
     dot_ntt,
     get_context,
     invmod,
@@ -67,7 +68,7 @@ class RingTrapdoor:
 
     def norm(self) -> float:
         """Largest column norm of ``T`` in the coefficient embedding."""
-        bal = self.ctx.balanced(self.t_arr).astype(np.float64)
+        bal = balanced(self.t_arr, self.ctx.q).astype(np.float64)
         return float(np.sqrt((bal**2).sum(axis=(0, 2)).max()))
 
     @property

@@ -20,7 +20,7 @@ from pkeet import serial
 from pkeet.cli import main
 from pkeet.errors import PkeetError
 from pkeet.params import derive_int_params, derive_ring_params
-from pkeet.ring import encode_message, get_context
+from pkeet.ring import RingElement, get_context
 from conftest import seeded
 
 KINDS = (serial.KIND_PK, serial.KIND_SK, serial.KIND_CT, serial.KIND_TD, serial.KIND_PARAMS)
@@ -33,7 +33,7 @@ def frames():
     params = derive_ring_params(128, 16, "toy")
     rng = seeded("fuzz-ring")
     pk, sk = pr.setup(params, rng)
-    ct = pr.encrypt(pk, encode_message(rng.uniform_mod(2, 16), get_context(params)), params, rng)
+    ct = pr.encrypt(pk, RingElement(rng.uniform_mod(2, 16), get_context(params)), params, rng)
     objs = {serial.KIND_PK: pk, serial.KIND_SK: sk, serial.KIND_CT: ct,
             serial.KIND_TD: pr.trapdoor(sk, pk), serial.KIND_PARAMS: params}
     for kind in KINDS:

@@ -4,11 +4,12 @@ and every definition of a library module is used somewhere.
 The package re-exports names from ``__init__.py`` on purpose, so that file
 is left out; every other module under ``src/pkeet`` and every file under
 ``tests`` is parsed with ``ast``.  A module-level function, class or
-constant, or a method, of ``src/pkeet`` counts as used when a name,
-attribute or import in ``src``, ``tests`` or ``perfbench`` refers to it.
-An attribute taken from a builtin (``int.from_bytes``), a literal or a
-module imported from outside the package (``np.copy``) refers to nothing
-of the package, so it does not keep a method of the same name alive.
+constant of ``src/pkeet`` counts as used when a name, attribute or import
+in ``src``, ``tests`` or ``perfbench`` refers to it; a method only when an
+attribute does, so a function or variable of the same name does not keep
+it alive.  An attribute taken from a builtin (``int.from_bytes``), a
+literal or a module imported from outside the package (``np.copy``) refers
+to nothing of the package, so it does not keep a method alive either.
 """
 
 import ast
@@ -36,24 +37,26 @@ def unused_imports(source: str) -> list[str]:
     return sorted(set(imported) - used)
 
 
-def definitions(source: str) -> list[str]:
+def definitions(source: str) -> list[tuple[str, bool]]:
     """Module-level functions, classes and constants, and the methods of the
-    module's classes; dunder names are reached implicitly and left out."""
+    module's classes, each with whether it is a method; dunder names are
+    reached implicitly and left out."""
     names = []
     for node in ast.parse(source).body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            names.append(node.name)
+            names.append((node.name, False))
         if isinstance(node, ast.ClassDef):
-            names += [m.name for m in node.body if isinstance(m, ast.FunctionDef)]
+            names += [(m.name, True) for m in node.body if isinstance(m, ast.FunctionDef)]
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            names += [t.id for t in targets if isinstance(t, ast.Name)]
-    return [n for n in names if not (n.startswith("__") and n.endswith("__"))]
+            names += [(t.id, False) for t in targets if isinstance(t, ast.Name)]
+    return [(n, method) for n, method in names if not (n.startswith("__") and n.endswith("__"))]
 
 
 def references(source: str) -> set[str]:
-    """Names read, attributes taken and names imported in ``source``;
-    attributes of builtins, literals and outside modules are left out."""
+    """Names read and names imported in ``source``, and attributes taken,
+    written both ``name`` and ``.name``; attributes of builtins, literals
+    and outside modules are left out."""
     tree = ast.parse(source)
     foreign = set(dir(builtins))
     for node in ast.walk(tree):
@@ -72,14 +75,15 @@ def references(source: str) -> set[str]:
             if not isinstance(base, ast.Constant) and not (
                 isinstance(base, ast.Name) and base.id in foreign
             ):
-                refs.add(node.attr)
+                refs |= {node.attr, "." + node.attr}
         elif isinstance(node, ast.alias):
             refs.add(node.name.rpartition(".")[2])
     return refs
 
 
 def dead_definitions(source: str, refs: set[str]) -> list[str]:
-    return [name for name in definitions(source) if name not in refs]
+    """Definitions nothing refers to; a method needs an attribute ``.name``."""
+    return [name for name, method in definitions(source) if ("." + name if method else name) not in refs]
 
 
 @pytest.fixture(scope="module")
@@ -104,23 +108,27 @@ def test_checker_flags_a_dead_definition():
 
 def test_checker_ignores_builtin_and_outside_attributes():
     # A dead method is not kept alive by a builtin's or numpy's attribute of
-    # the same name, only by a use through its class or another object.
+    # the same name, nor by a function of the same name, only by a use
+    # through its class or another object.
     source = (
         "class RingElement:\n"
         "    def from_bytes(cls): pass\n"
         "    def copy(self): pass\n"
         "    def to_bytes(self): pass\n"
         "    def scale(self): pass\n"
+        "    def balanced(self): pass\n"
+        "def balanced(values, q): pass\n"
     )
     user = (
         "import numpy as np\n"
-        "from pkeet.ring import RingElement\n"
+        "from pkeet.ring import RingElement, balanced\n"
         "int.from_bytes(b'', 'big')\n"
         "np.copy(RingElement)\n"
         "b''.join([elem.to_bytes()])\n"
         "RingElement.scale\n"
+        "balanced(np.arange(3), 3)\n"
     )
-    assert dead_definitions(source, references(user)) == ["from_bytes", "copy"]
+    assert dead_definitions(source, references(user)) == ["from_bytes", "copy", "balanced"]
 
 
 @pytest.mark.parametrize("module", MODULES)

@@ -11,9 +11,9 @@ from pkeet import matlattice, serial
 from pkeet import pkeet_int as pi
 from pkeet.errors import GenerationFailed, InvalidParams
 from pkeet.params import int_gadget_width
+from pkeet.ring import balanced
 from pkeet.sampling import sample_z_reject
 from pkeet.matlattice import (
-    balanced_mod,
     gadget_residual,
     mat_uniform,
     matmul_mod,
@@ -47,12 +47,18 @@ def test_matmul_mod_large_inner_dimension():
     assert got.tolist() == oracle
 
 
-def test_balanced_mod_range():
+def test_balanced_mod_range(ring_toy, int_small):
     q = 97
     vals = np.arange(0, q, dtype=np.int64)
-    bal = balanced_mod(vals, q)
+    bal = balanced(vals, q)
     assert int(bal.min()) >= -(q // 2) and int(bal.max()) <= q // 2
     assert np.array_equal(bal % q, vals)
+    # The edges of [0, q) at the ring n=256 and integer n=16 moduli, against
+    # the branch form of the lift.
+    for q in (ring_toy.q, int_small.q):
+        edges = np.array([0, q // 2, q // 2 + 1, q - 1], dtype=np.int64)
+        assert balanced(edges, q).tolist() == [0, q // 2, q // 2 + 1 - q, -1]
+        assert np.array_equal(balanced(edges, q), np.where(edges > q // 2, edges - q, edges))
 
 
 def test_trapdoor_gadget_identity(int_small):

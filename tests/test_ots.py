@@ -14,7 +14,7 @@ from pkeet.ots import (
     ots_sis_sign,
     ots_sis_verify,
 )
-from pkeet.ring import get_context, sample_uniform
+from pkeet.ring import balanced, get_context, sample_uniform
 from conftest import seeded
 
 
@@ -43,8 +43,8 @@ def test_ring_key_bounds(ring_env):
     rng = seeded("ots-ring-bounds")
     keys = ots_ring_keygen(h_row, params, rng)
     b = params.b_ots
-    assert int(np.abs(ctx.balanced(keys.k1)).max()) <= b
-    assert int(np.abs(ctx.balanced(keys.k2)).max()) <= params.delta_w * b
+    assert int(np.abs(balanced(keys.k1, ctx.q)).max()) <= b
+    assert int(np.abs(balanced(keys.k2, ctx.q)).max()) <= params.delta_w * b
 
 
 def test_ring_wrong_message_rejected(ring_env):
@@ -102,7 +102,7 @@ def test_sis_sign_verify_rounds(int_small):
     h_mat = mat_uniform(int_small.q, int_small.n, int_small.m, rng)
     for i in range(50):
         keys = ots_sis_keygen(h_mat, int_small, rng)
-        msg = hash_weighted(int_small, b"m-%d" % i, int_small.k_sig, int_small.w_sig)
+        msg = hash_weighted(int_small, b"m-%d" % i)
         sig = ots_sis_sign(keys, msg, int_small)
         assert int(np.abs(sig).max()) <= int_small.w_sig * int_small.b_sig
         assert ots_sis_verify(h_mat, keys.pub, msg, sig, int_small)
@@ -122,7 +122,7 @@ def test_sis_tampered_signature_rejected(int_small):
     rng = seeded("ots-sis-tamper")
     h_mat = mat_uniform(int_small.q, int_small.n, int_small.m, rng)
     keys = ots_sis_keygen(h_mat, int_small, rng)
-    msg = hash_weighted(int_small, b"victim", int_small.k_sig, int_small.w_sig)
+    msg = hash_weighted(int_small, b"victim")
     sig = ots_sis_sign(keys, msg, int_small)
     for _ in range(50):
         bad = sig.copy()
@@ -138,8 +138,8 @@ def test_sis_wrong_message_rejected(int_small):
     rng = seeded("ots-sis-wrong")
     h_mat = mat_uniform(int_small.q, int_small.n, int_small.m, rng)
     keys = ots_sis_keygen(h_mat, int_small, rng)
-    msg = hash_weighted(int_small, b"signed", int_small.k_sig, int_small.w_sig)
-    other = hash_weighted(int_small, b"presented", int_small.k_sig, int_small.w_sig)
+    msg = hash_weighted(int_small, b"signed")
+    other = hash_weighted(int_small, b"presented")
     sig = ots_sis_sign(keys, msg, int_small)
     assert not ots_sis_verify(h_mat, keys.pub, other, sig, int_small)
 

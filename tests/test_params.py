@@ -104,8 +104,45 @@ _FIELD_VALUES = {
 
 
 def test_validate_strict_int_at_n_one():
-    # ln(1) = 0 makes the alpha ceiling of the strict profile infinite.
-    assert isinstance(validate(dataclasses.replace(_RECORDS[3], n=1)), list)
+    # ln(1) = 0 makes the alpha ceiling of the strict profile infinite.  The
+    # second record keeps m = m_bar + n k consistent at n = 1.
+    at_one = dataclasses.replace(_RECORDS[3], n=1)
+    for params in (at_one, dataclasses.replace(at_one, m_bar=at_one.m - at_one.k)):
+        bad = validate(params)
+        assert isinstance(bad, list) and bad
+
+
+def _oversized_strict_int():
+    """A strict n=16 record, m = 100,000 wide, that meets every other
+    strict relation: k = 43, m_bar = 99,312, and q, sigma and alpha moved
+    to their Eq. 1 bounds at that width.  Its secret key would hold two
+    99,312-row R matrices and need a 99,312^2 float64 factor each."""
+    base, m = _RECORDS[3], 100_000
+    ln_n = math.log(base.n)
+    q = int(m**2.5 * math.sqrt(ln_n)) + 1
+    while not is_prime(q):
+        q += 1
+    return dataclasses.replace(
+        base, q=q, k=q.bit_length(), m=m, m_bar=m - base.n * q.bit_length(),
+        sigma=float(math.ceil(m * base.l * math.sqrt(ln_n))), alpha=0.9 / (base.l**2 * m**2 * math.sqrt(ln_n)),
+    )
+
+
+def test_validate_flags_a_width_derivation_cannot_give():
+    # Strict and toy records alike must have m = multiplier * n * k.
+    params = _oversized_strict_int()
+    assert (params.k, params.m_bar) == (43, 99_312)
+    assert validate(params) == ["m-structure"]
+    frame = serial.encode_frame(serial.SCHEME_INT, serial.KIND_PARAMS, params, b"")
+    with pytest.raises(FramingError, match="m-structure"):
+        serial.decode_frame(frame)
+
+
+def test_derived_int_records_validate_clean():
+    for lambda_sec in (80, 128, 256):
+        for profile in ("toy", "strict"):
+            for n in (16, 24, 32, 64, 128, 256):
+                assert validate_int(derive_int_params(lambda_sec, n, profile)) == []
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,5 +1,7 @@
 """Integer-lattice scheme end to end (small n=16 instance for speed)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -45,6 +47,22 @@ def test_each_component_tamper_rejects(int_small, user):
         )
         arr = getattr(bad, field).reshape(-1)
         arr[0] = (arr[0] + 1) % int_small.q
+        with pytest.raises((RejectSignature, RejectHash)):
+            pi.decrypt_int(pk, sk, bad, int_small, rng)
+    # Mix and match: each component taken from a second valid ciphertext
+    # under the same key.  Each binding hash moves with every component
+    # it covers.
+    other = pi.encrypt_int(pk, rng.uniform_mod(2, int_small.t_msg), int_small, rng)
+    swapped = {
+        field: dataclasses.replace(ct, **{field: getattr(other, field)})
+        for field in ("c1", "c2", "c3", "c4", "u", "d")
+    }
+    selector = lambda c: pi._selector(int_small, pk.b, pk.a_list, c.c1, c.c2, c.d)[0]
+    digest = lambda c: pi._ots_digest(int_small, c.c1, c.c2, c.c3, c.c4)
+    for binding, fields in ((selector, ["c1", "c2", "d"]), (digest, ["c1", "c2", "c3", "c4"])):
+        for field in fields:
+            assert not np.array_equal(binding(swapped[field]), binding(ct))
+    for bad in swapped.values():
         with pytest.raises((RejectSignature, RejectHash)):
             pi.decrypt_int(pk, sk, bad, int_small, rng)
 

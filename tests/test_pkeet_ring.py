@@ -1,22 +1,23 @@
 """Ring scheme end to end: round trips, equality tokens, tamper rejection."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from pkeet import pkeet_ring as pr
 from pkeet import ring, trapdoor_ring
 from pkeet.errors import InvalidMessage, PkeetError, RejectHash, RejectSignature
-from pkeet.hashing import hash_to_invertible
 from pkeet.params import _ring_error_budget
 from pkeet.ring import (
     RingContext,
     RingElement,
+    balanced,
     dot_ntt,
-    encode_message,
     get_context,
     sample_uniform,
 )
-from pkeet.trapdoor_ring import RingTrapdoor, apply_tag_shift, sample_pre
+from pkeet.trapdoor_ring import RingTrapdoor, sample_pre
 from conftest import seeded
 
 
@@ -29,7 +30,7 @@ def users(ring_small):
 
 
 def random_message(params, rng):
-    return encode_message(rng.uniform_mod(2, params.n), get_context(params))
+    return RingElement(rng.uniform_mod(2, params.n), get_context(params))
 
 
 def test_round_trip(ring_small, users):
@@ -93,6 +94,22 @@ def test_each_component_tamper_rejects(ring_small, users):
         sig=ct.sig, v=(bump(ct.v[0]), ct.v[1]),
         ct1=ct.ct1, ct2=ct.ct2, ct3=ct.ct3, ct4=ct.ct4,
     )
+    # Mix and match: each component taken from a second valid ciphertext
+    # under the same key.  Each binding hash moves with every component
+    # it covers.
+    other = pr.encrypt(pk, random_message(ring_small, rng), ring_small, rng)
+    swapped = {
+        name: dataclasses.replace(ct, **{name: getattr(other, name)})
+        for name in ("sig", "v", "ct1", "ct2", "ct3", "ct4")
+    }
+    swapped["v[0]"] = dataclasses.replace(ct, v=(other.v[0], ct.v[1]))
+    swapped["v[1]"] = dataclasses.replace(ct, v=(ct.v[0], other.v[1]))
+    tag = lambda c: pr._tag_shift(ring_small, c.v, pk.a)[0].vec_hat
+    ots_msg = lambda c: pr._ots_message(ring_small, c.ct1, c.ct2, c.ct3, c.ct4).coeffs
+    for binding, names in ((tag, ["v[0]", "v[1]"]), (ots_msg, ["ct1", "ct2", "ct3", "ct4"])):
+        for name in names:
+            assert not np.array_equal(binding(swapped[name]), binding(ct))
+    variants.update({f"{name}-swap": bad for name, bad in swapped.items()})
     for name, bad in variants.items():
         with pytest.raises((RejectSignature, RejectHash)):
             pr.decrypt(pk, sk, bad, ring_small, rng)
@@ -183,10 +200,10 @@ def test_decryption_noise_within_budget(ring_small, users):
         msg = random_message(p, rng)
         ct = pr.encrypt(pk, msg, p, rng)
         assert pr.decrypt(pk, sk, ct, p, rng) == msg
-        a_h = apply_tag_shift(pk.a, hash_to_invertible(p, pr._v_bytes(ct.v)))
+        (a_h,) = pr._tag_shift(p, ct.v, pk.a)
         x_hat = sample_pre([(sk.t_a, a_h, pk.u)], p, rng)[0]
         inner = ctx.intt(dot_ntt(ctx.ntt(ct.ct3), x_hat, ctx))
-        noise = ctx.balanced((ct.ct1.coeffs - inner - (q // 2) * msg.coeffs) % q)
+        noise = balanced((ct.ct1.coeffs - inner - (q // 2) * msg.coeffs) % q, q)
         worst = max(worst, int(np.abs(noise).max()))
     assert worst <= budget
 

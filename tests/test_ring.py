@@ -18,7 +18,6 @@ from pkeet.ring import (
     RingElement,
     decode_bits,
     dot_ntt,
-    encode_message,
     get_context,
     invert,
     invmod,
@@ -200,19 +199,26 @@ def test_bit_codec_exhaustive():
     ctx = RingContext(4, 97)
     for value in range(16):
         bits = np.array([(value >> i) & 1 for i in range(4)], dtype=np.int64)
-        elem = scale_halfq(encode_message(bits, ctx))
-        assert np.array_equal(decode_bits(elem), bits)
+        elem = scale_halfq(RingElement(bits, ctx))
+        assert np.array_equal(decode_bits(elem.coeffs, ctx.q), bits)
 
 
-def test_bit_codec_noise_margin():
+def test_bit_codec_noise_margin(ring_toy, int_small):
     # Decoding survives additive error strictly inside (-q/4, q/4] per slot.
     ctx = RingContext(4, 97)
     bits = np.array([1, 0, 1, 1], dtype=np.int64)
-    base = scale_halfq(encode_message(bits, ctx))
+    base = scale_halfq(RingElement(bits, ctx))
     small = RingElement(base.coeffs + 23, ctx)       # 23 < 97/4
-    assert np.array_equal(decode_bits(small), bits)
+    assert np.array_equal(decode_bits(small.coeffs, ctx.q), bits)
     big = RingElement(base.coeffs + 25, ctx)         # 25 > 97/4: slots flip
-    assert not np.array_equal(decode_bits(big), bits)
+    assert not np.array_equal(decode_bits(big.coeffs, ctx.q), bits)
+    # The band [ceil(q/4), floor(3q/4)) at its edges, for the ring n=256 and
+    # integer n=16 moduli, as residues and shifted by -q.
+    for q in (ring_toy.q, int_small.q):
+        lo, hi = -(-q // 4), (3 * q) // 4
+        edges = np.array([lo - 1, lo, hi - 1, hi], dtype=np.int64)
+        assert decode_bits(edges, q).tolist() == [0, 1, 1, 0]
+        assert decode_bits(edges - q, q).tolist() == [0, 1, 1, 0]
 
 
 def test_shape_and_context_guards():

@@ -13,7 +13,7 @@ from pkeet import pkeet_ring as pr
 from pkeet import serial
 from pkeet.errors import FramingError, ParamsMismatch
 from pkeet.params import ParamsRing, derive_ring_params
-from pkeet.ring import encode_message, get_context
+from pkeet.ring import RingElement, get_context
 from pkeet.trapdoor_ring import RingTrapdoor
 from conftest import seeded
 
@@ -22,7 +22,7 @@ from conftest import seeded
 def ring_objects(ring_small):
     rng = seeded("serial-ring")
     pk, sk = pr.setup(ring_small, rng)
-    msg = encode_message(rng.uniform_mod(2, ring_small.n), get_context(ring_small))
+    msg = RingElement(rng.uniform_mod(2, ring_small.n), get_context(ring_small))
     ct = pr.encrypt(pk, msg, ring_small, rng)
     td = pr.trapdoor(sk, pk)
     return {"params": ring_small, "msg": msg,

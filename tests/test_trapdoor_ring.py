@@ -7,7 +7,7 @@ import pytest
 
 from pkeet.errors import ParamsMismatch, TagNotInvertible
 from pkeet.params import derive_ring_params
-from pkeet.ring import get_context, sample_uniform
+from pkeet.ring import balanced, get_context, sample_uniform
 from pkeet.trapdoor_ring import (
     TaggedVector,
     apply_tag_shift,
@@ -104,7 +104,7 @@ def test_preimage_norm_profile(ring_small):
     cap = ring_small.t_tail * ring_small.zeta * math.sqrt(ring_small.m * ring_small.n)
     for _ in range(50):
         u = sample_uniform(ctx, rng)
-        x = ctx.balanced(ctx.intt(sample_pre([(trap, shifted, u)], ring_small, rng)[0]))
+        x = balanced(ctx.intt(sample_pre([(trap, shifted, u)], ring_small, rng)[0]), ctx.q)
         norm = math.sqrt(float((x.astype(np.float64) ** 2).sum()))
         assert norm <= cap
 
