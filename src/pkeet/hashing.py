@@ -1,16 +1,20 @@
 """Domain-separated hash maps built on a single SHAKE-256 XOF.
 
-Every map frames its input as ``tag || params-digest || [counter] || payload``
-and expands the frame into a seed for the deterministic stream generator, so
-all structured outputs (rejection sampling, shuffles, unranking) are
-reproducible from the payload alone under fixed parameters.
+Every map feeds ``prefix || tag || params-digest || [counter] || payload``
+to one SHAKE-256 object, piece by piece so the payload is not copied, and
+expands its 32-byte digest into a seed for the deterministic stream
+generator, so all structured outputs (rejection sampling, shuffles,
+unranking) are reproducible from the payload alone under fixed parameters.
 
 Tags: 0x01 message hash, 0x02 invertible-element hash, 0x03 sparse-signed
 hash, 0x04 plus/minus-one hash, 0x05 fixed-weight hash.
 
 Integer-array payloads (ring coefficients, residue vectors and matrices)
-are encoded by :func:`words` alone.  Output lengths and weights come from
-the parameter record, whose ranges :func:`~pkeet.params.validate` checks.
+are encoded by :func:`words` alone.  Every output is a plain array: bits
+from the message hash, NTT slots from the invertible hash, canonical
+residues from the sparse hash, small integers from the others.  Output
+lengths and weights come from the parameter record, whose ranges
+:func:`~pkeet.params.validate` checks.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import numpy as np
 
 from .errors import InternalError, InvalidParams
 from .params import ParamsInt, ParamsRing
-from .ring import RingElement, get_context, is_invertible
+from .ring import get_context, is_invertible
 from .rng import XofRng
 
 TAG_MESSAGE = 0x01
@@ -41,14 +45,11 @@ _FRAME_PREFIX = b"pkeet-hash-v1"
 
 
 def _hash_stream(tag: int, params, payload: bytes, counter: int | None = None) -> XofRng:
-    frame = bytearray()
-    frame.append(tag)
-    frame += params.digest()
+    xof = hashlib.shake_256(_FRAME_PREFIX + bytes([tag]) + params.digest())
     if counter is not None:
-        frame += counter.to_bytes(8, "little")
-    frame += payload
-    seed = hashlib.shake_256(_FRAME_PREFIX + bytes(frame)).digest(32)
-    return XofRng(seed)
+        xof.update(counter.to_bytes(8, "little"))
+    xof.update(payload)
+    return XofRng(xof.digest(32))
 
 
 def words(*arrays: np.ndarray) -> bytes:
@@ -63,16 +64,15 @@ def _stream_bits(stream: XofRng, count: int) -> np.ndarray:
 
 
 def hash_message(params: ParamsRing | ParamsInt, data: bytes):
-    """Hash bytes into the message space.
+    """Hash bytes into the message space: a 0/1 vector.
 
-    Ring parameters give an element of R_2 (0/1 coefficients); integer
-    parameters give a 0/1 vector of length ``t_msg`` (salted with the fixed
-    public pad).
+    Ring parameters give the ``n`` coefficients of an element of R_2;
+    integer parameters give ``t_msg`` bits (salted with the fixed public
+    pad).
     """
     if isinstance(params, ParamsRing):
         stream = _hash_stream(TAG_MESSAGE, params, data)
-        bits = _stream_bits(stream, params.n)
-        return RingElement(bits, get_context(params))
+        return _stream_bits(stream, params.n)
     if isinstance(params, ParamsInt):
         stream = _hash_stream(TAG_MESSAGE, params, ZERO_SALT + data)
         return _stream_bits(stream, params.t_msg)
@@ -135,9 +135,10 @@ def _shuffle_draws(stream: XofRng, n: int, weight: int) -> np.ndarray:
     return draws.astype(np.int64)
 
 
-def hash_to_sparse(params: ParamsRing, data: bytes) -> RingElement:
+def hash_to_sparse(params: ParamsRing, data: bytes) -> np.ndarray:
     """Map bytes to a signed sparse element: exactly ``delta_w`` coefficients
-    in {-1, +1}, positions chosen by a stream-driven partial shuffle."""
+    in {-1, +1}, positions chosen by a stream-driven partial shuffle.
+    Returns its canonical residues, shape (n,)."""
     n, weight = params.n, params.delta_w
     stream = _hash_stream(TAG_SPARSE, params, data)
     idx = np.arange(n)
@@ -146,8 +147,8 @@ def hash_to_sparse(params: ParamsRing, data: bytes) -> RingElement:
         idx[i], idx[j] = idx[j], idx[i]
     signs = 2 * _stream_bits(stream, weight) - 1
     coeffs = np.zeros(n, dtype=np.int64)
-    coeffs[idx[:weight]] = signs
-    return RingElement(coeffs, get_context(params))
+    coeffs[idx[:weight]] = signs % params.q
+    return coeffs
 
 
 def hash_pm_one(params: ParamsInt, data: bytes) -> np.ndarray:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import InvalidMessage
 from .params import ParamsInt, ParamsRing
-from .ring import RingContext, RingElement, balanced, dot_ntt, get_context, mulmod
+from .ring import RingContext, balanced, dot_ntt, get_context, mulmod
 from .rng import XofRng
 
 
@@ -40,7 +40,7 @@ class OtsRingKeys:
     k1: np.ndarray             # (rows, n) balanced, |entries| <= b
     k2: np.ndarray             # (rows, n) balanced, |entries| <= w*b
     k1_hat: np.ndarray         # (rows, n) NTT slots of k1 mod q
-    pub: tuple[RingElement, RingElement]
+    pub: np.ndarray            # (2, n) canonical
     ctx: RingContext
 
 
@@ -55,12 +55,12 @@ def ots_ring_keygen(
     k1 = _uniform_signed(b, (rows, ctx.n), rng)
     k2 = _uniform_signed(w * b, (rows, ctx.n), rng)
     k_hat = ctx.ntt(np.stack([k1, k2]) % ctx.q)                     # (2, rows, n)
-    pub1, pub2 = (RingElement(c, ctx) for c in ctx.intt(dot_ntt(h_hat, k_hat, ctx)))
-    return OtsRingKeys(k1=k1, k2=k2, k1_hat=k_hat[0], pub=(pub1, pub2), ctx=ctx)
+    pub = ctx.intt(dot_ntt(h_hat, k_hat, ctx))
+    return OtsRingKeys(k1=k1, k2=k2, k1_hat=k_hat[0], pub=pub, ctx=ctx)
 
 
-def _check_ring_message(msg: RingElement, params: ParamsRing) -> None:
-    bal = balanced(msg.coeffs, msg.ctx.q)
+def _check_ring_message(msg: np.ndarray, params: ParamsRing) -> None:
+    bal = balanced(msg, params.q)
     if np.abs(bal).max(initial=0) > 1:
         raise InvalidMessage("message coefficients must lie in {-1, 0, 1}")
     if int(np.abs(bal).sum()) > params.delta_w:
@@ -70,31 +70,31 @@ def _check_ring_message(msg: RingElement, params: ParamsRing) -> None:
 
 
 def ots_ring_sign(
-    keys: OtsRingKeys, msg: RingElement, params: ParamsRing
+    keys: OtsRingKeys, msg: np.ndarray, params: ParamsRing
 ) -> np.ndarray:
     """Signature ``s = k1 * msg + k2`` as a (rows, n) canonical array."""
     _check_ring_message(msg, params)
     ctx = keys.ctx
-    prod = ctx.intt(mulmod(keys.k1_hat, ctx.ntt(msg.coeffs), ctx.q))
+    prod = ctx.intt(mulmod(keys.k1_hat, ctx.ntt(msg), ctx.q))
     return (prod + keys.k2) % ctx.q
 
 
 def ots_ring_verify(
     h_hat: np.ndarray,
-    pub: tuple[RingElement, RingElement],
-    msg: RingElement,
+    pub: np.ndarray,
+    msg: np.ndarray,
     sig: np.ndarray,
     params: ParamsRing,
 ) -> bool:
     """Accept iff the signature is short and satisfies the linear identity
     against the public row, passed as NTT slots."""
-    ctx = pub[0].ctx
+    ctx = get_context(params)
     sig = np.asarray(sig, dtype=np.int64) % ctx.q
     bound = 2 * params.delta_w * params.b_ots
     if int(np.abs(balanced(sig, ctx.q)).max(initial=0)) > bound:
         return False
     rows = sig.shape[0]
-    hats = ctx.ntt(np.concatenate([sig, np.stack([pub[0].coeffs, pub[1].coeffs, msg.coeffs])]))
+    hats = ctx.ntt(np.concatenate([sig, pub, msg[None]]))
     sig_hat, (pub1_hat, pub2_hat, m_hat) = hats[:rows], hats[rows:]
     lhs = dot_ntt(h_hat, sig_hat, ctx)
     rhs = (mulmod(pub1_hat, m_hat, ctx.q) + pub2_hat) % ctx.q

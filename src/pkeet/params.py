@@ -6,10 +6,13 @@ Profiles
     Every published operating condition is enforced.  Dimensions at this
     profile are chosen for the stated security label, not for speed.
 ``toy``
-    Dimensions shrink for fast test runs.  Toy parameter records are
-    labeled insecure in validation and in serialized output; they still
-    satisfy every functional identity (decode correctness, gadget shape,
-    width floors), so the algorithms behave identically to strict mode.
+    Dimensions shrink for fast test runs.  Toy parameter records carry the
+    label ``toy`` in their canonical text and give no real security; they
+    still satisfy every functional identity (decode correctness, gadget
+    shape, width floors), so the algorithms behave identically to strict
+    mode.
+
+:func:`validate` refuses a record with any other label (``profile-label``).
 
 Derivation is deterministic: a given ``(lambda_sec, n, profile)`` triple
 always produces the same record, byte for byte under canonical
@@ -96,11 +99,14 @@ def _sqrt_upper(value: int) -> Fraction:
 
 
 def _field_violations(params) -> list[str]:
-    """Fields no valid record holds: non-finite floats, integers outside [1, Q_CAP)."""
+    """Fields no valid record holds: non-finite floats, integers outside
+    [1, Q_CAP), a profile label not in ``PROFILES``."""
     bad = []
     for f in fields(params):
         value = getattr(params, f.name)
-        if isinstance(value, float) and not math.isfinite(value):
+        if isinstance(value, str) and value not in PROFILES:
+            bad.append(f"{f.name}-label")
+        elif isinstance(value, float) and not math.isfinite(value):
             bad.append(f"{f.name}-finite")
         elif isinstance(value, int) and not 1 <= value < Q_CAP:
             bad.append(f"{f.name}-range")
@@ -143,10 +149,6 @@ class ParamsRing:
     t_tail: int
     delta_w: int
     b_ots: int
-
-    @property
-    def insecure(self) -> bool:
-        return self.profile == "toy"
 
     def canonical_text(self) -> str:
         return _canonical_text("ring", self)
@@ -326,10 +328,6 @@ class ParamsInt:
     b_sig: int
     q_bound: int
     t_tail: int
-
-    @property
-    def insecure(self) -> bool:
-        return self.profile == "toy"
 
     def canonical_text(self) -> str:
         return _canonical_text("int", self)
@@ -511,8 +509,6 @@ def validate_int(params: ParamsInt) -> list[str]:
             bad.append("sigma-eq1-floor")
         if p.alpha > 1.0 / (p.l**2 * p.m**2 * math.sqrt(ln_n)):
             bad.append("alpha-eq1-ceiling")
-    elif not p.insecure:
-        bad.append("insecure-label")
     return bad
 
 

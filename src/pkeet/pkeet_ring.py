@@ -9,6 +9,12 @@ message slot; holding only the trapdoor for ``b`` opens just the hash slot,
 which is exactly the power an equality-test token needs.  Each binding has
 one helper that encrypt, decrypt and test all call: :func:`_tag_shift` for
 the tag of ``v`` and :func:`_ots_message` for the signed message.
+
+Ring values are plain int64 arrays of shape ``(..., n)``: canonical
+residues in ciphertexts and in ``u``, NTT slots in a :class:`TaggedVector`,
+and the trapdoor ``T`` signed as drawn.  Only the message that
+:func:`encrypt` takes and :func:`decrypt` returns is a
+:class:`~pkeet.ring.RingElement`.
 """
 
 from __future__ import annotations
@@ -21,15 +27,7 @@ from .errors import InvalidMessage, ParamsMismatch, RejectHash, RejectSignature
 from .hashing import hash_message, hash_to_invertible, hash_to_sparse, words
 from .ots import OtsRingKeys, ots_ring_keygen, ots_ring_sign, ots_ring_verify
 from .params import ParamsRing
-from .ring import (
-    RingElement,
-    decode_bits,
-    dot_ntt,
-    get_context,
-    mulmod,
-    sample_uniform,
-    scale_halfq,
-)
+from .ring import RingElement, decode_bits, dot_ntt, get_context, mulmod
 from .rng import XofRng
 from .sampling import sample_ring_array
 from .trapdoor_ring import (
@@ -47,7 +45,7 @@ class PkRing:
 
     a: TaggedVector
     b: TaggedVector
-    u: RingElement
+    u: np.ndarray              # (n,) canonical
 
 
 @dataclass
@@ -64,9 +62,9 @@ class CtRing:
     two vector slots."""
 
     sig: np.ndarray            # (base_len, n) canonical
-    v: tuple[RingElement, RingElement]
-    ct1: RingElement
-    ct2: RingElement
+    v: np.ndarray              # (2, n) canonical
+    ct1: np.ndarray            # (n,) canonical
+    ct2: np.ndarray            # (n,) canonical
     ct3: np.ndarray            # (m, n) canonical
     ct4: np.ndarray            # (m, n) canonical
 
@@ -78,27 +76,27 @@ class TrapdoorTokenRing:
 
     t_b: RingTrapdoor
     b: TaggedVector
-    u: RingElement
+    u: np.ndarray              # (n,) canonical
 
 
 def setup(params: ParamsRing, rng: XofRng) -> tuple[PkRing, SkRing]:
     """Two zero-tag trapdoored vectors plus a uniform syndrome."""
     av_a, t_a = trap_gen(params, rng)
     av_b, t_b = trap_gen(params, rng)
-    u = sample_uniform(get_context(params), rng)
+    u = rng.uniform_mod(params.q, params.n)
     return PkRing(a=av_a, b=av_b, u=u), SkRing(t_a=t_a, t_b=t_b)
 
 
 def _tag_shift(params: ParamsRing, v, *vectors: TaggedVector) -> list[TaggedVector]:
     """``vectors`` shifted by the invertible tag hashed from the one-time
     key ``v`` of a ciphertext."""
-    h_hat = hash_to_invertible(params, words(v[0].coeffs, v[1].coeffs))
+    h_hat = hash_to_invertible(params, words(v))
     return [apply_tag_shift(vec, h_hat) for vec in vectors]
 
 
-def _ots_message(params: ParamsRing, ct1, ct2, ct3, ct4) -> RingElement:
+def _ots_message(params: ParamsRing, ct1, ct2, ct3, ct4) -> np.ndarray:
     """The sparse message the one-time signature binds: all four slots."""
-    return hash_to_sparse(params, words(ct1.coeffs, ct2.coeffs, ct3, ct4))
+    return hash_to_sparse(params, words(ct1, ct2, ct3, ct4))
 
 
 def _vector_noise(params: ParamsRing, rng: XofRng) -> np.ndarray:
@@ -123,13 +121,12 @@ def encrypt(pk: PkRing, message: RingElement, params: ParamsRing, rng: XofRng) -
     v = ots_keys.pub
     a_h, b_h = _tag_shift(params, v, pk.a, pk.b)
 
-    s1, s2 = sample_uniform(ctx, rng), sample_uniform(ctx, rng)
-    e1, e2 = (RingElement(e, ctx) for e in sample_ring_array(params.tau, 2, ctx, rng))
-    hats = ctx.ntt(np.stack([pk.u.coeffs, s1.coeffs, s2.coeffs]))
+    s1, s2 = rng.uniform_mod(q, ctx.n), rng.uniform_mod(q, ctx.n)
+    e = sample_ring_array(params.tau, 2, ctx, rng)                   # (2, n)
+    hats = ctx.ntt(np.stack([pk.u, s1, s2]))
     s_hat = hats[1:]                                                 # (2, n)
-    us1, us2 = (RingElement(c, ctx) for c in ctx.intt(mulmod(hats[0], s_hat, q)))
-    ct1 = us1 + e1 + scale_halfq(message)
-    ct2 = us2 + e2 + scale_halfq(hash_message(params, words(message.coeffs)))
+    bits = np.stack([message.coeffs, hash_message(params, words(message.coeffs))])
+    ct1, ct2 = (ctx.intt(mulmod(hats[0], s_hat, q)) + e + (q // 2) * bits) % q
 
     noise = np.stack([_vector_noise(params, rng) for _ in range(2)])
     vec_hat = np.stack([a_h.vec_hat, b_h.vec_hat])
@@ -140,14 +137,14 @@ def encrypt(pk: PkRing, message: RingElement, params: ParamsRing, rng: XofRng) -
 
 
 def _open_slots(
-    payloads: list[RingElement], vec_slots: list[np.ndarray], x_hat: np.ndarray
+    params: ParamsRing, payloads: list[np.ndarray], vec_slots: list[np.ndarray], x_hat: np.ndarray
 ) -> np.ndarray:
     """Decode the bits hidden in each payload slot using its vector slot and
     a preimage of ``u`` (evaluation form, shape (J, m, n)): one transform
     each way for all of them."""
-    ctx = payloads[0].ctx
+    ctx = get_context(params)
     inner = ctx.intt(dot_ntt(ctx.ntt(np.stack(vec_slots)), x_hat, ctx))
-    return decode_bits(np.stack([p.coeffs for p in payloads]) - inner, ctx.q)
+    return decode_bits(np.stack(payloads) - inner, ctx.q)
 
 
 def decrypt(
@@ -167,9 +164,9 @@ def decrypt(
     a_h, b_h = _tag_shift(params, ct.v, pk.a, pk.b)
 
     x_hat = sample_pre([(sk.t_a, a_h, pk.u), (sk.t_b, b_h, pk.u)], params, rng)
-    msg_bits, hash_bits = _open_slots([ct.ct1, ct.ct2], [ct.ct3, ct.ct4], x_hat)
+    msg_bits, hash_bits = _open_slots(params, [ct.ct1, ct.ct2], [ct.ct3, ct.ct4], x_hat)
 
-    if not np.array_equal(hash_bits, hash_message(params, words(msg_bits)).coeffs):
+    if not np.array_equal(hash_bits, hash_message(params, words(msg_bits))):
         raise RejectHash("decoded hash slot does not match the message hash")
     return RingElement(msg_bits, ctx)
 
@@ -181,7 +178,7 @@ def trapdoor(sk: SkRing, pk: PkRing) -> TrapdoorTokenRing:
 
 def _test_job(
     td: TrapdoorTokenRing, ct: CtRing, params: ParamsRing
-) -> tuple[RingTrapdoor, TaggedVector, RingElement]:
+) -> tuple[RingTrapdoor, TaggedVector, np.ndarray]:
     return td.t_b, _tag_shift(params, ct.v, td.b)[0], td.u
 
 
@@ -196,5 +193,5 @@ def test(
     """1 iff the two ciphertexts hide the same message (hash-slot equality)."""
     jobs = [_test_job(td_i, ct_i, params), _test_job(td_j, ct_j, params)]
     x_hat = sample_pre(jobs, params, rng)
-    side_i, side_j = _open_slots([ct_i.ct2, ct_j.ct2], [ct_i.ct4, ct_j.ct4], x_hat)
+    side_i, side_j = _open_slots(params, [ct_i.ct2, ct_j.ct2], [ct_i.ct4, ct_j.ct4], x_hat)
     return int(np.array_equal(side_i, side_j))

@@ -5,7 +5,10 @@ that a primitive ``2n``-th root of unity exists.  The transform evaluates a
 polynomial at the odd powers of that root (in a fixed bit-reversed order),
 turning ring multiplication into slotwise modular multiplication.
 
-Coefficients are stored canonically in ``[0, q)`` as ``int64``.  Products of
+Every ring value is an ``int64`` array of shape ``(..., n)`` with its
+coefficients canonical in ``[0, q)``, except the short trapdoor ``T``, held
+signed as drawn; :class:`RingElement` wraps one only as the message of an
+encryption and the result of a decryption.  Products of
 two canonical values can reach ``q^2``, which does not fit in 64 bits, so
 :func:`mulmod` recovers the exact product residue from the wrapped low word
 minus ``q`` times a float64 quotient estimate.  Both schemes lift residues
@@ -41,14 +44,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    InvalidDegree,
-    InvalidParams,
-    NotInvertible,
-    ParamsMismatch,
-)
+from .errors import InvalidDegree, InvalidParams, NotInvertible
 from .params import MULMOD_CAP, ParamsRing, is_prime
-from .rng import XofRng
 
 
 _FOLD_BOUND = 1 << 52   # below it mulmod needs no % q; see the module docstring
@@ -241,13 +238,14 @@ def get_context(params: ParamsRing) -> RingContext:
 
 
 # ---------------------------------------------------------------------------
-# Element-level API
+# Messages and test oracles
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class RingElement:
-    """One residue polynomial, coefficients canonical in [0, q)."""
+    """A message or decrypted result: one residue polynomial, coefficients
+    canonical in [0, q)."""
 
     coeffs: np.ndarray
     ctx: RingContext
@@ -260,28 +258,6 @@ class RingElement:
             )
         object.__setattr__(self, "coeffs", arr % self.ctx.q)
 
-    def _check(self, other: "RingElement") -> None:
-        if self.ctx != other.ctx:
-            raise ParamsMismatch(f"mixed contexts {self.ctx} and {other.ctx}")
-
-    def __add__(self, other: "RingElement") -> "RingElement":
-        self._check(other)
-        return RingElement((self.coeffs + other.coeffs) % self.ctx.q, self.ctx)
-
-    def __sub__(self, other: "RingElement") -> "RingElement":
-        self._check(other)
-        return RingElement((self.coeffs - other.coeffs) % self.ctx.q, self.ctx)
-
-    def __neg__(self) -> "RingElement":
-        return RingElement((-self.coeffs) % self.ctx.q, self.ctx)
-
-    def __mul__(self, other: "RingElement") -> "RingElement":
-        self._check(other)
-        return RingElement(self.ctx.mul_coeffs(self.coeffs, other.coeffs), self.ctx)
-
-    def scale(self, value: int) -> "RingElement":
-        return RingElement(mulmod(self.coeffs, np.int64(value % self.ctx.q), self.ctx.q), self.ctx)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, RingElement)
@@ -290,13 +266,12 @@ class RingElement:
         )
 
 
-def mul_schoolbook(a: RingElement, b: RingElement) -> RingElement:
+def mul_schoolbook(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     """Quadratic negacyclic product in exact integers; test oracle only."""
-    a._check(b)
-    n, q = a.ctx.n, a.ctx.q
+    n = len(a)
     out = [0] * n
-    ac = [int(x) for x in a.coeffs]
-    bc = [int(x) for x in b.coeffs]
+    ac = [int(x) for x in a]
+    bc = [int(x) for x in b]
     for i in range(n):
         if ac[i] == 0:
             continue
@@ -307,7 +282,7 @@ def mul_schoolbook(a: RingElement, b: RingElement) -> RingElement:
                 out[k - n] -= term
             else:
                 out[k] += term
-    return RingElement(np.array([v % q for v in out], dtype=np.int64), a.ctx)
+    return np.array([v % q for v in out], dtype=np.int64)
 
 
 def is_invertible(slots: np.ndarray) -> bool:
@@ -316,21 +291,12 @@ def is_invertible(slots: np.ndarray) -> bool:
     return bool((slots != 0).all())
 
 
-def invert(a: RingElement) -> RingElement:
+def invert(a: np.ndarray, ctx: RingContext) -> np.ndarray:
     """Slotwise inversion; raises :class:`NotInvertible` on zero slots."""
-    evals = a.ctx.ntt(a.coeffs)
+    evals = ctx.ntt(a)
     if not is_invertible(evals):
         raise NotInvertible("element has a zero evaluation slot")
-    return RingElement(a.ctx.intt(invmod(evals, a.ctx.q)), a.ctx)
-
-
-def sample_uniform(ctx: RingContext, rng: XofRng) -> RingElement:
-    return RingElement(rng.uniform_mod(ctx.q, ctx.n), ctx)
-
-
-def scale_halfq(message: RingElement) -> RingElement:
-    """Lift a message-space element by the half-modulus step floor(q/2)."""
-    return message.scale(message.ctx.q // 2)
+    return ctx.intt(invmod(evals, ctx.q))
 
 
 def decode_bits(values: np.ndarray, q: int) -> np.ndarray:

@@ -38,7 +38,7 @@ import math
 import numpy as np
 
 from .errors import CovarianceNotPD, InvalidParams, WidthTooSmall
-from .ring import RingContext, balanced
+from .ring import RingContext
 from .rng import XofRng
 
 _CDT_WIDTH_LIMIT = 32.0   # only perfbench/spans.py (_count_sample_z) reads it
@@ -280,10 +280,10 @@ class PerturbationCov:
     block-diagonal in the evaluation domain: one Hermitian (rows+k) x
     (rows+k) matrix per slot.  After reserving the randomized-rounding
     width, ``Sigma = zeta'^2 I - alpha^2 [T; I][T; I]*`` is factored by
-    :func:`gadget_first_factor` with the slot values of ``T`` as a stack
-    of (rows, k) blocks, which yields ``sqrt(d)`` and one rows x rows Schur
-    factor per slot; :meth:`sample` then costs two slotwise products plus
-    a rounding pass.
+    :func:`gadget_first_factor` with the slot values of the signed ``T``
+    as a stack of (rows, k) blocks, which yields ``sqrt(d)`` and one rows x
+    rows Schur factor per slot; :meth:`sample` then costs two slotwise
+    products plus a rounding pass.
     """
 
     def __init__(
@@ -305,7 +305,7 @@ class PerturbationCov:
         self.round_width = float(round_width)
 
         alpha_sq, width_sq = float(alpha) ** 2, float(zeta) ** 2
-        self._t_hat = embed_complex(balanced(t_arr, ctx.q), n)   # (rows, k, n)
+        self._t_hat = embed_complex(t_arr, n)   # (rows, k, n)
         self._sqrt_d, self._schur_chol = gadget_first_factor(
             np.moveaxis(self._t_hat, 2, 0), width_sq - self.round_width**2, alpha_sq, width_sq
         )

@@ -33,7 +33,7 @@ from .matlattice import IntTrapdoor
 from .params import ParamsInt, ParamsRing, params_from_text, validate
 from .pkeet_int import CtInt, PkInt, SkInt, TrapdoorTokenInt
 from .pkeet_ring import CtRing, PkRing, SkRing, TrapdoorTokenRing
-from .ring import RingElement, balanced, get_context
+from .ring import get_context
 from .trapdoor_ring import RingTrapdoor, TaggedVector
 
 MAGIC = b"LPKT"
@@ -123,23 +123,7 @@ def _signed(shape: Callable, width: str) -> Callable:
     return specs
 
 
-def _signed_t(trap: RingTrapdoor) -> list[np.ndarray]:
-    """``T`` balanced, once its residues are canonical."""
-    q = trap.ctx.q
-    return [balanced(_checked(np.asarray(trap.t_arr), (np.shape(trap.t_arr), 0, q)), q)]
-
-
 # (specs, take, build) of each value type a field holds other than one array.
-_ELEMENT = (
-    _residues(lambda p: (p.n,)),
-    lambda e: [e.coeffs],
-    lambda arrays, p: RingElement(arrays[0], get_context(p)),
-)
-_ELEMENT_PAIR = (
-    _residues(lambda p: (p.n,), lambda p: 2),
-    lambda pair: [e.coeffs for e in pair],
-    lambda arrays, p: tuple(RingElement(a, get_context(p)) for a in arrays),
-)
 _TAGGED = (
     _residues(lambda p: (p.m, p.n)),
     lambda tv: [tv.vec],
@@ -147,8 +131,8 @@ _TAGGED = (
 )
 _RING_T = (
     _signed(lambda p: (p.base_len, p.k, p.n), "sigma_trap"),
-    _signed_t,
-    lambda arrays, p: RingTrapdoor(t_arr=arrays[0] + p.q * (arrays[0] < 0), ctx=get_context(p)),
+    lambda trap: [trap.t_arr],
+    lambda arrays, p: RingTrapdoor(t_arr=arrays[0], ctx=get_context(p)),
 )
 _INT_R = (
     _signed(lambda p: (p.m_bar, p.n * p.k), "sigma_r"),
@@ -156,8 +140,9 @@ _INT_R = (
     lambda arrays, p: IntTrapdoor.from_r(arrays[0], p),
 )
 _INT_MATRIX = _residues(lambda p: (p.n, p.m))
+_RING_POLY = _residues(lambda p: (p.n,))
 
-_RING_PUBLIC = (_Field("b", *_TAGGED), _Field("u", *_ELEMENT))
+_RING_PUBLIC = (_Field("b", *_TAGGED), _Field("u", _RING_POLY))
 _INT_PUBLIC = (
     _Field("a_prime", _INT_MATRIX),
     _Field("a_list", _residues(lambda p: (p.n, p.m), lambda p: p.l), list, lambda a, p: a),
@@ -171,9 +156,9 @@ _LAYOUTS = {
     (SCHEME_RING, KIND_SK): (SkRing, (_Field("t_a", *_RING_T), _Field("t_b", *_RING_T))),
     (SCHEME_RING, KIND_CT): (CtRing, (
         _Field("sig", _residues(lambda p: (p.base_len, p.n))),
-        _Field("v", *_ELEMENT_PAIR),
-        _Field("ct1", *_ELEMENT),
-        _Field("ct2", *_ELEMENT),
+        _Field("v", _residues(lambda p: (2, p.n))),
+        _Field("ct1", _RING_POLY),
+        _Field("ct2", _RING_POLY),
         _Field("ct3", _residues(lambda p: (p.m, p.n))),
         _Field("ct4", _residues(lambda p: (p.m, p.n))),
     )),

@@ -2,11 +2,12 @@
 
 A trapdoor for the vector ``a`` is a small matrix ``T`` with
 ``a^T [T; I] = tag * g^T`` where ``g = (1, 2, ..., 2^(k-1))``.  Key
-generation draws ``T`` Gaussian and completes the vector so the identity
-holds exactly; shifting the vector by ``(0, h*g)`` shifts the tag by ``h``
-without touching ``T``.  Preimage sampling follows the perturb-then-correct
-pattern: a structured perturbation hides ``T``, the remaining syndrome is
-solved in the gadget coset, and the correction re-enters through ``[T; I]``.
+generation draws ``T`` Gaussian, keeps it signed as drawn, and completes
+the vector so the identity holds exactly; shifting the vector by
+``(0, h*g)`` shifts the tag by ``h`` without touching ``T``.  Preimage
+sampling follows the perturb-then-correct pattern: a structured
+perturbation hides ``T``, the remaining syndrome is solved in the gadget
+coset, and the correction re-enters through ``[T; I]``.
 
 Public vectors, tags and preimages live in NTT slots, where all of this is
 slotwise; frames keep the coefficient form, so the serial bijection is
@@ -29,15 +30,7 @@ from .errors import (
     TagNotInvertible,
 )
 from .params import ParamsRing
-from .ring import (
-    RingContext,
-    RingElement,
-    balanced,
-    dot_ntt,
-    get_context,
-    invmod,
-    mulmod,
-)
+from .ring import RingContext, dot_ntt, get_context, invmod, mulmod
 from .rng import XofRng
 from .sampling import (
     PerturbationCov,
@@ -53,7 +46,7 @@ _TRAPGEN_RETRIES = 64
 class RingTrapdoor:
     """Secret ``T`` (base_len x k ring elements)."""
 
-    t_arr: np.ndarray          # (base_len, k, n) canonical int64
+    t_arr: np.ndarray          # (base_len, k, n) int64, signed as drawn
     ctx: RingContext
     _cov: PerturbationCov | None = field(default=None, repr=False)
     _t_hat: np.ndarray | None = field(default=None, repr=False)
@@ -68,15 +61,15 @@ class RingTrapdoor:
 
     def norm(self) -> float:
         """Largest column norm of ``T`` in the coefficient embedding."""
-        bal = balanced(self.t_arr, self.ctx.q).astype(np.float64)
-        return float(np.sqrt((bal**2).sum(axis=(0, 2)).max()))
+        t = self.t_arr.astype(np.float64)
+        return float(np.sqrt((t**2).sum(axis=(0, 2)).max()))
 
     @property
     def t_hat(self) -> np.ndarray:
-        """Cached NTT form of ``T``, shape (base_len, k, n)."""
+        """Cached NTT form of ``T`` mod q, shape (base_len, k, n)."""
         if self._t_hat is None:
             base_len, k, n = self.t_arr.shape
-            flat = self.ctx.ntt(self.t_arr.reshape(base_len * k, n))
+            flat = self.ctx.ntt(self.t_arr.reshape(base_len * k, n) % self.ctx.q)
             self._t_hat = flat.reshape(base_len, k, n)
         return self._t_hat
 
@@ -130,7 +123,7 @@ def trap_gen(params: ParamsRing, rng: XofRng) -> tuple[TaggedVector, RingTrapdoo
     a_hat = ctx.ntt(a_prime)                       # (base_len, n)
     norm_cap = params.t_tail * params.sigma_trap * math.sqrt(base_len * n)
     for _ in range(_TRAPGEN_RETRIES):
-        t_arr = sample_z_batch(params.sigma_trap, (base_len, k, n), rng) % q
+        t_arr = sample_z_batch(params.sigma_trap, (base_len, k, n), rng)
         trap = RingTrapdoor(t_arr=t_arr, ctx=ctx)
         # Output contract: the trapdoor must be short enough that the
         # preimage covariance zeta^2 I - alpha^2 [T;I][T;I]* stays positive
@@ -179,12 +172,12 @@ def trapdoor_identity_residual(av: TaggedVector, trap: RingTrapdoor) -> np.ndarr
 
 
 def sample_pre(
-    jobs: Sequence[tuple[RingTrapdoor, TaggedVector, RingElement]],
+    jobs: Sequence[tuple[RingTrapdoor, TaggedVector, np.ndarray]],
     params: ParamsRing,
     rng: XofRng,
 ) -> np.ndarray:
-    """Gaussian preimages: for each job ``(trapdoor, av, u)`` an x with
-    ``av^T x = u`` and per-coordinate width zeta.
+    """Gaussian preimages: for each job ``(trapdoor, av, u)``, ``u`` canonical
+    of shape (n,), an x with ``av^T x = u`` and per-coordinate width zeta.
 
     Steps: draw each job's structured perturbation p, reduce the targets
     through the invertible tags (one inversion chain for all of them),
@@ -196,7 +189,7 @@ def sample_pre(
     ctx = jobs[0][0].ctx
     q = ctx.q
     for trap, av, u in jobs:
-        if trap.ctx != ctx or av.ctx != ctx or u.ctx != ctx:
+        if trap.ctx != ctx or av.ctx != ctx or np.shape(u) != (ctx.n,):
             raise ParamsMismatch("preimage request mixes ring contexts")
         if av.vec_hat.shape[0] != trap.base_len + trap.k:
             raise InvalidParams("vector length does not match trapdoor shape")
@@ -207,7 +200,7 @@ def sample_pre(
     tag_inv_hat = invmod(tag_hat, q)
 
     p = np.stack([trap.perturbation(params).sample(rng) for trap, _, _ in jobs])
-    targets = np.stack([u.coeffs for _, _, u in jobs])[:, None, :]
+    targets = np.stack([u for _, _, u in jobs])[:, None, :]
     pu_hat = ctx.ntt(np.concatenate([p % q, targets], axis=1))       # (J, m + 1, n)
     p_hat, u_hat = pu_hat[:, :-1], pu_hat[:, -1]
 
@@ -223,6 +216,6 @@ def sample_pre(
     return (p_hat + np.concatenate([tz_hat, z_hat], axis=1)) % q
 
 
-def apply_vector(av: TaggedVector, x_hat: np.ndarray) -> RingElement:
+def apply_vector(av: TaggedVector, x_hat: np.ndarray) -> np.ndarray:
     """Inner product ``a^T x`` of the vector with a preimage in evaluation form."""
-    return RingElement(av.ctx.intt(dot_ntt(av.vec_hat, x_hat, av.ctx)), av.ctx)
+    return av.ctx.intt(dot_ntt(av.vec_hat, x_hat, av.ctx))

@@ -120,6 +120,17 @@ def test_crafted_parameter_frame_exits_two(tmp_path, capsys, record, name, value
     assert "embedded parameters violate invariants" in capsys.readouterr().err
 
 
+def test_unknown_profile_label_key_exits_two(ring_files, tmp_path, capsys):
+    params, pk = serial.decode_object((ring_files / "alice.pk").read_bytes())[2:]
+    relabeled = dataclasses.replace(params, profile="foo")
+    bad = tmp_path / "foo.pk"
+    bad.write_bytes(serial.encode_object(serial.SCHEME_RING, serial.KIND_PK, pk, relabeled))
+    assert main(["encrypt", "--pk", str(bad), "--message", "77",
+                 "--seed", SEED_A, "--out", str(tmp_path / "ct")]) == 2
+    assert "profile-label" in capsys.readouterr().err
+    assert not (tmp_path / "ct").exists()
+
+
 @pytest.mark.parametrize("spelling", RESPELLINGS)
 def test_non_canonical_parameter_frame_exits_two(ring_small, tmp_path, capsys, spelling):
     td = tmp_path / "respelled.td"

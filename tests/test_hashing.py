@@ -1,5 +1,7 @@
 """Domain-separated hash maps: shapes, codomains, determinism, separation."""
 
+import hashlib
+
 import numpy as np
 
 from pkeet import hashing
@@ -16,10 +18,10 @@ from pkeet.rng import XofRng
 
 def test_message_hash_is_binary_ring_element(ring_small):
     out = hash_message(ring_small, b"payload")
-    assert out.coeffs.shape == (ring_small.n,)
-    assert set(np.unique(out.coeffs)) <= {0, 1}
-    assert hash_message(ring_small, b"payload") == out
-    assert hash_message(ring_small, b"payloae") != out
+    assert out.shape == (ring_small.n,)
+    assert set(np.unique(out)) <= {0, 1}
+    assert np.array_equal(hash_message(ring_small, b"payload"), out)
+    assert not np.array_equal(hash_message(ring_small, b"payloae"), out)
 
 
 def test_message_hash_is_binary_vector_for_int_params(int_small):
@@ -54,11 +56,25 @@ def test_sparse_hash_weight_and_signs(ring_small):
     seen = set()
     for i in range(50):
         out = hash_to_sparse(ring_small, b"sparse-%d" % i)
-        bal = balanced(out.coeffs, ring_small.q)
+        assert ((0 <= out) & (out < ring_small.q)).all()
+        bal = balanced(out, ring_small.q)
         assert int(np.abs(bal).sum()) == w
         assert set(np.unique(bal)) <= {-1, 0, 1}
         seen.add(tuple(bal.tolist()))
     assert len(seen) == 50    # no accidental collisions across inputs
+
+
+def test_hash_stream_seed_is_the_framed_digest(ring_small):
+    # The seed is SHAKE-256 of prefix, tag, params digest, optional
+    # counter and payload, as one concatenated frame.
+    payload = bytes(range(256)) * 3
+    for counter in (None, 0, 7):
+        frame = bytes([hashing.TAG_SPARSE]) + ring_small.digest()
+        if counter is not None:
+            frame += counter.to_bytes(8, "little")
+        seed = hashlib.shake_256(hashing._FRAME_PREFIX + frame + payload).digest(32)
+        got = hashing._hash_stream(hashing.TAG_SPARSE, ring_small, payload, counter)
+        assert got.bytes(64) == XofRng(seed).bytes(64)
 
 
 def test_pm_one_hash(int_small):
@@ -83,8 +99,8 @@ def test_weighted_hash_exact_weight(int_small):
 def test_domains_are_separated(ring_small):
     # The same payload must map to unrelated outputs under different maps.
     payload = b"shared-payload"
-    a = hash_message(ring_small, payload).coeffs
-    b = hash_to_sparse(ring_small, payload).coeffs
+    a = hash_message(ring_small, payload)
+    b = hash_to_sparse(ring_small, payload)
     c = get_context(ring_small).intt(hash_to_invertible(ring_small, payload))
     assert not np.array_equal(a, b)
     assert not np.array_equal(a, c)
@@ -93,15 +109,15 @@ def test_domains_are_separated(ring_small):
 
 def test_params_digest_binds_output(ring_small, ring_toy):
     # Same payload, different parameter sets: streams must differ.
-    a = hash_message(ring_small, b"bound").coeffs
-    b = hash_message(ring_toy, b"bound").coeffs
+    a = hash_message(ring_small, b"bound")
+    b = hash_message(ring_toy, b"bound")
     assert a.shape != b.shape or not np.array_equal(a, b)
     toy = hash_to_sparse(ring_toy, b"bound")
     from pkeet.params import derive_ring_params
 
     strict = derive_ring_params(128, 256, "strict")
     other = hash_to_sparse(strict, b"bound")
-    assert not np.array_equal(toy.coeffs, other.coeffs)
+    assert not np.array_equal(toy, other)
 
 
 def _sparse_by_calls(params, data: bytes) -> np.ndarray:
@@ -125,7 +141,7 @@ def test_sparse_shuffle_read_matches_per_call_draws():
         params = derive_ring_params(128, n, "toy")
         for i in range(50):
             data = b"shuffle-%d" % i
-            assert np.array_equal(hash_to_sparse(params, data).coeffs, _sparse_by_calls(params, data))
+            assert np.array_equal(hash_to_sparse(params, data), _sparse_by_calls(params, data))
 
 
 class _JammedStream(XofRng):
@@ -163,7 +179,7 @@ def test_sparse_shuffle_falls_back_to_per_call_draws(ring_small, monkeypatch):
         monkeypatch.setattr(hashing, "_hash_stream", jammed)
         for i in range(5):
             data = b"jammed-%d" % i
-            assert np.array_equal(hash_to_sparse(ring_small, data).coeffs, _sparse_by_calls(ring_small, data))
+            assert np.array_equal(hash_to_sparse(ring_small, data), _sparse_by_calls(ring_small, data))
         weight = ring_small.delta_w
         # The batched read, then per-call reads of nine words: the fallback ran.
         assert streams[0].reads[0] == 8 * 9 * weight and 8 * 9 in streams[0].reads[1:]

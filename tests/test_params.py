@@ -138,6 +138,22 @@ def test_validate_flags_a_width_derivation_cannot_give():
         serial.decode_frame(frame)
 
 
+def test_unknown_profile_label_refused():
+    # Neither scheme accepts a label outside PROFILES, and no parameter
+    # frame carrying one decodes.
+    for record in range(len(_RECORDS)):
+        assert validate(dataclasses.replace(_RECORDS[record], profile="foo")) == ["profile-label"]
+        with pytest.raises(FramingError, match="profile-label"):
+            serial.decode_frame(crafted_frame(record, "profile", "foo"))
+
+
+def test_derived_ring_records_validate_clean():
+    for lambda_sec in (80, 128, 256):
+        for profile in ("toy", "strict"):
+            for n in (16, 64, 256, 1024):
+                assert validate_ring(derive_ring_params(lambda_sec, n, profile)) == []
+
+
 def test_derived_int_records_validate_clean():
     for lambda_sec in (80, 128, 256):
         for profile in ("toy", "strict"):

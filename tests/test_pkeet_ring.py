@@ -15,7 +15,6 @@ from pkeet.ring import (
     balanced,
     dot_ntt,
     get_context,
-    sample_uniform,
 )
 from pkeet.trapdoor_ring import RingTrapdoor, sample_pre
 from conftest import seeded
@@ -48,7 +47,7 @@ def test_encryption_is_randomized(ring_small, users):
     msg = random_message(ring_small, rng)
     a = pr.encrypt(pk, msg, ring_small, rng)
     b = pr.encrypt(pk, msg, ring_small, rng)
-    assert a.ct1 != b.ct1
+    assert not np.array_equal(a.ct1, b.ct1)
     assert not np.array_equal(a.sig, b.sig)
 
 
@@ -57,7 +56,7 @@ def test_non_binary_message_rejected(ring_small, users):
     rng = seeded("ring-badmsg")
     ctx = get_context(ring_small)
     with pytest.raises(InvalidMessage):
-        pr.encrypt(pk, sample_uniform(ctx, rng), ring_small, rng)
+        pr.encrypt(pk, RingElement(rng.uniform_mod(ctx.q, ctx.n), ctx), ring_small, rng)
 
 
 def test_wrong_recipient_rejects(ring_small, users):
@@ -71,14 +70,13 @@ def test_wrong_recipient_rejects(ring_small, users):
 def test_each_component_tamper_rejects(ring_small, users):
     (pk, sk), _ = users
     rng = seeded("ring-tamper")
-    ctx = get_context(ring_small)
     msg = random_message(ring_small, rng)
     ct = pr.encrypt(pk, msg, ring_small, rng)
 
-    def bump(elem):
-        c = elem.coeffs.copy()
-        c[3] = (c[3] + 1) % ring_small.q
-        return RingElement(c, ctx)
+    def bump(arr, index=3):
+        out = arr.copy()
+        out[index] = (out[index] + 1) % ring_small.q
+        return out
 
     variants = {
         "ct1": pr.CtRing(sig=ct.sig, v=ct.v, ct1=bump(ct.ct1), ct2=ct.ct2, ct3=ct.ct3, ct4=ct.ct4),
@@ -91,7 +89,7 @@ def test_each_component_tamper_rejects(ring_small, users):
     sig = ct.sig.copy(); sig[0, 0] = (sig[0, 0] + 1) % ring_small.q
     variants["sig"] = pr.CtRing(sig=sig, v=ct.v, ct1=ct.ct1, ct2=ct.ct2, ct3=ct.ct3, ct4=ct.ct4)
     variants["v"] = pr.CtRing(
-        sig=ct.sig, v=(bump(ct.v[0]), ct.v[1]),
+        sig=ct.sig, v=bump(ct.v, (0, 3)),
         ct1=ct.ct1, ct2=ct.ct2, ct3=ct.ct3, ct4=ct.ct4,
     )
     # Mix and match: each component taken from a second valid ciphertext
@@ -102,10 +100,10 @@ def test_each_component_tamper_rejects(ring_small, users):
         name: dataclasses.replace(ct, **{name: getattr(other, name)})
         for name in ("sig", "v", "ct1", "ct2", "ct3", "ct4")
     }
-    swapped["v[0]"] = dataclasses.replace(ct, v=(other.v[0], ct.v[1]))
-    swapped["v[1]"] = dataclasses.replace(ct, v=(ct.v[0], other.v[1]))
+    swapped["v[0]"] = dataclasses.replace(ct, v=np.stack([other.v[0], ct.v[1]]))
+    swapped["v[1]"] = dataclasses.replace(ct, v=np.stack([ct.v[0], other.v[1]]))
     tag = lambda c: pr._tag_shift(ring_small, c.v, pk.a)[0].vec_hat
-    ots_msg = lambda c: pr._ots_message(ring_small, c.ct1, c.ct2, c.ct3, c.ct4).coeffs
+    ots_msg = lambda c: pr._ots_message(ring_small, c.ct1, c.ct2, c.ct3, c.ct4)
     for binding, names in ((tag, ["v[0]", "v[1]"]), (ots_msg, ["ct1", "ct2", "ct3", "ct4"])):
         for name in names:
             assert not np.array_equal(binding(swapped[name]), binding(ct))
@@ -203,7 +201,7 @@ def test_decryption_noise_within_budget(ring_small, users):
         (a_h,) = pr._tag_shift(p, ct.v, pk.a)
         x_hat = sample_pre([(sk.t_a, a_h, pk.u)], p, rng)[0]
         inner = ctx.intt(dot_ntt(ctx.ntt(ct.ct3), x_hat, ctx))
-        noise = balanced((ct.ct1.coeffs - inner - (q // 2) * msg.coeffs) % q, q)
+        noise = balanced((ct.ct1 - inner - (q // 2) * msg.coeffs) % q, q)
         worst = max(worst, int(np.abs(noise).max()))
     assert worst <= budget
 

@@ -384,16 +384,16 @@ def test_gadget_sampler_matches_coset_enumeration():
 
 
 def test_polynomial_gadget_sampler_exact(ring_small):
-    from pkeet.ring import get_context, sample_uniform
+    from pkeet.ring import get_context
 
     ctx = get_context(ring_small)
     rng = seeded("poly-gadget")
     g = gadget_vector(ring_small.k)
     for _ in range(20):
-        v = sample_uniform(ctx, rng)
-        z = sample_g_batch(ring_small.alpha_g, v.coeffs, ctx.q, rng).T
+        v = rng.uniform_mod(ctx.q, ctx.n)
+        z = sample_g_batch(ring_small.alpha_g, v, ctx.q, rng).T
         combo = (z * (g[:, None] % ctx.q)).sum(axis=0) % ctx.q
-        assert np.array_equal(combo, v.coeffs)
+        assert np.array_equal(combo, v)
 
 
 def test_perturbation_zero_trapdoor_closed_form():
@@ -428,7 +428,7 @@ def test_perturbation_factor_reproduces_covariance():
     ctx = RingContext(n, q)
     t_bal = seeded("pert-factor").uniform_mod(5, 2 * k * n).reshape(rows, k, n) - 2
     zeta, alpha, round_width = 200.0, 4.0, 2.0
-    cov = PerturbationCov(zeta, alpha, t_bal % q, ctx, round_width=round_width)
+    cov = PerturbationCov(zeta, alpha, t_bal, ctx, round_width=round_width)
     t_slots = np.moveaxis(cov._t_hat, 2, 0)                      # (n, rows, k)
     m = rows + k
     factor = np.zeros((n, m, m), dtype=np.complex128)
@@ -464,7 +464,7 @@ def test_perturbation_empirical_covariance():
     zeta = math.sqrt(1.3 * alpha**2 * top + round_width**2)
     want = (zeta**2 * np.eye(basis.shape[0]) - alpha**2 * basis @ basis.T) / (2 * math.pi)
 
-    cov = PerturbationCov(zeta, alpha, t_bal % q, ctx, round_width=round_width)
+    cov = PerturbationCov(zeta, alpha, t_bal, ctx, round_width=round_width)
     rng = seeded("pert-covariance")
     count = 2000
     draws = np.stack([cov.sample(rng).reshape(-1) for _ in range(count)]).astype(np.float64)
@@ -479,7 +479,7 @@ def test_perturbation_empirical_covariance():
 
 def test_perturbation_rejects_insufficient_width():
     ctx = RingContext(16, 97)
-    t_arr = (np.ones((2, 7, 16), dtype=np.int64) * 5) % 97
+    t_arr = np.ones((2, 7, 16), dtype=np.int64) * 5
     with pytest.raises(CovarianceNotPD):
         PerturbationCov(6.0, 5.0, t_arr, ctx, round_width=1.0)
     with pytest.raises(WidthTooSmall):
