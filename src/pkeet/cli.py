@@ -246,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scheme", choices=["ring", "int"], required=True)
     p.add_argument("--profile", choices=["toy", "strict"], default="toy")
     p.add_argument("--n", type=int, default=None, help="lattice dimension")
-    p.add_argument("--security", type=int, default=128, help="security label")
+    p.add_argument("--security", type=int, default=128, help="security label, 1 to 256")
     p.add_argument("--seed", default=None, help="32-byte hex seed")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--name", default="key", help="output file stem")

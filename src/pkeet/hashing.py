@@ -13,8 +13,8 @@ Integer-array payloads (ring coefficients, residue vectors and matrices)
 are encoded by :func:`words` alone.  Every output is a plain array: bits
 from the message hash, NTT slots from the invertible hash, canonical
 residues from the sparse hash, small integers from the others.  Output
-lengths and weights come from the parameter record, whose ranges
-:func:`~pkeet.params.validate` checks.
+lengths and weights come from the parameter record, which
+:func:`~pkeet.params.validate` holds to the record its derivation gives.
 """
 
 from __future__ import annotations

@@ -145,8 +145,6 @@ def trap_gen_int(params: ParamsInt, rng: XofRng) -> tuple[np.ndarray, IntTrapdoo
     n, k, q = params.n, params.k, params.q
     nk = n * k
     m_bar = params.m_bar
-    if params.m != m_bar + nk:
-        raise InvalidParams("matrix width must split as m_bar + n*k")
 
     gadget = np.kron(np.eye(n, dtype=np.int64), gadget_vector(k))   # G = I_n (x) g
     for _ in range(_TRAPGEN_RETRIES):

@@ -12,15 +12,20 @@ Profiles
     shape, width floors), so the algorithms behave identically to strict
     mode.
 
-:func:`validate` refuses a record with any other label (``profile-label``).
-
 Derivation is deterministic: a given ``(lambda_sec, n, profile)`` triple
 always produces the same record, byte for byte under canonical
-serialization.
+serialization.  It is also the only statement of the parameter rules.
+:func:`validate` re-derives a record from its own triple and names every
+field that differs, or returns the derivation's error text when the triple
+derives nothing: a profile outside ``PROFILES``, a security label outside
+``[1, LAMBDA_MAX]``, a dimension outside ``[16, 2**62)``, or one with no
+admissible modulus.  Both derivations cache their last 32 records, so the
+validation that every frame decode runs costs one lookup.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass, fields
@@ -29,6 +34,7 @@ from fractions import Fraction
 from .errors import InvalidDegree, InvalidParams, ParameterOverflow
 
 PROFILES = ("strict", "toy")
+LAMBDA_MAX = 256       # largest security label a derivation accepts
 
 # Derivation constants shared by both schemes.
 EPS_LOG2 = 80          # smoothing slack 2**-80 in the width floor
@@ -98,19 +104,13 @@ def _sqrt_upper(value: int) -> Fraction:
     return Fraction(math.nextafter(math.sqrt(value), math.inf))
 
 
-def _field_violations(params) -> list[str]:
-    """Fields no valid record holds: non-finite floats, integers outside
-    [1, Q_CAP), a profile label not in ``PROFILES``."""
-    bad = []
-    for f in fields(params):
-        value = getattr(params, f.name)
-        if isinstance(value, str) and value not in PROFILES:
-            bad.append(f"{f.name}-label")
-        elif isinstance(value, float) and not math.isfinite(value):
-            bad.append(f"{f.name}-finite")
-        elif isinstance(value, int) and not 1 <= value < Q_CAP:
-            bad.append(f"{f.name}-range")
-    return bad
+def _check_label(lambda_sec: int, profile: str) -> None:
+    """Refuse a profile or security label outside the derivable range,
+    before any float arithmetic can overflow on it."""
+    if profile not in PROFILES:
+        raise InvalidParams(f"unknown profile {profile!r}")
+    if not 1 <= lambda_sec <= LAMBDA_MAX:
+        raise InvalidParams(f"security label must lie in [1, {LAMBDA_MAX}], got {lambda_sec}")
 
 
 def _width_floor(n: int) -> float:
@@ -184,6 +184,7 @@ def _ring_error_budget(tau: float, zeta: float, gamma: float, k: int, n: int) ->
     )
 
 
+@functools.lru_cache(maxsize=32, typed=True)
 def derive_ring_params(lambda_sec: int, n: int, profile: str) -> ParamsRing:
     """Derive the full ring parameter record for a security label and degree.
 
@@ -192,12 +193,9 @@ def derive_ring_params(lambda_sec: int, n: int, profile: str) -> ParamsRing:
     Raises :class:`ParameterOverflow` when no such prime lies below
     ``MULMOD_CAP``, the bound of the ring multiply kernel.
     """
-    if profile not in PROFILES:
-        raise InvalidParams(f"unknown profile {profile!r}")
-    if lambda_sec < 1:
-        raise InvalidParams("security label must be positive")
-    if not isinstance(n, int) or n < 16 or not _is_power_of_two(n):
-        raise InvalidDegree(f"ring degree must be a power of two, at least 16, got {n}")
+    _check_label(lambda_sec, profile)
+    if not isinstance(n, int) or not 16 <= n < Q_CAP or not _is_power_of_two(n):
+        raise InvalidDegree(f"ring degree must be a power of two in [16, 2**62), got {n}")
 
     sigma = _width_floor(n)
     tau = sigma
@@ -249,50 +247,6 @@ def derive_ring_params(lambda_sec: int, n: int, profile: str) -> ParamsRing:
         delta_w=delta_w,
         b_ots=b_ots,
     )
-
-
-def validate_ring(params: ParamsRing) -> list[str]:
-    """Return the names of every violated ring invariant (empty when valid)."""
-    bad = _field_violations(params)
-    if bad:
-        return bad
-    p = params
-    if not _is_power_of_two(p.n) or p.n < 16:
-        bad.append("n-power-of-two")
-    if not is_prime(p.q):
-        bad.append("q-prime")
-    if p.q % (2 * p.n) != 1:
-        bad.append("q-congruence")
-    if not (2 * p.n < p.q < Q_CAP):
-        bad.append("q-range")
-    if p.q >= MULMOD_CAP:
-        bad.append("q-mulmod-cap")
-    if p.k != p.q.bit_length():
-        bad.append("k-bits")
-    if p.base_len != 2 or p.m != p.k + p.base_len:
-        bad.append("m-structure")
-    if p.sigma_trap < _width_floor(p.n) * (1.0 - 1e-12):
-        bad.append("sigma-floor")
-    if not math.isclose(p.alpha_g, math.sqrt(5.0) * p.sigma_trap, rel_tol=1e-12):
-        bad.append("alpha-ratio")
-    if p.zeta <= _zeta_floor(p.sigma_trap, p.k, p.n):
-        bad.append("zeta-bound")
-    if not math.isclose(
-        p.gamma, 2.0 * p.t_tail * p.sigma_trap * p.tau * math.sqrt(p.n), rel_tol=1e-12
-    ):
-        bad.append("gamma-identity")
-    if not math.isclose(
-        p.mu, p.t_tail * p.sigma_trap * p.tau * math.sqrt(2 * p.n), rel_tol=1e-12
-    ):
-        bad.append("mu-identity")
-    if not (1 <= p.delta_w <= p.n):
-        bad.append("delta-range")
-    if p.b_ots < 1 or 2 * p.delta_w * p.b_ots >= p.q // 2:
-        bad.append("ots-bound-range")
-    budget = _ring_error_budget(p.tau, p.zeta, p.gamma, p.k, p.n)
-    if not budget < Fraction(p.q // 4):
-        bad.append("correctness-inequality")
-    return bad
 
 
 # ---------------------------------------------------------------------------
@@ -374,6 +328,7 @@ def _int_error_sd(sigma: float, m: int, l: int, noise_sd: float) -> float:
     return math.hypot(e_norm * avg_noise, noise_sd)
 
 
+@functools.lru_cache(maxsize=32, typed=True)
 def derive_int_params(lambda_sec: int, n: int, profile: str) -> ParamsInt:
     """Derive the integer-scheme parameter record.
 
@@ -381,12 +336,9 @@ def derive_int_params(lambda_sec: int, n: int, profile: str) -> ParamsInt:
     instantiated as ``2 sqrt(log2 n)``; toy mode shrinks the matrix width
     multiplier to 2 and sizes the modulus from the exact decode margin.
     """
-    if profile not in PROFILES:
-        raise InvalidParams(f"unknown profile {profile!r}")
-    if lambda_sec < 1:
-        raise InvalidParams("security label must be positive")
-    if not isinstance(n, int) or n < 16:
-        raise InvalidParams(f"integer-scheme dimension must be at least 16, got {n}")
+    _check_label(lambda_sec, profile)
+    if not isinstance(n, int) or not 16 <= n < Q_CAP:
+        raise InvalidParams(f"integer-scheme dimension must lie in [16, 2**62), got {n}")
 
     log2n = math.log2(n)
     omega = 2.0 * math.sqrt(log2n)
@@ -467,58 +419,18 @@ def derive_int_params(lambda_sec: int, n: int, profile: str) -> ParamsInt:
     )
 
 
-def validate_int(params: ParamsInt) -> list[str]:
-    """Return the names of every violated integer-scheme invariant."""
-    bad = _field_violations(params)
-    if params.n < 16:
-        bad.append("n-floor")
-    if bad:
-        return bad
-    p = params
-    mult = INT_STRICT_MULTIPLIER if p.profile == "strict" else INT_TOY_MULTIPLIER
-    if p.m != mult * p.n * p.k:
-        bad.append("m-structure")
-    if not is_prime(p.q):
-        bad.append("q-prime")
-    if p.k != p.q.bit_length():
-        bad.append("k-bits")
-    if p.q < p.q_bound:
-        bad.append("q-floor")
-    if p.m_bar != p.m - p.n * p.k or p.m_bar < p.n:
-        bad.append("m-split")
-    if not (0.0 < p.alpha < 1.0):
-        bad.append("alpha-range")
-    if p.sigma < 1.0:
-        bad.append("sigma-floor")
-    if p.b_sig != 1:
-        bad.append("b-sig-one")
-    if not (1 <= p.w_sig <= p.k_sig):
-        bad.append("w-sig-range")
-    if p.w_sig * p.b_sig >= p.q // 4:
-        bad.append("u-bound-range")
-    if not (1 <= p.t_msg and 1 <= p.l):
-        bad.append("length-positive")
-    noise_sd = p.alpha * p.q / math.sqrt(2.0 * math.pi)
-    if 4 * p.t_tail * _int_error_sd(p.sigma, p.m, p.l, noise_sd) >= p.q:
-        bad.append("decode-margin")
-    if p.profile == "strict":
-        ln_n = math.log(p.n)
-        if p.q < max(p.q_bound, p.m**2.5 * math.sqrt(ln_n)):
-            bad.append("q-eq1-floor")
-        if p.sigma < p.m * p.l * math.sqrt(ln_n):
-            bad.append("sigma-eq1-floor")
-        if p.alpha > 1.0 / (p.l**2 * p.m**2 * math.sqrt(ln_n)):
-            bad.append("alpha-eq1-ceiling")
-    return bad
-
-
 def validate(params: ParamsRing | ParamsInt) -> list[str]:
-    """Dispatching validator; see :func:`validate_ring` / :func:`validate_int`."""
-    if isinstance(params, ParamsRing):
-        return validate_ring(params)
-    if isinstance(params, ParamsInt):
-        return validate_int(params)
-    raise InvalidParams(f"not a parameter record: {type(params)!r}")
+    """Return the names of the fields in which ``params`` differs from the
+    record its own ``(lambda_sec, n, profile)`` derives, or the derivation's
+    error text when that triple derives nothing; empty when valid."""
+    derive = {ParamsRing: derive_ring_params, ParamsInt: derive_int_params}.get(type(params))
+    if derive is None:
+        raise InvalidParams(f"not a parameter record: {type(params)!r}")
+    try:
+        derived = derive(params.lambda_sec, params.n, params.profile)
+    except InvalidParams as exc:
+        return [str(exc)]
+    return [f.name for f in fields(params) if getattr(params, f.name) != getattr(derived, f.name)]
 
 
 # ---------------------------------------------------------------------------

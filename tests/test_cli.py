@@ -111,6 +111,19 @@ def test_malformed_inputs_exit_two(ring_files, tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["--scheme", "ring", "--profile", "strict", "--security", "100000", "--n", "64"],
+    ["--scheme", "int", "--n", str(10**400)],
+])
+def test_underivable_keygen_exits_two(tmp_path, capsys, argv):
+    # Labels and dimensions past the derivable range are refused before any
+    # float arithmetic can overflow, so no traceback and no key files.
+    out = tmp_path / "keys"
+    assert main(["keygen", *argv, "--seed", SEED_A, "--out-dir", str(out), "--name", "x"]) == 2
+    assert "must lie in" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("record,name,value", _CRAFTED)
 def test_crafted_parameter_frame_exits_two(tmp_path, capsys, record, name, value):
     td = tmp_path / "crafted.td"
@@ -127,7 +140,7 @@ def test_unknown_profile_label_key_exits_two(ring_files, tmp_path, capsys):
     bad.write_bytes(serial.encode_object(serial.SCHEME_RING, serial.KIND_PK, pk, relabeled))
     assert main(["encrypt", "--pk", str(bad), "--message", "77",
                  "--seed", SEED_A, "--out", str(tmp_path / "ct")]) == 2
-    assert "profile-label" in capsys.readouterr().err
+    assert "unknown profile 'foo'" in capsys.readouterr().err
     assert not (tmp_path / "ct").exists()
 
 
@@ -249,11 +262,11 @@ def _write_party(d, name: str, params) -> None:
 
 @pytest.fixture(scope="module")
 def packed_files(tmp_path_factory):
-    """Ring n=16 files, and integer n=16 files under a 33-bit message length,
-    so the c1 and c2 arrays of an integer ciphertext end mid-byte."""
+    """Ring n=16 files, and integer n=21 files (k=29, m=1218), so the c3, c4
+    and u arrays of an integer ciphertext end mid-byte."""
     out = {}
     for scheme, params in (("ring", derive_ring_params(128, 16, "toy")),
-                           ("int", dataclasses.replace(derive_int_params(128, 16, "toy"), t_msg=33))):
+                           ("int", derive_int_params(128, 21, "toy"))):
         d = out[scheme] = tmp_path_factory.mktemp(f"packed-{scheme}")
         for name in ("ivan", "judy"):
             _write_party(d, name, params)
@@ -264,7 +277,7 @@ def _faulty(blob: bytes, fault: str) -> bytes:
     q = serial.decode_object(blob)[2].q
     last, count = len(packed_arrays(blob)) - 1, packed_arrays(blob)[-1][1]
     if fault == "pad-bit":
-        return with_pad_bit(blob, 0)
+        return with_pad_bit(blob, 2)
     if fault == "residue-q":
         return with_value(blob, last, count - 1, q)
     if fault == "residue-top":

@@ -11,16 +11,19 @@ from pkeet import serial
 from pkeet.errors import FramingError, InvalidParams, ParameterOverflow
 from pkeet.ring import RingContext
 from pkeet.params import (
+    INT_Q_BOUND,
+    INT_STRICT_MULTIPLIER,
+    INT_TOY_MULTIPLIER,
+    LAMBDA_MAX,
     MULMOD_CAP,
     Q_CAP,
     ParamsRing,
+    _ring_error_budget,
     derive_int_params,
     derive_ring_params,
     is_prime,
     params_from_text,
     validate,
-    validate_int,
-    validate_ring,
 )
 
 
@@ -37,7 +40,7 @@ def test_ring_modulus_structure(ring_toy):
 def test_ring_validation_clean():
     for n in (64, 256):
         for profile in ("toy", "strict"):
-            assert validate_ring(derive_ring_params(128, n, profile)) == []
+            assert validate(derive_ring_params(128, n, profile)) == []
 
 
 def test_ring_validation_flags_multiply_cap():
@@ -47,7 +50,7 @@ def test_ring_validation_flags_multiply_cap():
     while not is_prime(q):
         q += 2 * base.n
     p = dataclasses.replace(base, q=q, k=q.bit_length(), m=q.bit_length() + 2)
-    assert "q-mulmod-cap" in validate_ring(p)
+    assert validate(p) == ["q", "k", "m"]
     with pytest.raises(InvalidParams):
         RingContext(p.n, p.q)
 
@@ -104,8 +107,8 @@ _FIELD_VALUES = {
 
 
 def test_validate_strict_int_at_n_one():
-    # ln(1) = 0 makes the alpha ceiling of the strict profile infinite.  The
-    # second record keeps m = m_bar + n k consistent at n = 1.
+    # n = 1 derives nothing (ln 1 = 0 would make the strict alpha ceiling
+    # infinite), so both records are refused.
     at_one = dataclasses.replace(_RECORDS[3], n=1)
     for params in (at_one, dataclasses.replace(at_one, m_bar=at_one.m - at_one.k)):
         bad = validate(params)
@@ -132,9 +135,9 @@ def test_validate_flags_a_width_derivation_cannot_give():
     # Strict and toy records alike must have m = multiplier * n * k.
     params = _oversized_strict_int()
     assert (params.k, params.m_bar) == (43, 99_312)
-    assert validate(params) == ["m-structure"]
+    assert validate(params) == ["q", "k", "m", "m_bar", "sigma", "alpha"]
     frame = serial.encode_frame(serial.SCHEME_INT, serial.KIND_PARAMS, params, b"")
-    with pytest.raises(FramingError, match="m-structure"):
+    with pytest.raises(FramingError, match="'m', 'm_bar'"):
         serial.decode_frame(frame)
 
 
@@ -142,23 +145,117 @@ def test_unknown_profile_label_refused():
     # Neither scheme accepts a label outside PROFILES, and no parameter
     # frame carrying one decodes.
     for record in range(len(_RECORDS)):
-        assert validate(dataclasses.replace(_RECORDS[record], profile="foo")) == ["profile-label"]
-        with pytest.raises(FramingError, match="profile-label"):
+        assert validate(dataclasses.replace(_RECORDS[record], profile="foo")) == ["unknown profile 'foo'"]
+        with pytest.raises(FramingError, match="unknown profile"):
             serial.decode_frame(crafted_frame(record, "profile", "foo"))
 
 
+def test_records_no_derivation_gives_refused():
+    # A toy ring record with b_ots = 2 meets every published relation
+    # (2 delta_w b_ots < q/2), but derivation gives b_ots = 1 at toy.
+    assert validate(dataclasses.replace(_RECORDS[0], b_ots=2)) == ["b_ots"]
+    with pytest.raises(FramingError, match="'b_ots'"):
+        serial.decode_frame(crafted_frame(0, "b_ots", 2))
+
+
+def _oversized_label_strict_int(lambda_sec: int):
+    """The strict n=16 integer record the derivation formulas give at a
+    label past ``LAMBDA_MAX``: q, k and m do not depend on the label; l,
+    t_msg, the signature sizes, sigma and alpha do."""
+    base = derive_int_params(LAMBDA_MAX, 16, "strict")
+    l, omega, w_sig = 2 * lambda_sec, 2.0 * math.sqrt(math.log2(base.n)), -(-2 * lambda_sec // 3)
+    return dataclasses.replace(
+        base, lambda_sec=lambda_sec, l=l, t_msg=lambda_sec, w_sig=w_sig, k_sig=4 * w_sig,
+        sigma=base.m * l * omega, alpha=1.0 / (l * l * base.m**2 * omega),
+    )
+
+
+def test_oversized_label_refused_in_parameter_block():
+    # The pk frame holds a and a_prime and stops there: 369,329 bytes.  Its
+    # layout would list l = 2 * 10**7 matrix specs before finding it short;
+    # the label cap refuses it in the parameter block instead.
+    params = _oversized_label_strict_int(10**7)
+    matrix = (params.n * params.m * params.k + 7) // 8
+    frame = serial.encode_frame(serial.SCHEME_INT, serial.KIND_PK, params, bytes(2 * matrix))
+    assert len(frame) == 369_329
+    with pytest.raises(FramingError, match="embedded parameters"):
+        serial.decode_object(frame)
+
+
+def test_derivation_range_checked_first():
+    # Labels and dimensions outside the derivable range raise InvalidParams
+    # before any float arithmetic (which overflowed at these values).
+    for derive in (derive_ring_params, derive_int_params):
+        for lambda_sec in (0, -1, LAMBDA_MAX + 1, 100_000, 10**400):
+            with pytest.raises(InvalidParams, match=r"must lie in \[1, 256\]"):
+                derive(lambda_sec, 64, "strict")
+        for n in (15, Q_CAP, 10**400):
+            with pytest.raises(InvalidParams, match=r"in \[16, 2\*\*62\)"):
+                derive(128, n, "toy")
+        assert derive(LAMBDA_MAX, 64, "strict").lambda_sec == LAMBDA_MAX
+
+
 def test_derived_ring_records_validate_clean():
+    # Every relation of the ring scheme holds on the derived grid.
     for lambda_sec in (80, 128, 256):
         for profile in ("toy", "strict"):
             for n in (16, 64, 256, 1024):
-                assert validate_ring(derive_ring_params(lambda_sec, n, profile)) == []
+                p = derive_ring_params(lambda_sec, n, profile)
+                assert validate(p) == []
+                assert is_prime(p.q) and p.q % (2 * n) == 1 and 2 * n < p.q < MULMOD_CAP
+                assert p.k == p.q.bit_length() and p.base_len == 2 and p.m == p.k + 2
+                assert p.sigma_trap >= math.sqrt((math.log(2 * n) + 80 * math.log(2)) / math.pi)
+                assert math.isclose(p.alpha_g, math.sqrt(5.0) * p.sigma_trap, rel_tol=1e-12)
+                rho = p.t_tail * p.sigma_trap * p.tau
+                assert math.isclose(p.gamma, 2.0 * rho * math.sqrt(n), rel_tol=1e-12)
+                assert math.isclose(p.mu, rho * math.sqrt(2 * n), rel_tol=1e-12)
+                assert 1 <= p.delta_w <= n
+                assert p.b_ots >= 1 and 2 * p.delta_w * p.b_ots < p.q // 2
+                assert _ring_error_budget(p.tau, p.zeta, p.gamma, p.k, n) < Fraction(p.q // 4)
 
 
 def test_derived_int_records_validate_clean():
+    # Every relation of the integer scheme holds on the derived grid.
     for lambda_sec in (80, 128, 256):
         for profile in ("toy", "strict"):
+            mult = INT_STRICT_MULTIPLIER if profile == "strict" else INT_TOY_MULTIPLIER
             for n in (16, 24, 32, 64, 128, 256):
-                assert validate_int(derive_int_params(lambda_sec, n, profile)) == []
+                p = derive_int_params(lambda_sec, n, profile)
+                assert validate(p) == []
+                assert is_prime(p.q) and p.k == p.q.bit_length() and p.q >= p.q_bound == INT_Q_BOUND
+                assert p.m == mult * n * p.k and p.m_bar == p.m - n * p.k >= n * p.k
+                assert 0.0 < p.alpha < 1.0 and p.sigma >= 1.0
+                assert p.t_msg >= 1 and p.l >= 1 and 1 <= p.w_sig <= p.k_sig
+                assert p.b_sig == 1 and p.w_sig * p.b_sig < p.q // 4
+                noise_sd = p.alpha * p.q / math.sqrt(2.0 * math.pi)
+                e_norm = p.sigma * math.sqrt(2.0 * p.m) / math.sqrt(2.0 * math.pi)
+                sd = math.hypot(e_norm * noise_sd * math.sqrt((1.0 + p.l * p.m) / 2.0), noise_sd)
+                assert 4 * p.t_tail * sd < p.q
+                if profile == "strict":
+                    # Eq. 1 floors, with omega(sqrt(log n)) at least sqrt(ln n).
+                    root_ln = math.sqrt(math.log(n))
+                    assert p.q >= p.m**2.5 * root_ln
+                    assert p.sigma >= p.m * p.l * root_ln
+                    assert p.alpha <= 1.0 / (p.l**2 * p.m**2 * root_ln)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    derive=st.sampled_from([derive_ring_params, derive_int_params]),
+    lambda_sec=st.one_of(
+        st.integers(), st.integers(1, LAMBDA_MAX), st.sampled_from([0, LAMBDA_MAX + 1, -(10**400), 10**400])
+    ),
+    n=st.one_of(st.integers(), st.sampled_from([16, 64, 1 << 13, Q_CAP - 1, Q_CAP, 10**400]), st.integers(16, 300)),
+    profile=st.sampled_from(["toy", "strict"]),
+)
+def test_derivation_is_total(derive, lambda_sec, n, profile):
+    # Any integer triple either derives a record that validates clean or
+    # raises InvalidParams; never another exception.
+    try:
+        params = derive(lambda_sec, n, profile)
+    except InvalidParams:
+        return
+    assert validate(params) == []
 
 
 @settings(max_examples=300, deadline=None)
@@ -233,7 +330,7 @@ def test_int_structure(int_toy):
     assert p.k == p.q.bit_length()
     assert p.m == p.m_bar + p.n * p.k
     assert p.m_bar >= p.n * p.k
-    assert validate_int(p) == []
+    assert validate(p) == []
     assert p.t_msg >= 1 and p.k_sig >= p.w_sig >= 1
 
 
@@ -259,13 +356,14 @@ def test_int_strict_profile_larger():
     strict = derive_int_params(128, 32, "strict")
     assert strict.q > toy.q
     assert strict.m > toy.m
-    assert validate_int(strict) == []
+    assert validate(strict) == []
 
 
 def test_derivations_are_deterministic():
-    a = derive_ring_params(128, 256, "toy")
-    b = derive_ring_params(128, 256, "toy")
-    assert a.canonical_text() == b.canonical_text()
-    c = derive_int_params(128, 32, "toy")
-    d = derive_int_params(128, 32, "toy")
-    assert c.canonical_text() == d.canonical_text()
+    # Two separate derivations, past the cache.
+    a = derive_ring_params.__wrapped__(128, 256, "toy")
+    b = derive_ring_params.__wrapped__(128, 256, "toy")
+    assert a is not b and a.canonical_text() == b.canonical_text()
+    c = derive_int_params.__wrapped__(128, 32, "toy")
+    d = derive_int_params.__wrapped__(128, 32, "toy")
+    assert c is not d and c.canonical_text() == d.canonical_text()

@@ -12,7 +12,7 @@ from pkeet import pkeet_int as pi
 from pkeet import pkeet_ring as pr
 from pkeet import serial
 from pkeet.errors import FramingError, ParamsMismatch
-from pkeet.params import ParamsRing, derive_ring_params
+from pkeet.params import ParamsRing, derive_int_params, derive_ring_params
 from pkeet.ring import RingElement, get_context
 from pkeet.trapdoor_ring import RingTrapdoor
 from conftest import seeded
@@ -273,15 +273,15 @@ def test_unpacker_refuses_nonzero_pad_bits(bits):
             serial._unpack(bad, 0, count, bits)
 
 
-def test_nonzero_pad_bits_rejected(int_small):
-    # With a 33-bit message, c1 and c2 end mid-byte (33 values of 28 bits).
-    params = dataclasses.replace(int_small, t_msg=33)
+def test_nonzero_pad_bits_rejected():
+    # At n=21 (k=29, m=1218), c3, c4 and u end mid-byte (2m and m values of 29 bits).
+    params = derive_int_params(128, 21, "toy")
     rng = seeded("serial-pad")
     pk, _ = pi.setup_int(params, rng)
     ct = pi.encrypt_int(pk, rng.uniform_mod(2, params.t_msg), params, rng)
     blob = serial.encode_object(serial.SCHEME_INT, serial.KIND_CT, ct, params)
-    assert serial.decode_object(blob)[3].c1.shape == (33,)
-    for array in (0, 1):
+    assert serial.decode_object(blob)[3].c3.shape == (2 * 1218,)
+    for array in (2, 3, 4):
         with pytest.raises(FramingError, match="pad bits"):
             serial.decode_object(with_pad_bit(blob, array))
 
