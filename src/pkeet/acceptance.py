@@ -252,7 +252,8 @@ def criterion_4(profile: str = "toy") -> CriterionResult:
 
     int_traps, int_trap_bad, slots = 10, 0, []
     for _ in range(int_traps):
-        a_mat, itrap = ml.trap_gen_int(iparams, rng)
+        a_bar = ml.mat_uniform(iparams.q, iparams.n, iparams.m_bar, rng)
+        a_mat, itrap = ml.trap_gen_int(a_bar, iparams, rng)
         int_trap_bad += int(ml.gadget_residual(a_mat, itrap.r, iparams.q).any())
         slots.append((a_mat, itrap))
     # Decrypt-shaped calls: two trapdoored slots under one shared M1.

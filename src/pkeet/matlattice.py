@@ -136,11 +136,15 @@ def gadget_residual(a_mat: np.ndarray, r: np.ndarray, q: int) -> np.ndarray:
     return (head + a_mat[:, m_bar:] - gadget) % q
 
 
-def trap_gen_int(params: ParamsInt, rng: XofRng) -> tuple[np.ndarray, IntTrapdoor]:
-    """Near-uniform ``A`` (n x m) with a gadget trapdoor ``R``.
+def trap_gen_int(
+    a_bar: np.ndarray, params: ParamsInt, rng: XofRng
+) -> tuple[np.ndarray, IntTrapdoor]:
+    """``A = [A_bar | G - A_bar R]`` (n x m) for the given uniform ``A_bar``
+    (n x m_bar), with its gadget trapdoor ``R``.
 
     A draw of ``R`` whose perturbation covariance is not positive definite
-    at width ``sigma`` is discarded and both matrices are drawn again.
+    at width ``sigma`` is discarded and ``R`` is drawn again; that check
+    depends on ``R`` alone, so ``A_bar`` is kept.
     """
     n, k, q = params.n, params.k, params.q
     nk = n * k
@@ -148,7 +152,6 @@ def trap_gen_int(params: ParamsInt, rng: XofRng) -> tuple[np.ndarray, IntTrapdoo
 
     gadget = np.kron(np.eye(n, dtype=np.int64), gadget_vector(k))   # G = I_n (x) g
     for _ in range(_TRAPGEN_RETRIES):
-        a_bar = mat_uniform(q, n, m_bar, rng)
         r_small = sample_z_batch(params.sigma_r, (m_bar, nk), rng)
         try:
             trap = IntTrapdoor.from_r(r_small, params)

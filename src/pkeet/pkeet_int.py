@@ -8,19 +8,26 @@ the matrix one-time signature whose public key ``D`` seeds the selector
 hash, with the signature vector ``u`` checked for both the linear identity
 and shortness.
 
-The secret key holds the gadget trapdoors ``R`` of ``A`` and ``A'``
-(``A [R; I] = G``).  A decrypt opens both slots, and an equality test the
-hash slot of each ciphertext, with one two-job
-:func:`~pkeet.matlattice.sample_left` call.  Encryption keeps its ``l``
-fresh ``m x m`` sign matrices packed at a bit per entry and applies their
-selector-weighted sum through one small-integer fold and one exact product.
+Every uniform public matrix comes from one 32-byte public seed: the
+uniform halves ``A_bar`` of ``A`` and ``A'``, the selector family
+``A_1 .. A_l``, ``B`` and ``U`` (:func:`expand_public`), as Kyber and
+Dilithium expand their public matrices.  The secret key holds the gadget
+trapdoors ``R`` of ``A`` and ``A'`` (``A [R; I] = G``).  A decrypt opens
+both slots, and an equality test the hash slot of each ciphertext, with
+one two-job :func:`~pkeet.matlattice.sample_left` call.  Encryption keeps
+its ``l`` fresh ``m x m`` sign matrices packed at a bit per entry and
+applies their selector-weighted sum through one small-integer fold and one
+exact product.
 Each binding has one helper that encrypt, decrypt and test call:
 :func:`_selector` for ``h(c1, c2, D)`` and its matrix, and
 :func:`_ots_digest` for the signed digest."""
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,7 +35,6 @@ from .errors import InvalidMessage, RejectHash, RejectSignature
 from .hashing import hash_message, hash_pm_one, hash_weighted, words
 from .matlattice import (
     IntTrapdoor,
-    mat_uniform,
     matmul_mod,
     sample_left,
     trap_gen_int,
@@ -38,18 +44,20 @@ from .matlattice import (
 from .ots import ots_sis_keygen, ots_sis_sign, ots_sis_verify
 from .params import ParamsInt
 from .ring import balanced, decode_bits
-from .rng import XofRng
+from .rng import SEED_BYTES, XofRng
 
 
 @dataclass
 class PkInt:
-    """Public matrices: two trapdoored slots, selector family, syndrome."""
+    """Public matrices: two trapdoored slots, selector family, syndrome,
+    and the seed that every uniform one is expanded from."""
 
     a: np.ndarray              # (n, m)
     a_prime: np.ndarray        # (n, m)
     a_list: list[np.ndarray]   # l matrices (n, m)
     b: np.ndarray              # (n, m)
     u: np.ndarray              # (n, t_msg)
+    seed: bytes                # SEED_BYTES
 
 
 @dataclass
@@ -83,15 +91,51 @@ class TrapdoorTokenInt:
     a_list: list[np.ndarray]
     b: np.ndarray
     u: np.ndarray
+    seed: bytes
+
+
+class PublicMatrices(NamedTuple):
+    """The uniform public matrices of an integer key."""
+
+    a_bar: np.ndarray                  # (n, m_bar), the uniform half of A
+    a_prime_bar: np.ndarray            # (n, m_bar), of A'
+    a_list: tuple[np.ndarray, ...]     # l matrices (n, m)
+    b: np.ndarray                      # (n, m)
+    u: np.ndarray                      # (n, t_msg)
+
+
+@functools.lru_cache(maxsize=2)
+def expand_public(seed: bytes, params: ParamsInt) -> PublicMatrices:
+    """The uniform public matrices of the key with public seed ``seed``.
+
+    Each family is drawn by ``uniform_mod`` from its own labelled fork of
+    ``XofRng(seed)``.  The arrays are read-only: the last two expansions
+    are kept and shared by every key object of their seed, so a key that
+    is set up, encoded and decoded in one process is expanded once.
+    """
+    root = XofRng(seed)
+
+    def draw(label: bytes, *shape: int) -> np.ndarray:
+        arr = root.fork(label).uniform_mod(params.q, math.prod(shape)).reshape(shape)
+        arr.flags.writeable = False
+        return arr
+
+    n, m, m_bar = params.n, params.m, params.m_bar
+    return PublicMatrices(
+        a_bar=draw(b"A", n, m_bar),
+        a_prime_bar=draw(b"A'", n, m_bar),
+        a_list=tuple(draw(b"A_i", params.l, n, m)),
+        b=draw(b"B", n, m),
+        u=draw(b"U", n, params.t_msg),
+    )
 
 
 def setup_int(params: ParamsInt, rng: XofRng) -> tuple[PkInt, SkInt]:
-    a_mat, t_a = trap_gen_int(params, rng)
-    a_prime, t_a_prime = trap_gen_int(params, rng)
-    a_list = [mat_uniform(params.q, params.n, params.m, rng) for _ in range(params.l)]
-    b_mat = mat_uniform(params.q, params.n, params.m, rng)
-    u_mat = mat_uniform(params.q, params.n, params.t_msg, rng)
-    pk = PkInt(a=a_mat, a_prime=a_prime, a_list=a_list, b=b_mat, u=u_mat)
+    seed = bytes(rng.bytes(SEED_BYTES))
+    pub = expand_public(seed, params)
+    a_mat, t_a = trap_gen_int(pub.a_bar, params, rng)
+    a_prime, t_a_prime = trap_gen_int(pub.a_prime_bar, params, rng)
+    pk = PkInt(a=a_mat, a_prime=a_prime, a_list=list(pub.a_list), b=pub.b, u=pub.u, seed=seed)
     return pk, SkInt(t_a=t_a, t_a_prime=t_a_prime)
 
 
@@ -208,6 +252,7 @@ def trapdoor_int(sk: SkInt, pk: PkInt) -> TrapdoorTokenInt:
         a_list=[a.copy() for a in pk.a_list],
         b=pk.b.copy(),
         u=pk.u.copy(),
+        seed=pk.seed,
     )
 
 

@@ -2,21 +2,33 @@
 
 Every file is one frame: a fixed 23-byte header (magic, version, scheme,
 kind, parameter digest, payload length) followed by the payload.  The
-payload embeds the canonical parameter text, then the object's arrays in
-the order of its layout: one entry of ``_LAYOUTS`` per ``(scheme, kind)``,
-read by one encode loop and one decode loop.  The layout gives each array
-a shape and a canonical range ``[lo, hi)``: residues in ``[0, q)``, and the
-trapdoors (integer ``R``, ring ``T``) signed within ``floor(t_tail *
-sigma)`` of their sampler.  An array is stored as its values minus ``lo``,
-packed little-endian at ``bits = (hi - lo - 1).bit_length()`` each (value
-``i`` at bits ``[i * bits, (i + 1) * bits)`` of the array's bit string,
-as FIPS 203's ``ByteEncode``) and padded with zero bits to a whole byte.
+version is per scheme (``VERSIONS``): 2 for ring frames, 3 for integer
+frames.  The payload embeds the canonical parameter text, then the
+object's arrays in the order of its layout: one entry of ``_LAYOUTS`` per
+``(scheme, kind)``, read by one encode loop and one decode loop.  The
+layout gives each array a shape and a canonical range ``[lo, hi)``:
+residues in ``[0, q)``, the trapdoors (integer ``R``, ring ``T``) signed
+within ``floor(t_tail * sigma)`` of their sampler, and seed bytes in
+``[0, 256)``.  An array is stored as its values minus ``lo``, packed
+little-endian at ``bits = (hi - lo - 1).bit_length()`` each (value ``i``
+at bits ``[i * bits, (i + 1) * bits)`` of the array's bit string, as FIPS
+203's ``ByteEncode``) and padded with zero bits to a whole byte.
+Consecutive arrays of one range are packed as one bit string while each
+but the last ends on a whole byte, which gives the same bytes.
 
-Decoding requires the version to be ``VERSION``, every value in range,
-every pad bit zero and the parameter text byte-identical to its record's
-canonical form.  So encoding is a bijection: an object that does not fit
-its frame raises :class:`FramingError`, decode(encode(x)) == x, and every
-frame that decodes re-encodes to the same bytes.
+Integer public keys and tokens store their 32-byte public seed (the
+``seed`` field, last) in place of the uniform matrices it expands to
+(:func:`~pkeet.pkeet_int.expand_public`): the ``A_bar`` halves of ``A``
+and ``A'``, ``A_1 .. A_l``, ``B`` and ``U``.  ``A`` and ``A'`` are stored
+as their gadget tails ``G - A_bar R``.  Encoding refuses an object whose
+uniform matrices are not its seed's expansion, and decoding re-expands
+them.
+
+Decoding requires the scheme's version, every value in range, every pad
+bit zero and the parameter text byte-identical to its record's canonical
+form.  So encoding is a bijection: an object that does not fit its frame
+raises :class:`FramingError`, decode(encode(x)) == x, and every frame that
+decodes re-encodes to the same bytes.
 """
 
 from __future__ import annotations
@@ -31,15 +43,16 @@ import numpy as np
 from .errors import FramingError, ParamsMismatch, PkeetError
 from .matlattice import IntTrapdoor
 from .params import ParamsInt, ParamsRing, params_from_text, validate
-from .pkeet_int import CtInt, PkInt, SkInt, TrapdoorTokenInt
+from .pkeet_int import CtInt, PkInt, SkInt, TrapdoorTokenInt, expand_public
 from .pkeet_ring import CtRing, PkRing, SkRing, TrapdoorTokenRing
 from .ring import get_context
+from .rng import SEED_BYTES
 from .trapdoor_ring import RingTrapdoor, TaggedVector
 
 MAGIC = b"LPKT"
-VERSION = 2
 SCHEME_RING = 1
 SCHEME_INT = 2
+VERSIONS = {SCHEME_RING: 2, SCHEME_INT: 3}
 KIND_PK = 1
 KIND_SK = 2
 KIND_CT = 3
@@ -53,7 +66,7 @@ _SCHEMES = {ParamsRing: SCHEME_RING, ParamsInt: SCHEME_INT}
 def encode_frame(scheme: int, kind: int, params, body: bytes) -> bytes:
     text = params.canonical_text().encode()
     payload = struct.pack("<I", len(text)) + text + body
-    header = _HEADER.pack(MAGIC, VERSION, scheme, kind, params.digest(), len(payload))
+    header = _HEADER.pack(MAGIC, VERSIONS[scheme], scheme, kind, params.digest(), len(payload))
     return header + payload
 
 
@@ -63,8 +76,8 @@ def decode_frame(data: bytes) -> tuple[int, int, ParamsRing | ParamsInt, bytes]:
     magic, version, scheme, kind, digest, length = _HEADER.unpack_from(data)
     if magic != MAGIC:
         raise FramingError(f"bad magic {magic!r}")
-    if version != VERSION:
-        raise FramingError(f"unsupported version {version}")
+    if version != VERSIONS.get(scheme):
+        raise FramingError(f"unsupported version {version} for scheme {scheme}")
     payload = data[_HEADER.size :]
     if len(payload) != length:
         raise FramingError(
@@ -139,15 +152,22 @@ _INT_R = (
     lambda trap: [trap.r],
     lambda arrays, p: IntTrapdoor.from_r(arrays[0], p),
 )
-_INT_MATRIX = _residues(lambda p: (p.n, p.m))
+_INT_TAIL = _residues(lambda p: (p.n, p.n * p.k))
 _RING_POLY = _residues(lambda p: (p.n,))
+# A matrix the seed expands to: nothing stored, filled in from the seed.
+_FROM_SEED = (lambda p: [], lambda value: [], lambda arrays, p: None)
+_SEED = _Field(
+    "seed",
+    lambda p: [((SEED_BYTES,), 0, 256)],
+    lambda seed: [np.frombuffer(seed, dtype=np.uint8)],
+    lambda arrays, p: arrays[0].astype(np.uint8).tobytes(),
+)
 
 _RING_PUBLIC = (_Field("b", *_TAGGED), _Field("u", _RING_POLY))
 _INT_PUBLIC = (
-    _Field("a_prime", _INT_MATRIX),
-    _Field("a_list", _residues(lambda p: (p.n, p.m), lambda p: p.l), list, lambda a, p: a),
-    _Field("b", _INT_MATRIX),
-    _Field("u", _residues(lambda p: (p.n, p.t_msg))),
+    _Field("a_prime", _INT_TAIL),
+    *(_Field(name, *_FROM_SEED) for name in ("a_list", "b", "u")),
+    _SEED,
 )
 
 # One layout per (scheme, kind): the object's class and its fields in frame order.
@@ -163,7 +183,7 @@ _LAYOUTS = {
         _Field("ct4", _residues(lambda p: (p.m, p.n))),
     )),
     (SCHEME_RING, KIND_TD): (TrapdoorTokenRing, (_Field("t_b", *_RING_T), *_RING_PUBLIC)),
-    (SCHEME_INT, KIND_PK): (PkInt, (_Field("a", _INT_MATRIX), *_INT_PUBLIC)),
+    (SCHEME_INT, KIND_PK): (PkInt, (_Field("a", _INT_TAIL), *_INT_PUBLIC)),
     (SCHEME_INT, KIND_SK): (SkInt, (_Field("t_a", *_INT_R), _Field("t_a_prime", *_INT_R))),
     (SCHEME_INT, KIND_CT): (CtInt, (
         _Field("c1", _residues(lambda p: (p.t_msg,))),
@@ -177,14 +197,64 @@ _LAYOUTS = {
 }
 
 
-def _checked(arr: np.ndarray, spec: tuple) -> np.ndarray:
-    """``arr`` itself once it has the spec's shape and canonical range."""
-    shape, lo, hi = spec
-    if arr.shape != shape:
-        raise FramingError(f"array of shape {arr.shape} where the layout declares {shape}")
-    if arr.size and (int(arr.min()) < lo or int(arr.max()) >= hi):
+# Integer pk and td frames: the seed stands in for every uniform matrix.
+_SEEDED = (PkInt, TrapdoorTokenInt)
+
+
+def _seed_split(values: dict, params: ParamsInt) -> dict:
+    """The field values an integer pk or td frame stores: ``A`` and ``A'``
+    as their gadget tails, and none of the matrices the seed expands to;
+    raises :class:`FramingError` when one of those is not its expansion."""
+    seed = values["seed"]
+    if not isinstance(seed, bytes) or len(seed) != SEED_BYTES:
+        raise FramingError(f"the public seed must be {SEED_BYTES} bytes")
+    pub = expand_public(seed, params)
+    expanded = [(pub.b, values["b"]), (pub.u, values["u"])]
+    if len(values["a_list"]) != params.l:
+        raise FramingError(f"a_list holds {len(values['a_list'])} matrices, not {params.l}")
+    expanded += zip(pub.a_list, values["a_list"])
+    out = dict(values)
+    for name, bar in (("a", pub.a_bar), ("a_prime", pub.a_prime_bar)):
+        if name in values:
+            mat = np.asarray(values[name])
+            if mat.shape != (params.n, params.m):
+                raise FramingError(f"{name} has shape {mat.shape}, not {(params.n, params.m)}")
+            expanded.append((bar, mat[:, : params.m_bar]))
+            out[name] = mat[:, params.m_bar :]
+    if not all(np.array_equal(want, got) for want, got in expanded):
+        raise FramingError("a uniform public matrix is not the one its seed expands to")
+    return out
+
+
+def _seed_join(values: dict, params: ParamsInt) -> dict:
+    """The object's field values from those a seeded frame stores."""
+    pub = expand_public(values["seed"], params)
+    out = dict(values, a_list=list(pub.a_list), b=pub.b, u=pub.u)
+    for name, bar in (("a", pub.a_bar), ("a_prime", pub.a_prime_bar)):
+        if name in values:
+            out[name] = np.concatenate([bar, values[name]], axis=1)
+    return out
+
+
+def _in_range(values: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """``values`` itself once every one lies in the canonical range ``[lo, hi)``."""
+    if values.size and (int(values.min()) < lo or int(values.max()) >= hi):
         raise FramingError(f"value outside the canonical range [{lo}, {hi})")
-    return arr
+    return values
+
+
+def _runs(specs: list[tuple]) -> list[list[int]]:
+    """The indices of ``specs`` in runs that pack as one bit string:
+    consecutive arrays of one range, each but the last ending on a whole
+    byte, so the run's bit string is theirs laid end to end."""
+    runs: list[list[int]] = []
+    for i, (_, lo, hi) in enumerate(specs):
+        prev = specs[i - 1] if runs else None
+        if prev and prev[1:] == (lo, hi) and math.prod(prev[0]) * _bits(lo, hi) % 8 == 0:
+            runs[-1].append(i)
+        else:
+            runs.append([i])
+    return runs
 
 
 def _bits(lo: int, hi: int) -> int:
@@ -275,14 +345,27 @@ def encode_object(scheme: int, kind: int, obj, params) -> bytes:
     cls, fields = _layout(scheme, kind)
     if not isinstance(obj, cls):
         raise FramingError(f"expected a {cls.__name__}, got {type(obj).__name__}")
-    chunks = []
+    values = {f.name: getattr(obj, f.name) for f in fields}
+    if cls in _SEEDED:
+        values = _seed_split(values, params)
+    arrays, specs = [], []
     for f in fields:
-        arrays, specs = f.take(getattr(obj, f.name)), f.specs(params)
-        if len(arrays) != len(specs):
-            raise FramingError(f"field {f.name} holds {len(arrays)} arrays, not {len(specs)}")
-        for arr, (shape, lo, hi) in zip(arrays, specs):
-            arr = _checked(np.asarray(arr), (shape, lo, hi))
-            chunks.append(_pack(arr, lo, _bits(lo, hi)))
+        field_arrays, field_specs = f.take(values[f.name]), f.specs(params)
+        if len(field_arrays) != len(field_specs):
+            raise FramingError(
+                f"field {f.name} holds {len(field_arrays)} arrays, not {len(field_specs)}"
+            )
+        for arr, (shape, _, _) in zip(field_arrays, field_specs):
+            arr = np.asarray(arr)
+            if arr.shape != shape:
+                raise FramingError(f"array of shape {arr.shape} where the layout declares {shape}")
+            arrays.append(arr.reshape(-1))
+        specs += field_specs
+    chunks = []
+    for run in _runs(specs):
+        _, lo, hi = specs[run[0]]
+        flat = _in_range(np.concatenate([arrays[i] for i in run]), lo, hi)
+        chunks.append(_pack(flat, lo, _bits(lo, hi)))
     return encode_frame(scheme, kind, params, b"".join(chunks))
 
 
@@ -313,22 +396,30 @@ def decode_object(data: bytes, expect_kind: int | None = None):
             raise FramingError("parameter frame carries an unexpected body")
         return scheme, kind, params, params
     cls, fields = _layout(scheme, kind)
-    pos, field_arrays = 0, []
-    for f in fields:
-        arrays = []
-        for shape, lo, hi in f.specs(params):
-            count, bits = math.prod(shape), _bits(lo, hi)
-            size = (count * bits + 7) // 8
-            if pos + size > len(body):
-                raise FramingError("payload shorter than the declared object")
-            arr = _unpack(body, pos, count, bits).reshape(shape)
-            arr += lo
-            arrays.append(_checked(arr, (shape, lo, hi)))
-            pos += size
-        field_arrays.append(arrays)
+    field_specs = [f.specs(params) for f in fields]
+    specs = [spec for each in field_specs for spec in each]
+    pos, arrays = 0, []
+    for run in _runs(specs):
+        _, lo, hi = specs[run[0]]
+        counts = [math.prod(specs[i][0]) for i in run]
+        count, bits = sum(counts), _bits(lo, hi)
+        size = (count * bits + 7) // 8
+        if pos + size > len(body):
+            raise FramingError("payload shorter than the declared object")
+        flat = _unpack(body, pos, count, bits)
+        flat += lo
+        _in_range(flat, lo, hi)
+        for i, part in zip(run, np.split(flat, np.cumsum(counts)[:-1])):
+            arrays.append(part.reshape(specs[i][0]))
+        pos += size
     if pos != len(body):
         raise FramingError("payload longer than the declared object")
-    values = {f.name: f.build(a, params) for f, a in zip(fields, field_arrays)}
+    values, start = {}, 0
+    for f, each in zip(fields, field_specs):
+        values[f.name] = f.build(arrays[start : start + len(each)], params)
+        start += len(each)
+    if cls in _SEEDED:
+        values = _seed_join(values, params)
     return scheme, kind, params, cls(**values)
 
 

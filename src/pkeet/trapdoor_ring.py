@@ -39,7 +39,9 @@ from .sampling import (
     sample_z_batch,
 )
 
-_TRAPGEN_RETRIES = 64
+# At n=1024 as few as 1 draw of T in 20 is accepted: 64 draws would all
+# fail about 4 % of the time, 256 draws about 2e-6 of the time.
+_TRAPGEN_RETRIES = 256
 
 
 @dataclass

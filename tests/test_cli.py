@@ -18,10 +18,12 @@ from conftest import seeded
 from test_params import _CRAFTED, crafted_frame
 from test_serial import (
     RESPELLINGS,
+    SEED_FAULTS,
     packed_arrays,
     respelled_frame,
     with_body_length,
     with_pad_bit,
+    with_seed_fault,
     with_value,
     with_version,
 )
@@ -274,6 +276,8 @@ def packed_files(tmp_path_factory):
 
 
 def _faulty(blob: bytes, fault: str) -> bytes:
+    if fault in SEED_FAULTS:
+        return with_seed_fault(blob, fault)
     q = serial.decode_object(blob)[2].q
     last, count = len(packed_arrays(blob)) - 1, packed_arrays(blob)[-1][1]
     if fault == "pad-bit":
@@ -293,15 +297,19 @@ def _faulty(blob: bytes, fault: str) -> bytes:
 
 FAULTS = ["pad-bit", "residue-q", "residue-top", "trapdoor-past-bound", "short", "long", "version-1"]
 # Every ring array holds a multiple of n >= 16 values, so it ends on a byte
-# boundary and has no pad bits to set.
+# boundary and has no pad bits to set.  The seed faults are of the integer
+# pk and td layouts only.
 FAULT_CASES = [(s, f) for s in ("ring", "int") for f in FAULTS if (s, f) != ("ring", "pad-bit")]
+FAULT_CASES += [("int", f) for f in SEED_FAULTS]
 
 
 @pytest.mark.parametrize("scheme,fault", FAULT_CASES)
 def test_malformed_packed_frame_exits_two(packed_files, tmp_path, capsys, scheme, fault):
     d = packed_files[scheme]
-    # A trapdoor fault lands in the secret key or the token, any other in the ciphertext.
-    dec_role, test_role = ("sk", "td") if fault == "trapdoor-past-bound" else ("ct", "ct")
+    # A trapdoor fault lands in the secret key or the token, a seed fault in
+    # the public key or the token, any other in the ciphertext.
+    dec_role, test_role = {"trapdoor-past-bound": ("sk", "td"),
+                           **dict.fromkeys(SEED_FAULTS, ("pk", "td"))}.get(fault, ("ct", "ct"))
     for role in {dec_role, test_role}:
         (tmp_path / f"bad.{role}").write_bytes(_faulty((d / f"ivan.{role}").read_bytes(), fault))
     files = {ext: str(tmp_path / f"bad.{ext}") if ext in (dec_role, test_role) else f"{d}/ivan.{ext}"

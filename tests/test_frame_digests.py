@@ -5,10 +5,13 @@ the same bytes release after release, so any change to a keygen- or
 encrypt-side draw, or to its order, fails here.  Decrypt and test draw
 their own randomness, which never reaches a frame and is not pinned.
 
-The digests are of version-2 (packed) frames.  The same objects written in
-the version-1 layout, one 8-byte word per value and ring ``T`` as residues,
-still hash to the version-1 digests, so the move to packing changed the
-encoding and nothing else.
+The ring digests are of version-2 (packed) frames.  The same objects
+written in the version-1 layout, one 8-byte word per value and ring ``T``
+as residues, still hash to the version-1 digests, so the move to packing
+changed the encoding and nothing else.  The integer digests are of
+version-3 frames, whose keys expand their uniform matrices from a public
+seed; that changed integer key generation, so the integer objects have no
+earlier frames to compare with.
 """
 
 import hashlib
@@ -34,10 +37,10 @@ RING_N64 = {
 # the width-8 convolution to the shared CDF row.
 RING_N64_CONVOLVED_CT = "77152acd61fd1dcd"
 INT_N16 = {
-    serial.KIND_PK: "f352da8b4e103080",
-    serial.KIND_SK: "07e12fda721a8be5",
-    serial.KIND_TD: "b97069e888e9575d",
-    serial.KIND_CT: "9438e942ac24c02d",
+    serial.KIND_PK: "8a48e0f70476b662",
+    serial.KIND_SK: "a39551ae3e0330d6",
+    serial.KIND_TD: "c9b15f4377c7d36b",
+    serial.KIND_CT: "ec3c0ee665bb3281",
 }
 
 # The same frames in the version-1 layout.
@@ -48,12 +51,6 @@ RING_N64_V1 = {
     serial.KIND_CT: "18716cb9ff7a9de3",
 }
 RING_N64_CONVOLVED_CT_V1 = "b512cd69d6cd3cb4"
-INT_N16_V1 = {
-    serial.KIND_PK: "35e5b2db10982c9c",
-    serial.KIND_SK: "3065a8ed2a300b7e",
-    serial.KIND_TD: "cffb74a62cd3142f",
-    serial.KIND_CT: "05644153417b71d9",
-}
 
 
 def _digests(scheme: int, objs: dict, params) -> dict:
@@ -63,27 +60,27 @@ def _digests(scheme: int, objs: dict, params) -> dict:
     }
 
 
-def _v1_frame(scheme: int, kind: int, obj, params) -> bytes:
-    """``obj`` in the version-1 layout: every value one little-endian int64
-    word, ring ``T`` as residues in ``[0, q)``."""
+def _v1_frame(kind: int, obj, params) -> bytes:
+    """Ring ``obj`` in the version-1 layout: every value one little-endian
+    int64 word, ``T`` as residues in ``[0, q)``."""
     words = []
-    for f in serial._LAYOUTS[scheme, kind][1]:
+    for f in serial._LAYOUTS[serial.SCHEME_RING, kind][1]:
         for arr, (_, lo, _) in zip(f.take(getattr(obj, f.name)), f.specs(params)):
-            if scheme == serial.SCHEME_RING and lo < 0:
+            if lo < 0:
                 arr = arr % params.q
             words.append(np.asarray(arr).astype("<i8").tobytes())
     text = params.canonical_text().encode()
     payload = struct.pack("<I", len(text)) + text + b"".join(words)
-    header = serial._HEADER.pack(serial.MAGIC, 1, scheme, kind, params.digest(), len(payload))
+    header = serial._HEADER.pack(serial.MAGIC, 1, serial.SCHEME_RING, kind, params.digest(), len(payload))
     return header + payload
 
 
-def _v1_digests(scheme: int, objs: dict, params) -> dict:
-    """Digests of ``objs`` after a version-2 round trip, rewritten as version 1."""
+def _v1_digests(objs: dict, params) -> dict:
+    """Digests of ring ``objs`` after a version-2 round trip, rewritten as version 1."""
     out = {}
     for kind, obj in objs.items():
-        decoded = serial.decode_object(serial.encode_object(scheme, kind, obj, params), kind)[3]
-        out[kind] = hashlib.sha256(_v1_frame(scheme, kind, decoded, params)).hexdigest()[:16]
+        decoded = serial.decode_object(serial.encode_object(serial.SCHEME_RING, kind, obj, params), kind)[3]
+        out[kind] = hashlib.sha256(_v1_frame(kind, decoded, params)).hexdigest()[:16]
     return out
 
 
@@ -142,13 +139,11 @@ def test_int_frames_pinned(int_small):
     assert _digests(serial.SCHEME_INT, _int_pinned_objects(int_small), int_small) == INT_N16
 
 
-def test_frames_moved_only_by_packing(ring_small, int_small):
+def test_frames_moved_only_by_packing(ring_small):
     ring_objs, _ = _ring_pinned_objects(ring_small)
-    assert _v1_digests(serial.SCHEME_RING, ring_objs, ring_small) == RING_N64_V1
-    int_objs = _int_pinned_objects(int_small)
-    assert _v1_digests(serial.SCHEME_INT, int_objs, int_small) == INT_N16_V1
+    assert _v1_digests(ring_objs, ring_small) == RING_N64_V1
 
 
 def test_convolved_ct_moved_only_by_packing(ring_small, convolved_noise):
     ct = {serial.KIND_CT: _ring_pinned_objects(ring_small)[0][serial.KIND_CT]}
-    assert _v1_digests(serial.SCHEME_RING, ct, ring_small) == {serial.KIND_CT: RING_N64_CONVOLVED_CT_V1}
+    assert _v1_digests(ct, ring_small) == {serial.KIND_CT: RING_N64_CONVOLVED_CT_V1}

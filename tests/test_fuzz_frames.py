@@ -4,7 +4,9 @@ exit codes.
 A flipped, truncated or extended frame must either raise a typed
 :class:`PkeetError` or decode to an object that re-encodes to exactly the
 mutated bytes.  The keys are toy records (ring n=16, integer n=16), built
-once per module; the command-line fuzz covers both schemes.
+once per module; the command-line fuzz covers both schemes.  Integer
+public keys and tokens (version 3, seed-expanded) also meet each fault of
+their own layout, at n=21, where the stored gadget tail ends mid-byte.
 """
 
 import contextlib
@@ -18,10 +20,11 @@ from pkeet import pkeet_int as pi
 from pkeet import pkeet_ring as pr
 from pkeet import serial
 from pkeet.cli import main
-from pkeet.errors import PkeetError
+from pkeet.errors import FramingError, PkeetError
 from pkeet.params import derive_int_params, derive_ring_params
 from pkeet.ring import RingElement, get_context
 from conftest import seeded
+from test_serial import SEED_FAULTS, with_seed_fault, with_version
 
 KINDS = (serial.KIND_PK, serial.KIND_SK, serial.KIND_CT, serial.KIND_TD, serial.KIND_PARAMS)
 SEED = "cc" * 32
@@ -94,6 +97,39 @@ def test_mutated_frames_fail_typed_or_round_trip(frames, data):
     except PkeetError:
         return
     assert serial.encode_object(scheme2, kind2, obj, params) == bad
+
+
+@pytest.fixture(scope="module")
+def seeded_frames():
+    """Integer n=21 (k=29) pk and td frames: 21 x 609 tail values of 29 bits."""
+    params = derive_int_params(128, 21, "toy")
+    pk, sk = pi.setup_int(params, seeded("fuzz-int-21"))
+    return [serial.encode_object(serial.SCHEME_INT, kind, obj, params)
+            for kind, obj in ((serial.KIND_PK, pk), (serial.KIND_TD, pi.trapdoor_int(sk, pk)))]
+
+
+# What each fault of a seeded frame trips.
+SEED_FAULT_ERRORS = {"seed-short": "shorter", "tail-q": "canonical range",
+                     "tail-pad-bit": "pad bits", "version-2": "unsupported version 2"}
+
+
+@pytest.mark.parametrize("fault", SEED_FAULTS)
+def test_seeded_int_frame_faults_raise_framing_error(seeded_frames, fault):
+    for blob in seeded_frames:
+        assert blob[4] == 3
+        with pytest.raises(FramingError, match=SEED_FAULT_ERRORS[fault]):
+            serial.decode_object(with_seed_fault(blob, fault))
+
+
+def test_ring_version_two_frames_still_decode(frames):
+    for (scheme, kind), blob in frames.items():
+        if scheme != serial.SCHEME_RING:
+            continue
+        assert blob[4] == 2
+        scheme2, kind2, params, obj = serial.decode_object(blob)
+        assert serial.encode_object(scheme2, kind2, obj, params) == blob
+        with pytest.raises(FramingError, match="unsupported version 3"):
+            serial.decode_object(with_version(blob, 3))
 
 
 def _run(argv: list[str]) -> int:

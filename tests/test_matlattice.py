@@ -9,7 +9,7 @@ import pytest
 
 from pkeet import matlattice, serial
 from pkeet import pkeet_int as pi
-from pkeet.errors import GenerationFailed, InvalidParams
+from pkeet.errors import CovarianceNotPD, GenerationFailed, InvalidParams
 from pkeet.params import int_gadget_width
 from pkeet.ring import balanced
 from pkeet.sampling import sample_z_reject
@@ -61,9 +61,14 @@ def test_balanced_mod_range(ring_toy, int_small):
         assert np.array_equal(balanced(edges, q), np.where(edges > q // 2, edges - q, edges))
 
 
+def _trap_gen(p, rng):
+    """``trap_gen_int`` on a uniform ``A_bar`` drawn from ``rng`` first."""
+    return trap_gen_int(mat_uniform(p.q, p.n, p.m_bar, rng), p, rng)
+
+
 def test_trapdoor_gadget_identity(int_small):
     rng = seeded("int-trap")
-    a_mat, trap = trap_gen_int(int_small, rng)
+    a_mat, trap = _trap_gen(int_small, rng)
     n, m, q = int_small.n, int_small.m, int_small.q
     nk = n * int_small.k
     assert a_mat.shape == (n, m)
@@ -83,7 +88,7 @@ def test_perturbation_factor_reproduces_covariance(int_small, monkeypatch):
     map sample_left applies to its standard normals."""
     p = int_small
     rng = seeded("int-factor")
-    a_mat, trap = trap_gen_int(p, rng)
+    a_mat, trap = _trap_gen(p, rng)
     r = trap.r.astype(np.float64)
     m_bar, nk = r.shape
     assert trap.chol.shape == (m_bar, m_bar)
@@ -124,7 +129,7 @@ def test_preimage_hides_trapdoor(int_small):
     spherical deviation sigma / sqrt(2 pi)."""
     rng = seeded("int-hidden")
     q, m = int_small.q, int_small.m
-    a_mat, trap = trap_gen_int(int_small, rng)
+    a_mat, trap = _trap_gen(int_small, rng)
     m1 = mat_uniform(q, int_small.n, m, rng)
     stacked = np.concatenate([trap.r, np.eye(trap.r.shape[1])]).astype(np.float64)
     top = np.linalg.svd(stacked, full_matrices=False)[0][:, 0]
@@ -137,10 +142,32 @@ def test_preimage_hides_trapdoor(int_small):
     assert abs(float(proj.std()) / sd - 1.0) < 0.15
 
 
+def test_trap_gen_redraws_only_r(int_small, monkeypatch):
+    # The positive-definiteness check reads R alone: a refused draw costs a
+    # new R, and A keeps the A_bar it was given.
+    p = int_small
+    rng = seeded("int-redraw")
+    a_bar = mat_uniform(p.q, p.n, p.m_bar, rng)
+    from_r, calls = matlattice.IntTrapdoor.from_r, []
+
+    def refuse_first(r, params):
+        calls.append(r)
+        if len(calls) == 1:
+            raise CovarianceNotPD("refused for the test")
+        return from_r(r, params)
+
+    monkeypatch.setattr(matlattice.IntTrapdoor, "from_r", refuse_first)
+    a_mat, trap = trap_gen_int(a_bar, p, rng)
+    assert len(calls) == 2 and not np.array_equal(calls[0], calls[1])
+    assert np.array_equal(trap.r, calls[1])
+    assert np.array_equal(a_mat[:, : p.m_bar], a_bar)
+    assert not gadget_residual(a_mat, trap.r, p.q).any()
+
+
 def test_width_guard(int_small):
     narrow = dataclasses.replace(int_small, sigma=int_small.sigma / 2)
     with pytest.raises(GenerationFailed):
-        trap_gen_int(narrow, seeded("width-guard"))
+        _trap_gen(narrow, seeded("width-guard"))
 
 
 def test_int_sk_frame_holds_r(int_small):
@@ -156,7 +183,7 @@ def test_int_sk_frame_holds_r(int_small):
 def test_left_sampler_exact_and_gaussian(int_small):
     rng = seeded("left")
     q = int_small.q
-    a_mat, trap = trap_gen_int(int_small, rng)
+    a_mat, trap = _trap_gen(int_small, rng)
     m1 = mat_uniform(q, int_small.n, int_small.m, rng)
     f_mat = np.concatenate([a_mat, m1], axis=1)
     u_mat = mat_uniform(q, int_small.n, 5, rng)
@@ -174,7 +201,7 @@ def test_two_job_preimages_exact(int_small):
     q, n, m = int_small.q, int_small.n, int_small.m
     jobs = []
     for _ in range(2):
-        a_mat, trap = trap_gen_int(int_small, rng)
+        a_mat, trap = _trap_gen(int_small, rng)
         jobs.append((a_mat, mat_uniform(q, n, m, rng), trap, mat_uniform(q, n, 7, rng)))
     e = sample_left(jobs, int_small, rng)
     assert e.shape == (2, 2 * m, 7)
@@ -189,7 +216,7 @@ def test_one_job_preimage_pinned(int_small):
     # same preimage.
     rng = seeded("left-pin")
     p = int_small
-    a_mat, trap = trap_gen_int(p, rng)
+    a_mat, trap = _trap_gen(p, rng)
     m1 = mat_uniform(p.q, p.n, p.m, rng)
     u_mat = mat_uniform(p.q, p.n, p.t_msg, rng)
     e = sample_left([(a_mat, m1, trap, u_mat)], p, rng)[0]
@@ -199,7 +226,7 @@ def test_one_job_preimage_pinned(int_small):
 def test_preimage_jobs_must_match_shapes(int_small):
     rng = seeded("left-shapes")
     p = int_small
-    a_mat, trap = trap_gen_int(p, rng)
+    a_mat, trap = _trap_gen(p, rng)
     m1 = mat_uniform(p.q, p.n, p.m, rng)
     with pytest.raises(InvalidParams):
         sample_left([(a_mat, m1, trap, mat_uniform(p.q, p.n, 3, rng)),

@@ -8,7 +8,7 @@ import pytest
 from pkeet import pkeet_ring as pr
 from pkeet import ring, trapdoor_ring
 from pkeet.errors import InvalidMessage, PkeetError, RejectHash, RejectSignature
-from pkeet.params import _ring_error_budget
+from pkeet.params import _ring_error_budget, derive_ring_params
 from pkeet.ring import (
     RingContext,
     RingElement,
@@ -30,6 +30,24 @@ def users(ring_small):
 
 def random_message(params, rng):
     return RingElement(rng.uniform_mod(2, params.n), get_context(params))
+
+
+def test_setup_at_n1024_outlasts_64_trapdoor_draws(monkeypatch):
+    # At this seed the second trap_gen call accepts its 74th draw of T
+    # (the first its 28th), so setup raised GenerationFailed when trap_gen
+    # gave up after 64 draws.
+    params = derive_ring_params(128, 1024, "toy")
+    norm, draws = trapdoor_ring.RingTrapdoor.norm, [0]
+
+    def counted(trap):
+        draws[0] += 1
+        return norm(trap)
+
+    monkeypatch.setattr(trapdoor_ring.RingTrapdoor, "norm", counted)
+    pk, sk = pr.setup(params, seeded("ring-1024-toy-25"))
+    assert draws[0] == 28 + 74
+    for av, trap in ((pk.a, sk.t_a), (pk.b, sk.t_b)):
+        assert not trapdoor_ring.trapdoor_identity_residual(av, trap).any()
 
 
 def test_round_trip(ring_small, users):

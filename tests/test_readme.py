@@ -1,9 +1,20 @@
-"""The README's library example runs as written."""
+"""The README's library example runs as written, and its frame-size table
+matches real frames."""
 
 import re
 from pathlib import Path
 
+import pytest
+
+from pkeet import pkeet_int as pi
+from pkeet import pkeet_ring as pr
+from pkeet import serial
+from pkeet.params import derive_int_params, derive_ring_params
+from pkeet.ring import RingElement, get_context
+from conftest import seeded
+
 README = Path(__file__).resolve().parents[1] / "README.md"
+KINDS = (serial.KIND_PK, serial.KIND_SK, serial.KIND_CT, serial.KIND_TD)
 
 
 def test_library_use_example_runs():
@@ -12,3 +23,33 @@ def test_library_use_example_runs():
     section = text[text.index("\n## Library use\n"):]
     code = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
     exec(compile(code, "README.md: Library use", "exec"), {})
+
+
+def _table_sizes(label: str, version: int) -> list[int]:
+    """The pk, sk, ct and td sizes of the README table row for ``label`` at ``version``."""
+    row = re.search(rf"^\| {label} \| {version} \| (.*) \|$", README.read_text(), re.MULTILINE)
+    return [int(cell.replace(",", "")) for cell in row.group(1).split(" | ")]
+
+
+def _ring_objects(params):
+    rng = seeded("readme-sizes-ring")
+    pk, sk = pr.setup(params, rng)
+    ct = pr.encrypt(pk, RingElement(rng.uniform_mod(2, params.n), get_context(params)), params, rng)
+    return pk, sk, ct, pr.trapdoor(sk, pk)
+
+
+def _int_objects(params):
+    rng = seeded("readme-sizes-int")
+    pk, sk = pi.setup_int(params, rng)
+    ct = pi.encrypt_int(pk, rng.uniform_mod(2, params.t_msg), params, rng)
+    return pk, sk, ct, pi.trapdoor_int(sk, pk)
+
+
+@pytest.mark.parametrize("label,scheme,params,objects", [
+    ("ring n=256 toy", serial.SCHEME_RING, derive_ring_params(128, 256, "toy"), _ring_objects),
+    ("integer n=16 toy", serial.SCHEME_INT, derive_int_params(128, 16, "toy"), _int_objects),
+], ids=["ring-n256", "int-n16"])
+def test_frame_size_table_matches_frames(label, scheme, params, objects):
+    sizes = [len(serial.encode_object(scheme, kind, obj, params))
+             for kind, obj in zip(KINDS, objects(params))]
+    assert sizes == _table_sizes(label, serial.VERSIONS[scheme])

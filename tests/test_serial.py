@@ -12,8 +12,10 @@ from pkeet import pkeet_int as pi
 from pkeet import pkeet_ring as pr
 from pkeet import serial
 from pkeet.errors import FramingError, ParamsMismatch
+from pkeet.matlattice import gadget_residual
 from pkeet.params import ParamsRing, derive_int_params, derive_ring_params
 from pkeet.ring import RingElement, get_context
+from pkeet.rng import XofRng
 from pkeet.trapdoor_ring import RingTrapdoor
 from conftest import seeded
 
@@ -158,7 +160,7 @@ def respelled_frame(params, lambda_sec: str) -> bytes:
     text = params.canonical_text().replace("lambda_sec=128\n", f"lambda_sec={lambda_sec}\n")
     payload = struct.pack("<I", len(text.encode())) + text.encode()
     header = serial._HEADER.pack(
-        serial.MAGIC, serial.VERSION, scheme, serial.KIND_PARAMS, params.digest(), len(payload)
+        serial.MAGIC, serial.VERSIONS[scheme], scheme, serial.KIND_PARAMS, params.digest(), len(payload)
     )
     return header + payload
 
@@ -241,6 +243,24 @@ def with_version(blob: bytes, version: int) -> bytes:
     return blob[:4] + bytes([version]) + blob[5:]
 
 
+# Faults of a version-3 integer pk or td frame, which ends with the tail of
+# A' and the 32-byte seed.
+SEED_FAULTS = ("seed-short", "tail-q", "tail-pad-bit", "version-2")
+
+
+def with_seed_fault(blob: bytes, fault: str) -> bytes:
+    """``blob`` with a truncated seed, the first value of the A' tail set to
+    q, the first pad bit after that tail set, or version byte 2."""
+    tail = len(packed_arrays(blob)) - 2
+    if fault == "seed-short":
+        return with_body_length(blob, -16)
+    if fault == "tail-q":
+        return with_value(blob, tail, 0, serial.decode_frame(blob)[2].q)
+    if fault == "tail-pad-bit":
+        return with_pad_bit(blob, tail)
+    return with_version(blob, 2)
+
+
 def _reference_pack(values: list[int], bits: int) -> bytes:
     """Values as one little-endian bit string: a Python-int accumulator."""
     acc = 0
@@ -287,7 +307,8 @@ def test_nonzero_pad_bits_rejected():
 
 
 def test_frame_sizes_follow_the_layout(ring_objects, int_objects):
-    # Residues take ceil(log2 q) bits, trapdoor entries the bits of their range.
+    # Residues take ceil(log2 q) bits, trapdoor entries the bits of their
+    # range, and the 32 bytes of an integer pk's or td's seed 8 bits each.
     for scheme, objs in ((serial.SCHEME_RING, ring_objects), (serial.SCHEME_INT, int_objects)):
         params = objs["params"]
         for kind in KINDS:
@@ -295,6 +316,9 @@ def test_frame_sizes_follow_the_layout(ring_objects, int_objects):
             arrays = packed_arrays(blob)
             pos, count, lo, bits = arrays[-1]
             assert len(blob) == pos + (count * bits + 7) // 8
+            seeded = scheme == serial.SCHEME_INT and kind in (serial.KIND_PK, serial.KIND_TD)
+            if seeded:
+                assert arrays.pop() == (pos, 32, 0, 8)
             for _, _, lo, bits in arrays:
                 assert bits == ((params.q - 1).bit_length() if lo == 0 else 7)
 
@@ -383,6 +407,62 @@ def test_layout_names_every_field_in_order(key):
     # A field added to a frame class but left out of its layout fails here.
     cls, fields = serial._LAYOUTS[key]
     assert [f.name for f in fields] == [f.name for f in dataclasses.fields(cls)]
+
+
+def test_loaded_int_keys_are_still_trapdoors(int_objects):
+    params = int_objects["params"]
+    pk, sk, td = (
+        serial.decode_object(serial.encode_object(serial.SCHEME_INT, kind, int_objects[kind], params))[3]
+        for kind in (serial.KIND_PK, serial.KIND_SK, serial.KIND_TD)
+    )
+    assert not gadget_residual(pk.a, sk.t_a.r, params.q).any()
+    assert not gadget_residual(pk.a_prime, sk.t_a_prime.r, params.q).any()
+    assert np.array_equal(td.a_prime, pk.a_prime) and td.seed == pk.seed
+    # Each uniform family from its own labelled fork of the seed's stream.
+    root = XofRng(pk.seed)
+
+    def fresh(label: bytes, *shape: int) -> np.ndarray:
+        return root.fork(label).uniform_mod(params.q, math.prod(shape)).reshape(shape)
+
+    n, m = params.n, params.m
+    assert np.array_equal(pk.a[:, : params.m_bar], fresh(b"A", n, params.m_bar))
+    assert np.array_equal(pk.a_prime[:, : params.m_bar], fresh(b"A'", n, params.m_bar))
+    for obj in (pk, td):
+        assert np.array_equal(np.stack(obj.a_list), fresh(b"A_i", params.l, n, m))
+        assert np.array_equal(obj.b, fresh(b"B", n, m))
+        assert np.array_equal(obj.u, fresh(b"U", n, params.t_msg))
+
+
+def test_encoders_refuse_objects_that_disagree_with_their_seed(int_objects):
+    params = int_objects["params"]
+    pk, td = int_objects[serial.KIND_PK], int_objects[serial.KIND_TD]
+
+    def bumped(arr: np.ndarray, row: int = 0, col: int = 0) -> np.ndarray:
+        out = arr.copy()
+        out[row, col] = (out[row, col] + 1) % params.q
+        return out
+
+    other = pi.setup_int(params, seeded("serial-other-seed"))[0]
+    cases = [
+        (serial.KIND_PK, dataclasses.replace(pk, b=bumped(pk.b))),
+        (serial.KIND_PK, dataclasses.replace(pk, u=bumped(pk.u))),
+        (serial.KIND_PK, dataclasses.replace(pk, a_list=[bumped(pk.a_list[0]), *pk.a_list[1:]])),
+        (serial.KIND_PK, dataclasses.replace(pk, a_list=pk.a_list[:-1])),
+        (serial.KIND_PK, dataclasses.replace(pk, a=bumped(pk.a))),
+        (serial.KIND_PK, dataclasses.replace(pk, a_prime=bumped(pk.a_prime, col=params.m_bar - 1))),
+        (serial.KIND_PK, dataclasses.replace(pk, seed=other.seed)),
+        (serial.KIND_PK, dataclasses.replace(pk, seed=pk.seed[:-1])),
+        (serial.KIND_TD, dataclasses.replace(td, b=bumped(td.b))),
+        (serial.KIND_TD, dataclasses.replace(td, a_prime=bumped(td.a_prime))),
+        (serial.KIND_TD, dataclasses.replace(td, seed=other.seed)),
+    ]
+    for kind, obj in cases:
+        with pytest.raises(FramingError):
+            serial.encode_object(serial.SCHEME_INT, kind, obj, params)
+    # A change to a stored gadget tail is a different key, not a mismatch.
+    tail = dataclasses.replace(pk, a=bumped(pk.a, col=params.m_bar))
+    blob = serial.encode_object(serial.SCHEME_INT, serial.KIND_PK, tail, params)
+    assert np.array_equal(serial.decode_object(blob)[3].a, tail.a)
 
 
 def test_encoders_refuse_objects_that_do_not_fit(ring_objects, int_objects):
