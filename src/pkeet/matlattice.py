@@ -126,39 +126,39 @@ class IntTrapdoor:
         return cls(r, *gadget_first_factor(r.astype(np.float64), zeta_sq, w_sq, params.sigma**2))
 
 
+def gadget_completion(a_bar: np.ndarray, r: np.ndarray, q: int) -> np.ndarray:
+    """``A = [A_bar | G - A_bar R] (mod q)``: the one matrix with uniform
+    half ``A_bar`` of which ``R`` is a gadget trapdoor."""
+    n, nk = a_bar.shape[0], r.shape[1]
+    gadget = np.kron(np.eye(n, dtype=np.int64), gadget_vector(nk // n))   # G = I_n (x) g
+    return np.concatenate([a_bar, (gadget - _mul_signed(a_bar, r, q)) % q], axis=1)
+
+
 def gadget_residual(a_mat: np.ndarray, r: np.ndarray, q: int) -> np.ndarray:
-    """Exact residual of ``A [R; I] - G (mod q)``; zero when ``R`` is a
-    gadget trapdoor of ``A``."""
-    n = a_mat.shape[0]
-    m_bar, nk = r.shape
-    head = _mul_signed(a_mat[:, :m_bar], r, q)
-    gadget = np.kron(np.eye(n, dtype=np.int64), gadget_vector(nk // n))
-    return (head + a_mat[:, m_bar:] - gadget) % q
+    """Exact residual of ``A [R; I] - G (mod q)``, which is ``A``'s tail less
+    that of :func:`gadget_completion`; zero when ``R`` is a gadget trapdoor
+    of ``A``."""
+    m_bar = r.shape[0]
+    return (a_mat[:, m_bar:] - gadget_completion(a_mat[:, :m_bar], r, q)[:, m_bar:]) % q
 
 
 def trap_gen_int(
     a_bar: np.ndarray, params: ParamsInt, rng: XofRng
 ) -> tuple[np.ndarray, IntTrapdoor]:
     """``A = [A_bar | G - A_bar R]`` (n x m) for the given uniform ``A_bar``
-    (n x m_bar), with its gadget trapdoor ``R``.
+    (n x m_bar), with its gadget trapdoor ``R`` (:func:`gadget_completion`).
 
     A draw of ``R`` whose perturbation covariance is not positive definite
     at width ``sigma`` is discarded and ``R`` is drawn again; that check
     depends on ``R`` alone, so ``A_bar`` is kept.
     """
-    n, k, q = params.n, params.k, params.q
-    nk = n * k
-    m_bar = params.m_bar
-
-    gadget = np.kron(np.eye(n, dtype=np.int64), gadget_vector(k))   # G = I_n (x) g
     for _ in range(_TRAPGEN_RETRIES):
-        r_small = sample_z_batch(params.sigma_r, (m_bar, nk), rng)
+        r_small = sample_z_batch(params.sigma_r, (params.m_bar, params.n * params.k), rng)
         try:
             trap = IntTrapdoor.from_r(r_small, params)
         except CovarianceNotPD:
             continue
-        a_tail = (gadget - _mul_signed(a_bar, r_small, q)) % q
-        return np.concatenate([a_bar, a_tail], axis=1), trap
+        return gadget_completion(a_bar, r_small, params.q), trap
     raise GenerationFailed(
         f"no trapdoor with a positive definite perturbation in {_TRAPGEN_RETRIES} draws"
     )

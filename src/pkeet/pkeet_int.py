@@ -84,7 +84,8 @@ class CtInt:
 @dataclass
 class TrapdoorTokenInt:
     """Equality-test token: hash-slot trapdoor plus the public material the
-    test needs."""
+    test needs.  Its frame stores only ``R'`` and the seed: ``A'`` is
+    ``[A_bar' | G - A_bar' R']`` and the seed expands to the rest."""
 
     t_a_prime: IntTrapdoor
     a_prime: np.ndarray
@@ -131,7 +132,7 @@ def expand_public(seed: bytes, params: ParamsInt) -> PublicMatrices:
 
 
 def setup_int(params: ParamsInt, rng: XofRng) -> tuple[PkInt, SkInt]:
-    seed = bytes(rng.bytes(SEED_BYTES))
+    seed = rng.bytes(SEED_BYTES)
     pub = expand_public(seed, params)
     a_mat, t_a = trap_gen_int(pub.a_bar, params, rng)
     a_prime, t_a_prime = trap_gen_int(pub.a_prime_bar, params, rng)
@@ -246,13 +247,10 @@ def decrypt_int(
 
 
 def trapdoor_int(sk: SkInt, pk: PkInt) -> TrapdoorTokenInt:
+    """Equality-test token: the hash-slot trapdoor plus the public key's
+    arrays, shared rather than copied."""
     return TrapdoorTokenInt(
-        t_a_prime=sk.t_a_prime,
-        a_prime=pk.a_prime.copy(),
-        a_list=[a.copy() for a in pk.a_list],
-        b=pk.b.copy(),
-        u=pk.u.copy(),
-        seed=pk.seed,
+        t_a_prime=sk.t_a_prime, a_prime=pk.a_prime, a_list=pk.a_list, b=pk.b, u=pk.u, seed=pk.seed
     )
 
 

@@ -72,7 +72,9 @@ class CtRing:
 @dataclass
 class TrapdoorTokenRing:
     """Equality-test token: trapdoor for ``b`` plus the public material the
-    test needs to rebuild the shifted vector and its syndrome."""
+    test needs to rebuild the shifted vector and its syndrome.  Its frame
+    stores ``T_b``, the head ``a'_b`` of ``b`` and ``u``: the tail of ``b``
+    is ``-a'_b^T T_b``."""
 
     t_b: RingTrapdoor
     b: TaggedVector

@@ -62,28 +62,31 @@ class XofRng:
         self._pos = 0
         self._block_index += 1
 
+    def _chunks(self, count: int):
+        """The next ``count`` stream bytes, as views of the blocks they lie in."""
+        while count > 0:
+            if self._pos >= len(self._buf):
+                self._refill()
+            take = min(count, len(self._buf) - self._pos)
+            yield memoryview(self._buf)[self._pos : self._pos + take]
+            self._pos += take
+            count -= take
+
     def bytes(self, count: int) -> bytes:
+        """The next ``count`` stream bytes, copied once."""
         end = self._pos + count
         if end <= len(self._buf):
             out = self._buf[self._pos : end]
             self._pos = end
             return out
-        out = bytearray(count)
-        view = memoryview(out)
-        filled = 0
-        while filled < count:
-            if self._pos >= len(self._buf):
-                self._refill()
-            take = min(count - filled, len(self._buf) - self._pos)
-            view[filled : filled + take] = memoryview(self._buf)[self._pos : self._pos + take]
-            self._pos += take
-            filled += take
-        return out
+        return b"".join(self._chunks(count))
 
     # ---- vectorized draws -------------------------------------------------
 
     def u64(self, count: int) -> np.ndarray:
-        return np.frombuffer(self.bytes(8 * count), dtype="<u8").copy()
+        """The next ``count`` little-endian 64-bit words: a read-only view of
+        one :meth:`bytes` read, so the stream is copied once."""
+        return np.frombuffer(self.bytes(8 * count), dtype="<u8")
 
     def uniform_mod(self, bound: int, count: int) -> np.ndarray:
         """Unbiased uniform integers in [0, bound) via 64-bit rejection."""

@@ -106,8 +106,7 @@ def sample_z_reject(width: float, centers: np.ndarray, rng: XofRng) -> np.ndarra
         count = pending.size
         raw = rng.u64(2 * count)
         b = (raw[:count] & np.uint64(1)).astype(bool)
-        raw >>= np.uint64(11)
-        u = raw.astype(np.float64)
+        u = (raw >> np.uint64(11)).astype(np.float64)
         u *= 2.0**-53
         # u * cdf[-1] never exceeds cdf[-1], so z0 stays at most 5.5 widths.
         z0 = np.searchsorted(cdf, u[:count] * cdf[-1], side="left")

@@ -2,7 +2,7 @@
 
 Every file is one frame: a fixed 23-byte header (magic, version, scheme,
 kind, parameter digest, payload length) followed by the payload.  The
-version is per scheme (``VERSIONS``): 2 for ring frames, 3 for integer
+version is per scheme (``VERSIONS``): 3 for ring frames, 4 for integer
 frames.  The payload embeds the canonical parameter text, then the
 object's arrays in the order of its layout: one entry of ``_LAYOUTS`` per
 ``(scheme, kind)``, read by one encode loop and one decode loop.  The
@@ -16,13 +16,19 @@ at bits ``[i * bits, (i + 1) * bits)`` of the array's bit string, as FIPS
 Consecutive arrays of one range are packed as one bit string while each
 but the last ends on a whole byte, which gives the same bytes.
 
-Integer public keys and tokens store their 32-byte public seed (the
-``seed`` field, last) in place of the uniform matrices it expands to
+A frame stores no field that the others determine.  Integer public keys
+and tokens store their 32-byte public seed (the ``seed`` field, last) in
+place of the uniform matrices it expands to
 (:func:`~pkeet.pkeet_int.expand_public`): the ``A_bar`` halves of ``A``
-and ``A'``, ``A_1 .. A_l``, ``B`` and ``U``.  ``A`` and ``A'`` are stored
-as their gadget tails ``G - A_bar R``.  Encoding refuses an object whose
-uniform matrices are not its seed's expansion, and decoding re-expands
-them.
+and ``A'``, ``A_1 .. A_l``, ``B`` and ``U``.  A public key stores ``A``
+and ``A'`` as their gadget tails ``G - A_bar R``.  A token stores no field
+its trapdoor determines: an integer token holds ``R'`` and the seed, and
+``A'`` is rebuilt as ``[A_bar' | G - A_bar' R']``
+(:func:`~pkeet.matlattice.gadget_completion`); a ring token holds ``T_b``,
+the coefficient head ``a'_b`` of ``b`` and ``u``, and ``b`` is rebuilt in
+NTT slots as ``[a'_b; -a'_b^T T_b]``
+(:func:`~pkeet.trapdoor_ring.zero_tag_completion`).  Encoding refuses an
+object whose left-out fields are not what its stored ones determine.
 
 Decoding requires the scheme's version, every value in range, every pad
 bit zero and the parameter text byte-identical to its record's canonical
@@ -41,18 +47,18 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import FramingError, ParamsMismatch, PkeetError
-from .matlattice import IntTrapdoor
+from .matlattice import IntTrapdoor, gadget_completion, gadget_residual
 from .params import ParamsInt, ParamsRing, params_from_text, validate
 from .pkeet_int import CtInt, PkInt, SkInt, TrapdoorTokenInt, expand_public
 from .pkeet_ring import CtRing, PkRing, SkRing, TrapdoorTokenRing
 from .ring import get_context
 from .rng import SEED_BYTES
-from .trapdoor_ring import RingTrapdoor, TaggedVector
+from .trapdoor_ring import RingTrapdoor, TaggedVector, zero_tag_completion
 
 MAGIC = b"LPKT"
 SCHEME_RING = 1
 SCHEME_INT = 2
-VERSIONS = {SCHEME_RING: 2, SCHEME_INT: 3}
+VERSIONS = {SCHEME_RING: 3, SCHEME_INT: 4}
 KIND_PK = 1
 KIND_SK = 2
 KIND_CT = 3
@@ -154,8 +160,9 @@ _INT_R = (
 )
 _INT_TAIL = _residues(lambda p: (p.n, p.n * p.k))
 _RING_POLY = _residues(lambda p: (p.n,))
-# A matrix the seed expands to: nothing stored, filled in from the seed.
-_FROM_SEED = (lambda p: [], lambda value: [], lambda arrays, p: None)
+# A value the frame does not store: decoding rebuilds it from the seed or
+# the trapdoor.
+_DERIVED = (lambda p: [], lambda value: [], lambda arrays, p: None)
 _SEED = _Field(
     "seed",
     lambda p: [((SEED_BYTES,), 0, 256)],
@@ -163,16 +170,13 @@ _SEED = _Field(
     lambda arrays, p: arrays[0].astype(np.uint8).tobytes(),
 )
 
-_RING_PUBLIC = (_Field("b", *_TAGGED), _Field("u", _RING_POLY))
-_INT_PUBLIC = (
-    _Field("a_prime", _INT_TAIL),
-    *(_Field(name, *_FROM_SEED) for name in ("a_list", "b", "u")),
-    _SEED,
-)
+_FROM_SEED = tuple(_Field(name, *_DERIVED) for name in ("a_list", "b", "u"))
 
 # One layout per (scheme, kind): the object's class and its fields in frame order.
 _LAYOUTS = {
-    (SCHEME_RING, KIND_PK): (PkRing, (_Field("a", *_TAGGED), *_RING_PUBLIC)),
+    (SCHEME_RING, KIND_PK): (PkRing, (
+        _Field("a", *_TAGGED), _Field("b", *_TAGGED), _Field("u", _RING_POLY),
+    )),
     (SCHEME_RING, KIND_SK): (SkRing, (_Field("t_a", *_RING_T), _Field("t_b", *_RING_T))),
     (SCHEME_RING, KIND_CT): (CtRing, (
         _Field("sig", _residues(lambda p: (p.base_len, p.n))),
@@ -182,8 +186,14 @@ _LAYOUTS = {
         _Field("ct3", _residues(lambda p: (p.m, p.n))),
         _Field("ct4", _residues(lambda p: (p.m, p.n))),
     )),
-    (SCHEME_RING, KIND_TD): (TrapdoorTokenRing, (_Field("t_b", *_RING_T), *_RING_PUBLIC)),
-    (SCHEME_INT, KIND_PK): (PkInt, (_Field("a", _INT_TAIL), *_INT_PUBLIC)),
+    (SCHEME_RING, KIND_TD): (TrapdoorTokenRing, (
+        _Field("t_b", *_RING_T),
+        _Field("b", _residues(lambda p: (p.base_len, p.n))),
+        _Field("u", _RING_POLY),
+    )),
+    (SCHEME_INT, KIND_PK): (PkInt, (
+        _Field("a", _INT_TAIL), _Field("a_prime", _INT_TAIL), *_FROM_SEED, _SEED,
+    )),
     (SCHEME_INT, KIND_SK): (SkInt, (_Field("t_a", *_INT_R), _Field("t_a_prime", *_INT_R))),
     (SCHEME_INT, KIND_CT): (CtInt, (
         _Field("c1", _residues(lambda p: (p.t_msg,))),
@@ -193,12 +203,10 @@ _LAYOUTS = {
         _Field("u", _residues(lambda p: (p.m,))),
         _Field("d", _residues(lambda p: (p.n, p.k_sig))),
     )),
-    (SCHEME_INT, KIND_TD): (TrapdoorTokenInt, (_Field("t_a_prime", *_INT_R), *_INT_PUBLIC)),
+    (SCHEME_INT, KIND_TD): (TrapdoorTokenInt, (
+        _Field("t_a_prime", *_INT_R), _Field("a_prime", *_DERIVED), *_FROM_SEED, _SEED,
+    )),
 }
-
-
-# Integer pk and td frames: the seed stands in for every uniform matrix.
-_SEEDED = (PkInt, TrapdoorTokenInt)
 
 
 def _seed_split(values: dict, params: ParamsInt) -> dict:
@@ -231,9 +239,69 @@ def _seed_join(values: dict, params: ParamsInt) -> dict:
     pub = expand_public(values["seed"], params)
     out = dict(values, a_list=list(pub.a_list), b=pub.b, u=pub.u)
     for name, bar in (("a", pub.a_bar), ("a_prime", pub.a_prime_bar)):
-        if name in values:
+        if values.get(name) is not None:
             out[name] = np.concatenate([bar, values[name]], axis=1)
     return out
+
+
+def _int_token_split(values: dict, params: ParamsInt) -> dict:
+    """What an integer token frame stores: ``R'`` and the seed; raises
+    :class:`FramingError` unless ``R'`` is a gadget trapdoor of ``A'``."""
+    out = _seed_split(values, params)
+    r = values["t_a_prime"].r
+    if np.shape(r) != (params.m_bar, params.n * params.k):
+        raise FramingError(f"R' has shape {np.shape(r)}, not {(params.m_bar, params.n * params.k)}")
+    if gadget_residual(np.asarray(values["a_prime"]), r, params.q).any():
+        raise FramingError("a_prime is not the gadget completion of the token's trapdoor")
+    return dict(out, a_prime=None)
+
+
+def _int_token_join(values: dict, params: ParamsInt) -> dict:
+    """The token's fields, ``A'`` rebuilt as ``[A_bar' | G - A_bar' R']``."""
+    a_prime_bar = expand_public(values["seed"], params).a_prime_bar
+    r = values["t_a_prime"].r
+    return dict(_seed_join(values, params), a_prime=gadget_completion(a_prime_bar, r, params.q))
+
+
+def _ring_token_split(values: dict, params: ParamsRing) -> dict:
+    """What a ring token frame stores: ``T_b``, the head ``a'_b`` of ``b``
+    in coefficients, and ``u``; raises :class:`FramingError` unless ``b`` is
+    the zero-tag completion of ``T_b``, which is checked in NTT slots."""
+    ctx = get_context(params)
+    trap, b = values["t_b"], values["b"]
+    if trap.ctx is not ctx or b.ctx is not ctx:
+        raise FramingError("token built under another ring context")
+    if np.shape(trap.t_arr) != (params.base_len, params.k, params.n):
+        raise FramingError(f"T_b has shape {np.shape(trap.t_arr)}")
+    if np.shape(b.vec_hat) != (params.m, params.n):
+        raise FramingError(f"b has shape {np.shape(b.vec_hat)}, not {(params.m, params.n)}")
+    vec_hat = _in_range(np.asarray(b.vec_hat), 0, params.q)
+    completion = zero_tag_completion(vec_hat[: params.base_len], trap)
+    if np.any(b.tag_hat) or not np.array_equal(vec_hat, completion):
+        raise FramingError("b is not the zero-tag completion of the token's trapdoor")
+    return dict(values, b=b.vec[: params.base_len])
+
+
+def _ring_token_join(values: dict, params: ParamsRing) -> dict:
+    """The token's fields, ``b`` rebuilt in NTT slots from its head and
+    ``T_b``; its coefficient form is computed only if it is encoded again."""
+    ctx = get_context(params)
+    vec_hat = zero_tag_completion(ctx.ntt(values["b"]), values["t_b"])
+    return dict(values, b=TaggedVector(vec_hat, np.zeros(ctx.n, dtype=np.int64), ctx))
+
+
+def _same(values: dict, params) -> dict:
+    return values
+
+
+# (split, join) of each class whose frame leaves out fields it determines:
+# ``split`` turns the object's field values into the stored ones and refuses
+# an object whose derived fields disagree; ``join`` rebuilds them.
+_STORED_FORM = {
+    PkInt: (_seed_split, _seed_join),
+    TrapdoorTokenInt: (_int_token_split, _int_token_join),
+    TrapdoorTokenRing: (_ring_token_split, _ring_token_join),
+}
 
 
 def _in_range(values: np.ndarray, lo: int, hi: int) -> np.ndarray:
@@ -346,8 +414,12 @@ def encode_object(scheme: int, kind: int, obj, params) -> bytes:
     if not isinstance(obj, cls):
         raise FramingError(f"expected a {cls.__name__}, got {type(obj).__name__}")
     values = {f.name: getattr(obj, f.name) for f in fields}
-    if cls in _SEEDED:
-        values = _seed_split(values, params)
+    split, _ = _STORED_FORM.get(cls, (_same, _same))
+    return encode_frame(scheme, kind, params, _pack_fields(fields, split(values, params), params))
+
+
+def _pack_fields(fields: tuple[_Field, ...], values: dict, params) -> bytes:
+    """The frame body that stores ``values``, one per field of ``fields``."""
     arrays, specs = [], []
     for f in fields:
         field_arrays, field_specs = f.take(values[f.name]), f.specs(params)
@@ -366,7 +438,7 @@ def encode_object(scheme: int, kind: int, obj, params) -> bytes:
         _, lo, hi = specs[run[0]]
         flat = _in_range(np.concatenate([arrays[i] for i in run]), lo, hi)
         chunks.append(_pack(flat, lo, _bits(lo, hi)))
-    return encode_frame(scheme, kind, params, b"".join(chunks))
+    return b"".join(chunks)
 
 
 def _encoder(scheme: int, kind: int) -> Callable:
@@ -418,9 +490,8 @@ def decode_object(data: bytes, expect_kind: int | None = None):
     for f, each in zip(fields, field_specs):
         values[f.name] = f.build(arrays[start : start + len(each)], params)
         start += len(each)
-    if cls in _SEEDED:
-        values = _seed_join(values, params)
-    return scheme, kind, params, cls(**values)
+    _, join = _STORED_FORM.get(cls, (_same, _same))
+    return scheme, kind, params, cls(**join(values, params))
 
 
 def require_same_params(*records) -> None:

@@ -10,8 +10,8 @@ perturbation hides ``T``, the remaining syndrome is solved in the gadget
 coset, and the correction re-enters through ``[T; I]``.
 
 Public vectors, tags and preimages live in NTT slots, where all of this is
-slotwise; frames keep the coefficient form, so the serial bijection is
-untouched.
+slotwise; frames keep the coefficient form (of a token's ``b``, only the
+head, from which :func:`zero_tag_completion` rebuilds the rest).
 """
 
 from __future__ import annotations
@@ -112,12 +112,22 @@ class TaggedVector:
         return self._vec
 
 
+def zero_tag_completion(a_hat: np.ndarray, trap: RingTrapdoor) -> np.ndarray:
+    """``[a'; -a'^T T]`` in NTT slots, shape (m, n), for the head ``a'``
+    given in NTT slots, shape (base_len, n): the one vector with that head
+    whose trapdoor identity holds for ``T`` at tag zero."""
+    q = trap.ctx.q
+    tail_hat = -mulmod(a_hat[:, None, :], trap.t_hat, q).sum(axis=0) % q   # (k, n)
+    return np.concatenate([a_hat, tail_hat])
+
+
 def trap_gen(params: ParamsRing, rng: XofRng) -> tuple[TaggedVector, RingTrapdoor]:
     """Sample a zero-tagged vector together with its trapdoor.
 
     The head ``a'`` (base_len x n) is uniform and the gadget tail is
-    computed as ``-a'^T T``, which makes the trapdoor identity hold exactly
-    by construction; :func:`apply_tag_shift` then moves the tag.
+    computed as ``-a'^T T`` (:func:`zero_tag_completion`), which makes the
+    trapdoor identity hold exactly by construction; :func:`apply_tag_shift`
+    then moves the tag.
     """
     ctx = get_context(params)
     base_len, k, n, q = params.base_len, params.k, params.n, params.q
@@ -138,10 +148,10 @@ def trap_gen(params: ParamsRing, rng: XofRng) -> tuple[TaggedVector, RingTrapdoo
             trap.perturbation(params)
         except CovarianceNotPD:
             continue
-        tail_hat = -mulmod(a_hat[:, None, :], trap.t_hat, q).sum(axis=0) % q   # (k, n)
-        vec = np.concatenate([a_prime, ctx.intt(tail_hat)])
+        vec_hat = zero_tag_completion(a_hat, trap)
+        vec = np.concatenate([a_prime, ctx.intt(vec_hat[base_len:])])
         zero = np.zeros(n, dtype=np.int64)
-        return TaggedVector(np.concatenate([a_hat, tail_hat]), zero, ctx, _vec=vec), trap
+        return TaggedVector(vec_hat, zero, ctx, _vec=vec), trap
     raise GenerationFailed(
         f"no usable trapdoor in {_TRAPGEN_RETRIES} draws; widths too tight"
     )
@@ -163,14 +173,15 @@ def apply_tag_shift(av: TaggedVector, shift_hat: np.ndarray) -> TaggedVector:
 
 
 def trapdoor_identity_residual(av: TaggedVector, trap: RingTrapdoor) -> np.ndarray:
-    """Exact residual of ``a^T [T; I] - tag * g^T``; zero when consistent."""
+    """Exact residual of ``a^T [T; I] - tag * g^T``, which is ``a``'s tail
+    less that of :func:`zero_tag_completion` and ``tag * g``; zero when
+    consistent."""
     ctx = av.ctx
     q = ctx.q
-    base_len, k = trap.base_len, trap.k
-    head = mulmod(av.vec_hat[:base_len, None, :], trap.t_hat, q).sum(axis=0) % q
-    full = (head + av.vec_hat[base_len:]) % q
-    hg_hat = mulmod(av.tag_hat, gadget_vector(k)[:, None] % q, q)
-    return ctx.intt((full - hg_hat) % q)
+    base_len = trap.base_len
+    tail_hat = zero_tag_completion(av.vec_hat[:base_len], trap)[base_len:]
+    hg_hat = mulmod(av.tag_hat, gadget_vector(trap.k)[:, None] % q, q)
+    return ctx.intt((av.vec_hat[base_len:] - tail_hat - hg_hat) % q)
 
 
 def sample_pre(

@@ -19,7 +19,9 @@ from test_params import _CRAFTED, crafted_frame
 from test_serial import (
     RESPELLINGS,
     SEED_FAULTS,
+    TAIL_FAULTS,
     packed_arrays,
+    previous_frame,
     respelled_frame,
     with_body_length,
     with_pad_bit,
@@ -307,19 +309,41 @@ FAULT_CASES += [("int", f) for f in SEED_FAULTS]
 def test_malformed_packed_frame_exits_two(packed_files, tmp_path, capsys, scheme, fault):
     d = packed_files[scheme]
     # A trapdoor fault lands in the secret key or the token, a seed fault in
-    # the public key or the token, any other in the ciphertext.
+    # the public key or the token, any other in the ciphertext.  A tail
+    # fault lands in the public key only, the one frame that stores the
+    # gadget tail of A', so only decrypt meets it.
     dec_role, test_role = {"trapdoor-past-bound": ("sk", "td"),
-                           **dict.fromkeys(SEED_FAULTS, ("pk", "td"))}.get(fault, ("ct", "ct"))
-    for role in {dec_role, test_role}:
+                           **dict.fromkeys(SEED_FAULTS, ("pk", "td")),
+                           **dict.fromkeys(TAIL_FAULTS, ("pk", None))}.get(fault, ("ct", "ct"))
+    for role in {dec_role, test_role} - {None}:
         (tmp_path / f"bad.{role}").write_bytes(_faulty((d / f"ivan.{role}").read_bytes(), fault))
     files = {ext: str(tmp_path / f"bad.{ext}") if ext in (dec_role, test_role) else f"{d}/ivan.{ext}"
              for ext in ("pk", "sk", "td", "ct")}
     capsys.readouterr()
     assert main(["decrypt", "--pk", files["pk"], "--sk", files["sk"], "--ct", files["ct"]]) == 2
-    assert main(["test", "--td-i", files["td"], "--td-j", f"{d}/judy.td",
-                 "--ct-i", files["ct"], "--ct-j", f"{d}/judy.ct"]) == 2
+    if test_role:
+        assert main(["test", "--td-i", files["td"], "--td-j", f"{d}/judy.td",
+                     "--ct-i", files["ct"], "--ct-j", f"{d}/judy.ct"]) == 2
     err = capsys.readouterr().err
-    assert err.count("error") == 2
+    assert err.count("error") == (2 if test_role else 1)
+
+
+@pytest.mark.parametrize("scheme", ["ring", "int"])
+@pytest.mark.parametrize("fault", ["previous-version", "truncated"])
+def test_equality_test_of_old_or_truncated_token_exits_two(packed_files, tmp_path, capsys, scheme, fault):
+    d = packed_files[scheme]
+    blob = (d / "ivan.td").read_bytes()
+    if fault == "truncated":
+        bad = blob[: len(blob) // 2]
+    else:
+        scheme_id, kind, params, td = serial.decode_object(blob)
+        bad = previous_frame(scheme_id, kind, td, params)
+    (tmp_path / "bad.td").write_bytes(bad)
+    capsys.readouterr()
+    assert main(["test", "--td-i", str(tmp_path / "bad.td"), "--td-j", f"{d}/judy.td",
+                 "--ct-i", f"{d}/ivan.ct", "--ct-j", f"{d}/judy.ct"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_unmutated_packed_files_run(packed_files, capsys):

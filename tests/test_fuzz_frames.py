@@ -5,8 +5,9 @@ A flipped, truncated or extended frame must either raise a typed
 :class:`PkeetError` or decode to an object that re-encodes to exactly the
 mutated bytes.  The keys are toy records (ring n=16, integer n=16), built
 once per module; the command-line fuzz covers both schemes.  Integer
-public keys and tokens (version 3, seed-expanded) also meet each fault of
-their own layout, at n=21, where the stored gadget tail ends mid-byte.
+public keys and tokens (seed-expanded) also meet each fault of their own
+layout, at n=21, where the public key's stored gadget tail ends mid-byte,
+and tokens of both schemes each fault of theirs.
 """
 
 import contextlib
@@ -24,7 +25,16 @@ from pkeet.errors import FramingError, PkeetError
 from pkeet.params import derive_int_params, derive_ring_params
 from pkeet.ring import RingElement, get_context
 from conftest import seeded
-from test_serial import SEED_FAULTS, with_seed_fault, with_version
+from test_serial import (
+    PREVIOUS_VERSIONS,
+    SEED_FAULTS,
+    TAIL_FAULTS,
+    packed_arrays,
+    with_body_length,
+    with_seed_fault,
+    with_value,
+    with_version,
+)
 
 KINDS = (serial.KIND_PK, serial.KIND_SK, serial.KIND_CT, serial.KIND_TD, serial.KIND_PARAMS)
 SEED = "cc" * 32
@@ -115,21 +125,46 @@ SEED_FAULT_ERRORS = {"seed-short": "shorter", "tail-q": "canonical range",
 
 @pytest.mark.parametrize("fault", SEED_FAULTS)
 def test_seeded_int_frame_faults_raise_framing_error(seeded_frames, fault):
-    for blob in seeded_frames:
-        assert blob[4] == 3
+    # Only the public key stores the gadget tail of A'.
+    for blob in seeded_frames[:1] if fault in TAIL_FAULTS else seeded_frames:
+        assert blob[4] == serial.VERSIONS[serial.SCHEME_INT]
         with pytest.raises(FramingError, match=SEED_FAULT_ERRORS[fault]):
             serial.decode_object(with_seed_fault(blob, fault))
 
 
-def test_ring_version_two_frames_still_decode(frames):
+def test_frames_decode_only_at_their_scheme_version(frames):
     for (scheme, kind), blob in frames.items():
-        if scheme != serial.SCHEME_RING:
-            continue
-        assert blob[4] == 2
+        assert blob[4] == serial.VERSIONS[scheme]
         scheme2, kind2, params, obj = serial.decode_object(blob)
         assert serial.encode_object(scheme2, kind2, obj, params) == blob
-        with pytest.raises(FramingError, match="unsupported version 3"):
-            serial.decode_object(with_version(blob, 3))
+        previous = PREVIOUS_VERSIONS[scheme]
+        with pytest.raises(FramingError, match=f"unsupported version {previous}"):
+            serial.decode_object(with_version(blob, previous))
+
+
+def _token_fault(blob: bytes, fault: str) -> bytes:
+    """A token frame truncated, with the first residue of the ring head
+    ``a'`` set to q, or with the first entry of ``T`` or ``R'`` one past the
+    tail bound (stored as ``-bound``, so the bound is ``-lo``)."""
+    if fault == "truncated":
+        return with_body_length(blob, -1)
+    if fault == "head-q":
+        return with_value(blob, 1, 0, serial.decode_frame(blob)[2].q)
+    return with_value(blob, 0, 0, -packed_arrays(blob)[0][2] + 1)
+
+
+TOKEN_FAULTS = {"truncated": "shorter", "head-q": "canonical range",
+                "trapdoor-past-bound": "canonical range"}
+TOKEN_FAULT_CASES = [(s, f) for s in (serial.SCHEME_RING, serial.SCHEME_INT) for f in TOKEN_FAULTS
+                     if (s, f) != (serial.SCHEME_INT, "head-q")]
+
+
+@pytest.mark.parametrize("scheme,fault", TOKEN_FAULT_CASES,
+                         ids=[f"{'ring' if s == serial.SCHEME_RING else 'int'}-{f}"
+                              for s, f in TOKEN_FAULT_CASES])
+def test_token_frame_faults_raise_framing_error(frames, scheme, fault):
+    with pytest.raises(FramingError, match=TOKEN_FAULTS[fault]):
+        serial.decode_object(_token_fault(frames[scheme, serial.KIND_TD], fault))
 
 
 def _run(argv: list[str]) -> int:

@@ -94,3 +94,18 @@ def test_fresh_seed_shape_and_variability():
     a, b = fresh_seed(), fresh_seed()
     assert isinstance(a, bytes) and len(a) == 32
     assert a != b
+
+
+def test_reads_across_blocks_are_bytes_and_match_piecewise_reads():
+    # Reads that cross the 4 KiB first squeeze and the 64 KiB block return
+    # bytes, as reads inside a block do, and u64 views the same words.
+    seed = bytes(range(32))
+    whole = XofRng(seed)
+    reads = [whole.bytes(k) for k in (4090, 10, 61_430, 70_000)]
+    assert all(type(r) is bytes for r in reads)
+    pieces = XofRng(seed)
+    assert b"".join(reads) == b"".join(pieces.bytes(1) for _ in range(sum(map(len, reads))))
+    words = XofRng(seed)
+    words.bytes(4090)
+    got = words.u64(9_000)
+    assert got.tobytes() == b"".join(reads)[4090 : 4090 + 72_000]

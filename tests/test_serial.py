@@ -16,7 +16,7 @@ from pkeet.matlattice import gadget_residual
 from pkeet.params import ParamsRing, derive_int_params, derive_ring_params
 from pkeet.ring import RingElement, get_context
 from pkeet.rng import XofRng
-from pkeet.trapdoor_ring import RingTrapdoor
+from pkeet.trapdoor_ring import RingTrapdoor, apply_tag_shift
 from conftest import seeded
 
 
@@ -243,9 +243,39 @@ def with_version(blob: bytes, version: int) -> bytes:
     return blob[:4] + bytes([version]) + blob[5:]
 
 
-# Faults of a version-3 integer pk or td frame, which ends with the tail of
-# A' and the 32-byte seed.
+# Each scheme's previous version, and its token layouts, which also stored
+# what the trapdoor determines: ring T, the whole of b, and u; integer R',
+# the gadget tail of A', and the seed.
+PREVIOUS_VERSIONS = {serial.SCHEME_RING: 2, serial.SCHEME_INT: 3}
+PREVIOUS_TOKEN_FIELDS = {
+    serial.SCHEME_RING: (serial._Field("t_b", *serial._RING_T),
+                         serial._Field("b", *serial._TAGGED),
+                         serial._Field("u", serial._RING_POLY)),
+    serial.SCHEME_INT: (serial._Field("t_a_prime", *serial._INT_R),
+                        serial._Field("a_prime", serial._INT_TAIL),
+                        serial._SEED),
+}
+
+
+def previous_frame(scheme: int, kind: int, obj, params) -> bytes:
+    """``obj`` as a frame of its scheme's previous version: a pk, sk or ct
+    frame differs only in the version byte, a token is in the old layout."""
+    if kind != serial.KIND_TD:
+        blob = serial.encode_object(scheme, kind, obj, params)
+    else:
+        values = {f.name: getattr(obj, f.name) for f in PREVIOUS_TOKEN_FIELDS[scheme]}
+        if scheme == serial.SCHEME_INT:
+            values["a_prime"] = obj.a_prime[:, params.m_bar:]
+        body = serial._pack_fields(PREVIOUS_TOKEN_FIELDS[scheme], values, params)
+        blob = serial.encode_frame(scheme, kind, params, body)
+    return with_version(blob, PREVIOUS_VERSIONS[scheme])
+
+
+# Faults of an integer pk frame, which ends with the tail of A' and the
+# 32-byte seed; a token frame ends with R' and the seed, and meets the
+# seed faults only.
 SEED_FAULTS = ("seed-short", "tail-q", "tail-pad-bit", "version-2")
+TAIL_FAULTS = ("tail-q", "tail-pad-bit")
 
 
 def with_seed_fault(blob: bytes, fault: str) -> bytes:
@@ -488,3 +518,68 @@ def test_encoders_refuse_objects_that_do_not_fit(ring_objects, int_objects):
             serial.encode_object(scheme, kind, obj, obj_params)
         with pytest.raises(FramingError):
             encoder(obj, obj_params)
+
+
+def test_previous_version_frames_rejected(ring_objects, int_objects):
+    for scheme, objs in ((serial.SCHEME_RING, ring_objects), (serial.SCHEME_INT, int_objects)):
+        previous = PREVIOUS_VERSIONS[scheme]
+        assert serial.VERSIONS[scheme] == previous + 1
+        for kind in KINDS:
+            blob = previous_frame(scheme, kind, objs[kind], objs["params"])
+            with pytest.raises(FramingError, match=f"unsupported version {previous}"):
+                serial.decode_object(blob)
+
+
+def test_token_frames_store_no_field_their_trapdoor_determines(ring_objects, int_objects):
+    # Ring: T, the head of b and u; integer: R' and the seed.
+    params = ring_objects["params"]
+    blob = serial.encode_object(serial.SCHEME_RING, serial.KIND_TD, ring_objects[serial.KIND_TD], params)
+    assert [count for _, count, _, _ in packed_arrays(blob)] == [
+        params.base_len * params.k * params.n, params.base_len * params.n, params.n]
+    params = int_objects["params"]
+    blob = serial.encode_object(serial.SCHEME_INT, serial.KIND_TD, int_objects[serial.KIND_TD], params)
+    assert [count for _, count, _, _ in packed_arrays(blob)] == [
+        params.m_bar * params.n * params.k, 32]
+
+
+def test_decoded_tokens_equal_the_encoded_ones(ring_objects, int_objects):
+    params = ring_objects["params"]
+    td = ring_objects[serial.KIND_TD]
+    got = serial.decode_object(serial.encode_object(serial.SCHEME_RING, serial.KIND_TD, td, params))[3]
+    assert np.array_equal(got.b.vec_hat, td.b.vec_hat) and not got.b.tag_hat.any()
+    assert np.array_equal(got.t_b.t_arr, td.t_b.t_arr) and np.array_equal(got.u, td.u)
+    # Decoding rebuilds b from T_b's NTT, which stays cached for the test;
+    # b's coefficient form waits until the token is encoded again.
+    assert got.t_b._t_hat is not None and got.b._vec is None
+    params = int_objects["params"]
+    td = int_objects[serial.KIND_TD]
+    got = serial.decode_object(serial.encode_object(serial.SCHEME_INT, serial.KIND_TD, td, params))[3]
+    assert np.array_equal(got.a_prime, td.a_prime) and got.seed == td.seed
+    assert np.array_equal(got.t_a_prime.r, td.t_a_prime.r)
+
+
+def test_ring_token_encoder_refuses_a_b_its_trapdoor_does_not_open(ring_objects):
+    params = ring_objects["params"]
+    td = ring_objects[serial.KIND_TD]
+    other, _ = pr.setup(params, seeded("serial-other-ring-key"))
+    shift = np.zeros(params.n, dtype=np.int64)
+    shift[0] = 1
+    for b in (other.b, apply_tag_shift(td.b, get_context(params).ntt(shift))):
+        with pytest.raises(FramingError, match="zero-tag completion"):
+            serial.encode_object(serial.SCHEME_RING, serial.KIND_TD, dataclasses.replace(td, b=b), params)
+
+
+def test_int_token_encoder_refuses_a_prime_its_trapdoor_does_not_open(int_objects):
+    params = int_objects["params"]
+    td = int_objects[serial.KIND_TD]
+    a_prime = td.a_prime.copy()
+    a_prime[0, params.m_bar] = (a_prime[0, params.m_bar] + 1) % params.q
+    with pytest.raises(FramingError, match="gadget completion"):
+        serial.encode_object(serial.SCHEME_INT, serial.KIND_TD, dataclasses.replace(td, a_prime=a_prime), params)
+
+
+def test_int_token_shares_the_public_key_arrays(int_objects):
+    pk, td = int_objects[serial.KIND_PK], int_objects[serial.KIND_TD]
+    assert np.shares_memory(td.a_prime, pk.a_prime)
+    assert np.shares_memory(td.b, pk.b) and np.shares_memory(td.u, pk.u)
+    assert all(np.shares_memory(x, y) for x, y in zip(td.a_list, pk.a_list))
