@@ -83,15 +83,18 @@ def _exact_matmul(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     Below 2^53 the product is one float64 BLAS call, in which every
     partial sum is an exactly representable integer; below 2^62 it is
     numpy's int64 product, which does not use BLAS; above that it goes
-    through :func:`matmul_mod`.  Callers that want residues reduce the
+    through :func:`matmul_mod`.  Operands may be int64 or float64 arrays
+    of integers (a trapdoor's ``R``); only those not already of the
+    product's dtype are converted.  Callers that want residues reduce the
     result; the ``R z`` fold-back keeps the signed product, its bound
     being far below 2^53.
     """
     bound = a.shape[1] * int(np.abs(a).max(initial=0)) * int(np.abs(b).max(initial=0))
     if bound < 1 << 53:
-        return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
+        product = a.astype(np.float64, copy=False) @ b.astype(np.float64, copy=False)
+        return product.astype(np.int64)
     if bound < 1 << 62:
-        return a.astype(np.int64) @ b.astype(np.int64)
+        return a.astype(np.int64, copy=False) @ b.astype(np.int64, copy=False)
     return matmul_mod(a, b, q)
 
 
@@ -110,9 +113,11 @@ class IntTrapdoor:
     """Gadget trapdoor ``R`` with the gadget-first factor of its
     perturbation covariance ``(sigma^2 - sigma_r^2) I - w^2 [R; I][R; I]^T``
     (see :func:`~pkeet.sampling.gadget_first_factor`); the ``sigma_r^2``
-    share is left for the randomized rounding."""
+    share is left for the randomized rounding.  ``R`` is held once, as
+    float64: its entries lie far below 2^53, so every one is exact, and
+    the perturbation and ``R z`` products read it without a conversion."""
 
-    r: np.ndarray              # (m_bar, n*k) signed int64
+    r: np.ndarray              # (m_bar, n*k) float64 of signed integers
     sqrt_d: float              # sqrt(sigma^2 - sigma_r^2 - w^2)
     chol: np.ndarray           # (m_bar, m_bar) float64, lower triangular
 
@@ -120,10 +125,10 @@ class IntTrapdoor:
     def from_r(cls, r: np.ndarray, params: ParamsInt) -> "IntTrapdoor":
         """Factor the perturbation covariance of ``R``; raises
         :class:`CovarianceNotPD` when ``sigma`` is too narrow for it."""
-        r = np.asarray(r, dtype=np.int64)
+        r = np.asarray(r, dtype=np.float64)
         zeta_sq = params.sigma**2 - params.sigma_r**2
         w_sq = int_gadget_width(params.m) ** 2
-        return cls(r, *gadget_first_factor(r.astype(np.float64), zeta_sq, w_sq, params.sigma**2))
+        return cls(r, *gadget_first_factor(r, zeta_sq, w_sq, params.sigma**2))
 
 
 def gadget_completion(a_bar: np.ndarray, r: np.ndarray, q: int) -> np.ndarray:

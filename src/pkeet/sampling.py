@@ -9,16 +9,21 @@ widths) that parameter derivation and the frame range of ``R`` assume.
 Two integer kernels, one job each, feed the rest:
 
 * a zero-centred inverse-CDF sampler (:func:`sample_z_batch`): one CDF
-  row over the window around 0, built by one cumulative sum at any width
-  and searched by bisection.  Every discrete Gaussian that reaches a key
-  or a ciphertext (trapdoors, encryption noise) is zero-centred and comes
-  from here, so those outputs stay reproducible byte for byte;
+  row over the window around 0, built by one cumulative sum at any width.
+  Every discrete Gaussian that reaches a key or a ciphertext (trapdoors,
+  encryption noise) is zero-centred and comes from here, so those outputs
+  stay reproducible byte for byte;
 * a rejection sampler (:func:`sample_z_reject`) for arbitrary centers:
   one cached half-Gaussian CDF row per width, a sign bit and a Bernoulli
   acceptance, redrawn in rounds.  It is exact but variable-time, and
   serves the draws of preimage sampling (perturbation rounding,
   gadget-walk levels, the integer scheme's ``p`` and ``e2``), whose
   randomness never reaches an output.
+
+Both look up each 64-bit stream word in their row through a bucket table
+on the word's top bits (:class:`_CdfRow`), which gives exactly the index
+that bisection of the word's uniform gives and bisects only the words of
+buckets that a row entry splits.
 
 On top of them sit the gadget-coset sampler (:func:`sample_g_batch`), a
 randomized nearest-plane walk over the fixed basis of the gadget kernel
@@ -52,28 +57,82 @@ def sample_z_batch(width: float, shape: int | tuple[int, ...], rng: XofRng) -> n
     """
     if width < 1.0:
         raise WidthTooSmall(f"width {width} below the supported minimum 1.0")
-    lo, cdf = _zero_centred_cdf(float(width))
-    # u * cdf[-1] never exceeds cdf[-1], so every index stays in the window.
-    u = rng.uniform01(int(np.prod(shape))) * cdf[-1]
-    return (lo + np.searchsorted(cdf, u, side="left")).reshape(shape)
+    lo, row = _zero_centred_cdf(float(width))
+    idx = row.index(rng.uniform01(int(np.prod(shape))))
+    idx += lo
+    return idx.reshape(shape)
+
+
+def _unit(words: np.ndarray) -> np.ndarray:
+    """Stream uniforms ``(w >> 11) 2^-53`` in [0, 1), as ``XofRng.uniform01``."""
+    u = (words >> np.uint64(11)).astype(np.float64)
+    u *= 2.0**-53
+    return u
+
+
+def _search(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF index of each stream uniform by bisection.  ``u * cdf[-1]``
+    never exceeds ``cdf[-1]`` for ``u < 1``, so every index lies in the row."""
+    return np.searchsorted(cdf, u * cdf[-1], side="left")
+
+
+class _CdfRow:
+    """A read-only CDF row and its bucket table over stream uniforms.
+
+    :meth:`index` gives each stream uniform ``u`` the same index as
+    :func:`_search`, mostly by one table read (a guide table, Chen and Asau
+    1974).  The table has ``2^g`` buckets, ``g = min(16, bit_length(len(row))
+    + 6)``; bucket ``j = floor(u 2^g)`` holds the uniforms of the stream
+    words whose top ``g`` bits are ``j``, as ``u = (w >> 11) 2^-53`` makes
+    ``u 2^g`` exact.
+
+    The read is exact: ``fl(u * cdf[-1])`` and the bisection index never
+    decrease as ``u`` grows, so the index of each uniform in bucket ``j``
+    lies between those of the bucket's first and last uniforms, the ones of
+    its first and last words.  Where the two agree the table holds that
+    index; where a row entry splits the bucket it holds -1, and only those
+    uniforms are searched.  At most ``len(row)`` buckets are split, so
+    below 1,024 entries at most 1/64 of the draws are.
+    """
+
+    __slots__ = ("cdf", "table", "scale")
+
+    def __init__(self, weights: np.ndarray):
+        """Row and table of ``weights``, which the row is summed into."""
+        self.cdf = np.cumsum(weights, out=weights)
+        self.cdf.flags.writeable = False
+        bits = min(16, self.cdf.size.bit_length() + 6)
+        self.scale = float(1 << bits)
+        first = np.arange(1 << bits, dtype=np.uint64) << np.uint64(64 - bits)
+        lo = _search(self.cdf, _unit(first))
+        hi = _search(self.cdf, _unit(first | np.uint64((1 << (64 - bits)) - 1)))
+        self.table = np.where(lo == hi, lo, -1)
+        self.table.flags.writeable = False
+
+    def index(self, u: np.ndarray) -> np.ndarray:
+        """Writable int64 inverse-CDF index of each stream uniform."""
+        # u 2^g is exact, so the cast floors it to the word's top g bits.
+        idx = self.table[(u * self.scale).astype(np.int64)]
+        if idx.min(initial=0) < 0:
+            split = idx < 0
+            idx[split] = _search(self.cdf, u[split])
+        return idx
 
 
 @functools.lru_cache(maxsize=16)
-def _zero_centred_cdf(width: float) -> tuple[int, np.ndarray]:
-    """Lowest window value and read-only CDF row of D_{Z, width} around 0."""
+def _zero_centred_cdf(width: float) -> tuple[int, _CdfRow]:
+    """Lowest window value and CDF row of D_{Z, width} around 0."""
     # Enumerating past 5.5 widths adds nothing: the relative weight out
     # there is under 1e-41, invisible to a float64 CDF.
     span = 5.5 * width
     window = int(math.floor(2.0 * span)) + 1
     lo = math.ceil(-span)
     delta = np.arange(window, dtype=np.float64) + lo
-    cdf = -math.pi * delta
-    cdf *= delta
-    cdf /= width * width
-    np.exp(cdf, out=cdf)
-    np.cumsum(cdf, out=cdf)
-    cdf.flags.writeable = False
-    return lo, cdf
+    weights = -math.pi * delta
+    weights *= delta
+    weights /= width * width
+    np.exp(weights, out=weights)
+    return lo, _CdfRow(weights)
 
 
 def sample_z_reject(width: float, centers: np.ndarray, rng: XofRng) -> np.ndarray:
@@ -97,19 +156,17 @@ def sample_z_reject(width: float, centers: np.ndarray, rng: XofRng) -> np.ndarra
     centers = np.asarray(centers, dtype=np.float64)
     floor = np.floor(centers.reshape(-1))
     frac = centers.reshape(-1) - floor
-    cdf = _half_gaussian_cdf(float(width))
+    row = _half_gaussian_cdf(float(width))
     neg_scale = -math.pi / (width * width)
-    out = np.empty(frac.size, dtype=np.int64)
+    out = floor.astype(np.int64)
     pending = np.arange(frac.size)
     # Each round works in place on a few arrays of the pending size.
     while pending.size:
         count = pending.size
         raw = rng.u64(2 * count)
         b = (raw[:count] & np.uint64(1)).astype(bool)
-        u = (raw >> np.uint64(11)).astype(np.float64)
-        u *= 2.0**-53
-        # u * cdf[-1] never exceeds cdf[-1], so z0 stays at most 5.5 widths.
-        z0 = np.searchsorted(cdf, u[:count] * cdf[-1], side="left")
+        u = _unit(raw)
+        z0 = row.index(u[:count])
         # |z - r| = z0 + t with t = r (b = 0) or 1 - r (b = 1), so the log
         # acceptance pi (z0^2 - (z - r)^2) / width^2 is -pi t (t + 2 z0) / width^2.
         t = frac[pending]
@@ -123,18 +180,16 @@ def sample_z_reject(width: float, centers: np.ndarray, rng: XofRng) -> np.ndarra
         np.negative(z0, out=z0, where=~b)      # z = b + (2b - 1) z0
         z0 += b
         done = pending[accept]
-        out[done] = floor[done].astype(np.int64) + z0[accept]
+        out[done] += z0[accept]
         pending = pending[~accept]
     return out.reshape(centers.shape)
 
 
 @functools.lru_cache(maxsize=256)    # a gadget walk alone uses k <= 56 widths
-def _half_gaussian_cdf(width: float) -> np.ndarray:
-    """Read-only CDF row of ``exp(-pi z0^2 / width^2)`` over z0 = 0 .. 5.5 widths."""
+def _half_gaussian_cdf(width: float) -> _CdfRow:
+    """CDF row of ``exp(-pi z0^2 / width^2)`` over z0 = 0 .. 5.5 widths."""
     ks = np.arange(int(math.floor(5.5 * width)) + 1, dtype=np.float64)
-    cdf = np.cumsum(np.exp(-math.pi * ks * ks / (width * width)))
-    cdf.flags.writeable = False
-    return cdf
+    return _CdfRow(np.exp(-math.pi * ks * ks / (width * width)))
 
 
 def sample_ring_array(width: float, count: int, ctx: RingContext, rng: XofRng) -> np.ndarray:

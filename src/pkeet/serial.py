@@ -119,12 +119,15 @@ def decode_frame(data: bytes) -> tuple[int, int, ParamsRing | ParamsInt, bytes]:
 class _Field(NamedTuple):
     """One field of a frame object: ``specs(params)`` lists the ``(shape,
     lo, hi)`` of each array it stores, values in ``[lo, hi)``;
-    ``take(value)`` gives those arrays, ``build(arrays, params)`` the value."""
+    ``take(value)`` gives those arrays, ``build(arrays, params)`` the value.
+    An object's value of the field must be an instance of ``cls``, when
+    one is given."""
 
     name: str
     specs: Callable
     take: Callable = lambda value: [value]
     build: Callable = lambda arrays, params: arrays[0]
+    cls: type | None = None
 
 
 def _residues(shape: Callable, count: Callable = lambda p: 1) -> Callable:
@@ -142,21 +145,34 @@ def _signed(shape: Callable, width: str) -> Callable:
     return specs
 
 
-# (specs, take, build) of each value type a field holds other than one array.
+def _int_r(trap: IntTrapdoor) -> list[np.ndarray]:
+    """``R``, held as float64, as the int64 array a frame stores; raises
+    :class:`FramingError` for an entry that is not an integer."""
+    r = np.asarray(trap.r)
+    stored = r.astype(np.int64)
+    if not np.array_equal(stored, r):
+        raise FramingError("R holds an entry that is not an integer")
+    return [stored]
+
+
+# (specs, take, build, cls) of each value type a field holds other than one array.
 _TAGGED = (
     _residues(lambda p: (p.m, p.n)),
     lambda tv: [tv.vec],
     lambda arrays, p: TaggedVector.from_coeffs(arrays[0], get_context(p)),
+    TaggedVector,
 )
 _RING_T = (
     _signed(lambda p: (p.base_len, p.k, p.n), "sigma_trap"),
     lambda trap: [trap.t_arr],
     lambda arrays, p: RingTrapdoor(t_arr=arrays[0], ctx=get_context(p)),
+    RingTrapdoor,
 )
 _INT_R = (
     _signed(lambda p: (p.m_bar, p.n * p.k), "sigma_r"),
-    lambda trap: [trap.r],
+    _int_r,
     lambda arrays, p: IntTrapdoor.from_r(arrays[0], p),
+    IntTrapdoor,
 )
 _INT_TAIL = _residues(lambda p: (p.n, p.n * p.k))
 _RING_POLY = _residues(lambda p: (p.n,))
@@ -188,7 +204,7 @@ _LAYOUTS = {
     )),
     (SCHEME_RING, KIND_TD): (TrapdoorTokenRing, (
         _Field("t_b", *_RING_T),
-        _Field("b", _residues(lambda p: (p.base_len, p.n))),
+        _Field("b", _residues(lambda p: (p.base_len, p.n)), cls=TaggedVector),
         _Field("u", _RING_POLY),
     )),
     (SCHEME_INT, KIND_PK): (PkInt, (
@@ -218,9 +234,10 @@ def _seed_split(values: dict, params: ParamsInt) -> dict:
         raise FramingError(f"the public seed must be {SEED_BYTES} bytes")
     pub = expand_public(seed, params)
     expanded = [(pub.b, values["b"]), (pub.u, values["u"])]
-    if len(values["a_list"]) != params.l:
-        raise FramingError(f"a_list holds {len(values['a_list'])} matrices, not {params.l}")
-    expanded += zip(pub.a_list, values["a_list"])
+    a_list = values["a_list"]
+    if not isinstance(a_list, (list, tuple)) or len(a_list) != params.l:
+        raise FramingError(f"a_list is not a sequence of {params.l} matrices")
+    expanded += zip(pub.a_list, a_list)
     out = dict(values)
     for name, bar in (("a", pub.a_bar), ("a_prime", pub.a_prime_bar)):
         if name in values:
@@ -279,7 +296,7 @@ def _ring_token_split(values: dict, params: ParamsRing) -> dict:
     completion = zero_tag_completion(vec_hat[: params.base_len], trap)
     if np.any(b.tag_hat) or not np.array_equal(vec_hat, completion):
         raise FramingError("b is not the zero-tag completion of the token's trapdoor")
-    return dict(values, b=b.vec[: params.base_len])
+    return dict(values, b=b.vec_head(params.base_len))
 
 
 def _ring_token_join(values: dict, params: ParamsRing) -> dict:
@@ -414,6 +431,11 @@ def encode_object(scheme: int, kind: int, obj, params) -> bytes:
     if not isinstance(obj, cls):
         raise FramingError(f"expected a {cls.__name__}, got {type(obj).__name__}")
     values = {f.name: getattr(obj, f.name) for f in fields}
+    for f in fields:
+        if f.cls is not None and not isinstance(values[f.name], f.cls):
+            raise FramingError(
+                f"field {f.name} holds a {type(values[f.name]).__name__}, not a {f.cls.__name__}"
+            )
     split, _ = _STORED_FORM.get(cls, (_same, _same))
     return encode_frame(scheme, kind, params, _pack_fields(fields, split(values, params), params))
 

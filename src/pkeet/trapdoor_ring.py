@@ -111,6 +111,13 @@ class TaggedVector:
             self._vec = self.ctx.intt(self.vec_hat)
         return self._vec
 
+    def vec_head(self, rows: int) -> np.ndarray:
+        """The first ``rows`` rows of the coefficient form; when that form is
+        not cached, only those rows are transformed."""
+        if self._vec is None:
+            return self.ctx.intt(self.vec_hat[:rows])
+        return self._vec[:rows]
+
 
 def zero_tag_completion(a_hat: np.ndarray, trap: RingTrapdoor) -> np.ndarray:
     """``[a'; -a'^T T]`` in NTT slots, shape (m, n), for the head ``a'``

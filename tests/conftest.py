@@ -1,5 +1,5 @@
 """Shared fixtures: small parameter sets and seeded rngs for fast tests, and
-the reference inverse-CDF kernel, gadget walk and ring kernels."""
+the reference inverse-CDF kernel and lookup, gadget walk and ring kernels."""
 
 import math
 
@@ -67,6 +67,18 @@ def cdt_batch_reference(width, centers, rng, tail_cut):
     idx = (cdf < u[:, None]).sum(axis=1)
     idx = np.minimum(idx, window - 1)
     return cand[np.arange(centers.size), idx]
+
+
+def stream_uniforms(words):
+    """``(w >> 11) 2^-53``: the uniform in [0, 1) of each 64-bit stream word."""
+    return (words >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+
+def cdf_index_reference(cdf, u):
+    """Bisection of each scaled uniform ``fl(u * cdf[-1])`` in a CDF row:
+    the inverse-CDF index that the samplers' bucket tables give, kept as
+    their exactness reference."""
+    return np.searchsorted(cdf, u * cdf[-1], side="left")
 
 
 def gadget_walk_reference(width, targets, q, rng):

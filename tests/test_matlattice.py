@@ -82,6 +82,25 @@ def test_trapdoor_gadget_identity(int_small):
     assert int(np.abs(trap.r).max()) <= int_small.t_tail * int_small.sigma_r
 
 
+def test_r_is_held_once_as_exact_float64(int_small):
+    # R's entries lie far below 2^53: held as float64, every one is exact,
+    # and its products equal those of the int64 R.
+    p = int_small
+    rng = seeded("int-r-float")
+    a_bar = mat_uniform(p.q, p.n, p.m_bar, rng)
+    _, trap = trap_gen_int(a_bar, p, rng)
+    assert trap.r.dtype == np.float64
+    r_int = trap.r.astype(np.int64)
+    assert np.array_equal(r_int, trap.r)
+    z = rng.uniform_mod(61, p.n * p.k * p.t_msg).reshape(p.n * p.k, p.t_msg) - 30
+    assert np.array_equal(matlattice._exact_matmul(trap.r, z, p.q), r_int @ z)
+    assert np.array_equal(matlattice._mul_signed(a_bar, trap.r, p.q), matmul_mod(a_bar, r_int, p.q))
+    # Its frame packs the int64 values, and decoding holds R as float64 again.
+    sk = pi.SkInt(t_a=trap, t_a_prime=trap)
+    got = serial.decode_object(serial.encode_int_sk(sk, p))[3]
+    assert got.t_a.r.dtype == np.float64 and np.array_equal(got.t_a.r, trap.r)
+
+
 def test_perturbation_factor_reproduces_covariance(int_small, monkeypatch):
     """The gadget-first factor [[L, -(w^2/sqrt(d)) R], [0, sqrt(d) I]]
     squares to (sigma^2 - sigma_r^2) I - w^2 [R; I][R; I]^T, and it is the

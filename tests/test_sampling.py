@@ -13,13 +13,14 @@ import numpy as np
 import pytest
 
 from pkeet.errors import CovarianceNotPD, WidthTooSmall
-from pkeet.params import T_TAIL, int_gadget_width
+from pkeet.params import T_TAIL, derive_int_params, derive_ring_params, int_gadget_width
 from pkeet.ring import RingContext
 from pkeet.rng import XofRng
 from pkeet.sampling import (
     PerturbationCov,
     _gadget_gs,
     _half_gaussian_cdf,
+    _zero_centred_cdf,
     bit_decompose,
     gadget_basis,
     gadget_vector,
@@ -27,7 +28,13 @@ from pkeet.sampling import (
     sample_z_batch,
     sample_z_reject,
 )
-from conftest import cdt_batch_reference, gadget_walk_reference, seeded
+from conftest import (
+    cdf_index_reference,
+    cdt_batch_reference,
+    gadget_walk_reference,
+    seeded,
+    stream_uniforms,
+)
 
 
 def gauss_weight(points: np.ndarray, width: float, center: float = 0.0) -> np.ndarray:
@@ -215,7 +222,7 @@ def test_rejection_sampler_top_uniform_stays_in_window(width):
     # never runs past the 5.5-width row and the sampler needs no clamp.
     top = float(np.uint64(2**64 - 1) >> np.uint64(11)) * 2.0**-53
     assert top == 1.0 - 2.0**-53
-    cdf = _half_gaussian_cdf(width)
+    cdf = _half_gaussian_cdf(width).cdf
     z0_max = math.floor(5.5 * width)
     assert cdf.size == z0_max + 1 and top * cdf[-1] <= cdf[-1]
     draws = sample_z_reject(width, np.zeros(8), _TopUniformRng(bytes(32)))
@@ -227,9 +234,70 @@ def test_rejection_sampler_top_uniform_stays_in_window(width):
 def test_half_gaussian_row_cached_read_only():
     row = _half_gaussian_cdf(4.43)
     assert _half_gaussian_cdf(4.43) is row
-    assert not row.flags.writeable
+    assert not row.cdf.flags.writeable
     ks = np.arange(math.floor(5.5 * 4.43) + 1, dtype=np.float64)
-    assert np.array_equal(row, np.cumsum(np.exp(-math.pi * ks * ks / (4.43 * 4.43))))
+    assert np.array_equal(row.cdf, np.cumsum(np.exp(-math.pi * ks * ks / (4.43 * 4.43))))
+
+
+def _level_widths(width: float, q: int) -> list[float]:
+    """The widths of a gadget walk at ``width`` modulo ``q``, as the walk
+    computes them."""
+    _, gs_norms = _gadget_gs(gadget_basis(q, int(q).bit_length()))
+    return [width / float(norm) for norm in gs_norms]
+
+
+def _drawn_rows(scheme: str, n: int, profile: str):
+    """Every CDF row that the scheme draws from at degree ``n``: zero-centred
+    rows of ``sample_z_batch`` and half rows of ``sample_z_reject``."""
+    if scheme == "ring":
+        p = derive_ring_params(128, n, profile)
+        zero = {p.sigma_trap, p.tau, p.gamma}
+        half = {p.sigma_trap, *_level_widths(p.alpha_g, p.q)}
+    else:
+        p = derive_int_params(128, n, profile)
+        zero = {p.sigma_r}
+        half = {p.sigma, p.sigma_r, *_level_widths(int_gadget_width(p.m), p.q)}
+    rows = [(f"zero-{w}", _zero_centred_cdf(w)[1]) for w in sorted(zero)]
+    return rows + [(f"half-{w}", _half_gaussian_cdf(w)) for w in sorted(half)]
+
+
+@pytest.mark.parametrize(
+    "scheme,n,profile",
+    [("ring", n, profile) for n in (64, 256, 1024, 2048) for profile in ("toy", "strict")]
+    + [("int", 16, "toy"), ("int", 32, "toy")],
+)
+def test_bucket_table_matches_bisection(scheme, n, profile):
+    # Random words, the first and last word of every bucket and their inner
+    # neighbours (so every edge between two buckets, from both sides), and
+    # the all-ones word, whose uniform 1 - 2^-53 is the largest.
+    for label, row in _drawn_rows(scheme, n, profile):
+        bits = row.table.size.bit_length() - 1
+        first = np.arange(1 << bits, dtype=np.uint64) << np.uint64(64 - bits)
+        last = first | np.uint64((1 << (64 - bits)) - 1)
+        words = np.concatenate([
+            seeded(f"bucket-{scheme}-{n}-{label}").u64(20_000),
+            first, first + np.uint64(1), last - np.uint64(1), last,
+            np.array([2**64 - 1], dtype=np.uint64),
+        ])
+        u = stream_uniforms(words)
+        got = row.index(u)
+        assert got.dtype == np.int64 and got.flags.writeable, label
+        assert np.array_equal(got, cdf_index_reference(row.cdf, u)), label
+
+
+@pytest.mark.parametrize("width", [1.0, 4.43, 31.9, 729.6, 7540.4])
+def test_bucket_tables_cached_read_only(width):
+    lo, zero = _zero_centred_cdf(width)
+    assert _zero_centred_cdf(width)[1] is zero and _half_gaussian_cdf(width) is _half_gaussian_cdf(width)
+    assert lo == math.ceil(-5.5 * width)
+    for row in (zero, _half_gaussian_cdf(width)):
+        assert not row.cdf.flags.writeable and not row.table.flags.writeable
+        bits = min(16, row.cdf.size.bit_length() + 6)
+        assert row.table.size == 1 << bits and row.table.dtype == np.int64
+        # Each row entry splits at most one bucket, so searched words are
+        # at most len(row) / 2^bits of all, under 1/64 below 1,024 entries.
+        assert (row.table < 0).sum() <= row.cdf.size
+        assert row.table.min() >= -1 and row.table.max() < row.cdf.size
 
 
 def test_integer_sampler_matches_exact_pmf():

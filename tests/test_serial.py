@@ -505,6 +505,8 @@ def test_encoders_refuse_objects_that_do_not_fit(ring_objects, int_objects):
     t_arr = sk.t_a.t_arr.copy()
     t_arr[0, 0, 0] = int(params.t_tail * params.sigma_trap) + 1
     sk_beyond_tail = pr.SkRing(t_a=RingTrapdoor(t_arr=t_arr, ctx=sk.t_a.ctx), t_b=sk.t_b)
+    int_sk = int_objects[serial.KIND_SK]
+    r_fraction = dataclasses.replace(int_sk.t_a, r=int_sk.t_a.r + 0.5)
     ring, integer = serial.SCHEME_RING, serial.SCHEME_INT
     cases = [  # (named encoder, scheme, kind, object, params)
         (serial.encode_int_pk, integer, serial.KIND_PK, ring_pk, int_params),
@@ -512,12 +514,32 @@ def test_encoders_refuse_objects_that_do_not_fit(ring_objects, int_objects):
         (serial.encode_ring_pk, ring, serial.KIND_PK, pk16, derive_ring_params(128, 32, "toy")),
         (serial.encode_ring_ct, ring, serial.KIND_CT, dataclasses.replace(ct, ct3=ct3), params),
         (serial.encode_ring_sk, ring, serial.KIND_SK, sk_beyond_tail, params),
+        (serial.encode_int_sk, integer, serial.KIND_SK,
+         dataclasses.replace(int_sk, t_a=r_fraction), int_params),
     ]
     for encoder, scheme, kind, obj, obj_params in cases:
         with pytest.raises(FramingError):
             serial.encode_object(scheme, kind, obj, obj_params)
         with pytest.raises(FramingError):
             encoder(obj, obj_params)
+
+
+@pytest.mark.parametrize(
+    "scheme,kind,field,value",
+    [
+        (serial.SCHEME_RING, serial.KIND_PK, "a", None),
+        (serial.SCHEME_RING, serial.KIND_TD, "t_b", None),
+        (serial.SCHEME_RING, serial.KIND_SK, "t_a", "x"),
+        (serial.SCHEME_INT, serial.KIND_SK, "t_a", None),
+        (serial.SCHEME_INT, serial.KIND_PK, "a_list", None),
+    ],
+    ids=["ring-pk-a", "ring-td-t_b", "ring-sk-t_a", "int-sk-t_a", "int-pk-a_list"],
+)
+def test_encoders_refuse_fields_of_the_wrong_type(ring_objects, int_objects, scheme, kind, field, value):
+    objects = ring_objects if scheme == serial.SCHEME_RING else int_objects
+    obj = dataclasses.replace(objects[kind], **{field: value})
+    with pytest.raises(FramingError, match=field):
+        serial.encode_object(scheme, kind, obj, objects["params"])
 
 
 def test_previous_version_frames_rejected(ring_objects, int_objects):
@@ -556,6 +578,22 @@ def test_decoded_tokens_equal_the_encoded_ones(ring_objects, int_objects):
     got = serial.decode_object(serial.encode_object(serial.SCHEME_INT, serial.KIND_TD, td, params))[3]
     assert np.array_equal(got.a_prime, td.a_prime) and got.seed == td.seed
     assert np.array_equal(got.t_a_prime.r, td.t_a_prime.r)
+
+
+def test_reencoding_a_decoded_ring_token_transforms_only_its_head(ring_objects, monkeypatch):
+    params = ring_objects["params"]
+    blob = serial.encode_object(serial.SCHEME_RING, serial.KIND_TD, ring_objects[serial.KIND_TD], params)
+    td = serial.decode_object(blob)[3]
+    ctx = get_context(params)
+    rows, intt = [], ctx.intt
+
+    def counted(evals):
+        rows.append(np.shape(evals)[0])
+        return intt(evals)
+
+    monkeypatch.setattr(ctx, "intt", counted)
+    assert serial.encode_object(serial.SCHEME_RING, serial.KIND_TD, td, params) == blob
+    assert rows == [params.base_len]
 
 
 def test_ring_token_encoder_refuses_a_b_its_trapdoor_does_not_open(ring_objects):
