@@ -1,6 +1,8 @@
 """Public-key encryption with equality test over lattices.
 
-Two interoperable scheme families share one interface:
+Two scheme families offer the same five operations, each through its own
+functions, objects and frames; neither reads the other's keys, ciphertexts
+or tokens:
 
 * a polynomial-ring scheme (fast, compact keys), exposed as
   :func:`setup`, :func:`encrypt`, :func:`decrypt`, :func:`trapdoor`,

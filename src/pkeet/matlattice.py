@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CovarianceNotPD, GenerationFailed, InvalidParams
-from .params import ParamsInt, int_gadget_width
+from .params import MULMOD_CAP, ParamsInt, int_gadget_width
 from .ring import mulmod
 from .rng import XofRng
 from .sampling import (
@@ -39,17 +39,18 @@ from .sampling import (
 )
 
 _TRAPGEN_RETRIES = 8
-_MATMUL_Q_CAP = 1 << 56   # elementwise products ride the exact mulmod kernel
 
 
 def matmul_mod(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
-    """Exact ``a @ b mod q`` for residue matrices of any supported modulus.
+    """Exact ``a @ b mod q`` for residue matrices and a modulus below
+    ``MULMOD_CAP``, where the elementwise products ride the exact
+    :func:`~pkeet.ring.mulmod` kernel.
 
     Each elementwise product is reduced before accumulation, so row sums
     stay far below the int64 ceiling; output columns are processed in
     blocks to bound the temporary.
     """
-    if q >= _MATMUL_Q_CAP:
+    if q >= MULMOD_CAP:
         raise InvalidParams(f"modulus too large for exact matmul: {q}")
     a = np.asarray(a, dtype=np.int64) % q
     b = np.asarray(b, dtype=np.int64) % q

@@ -19,8 +19,10 @@ serialization.  It is also the only statement of the parameter rules.
 field that differs, or returns the derivation's error text when the triple
 derives nothing: a profile outside ``PROFILES``, a security label outside
 ``[1, LAMBDA_MAX]``, a dimension outside ``[16, 2**62)``, or one with no
-admissible modulus.  Both derivations cache their last 32 records, so the
-validation that every frame decode runs costs one lookup.
+admissible modulus below ``MULMOD_CAP`` (``2**52``), the one modulus bound
+that every exact kernel and the frame packer rely on.  Both derivations
+cache their last 32 records, so the validation that every frame decode runs
+costs one lookup.
 """
 
 from __future__ import annotations
@@ -41,8 +43,8 @@ EPS_LOG2 = 80          # smoothing slack 2**-80 in the width floor
 T_PRIME = 6            # slack term inside the perturbation width bound
 T_TAIL = 12            # tail bound, in widths, assumed for every Gaussian draw
 GAUSS_C = 1.0 / math.sqrt(2.0 * math.pi)
-Q_CAP = 1 << 62        # coefficients must fit one 64-bit word
-MULMOD_CAP = 1 << 56   # ring.mulmod is proven exact only for moduli below this
+Q_CAP = 1 << 62        # every derivable dimension lies below this
+MULMOD_CAP = 1 << 52   # every modulus lies below this; ring.mulmod is proven exact there
 ZETA_HEADROOM = 1.01   # strict-inequality headroom above the width bound
 
 # Integer-scheme knobs.
@@ -212,14 +214,14 @@ def derive_ring_params(lambda_sec: int, n: int, profile: str) -> ParamsRing:
         start = 4 * (int(budget) + 1)
         if start >= MULMOD_CAP:
             raise ParameterOverflow(
-                f"ring modulus for n={n} would reach the 2**56 multiply cap"
+                f"ring modulus for n={n} would reach the 2**52 multiply cap"
             )
         q = _first_prime(max(start, (1 << (k - 1)) + 1), 2 * n, k)
         if q is not None:
             chosen = (k, q, zeta)
             break
     if chosen is None:
-        raise ParameterOverflow(f"no admissible ring modulus below 2**56 for n={n}")
+        raise ParameterOverflow(f"no admissible ring modulus below 2**52 for n={n}")
     k, q, zeta = chosen
 
     b_ots = 1
@@ -335,6 +337,8 @@ def derive_int_params(lambda_sec: int, n: int, profile: str) -> ParamsInt:
     Strict mode follows the published relations with ``omega(sqrt(log n))``
     instantiated as ``2 sqrt(log2 n)``; toy mode shrinks the matrix width
     multiplier to 2 and sizes the modulus from the exact decode margin.
+    Raises :class:`ParameterOverflow` when no admissible prime lies below
+    ``MULMOD_CAP``, the bound of the exact ``matmul_mod`` kernel.
     """
     _check_label(lambda_sec, profile)
     if not isinstance(n, int) or not 16 <= n < Q_CAP:
@@ -358,7 +362,7 @@ def derive_int_params(lambda_sec: int, n: int, profile: str) -> ParamsInt:
         mult = INT_STRICT_MULTIPLIER
 
     chosen = None
-    for k in range(8, 63):
+    for k in range(8, MULMOD_CAP.bit_length()):
         m = mult * n * k
         m_bar = m - n * k
         sigma_r = _width_floor(m + n)
@@ -372,16 +376,16 @@ def derive_int_params(lambda_sec: int, n: int, profile: str) -> ParamsInt:
         else:
             sigma = max(m * l * omega, sigma_op)
             q_min = max(INT_Q_BOUND, math.ceil(m**2.5 * omega))
-        if q_min > Q_CAP:
+        if q_min >= MULMOD_CAP:
             raise ParameterOverflow(
-                f"integer modulus for n={n} would need more than 62 bits"
+                f"integer modulus for n={n} would reach the 2**52 multiply cap"
             )
         q = _first_prime(max(q_min, (1 << (k - 1)) + 1), 2, k)
         if q is not None:
             chosen = (k, q, sigma, sigma_r)
             break
     if chosen is None:
-        raise ParameterOverflow(f"no admissible integer modulus below 2**62 for n={n}")
+        raise ParameterOverflow(f"no admissible integer modulus below 2**52 for n={n}")
     k, q, sigma, sigma_r = chosen
     m = mult * n * k
     m_bar = m - n * k

@@ -15,27 +15,18 @@ minus ``q`` times a float64 quotient estimate.  Both schemes lift residues
 to ``(-q/2, q/2]`` with :func:`balanced` and round them to bits with
 :func:`decode_bits`.
 
-Fold bound.  For ``q < 2**52`` the estimate is off by at most one multiple
-of ``q``, so one compare-and-add and one compare-and-subtract finish the
-reduction.  Proof: ``a``, ``b`` and ``q`` are exact in float64, and the
-estimate of ``x = a b / q`` is two correctly rounded steps, ``(a b) / q``
-or ``a (b / q)``, so it equals ``x (1 + e1)(1 + e2)`` with
+Fold bound.  Every modulus lies below ``params.MULMOD_CAP = 2**52``, and
+there the estimate is off by at most one multiple of ``q``, so one
+compare-and-add and one compare-and-subtract finish the reduction.  Proof:
+``a``, ``b`` and ``q`` are exact in float64, and the estimate of
+``x = a b / q`` is two correctly rounded steps, ``(a b) / q`` or
+``a (b / q)``, so it equals ``x (1 + e1)(1 + e2)`` with
 ``|e1|, |e2| <= 2**-53``.  As ``x < q``, its error is below
 ``q (2**-52 + 2**-106) < 1``, its floor is ``floor(x)`` or one off, and
 ``a b - q floor(estimate)`` lies in ``[-q, 2q)``; that fits int64, so the
-wrapped low words give it exactly.
-
-From ``2**52`` to the ``2**56`` cap the operands are no longer exact in
-float64, and the estimate takes at most five correctly rounded steps
-(``a``, ``b`` and ``q`` converted, then the product and the quotient; or
-``b``, ``q`` and ``b / q``, then ``a`` and the product).  So its relative
-error is below ``(1 + 2**-53)**5 - 1 < 2**-50``, and as ``x < q < 2**56``
-its absolute error is below 64.  The remainder ``a b - q trunc(estimate)``
-then lies in ``(-65 q, 65 q)``, inside ``(-2**63, 2**63)`` because
-``65 * 2**56 < 2**63``; the wrapped low words give it exactly, and one
-``% q`` finishes the reduction.  Moduli at or above ``2**56`` are rejected.
-The transforms' ``even +- odd`` sums lie in ``(-q, 2q)`` at any modulus and
-take the same compare corrections.
+wrapped low words give it exactly.  :class:`RingContext` refuses moduli at
+or above the cap.  The transforms' ``even +- odd`` sums lie in
+``(-q, 2q)`` and take the same compare corrections.
 """
 
 from __future__ import annotations
@@ -47,8 +38,6 @@ import numpy as np
 from .errors import InvalidDegree, InvalidParams, NotInvertible
 from .params import MULMOD_CAP, ParamsRing, is_prime
 
-
-_FOLD_BOUND = 1 << 52   # below it mulmod needs no % q; see the module docstring
 
 # The folds compare through an unsigned view: a negative x reads as at least
 # 2^63, so x + q wraps below x exactly when x < 0, and x - q wraps above x
@@ -68,7 +57,8 @@ def _fold_down(x: np.ndarray, q: int) -> None:
 
 
 def mulmod(a: np.ndarray, b, q: int, b_over_q=None) -> np.ndarray:
-    """Exact elementwise ``a * b mod q`` for canonical int64 operands.
+    """Exact elementwise ``a * b mod q`` for canonical int64 operands and a
+    modulus below ``MULMOD_CAP`` (the fold bound of the module docstring).
 
     ``b_over_q`` is ``b / q`` in float64, passed when it is precomputed for
     a fixed operand (the transform twiddles); the result is the same.
@@ -84,8 +74,6 @@ def mulmod(a: np.ndarray, b, q: int, b_over_q=None) -> np.ndarray:
     quot_q = quot.astype(np.int64)
     quot_q *= q
     rem -= quot_q
-    if q >= _FOLD_BOUND:
-        return rem % q
     _fold_up(rem, q)
     _fold_down(rem, q)
     return rem
@@ -137,7 +125,7 @@ class RingContext:
             raise InvalidDegree(f"degree must be a power of two, got {n}")
         if q >= MULMOD_CAP:
             raise InvalidParams(
-                f"modulus {q} is at or above 2**56, outside the multiply kernel range"
+                f"modulus {q} is at or above 2**52, outside the multiply kernel range"
             )
         if q % (2 * n) != 1 or not is_prime(q):
             raise InvalidParams(f"q={q} is not a prime congruent to 1 mod {2 * n}")

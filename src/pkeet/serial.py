@@ -348,22 +348,24 @@ def _bits(lo: int, hi: int) -> int:
 
 
 @functools.lru_cache(maxsize=None)
-def _octet(bits: int) -> tuple[np.ndarray, tuple, np.dtype]:
+def _octet(bits: int) -> tuple[np.ndarray, tuple[int, ...], np.dtype]:
     """Where each of 8 consecutive packed values lies in its ``bits`` bytes.
 
     Eight values take ``bits`` whole bytes, so value ``8 j + r`` starts
     ``j * bits`` bytes after value ``r``, at byte ``bases[r]`` and bit
     ``shifts[r]``.  Each is read through a little-endian window of
     ``dtype``, the fewest bytes (1, 2, 4 or 8) that hold every ``shift +
-    bits``; past 57 bits an 8-byte window can miss the top of a value,
-    which then lies in the byte after the window (``spills[r]``).  A window
-    is never wider than ``bits`` bytes, so the windows of one ``r`` do not
-    overlap.
+    bits``.  A shift is at most 7, so every width up to 57 bits fits an
+    8-byte window; frames use at most 52, as every residue lies below
+    ``params.MULMOD_CAP``, and a wider width raises :class:`FramingError`.
+    A window is never wider than ``bits`` bytes, so the windows of one
+    ``r`` do not overlap.
     """
+    if bits > 57:
+        raise FramingError(f"{bits}-bit values do not fit one 8-byte window")
     bases, shifts = zip(*(divmod(r * bits, 8) for r in range(8)))
-    width = next(w for w in (1, 2, 4, 8) if max(shifts) + bits <= 8 * w or w == 8)
-    spills = tuple(shift + bits > 64 for shift in shifts)
-    return np.array(shifts, dtype=f"<u{width}"), tuple(zip(bases, spills)), np.dtype(f"<u{width}")
+    width = next(w for w in (1, 2, 4, 8) if max(shifts) + bits <= 8 * w)
+    return np.array(shifts, dtype=f"<u{width}"), bases, np.dtype(f"<u{width}")
 
 
 def _views(buf: np.ndarray, bits: int, rows: int, base: int, dtype) -> np.ndarray:
@@ -374,20 +376,16 @@ def _views(buf: np.ndarray, bits: int, rows: int, base: int, dtype) -> np.ndarra
 
 def _pack(values: np.ndarray, lo: int, bits: int) -> bytes:
     """``values - lo`` (each below ``2**bits``) as one little-endian bit
-    string, padded with zero bits to a whole byte: the spilled tops, one
-    shift of every value into place, then one OR per octet position."""
+    string, padded with zero bits to a whole byte: one shift of every value
+    into place, then one OR per octet position."""
     count, size = values.size, (values.size * bits + 7) // 8
     rows = -(-count // 8)
-    shifts, windows, dtype = _octet(bits)
+    shifts, bases, dtype = _octet(bits)
     v = np.zeros((rows, 8), dtype=dtype)
     np.subtract(values.reshape(-1), lo, out=v.reshape(-1)[:count], casting="unsafe")
-    buf = np.zeros(rows * bits + 9, dtype=np.uint8)
-    for r, (base, spill) in enumerate(windows):
-        if spill:
-            top = _views(buf, bits, rows, base + 8, np.uint8)
-            top |= (v[:, r] >> (np.uint64(64) - shifts[r])).astype(np.uint8)
+    buf = np.zeros(rows * bits + 8, dtype=np.uint8)   # the last row's windows overhang
     v <<= shifts
-    for r, (base, _) in enumerate(windows):
+    for r, base in enumerate(bases):
         window = _views(buf, bits, rows, base, dtype)
         window |= v[:, r]
     return buf[:size].tobytes()
@@ -396,20 +394,16 @@ def _pack(values: np.ndarray, lo: int, bits: int) -> bytes:
 def _unpack(body, pos: int, count: int, bits: int) -> np.ndarray:
     """The ``count`` values packed at ``bits`` each from byte ``pos`` of
     ``body``, as int64; raises :class:`FramingError` on nonzero pad bits."""
+    shifts, bases, dtype = _octet(bits)
     size, rows = (count * bits + 7) // 8, -(-count // 8)
-    buf = np.zeros(rows * bits + 9, dtype=np.uint8)
+    buf = np.zeros(rows * bits + 8, dtype=np.uint8)
     buf[:size] = np.frombuffer(body, dtype=np.uint8, count=size, offset=pos)
     if count * bits % 8 and buf[size - 1] >> (count * bits % 8):
         raise FramingError("nonzero pad bits after a packed array")
-    shifts, windows, dtype = _octet(bits)
     out = np.empty((rows, 8), dtype=np.uint64)
-    for r, (base, _) in enumerate(windows):
+    for r, base in enumerate(bases):
         out[:, r] = _views(buf, bits, rows, base, dtype)
     out >>= shifts.astype(np.uint64)
-    for r, (base, spill) in enumerate(windows):
-        if spill:
-            top = _views(buf, bits, rows, base + 8, np.uint8).astype(np.uint64)
-            out[:, r] |= top << (np.uint64(64) - shifts[r])
     out &= np.uint64((1 << bits) - 1)
     return out.reshape(-1)[:count].view(np.int64)
 

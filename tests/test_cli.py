@@ -8,6 +8,7 @@ import dataclasses
 
 import pytest
 
+from pkeet import matlattice, trapdoor_ring
 from pkeet import pkeet_int as pi
 from pkeet import pkeet_ring as pr
 from pkeet import serial
@@ -115,16 +116,32 @@ def test_malformed_inputs_exit_two(ring_files, tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("argv", [
-    ["--scheme", "ring", "--profile", "strict", "--security", "100000", "--n", "64"],
-    ["--scheme", "int", "--n", str(10**400)],
-])
-def test_underivable_keygen_exits_two(tmp_path, capsys, argv):
-    # Labels and dimensions past the derivable range are refused before any
-    # float arithmetic can overflow, so no traceback and no key files.
+_UNDERIVABLE = [
+    (["--scheme", "ring", "--profile", "strict", "--security", "100000", "--n", "64"], "must lie in"),
+    (["--scheme", "int", "--n", str(10**400)], "must lie in"),
+    (["--scheme", "ring", "--n", "2048"], "would reach the 2**52 multiply cap"),
+    (["--scheme", "int", "--profile", "strict", "--n", "8192"], "would reach the 2**52 multiply cap"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,refusal", _UNDERIVABLE, ids=[f"argv{i}" for i in range(len(_UNDERIVABLE))]
+)
+def test_underivable_keygen_exits_two(tmp_path, capsys, monkeypatch, argv, refusal):
+    # Labels and dimensions past the derivable range, and degrees whose
+    # modulus would reach the multiply cap, are refused before any float
+    # arithmetic can overflow and before any trapdoor draw, so no traceback
+    # and no key files.
+    def no_draw(*args):
+        pytest.fail("keygen reached a trapdoor draw")
+
+    for module, name in ((trapdoor_ring, "trap_gen"), (pr, "trap_gen"),
+                         (matlattice, "trap_gen_int"), (pi, "trap_gen_int")):
+        monkeypatch.setattr(module, name, no_draw)
     out = tmp_path / "keys"
     assert main(["keygen", *argv, "--seed", SEED_A, "--out-dir", str(out), "--name", "x"]) == 2
-    assert "must lie in" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert refusal in err and "Traceback" not in err
     assert not out.exists()
 
 

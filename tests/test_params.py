@@ -5,10 +5,12 @@ from fractions import Fraction
 import math
 
 from hypothesis import given, settings, strategies as st
+import numpy as np
 import pytest
 
 from pkeet import serial
 from pkeet.errors import FramingError, InvalidParams, ParameterOverflow
+from pkeet.matlattice import matmul_mod
 from pkeet.ring import RingContext
 from pkeet.params import (
     INT_Q_BOUND,
@@ -16,6 +18,7 @@ from pkeet.params import (
     INT_TOY_MULTIPLIER,
     LAMBDA_MAX,
     MULMOD_CAP,
+    PROFILES,
     Q_CAP,
     ParamsRing,
     _ring_error_budget,
@@ -55,8 +58,7 @@ def test_ring_validation_flags_multiply_cap():
         RingContext(p.n, p.q)
 
 
-# The ring modulus of every degree that derives: the same under the 2^56
-# multiply cap as under the 2^57 cap before it.
+# The ring modulus of every degree that derives below the 2^52 cap.
 RING_MODULI = {
     16: 400641032801,
     32: 1671602155649,
@@ -65,8 +67,6 @@ RING_MODULI = {
     256: 127887583264769,
     512: 547543115493377,
     1024: 2412720128278529,
-    2048: 10339340924895233,
-    4096: 44299501063200769,
 }
 
 
@@ -74,8 +74,30 @@ def test_ring_derivation_stops_at_multiply_cap():
     for n, q in RING_MODULI.items():
         for profile in ("toy", "strict"):
             assert derive_ring_params(128, n, profile).q == q < MULMOD_CAP
-    with pytest.raises(ParameterOverflow, match="2\\*\\*56"):
-        derive_ring_params(128, 8192, "toy")
+    with pytest.raises(ParameterOverflow, match="2\\*\\*52"):
+        derive_ring_params(128, 2048, "toy")
+
+
+def test_derived_moduli_run_on_the_kernels():
+    # Every record that derives has a modulus its kernels accept, and the
+    # degrees whose modulus would reach the cap derive nothing: ring n >= 2048
+    # and strict integer n >= 4096.  Derivation only, no key is generated.
+    for profile in PROFILES:
+        for n in (2**e for e in range(4, 11)):
+            q = derive_ring_params(128, n, profile).q
+            assert q < MULMOD_CAP
+            assert RingContext(n, q).q == q
+        for n in (2048, 4096):
+            with pytest.raises(ParameterOverflow, match=r"2\*\*52"):
+                derive_ring_params(128, n, profile)
+        for n in (2**e for e in range(4, 16)):
+            if profile == "strict" and n >= 4096:
+                with pytest.raises(ParameterOverflow, match=r"2\*\*52"):
+                    derive_int_params(128, n, profile)
+                continue
+            q = derive_int_params(128, n, profile).q
+            assert q < MULMOD_CAP
+            assert matmul_mod(np.array([[q - 1]]), np.array([[q - 1]]), q).tolist() == [[1]]
 
 
 _RECORDS = (

@@ -13,7 +13,6 @@ import pytest
 from pkeet.errors import InvalidDegree, InvalidParams, NotInvertible
 from pkeet.params import MULMOD_CAP, derive_ring_params, is_prime, validate
 from pkeet.ring import (
-    _FOLD_BOUND,
     RingContext,
     RingElement,
     decode_bits,
@@ -28,14 +27,12 @@ from pkeet.ring import (
 from conftest import intt_reference, mulmod_reference, ntt_reference, seeded
 
 # (n, q) for the kernel exactness tests: q = 97, the toy moduli at n = 64,
-# 256 and 1024, the ring primes (q = 1 mod 128) just below and just above
-# the 2^52 fold bound, and the largest ring prime below the 2^56 cap.
+# 256 and 1024, and the largest ring prime (q = 1 mod 128) below the 2^52
+# cap, where the fold bound is tightest.
 KERNEL_MODULI = [
     (16, 97),
     *((n, derive_ring_params(128, n, "toy").q) for n in (64, 256, 1024)),
     (64, 4503599627367553),
-    (64, 4503599627373697),
-    (64, 72057594037926529),
 ]
 
 
@@ -47,31 +44,27 @@ def test_transform_round_trip(ring_small):
         assert np.array_equal(ctx.intt(ctx.ntt(coeffs)), coeffs)
 
 
-# Ring primes (1 mod 128) in [2^56, 2^57): the smallest and the largest,
-# which the 2^57 cap of earlier releases admitted.
-ABOVE_CAP = (72057594037931393, 144115188075849217)
+# Ring primes (1 mod 128) in [2^52, 2^53): the smallest and the largest.
+ABOVE_CAP = (4503599627373697, 9007199254740481)
 
 
 def test_ring_primes_above_the_cap_refused():
     base = derive_ring_params(128, 64, "toy")
     for q in ABOVE_CAP:
         assert is_prime(q) and q % 128 == 1 and MULMOD_CAP <= q < 2 * MULMOD_CAP
-        with pytest.raises(InvalidParams, match="2\\*\\*56"):
+        with pytest.raises(InvalidParams, match="2\\*\\*52"):
             RingContext(64, q)
         p = dataclasses.replace(base, q=q, k=q.bit_length(), m=q.bit_length() + 2)
         assert validate(p) == ["q", "k", "m"]
 
 
 def test_kernel_moduli_straddle_the_bounds():
-    below, above, top = (q for _, q in KERNEL_MODULI[-3:])
-    assert below < _FOLD_BOUND < above < top < MULMOD_CAP
-    for q in (below, above, top):
-        assert is_prime(q) and q % 128 == 1
-    # Each is the nearest ring prime to its bound: no candidate 1 mod 128
-    # strictly between lies prime.
-    for lo, hi in ((below, _FOLD_BOUND), (_FOLD_BOUND, above), (top, MULMOD_CAP)):
-        first = lo - (lo - 1) % 128 + 128
-        assert not any(is_prime(c) for c in range(first, hi, 128))
+    # The top kernel modulus is the largest ring prime below the cap: no
+    # candidate 1 mod 128 between it and the smallest refused one is prime.
+    top, above = KERNEL_MODULI[-1][1], ABOVE_CAP[0]
+    assert top < MULMOD_CAP < above
+    assert is_prime(top) and top % 128 == 1
+    assert not any(is_prime(c) for c in range(top + 128, above, 128))
 
 
 def _kernel_inputs(q, n, label):

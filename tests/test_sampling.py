@@ -263,7 +263,7 @@ def _drawn_rows(scheme: str, n: int, profile: str):
 
 @pytest.mark.parametrize(
     "scheme,n,profile",
-    [("ring", n, profile) for n in (64, 256, 1024, 2048) for profile in ("toy", "strict")]
+    [("ring", n, profile) for n in (64, 256, 1024) for profile in ("toy", "strict")]
     + [("int", 16, "toy"), ("int", 32, "toy")],
 )
 def test_bucket_table_matches_bisection(scheme, n, profile):

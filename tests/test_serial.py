@@ -300,10 +300,10 @@ def _reference_pack(values: list[int], bits: int) -> bytes:
 
 
 # Trapdoor entries take 7 bits, residues 28 (integer n=16), 47 (ring n=256)
-# and up to 56 (ring) or 62 (integer moduli below 2^62); past 57 bits a
-# value can spill out of its 8-byte window, and an odd width such as 61
-# meets every bit offset.  1 and 3 bits take 1- and 2-byte windows.
-@pytest.mark.parametrize("bits", [1, 3, 7, 28, 47, 56, 61, 62])
+# and at most 52 (moduli below the 2^52 cap); 57 is the widest width whose
+# values fit one 8-byte window at every bit offset, which an odd width
+# meets.  1 and 3 bits take 1- and 2-byte windows.
+@pytest.mark.parametrize("bits", [1, 3, 7, 28, 47, 52, 56, 57])
 @pytest.mark.parametrize("count", [1, 5, 13, 63, 100, 1001])
 def test_packer_matches_bit_string_reference(bits, count):
     values = seeded(f"pack-{bits}-{count}").u64(count) >> np.uint64(64 - bits)
@@ -311,6 +311,16 @@ def test_packer_matches_bit_string_reference(bits, count):
     packed = serial._pack(values, 0, bits)
     assert packed == _reference_pack(values.tolist(), bits)
     assert np.array_equal(serial._unpack(packed, 0, count, bits), values.astype(np.int64))
+
+
+@pytest.mark.parametrize("bits", [58, 61, 64])
+def test_packer_refuses_widths_over_57_bits(bits):
+    # Past 57 bits a value at some bit offset overruns an 8-byte window, so
+    # every wider width is refused, even one (58, 64) whose offsets fit.
+    with pytest.raises(FramingError, match="8-byte window"):
+        serial._pack(np.zeros(8, dtype=np.uint64), 0, bits)
+    with pytest.raises(FramingError, match="8-byte window"):
+        serial._unpack(bytes(bits), 0, 8, bits)
 
 
 @pytest.mark.parametrize("bits", [3, 7, 47])
