@@ -21,7 +21,8 @@ class InvalidDegree(InvalidParams):
 
 
 class ParameterOverflow(InvalidParams):
-    """A derived parameter exceeds the 64-bit coefficient budget."""
+    """A derived parameter exceeds the 64-bit coefficient budget, or the
+    arrays it sizes exceed memory."""
 
 
 class ParamsMismatch(PkeetError):

@@ -184,8 +184,9 @@ def sample_left(
     with ``(A | M1) e = U mod q`` and Gaussian profile, stacked as
     (J, 2m, t); every ``U`` has the same t columns.
 
-    The second half of each column is a fresh Gaussian of width ``sigma``.
-    The first half is ``p + [R z; z]``: ``p`` is the perturbation, and
+    The second half of each column is a fresh Gaussian of width ``sigma``,
+    zero-centred, so :func:`~pkeet.sampling.sample_z_batch` draws it at one
+    stream word per entry.  The first half is ``p + [R z; z]``: ``p`` is the perturbation, and
     ``z`` a gadget-coset sample with ``G z = target - A p``, so the
     congruence is exact by construction and the sum is spherical.  All
     jobs share one draw of the ``M1`` halves, one of the standard normals,
@@ -200,7 +201,7 @@ def sample_left(
     if shapes != {((n, m), (n, m), m, (n, t))}:
         raise InvalidParams("preimage jobs do not match the parameter shapes")
 
-    e2 = sample_z_reject(params.sigma, np.zeros((count, m, t)), rng)
+    e2 = sample_z_batch(params.sigma, (count, m, t), rng)
     w = int_gadget_width(m)
     normals = rng.normal(count * m * t).reshape(count, m, t)
     y = np.empty((count, m, t))

@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidMessage, RejectHash, RejectSignature
+from .errors import InvalidMessage, ParameterOverflow, RejectHash, RejectSignature
 from .hashing import hash_message, hash_pm_one, hash_weighted, words
 from .matlattice import (
     IntTrapdoor,
@@ -113,11 +113,19 @@ def expand_public(seed: bytes, params: ParamsInt) -> PublicMatrices:
     ``XofRng(seed)``.  The arrays are read-only: the last two expansions
     are kept and shared by every key object of their seed, so a key that
     is set up, encoded and decoded in one process is expanded once.
+
+    Raises :class:`ParameterOverflow` when a family does not fit in memory.
     """
     root = XofRng(seed)
 
     def draw(label: bytes, *shape: int) -> np.ndarray:
-        arr = root.fork(label).uniform_mod(params.q, math.prod(shape)).reshape(shape)
+        count = math.prod(shape)
+        try:
+            arr = root.fork(label).uniform_mod(params.q, count).reshape(shape)
+        except MemoryError:
+            raise ParameterOverflow(
+                f"public matrix {label.decode()} of {count:,} entries does not fit in memory"
+            ) from None
         arr.flags.writeable = False
         return arr
 

@@ -16,18 +16,24 @@ Two integer kernels, one job each, feed the rest:
 * a rejection sampler (:func:`sample_z_reject`) for arbitrary centers:
   one cached half-Gaussian CDF row per width, a sign bit and a Bernoulli
   acceptance, redrawn in rounds.  It is exact but variable-time, and
-  serves the draws of preimage sampling (perturbation rounding,
-  gadget-walk levels, the integer scheme's ``p`` and ``e2``), whose
-  randomness never reaches an output.
+  serves the draws of preimage sampling (perturbation rounding and the
+  gadget walk), whose randomness never reaches an output.
 
-Both look up each 64-bit stream word in their row through a bucket table
-on the word's top bits (:class:`_CdfRow`), which gives exactly the index
-that bisection of the word's uniform gives and bisects only the words of
-buckets that a row entry splits.
+Both look up a stream uniform in their row through a bucket table on its
+top ``g`` bits (:class:`_CdfRow`), which gives exactly the index that
+bisection of the uniform gives and bisects only the uniforms of buckets
+that a row entry splits.  The zero-centred sampler reads one 64-bit word
+per draw.  The rejection sampler reads its uniforms lazily
+(:func:`_reject_round`): ``g // 8 + 2`` bytes per candidate, 3 at every
+row the schemes reject from, and one more word only for a split bucket or
+an acceptance tie, against 16 bytes for two whole words.  Each draw is
+the same function of two 53-bit uniforms as with whole words, so every
+distribution is exactly the same.
 
 On top of them sit the gadget-coset sampler (:func:`sample_g_batch`), a
 randomized nearest-plane walk over the fixed basis of the gadget kernel
-lattice, and one gadget-first factorization of the trapdoor perturbation
+lattice in which each target moves down a level as soon as its draw is
+accepted, and one gadget-first factorization of the trapdoor perturbation
 covariance ``zeta'^2 I - alpha^2 [T; I][T; I]*``
 (:func:`gadget_first_factor`), shared by the ring and integer trapdoors.
 The gadget block is scalar, so only the rows x rows Schur complement of
@@ -95,13 +101,13 @@ class _CdfRow:
     below 1,024 entries at most 1/64 of the draws are.
     """
 
-    __slots__ = ("cdf", "table", "scale")
+    __slots__ = ("cdf", "table", "bits", "scale")
 
     def __init__(self, weights: np.ndarray):
         """Row and table of ``weights``, which the row is summed into."""
         self.cdf = np.cumsum(weights, out=weights)
         self.cdf.flags.writeable = False
-        bits = min(16, self.cdf.size.bit_length() + 6)
+        self.bits = bits = min(16, self.cdf.size.bit_length() + 6)
         self.scale = float(1 << bits)
         first = np.arange(1 << bits, dtype=np.uint64) << np.uint64(64 - bits)
         lo = _search(self.cdf, _unit(first))
@@ -116,6 +122,20 @@ class _CdfRow:
         if idx.min(initial=0) < 0:
             split = idx < 0
             idx[split] = _search(self.cdf, u[split])
+        return idx
+
+    def complete(self, bucket: np.ndarray, rng: XofRng) -> np.ndarray:
+        """Writable int64 index of a uniform known only by its bucket, its
+        top ``g`` bits.  Each bucket that a row entry splits reads one
+        stream word ``w``, in bucket order, for the bits below: the uniform
+        is that of the word ``bucket 2^(64-g) + (w >> g)``, as if the
+        bucket and ``w`` were one stream word."""
+        idx = self.table[bucket]
+        split = np.flatnonzero(idx < 0)
+        if split.size:
+            words = bucket[split].astype(np.uint64) << np.uint64(64 - self.bits)
+            words |= rng.u64(split.size) >> np.uint64(self.bits)
+            idx[split] = _search(self.cdf, _unit(words))
         return idx
 
 
@@ -143,8 +163,9 @@ def sample_z_reject(width: float, centers: np.ndarray, rng: XofRng) -> np.ndarra
     CDF row at ``s0 = width``, cut at 5.5 widths, and a sign bit ``b``; it
     is accepted with probability ``exp(pi z0^2/s0^2 - pi (z - r)^2/width^2)``,
     at most 1 because ``|z - r| >= z0``.  Centers whose candidate is
-    rejected draw again, in rounds, until every one is accepted (Falcon's
-    SamplerZ; Howe, Prest, Ricosset and Rossi, PQCrypto 2020).
+    rejected draw again, in rounds of :func:`_reject_round`, until every
+    one is accepted (Falcon's SamplerZ; Howe, Prest, Ricosset and Rossi,
+    PQCrypto 2020).
 
     The support covers the 5.5-width window of :func:`sample_z_batch`, so
     the draws are exact to float64 precision at every width and center.
@@ -157,35 +178,80 @@ def sample_z_reject(width: float, centers: np.ndarray, rng: XofRng) -> np.ndarra
     floor = np.floor(centers.reshape(-1))
     frac = centers.reshape(-1) - floor
     row = _half_gaussian_cdf(float(width))
-    neg_scale = -math.pi / (width * width)
+    coef_t = -math.pi / (width * width)
     out = floor.astype(np.int64)
     pending = np.arange(frac.size)
-    # Each round works in place on a few arrays of the pending size.
     while pending.size:
-        count = pending.size
-        raw = rng.u64(2 * count)
-        b = (raw[:count] & np.uint64(1)).astype(bool)
-        u = _unit(raw)
-        z0 = row.index(u[:count])
-        # |z - r| = z0 + t with t = r (b = 0) or 1 - r (b = 1), so the log
-        # acceptance pi (z0^2 - (z - r)^2) / width^2 is -pi t (t + 2 z0) / width^2.
-        t = frac[pending]
-        np.subtract(1.0, t, out=t, where=b)
-        accept_p = 2.0 * z0
-        accept_p += t
-        t *= neg_scale
-        accept_p *= t
-        np.exp(accept_p, out=accept_p)
-        accept = u[count:] < accept_p
-        np.negative(z0, out=z0, where=~b)      # z = b + (2b - 1) z0
-        z0 += b
-        done = pending[accept]
-        out[done] += z0[accept]
+        z, accept = _reject_round(row, frac[pending], coef_t, None, rng)
+        out[pending[accept]] += z[accept]
         pending = pending[~accept]
     return out.reshape(centers.shape)
 
 
-@functools.lru_cache(maxsize=256)    # a gadget walk alone uses k <= 56 widths
+def _reject_round(
+    row: _CdfRow, frac: np.ndarray, coef_t, coef_z, rng: XofRng
+) -> tuple[np.ndarray, np.ndarray]:
+    """One rejection round: a candidate ``z`` for each fractional center in
+    ``frac`` (overwritten), and whether it is accepted.
+
+    Candidates come from the half-Gaussian ``row`` at width ``s0`` and are
+    accepted at width ``s <= s0``.  With ``|z - r| = z0 + t``, the log
+    acceptance ``pi z0^2/s0^2 - pi (z0 + t)^2/s^2`` is
+    ``coef_t t (t + 2 z0) + coef_z z0^2`` with ``coef_t = -pi/s^2`` and
+    ``coef_z = -pi (1/s^2 - 1/s0^2)``, scalars or one per center
+    (``coef_z`` is ``None`` when ``s = s0``).  Both terms are <= 0, so
+    nothing cancels and the acceptance is at most 1.
+
+    The round reads ``nb + 1`` bytes per candidate, ``nb = g // 8 + 1``
+    for the row's ``g``-bit table: a little-endian ``nb``-byte word whose
+    top ``g`` bits are the bucket and whose lowest bit is ``b``, then the
+    top byte of the acceptance uniform.  Then split buckets complete their
+    uniform (:meth:`_CdfRow.complete`) and acceptance ties read the rest of
+    theirs (:func:`_accept_lazy`), one stream word each, in that order.
+    """
+    nb = row.bits // 8 + 1
+    count = frac.size
+    rec = np.frombuffer(rng.bytes(count * (nb + 1)), dtype=np.uint8).reshape(count, nb + 1)
+    word = rec[:, 0].astype(np.int64)
+    for j in range(1, nb):
+        word |= rec[:, j].astype(np.int64) << (8 * j)
+    b = (word & 1).astype(bool)
+    z0 = row.complete(word >> (8 * nb - row.bits), rng)
+    t = frac                      # t = r (b = 0) or 1 - r (b = 1)
+    np.subtract(1.0, t, out=t, where=b)
+    log_p = 2.0 * z0
+    log_p += t
+    log_p *= t
+    log_p *= coef_t
+    if coef_z is not None:
+        log_p += coef_z * (z0 * z0)
+    accept = _accept_lazy(np.exp(log_p, out=log_p), rec[:, nb], rng)
+    np.negative(z0, out=z0, where=~b)      # z = b + (2b - 1) z0
+    z0 += b
+    return z0, accept
+
+
+def _accept_lazy(p: np.ndarray, top: np.ndarray, rng: XofRng) -> np.ndarray:
+    """Whether ``u < p`` for each probability ``p`` and 53-bit uniform ``u``
+    whose top byte is ``top`` (Falcon's ``BerExp`` compares byte by byte).
+
+    With ``P = 256 p``, a top byte below ``floor(P)`` accepts and one above
+    rejects, whatever ``u``'s other 45 bits.  Only a tie reads them, as the
+    top 45 bits of one stream word, and accepts when they, over ``2^45``,
+    fall below ``P - floor(P)``.  Every step is exact in float64.
+    """
+    big = p * 256.0
+    whole = np.floor(big)
+    accept = top < whole
+    tie = np.flatnonzero(top == whole)
+    if tie.size:
+        rest = (rng.u64(tie.size) >> np.uint64(19)).astype(np.float64)
+        rest *= 2.0**-45
+        accept[tie] = rest < big[tie] - whole[tie]
+    return accept
+
+
+@functools.lru_cache(maxsize=16)    # a gadget walk reads two rows
 def _half_gaussian_cdf(width: float) -> _CdfRow:
     """CDF row of ``exp(-pi z0^2 / width^2)`` over z0 = 0 .. 5.5 widths."""
     ks = np.arange(int(math.floor(5.5 * width)) + 1, dtype=np.float64)
@@ -238,6 +304,20 @@ def _gadget_gs(basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return q_mat * np.sign(diag)[None, :], np.abs(diag)
 
 
+def _walk_directions(basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The columns ``gs_q[:, i] / norm_i`` that turn a residual into level
+    ``i``'s center, rounded to multiples of 2^-40, and the norms.
+
+    A residual entry is an integer, so each product with a rounded
+    direction is a multiple of 2^-40 and, while every partial sum stays
+    below 2^13 in magnitude, exact: a center then has the same bits in
+    every summation order, BLAS or not.  Each column's entries sum to at
+    most 1.5 in magnitude, so that holds for residual entries below 5,000.
+    """
+    gs_q, gs_norms = _gadget_gs(basis)
+    return np.ldexp(np.rint(np.ldexp(gs_q / gs_norms, 40)), -40), gs_norms
+
+
 def sample_g_batch(width: float, targets: np.ndarray, q: int, rng: XofRng) -> np.ndarray:
     """(len(targets), k) gadget-coset draws: row z with ``sum_i 2^i z_i = t
     (mod q)`` for each target t, distributed close to D_{Lambda_t, width}.
@@ -247,26 +327,52 @@ def sample_g_batch(width: float, targets: np.ndarray, q: int, rng: XofRng) -> np
     draws one integer at ``width`` over that level's orthogonalized norm.
     Those norms reach sqrt(5), so a narrower ``width`` raises
     :class:`WidthTooSmall`.
+
+    The top level, the widest, is one :func:`sample_z_reject` call.  Below
+    it the targets are pipelined: each round of :func:`_reject_round` draws
+    one candidate per unfinished target at that target's level, and a
+    target moves down a level as soon as its draw is accepted.  One
+    half-Gaussian row at the largest of those levels' widths serves all of
+    them, each accepted at its own width.  Column ``i < k-1`` is
+    ``2 e_i - e_{i+1}`` and direction ``i`` is 0 past coordinate ``i + 1``,
+    so level ``i``'s center is the top residual's, from one product, plus
+    the draw of level ``i + 1`` times ``-2`` its direction's entry ``i + 1``.
     """
     k = int(q).bit_length()
     basis = gadget_basis(q, k)
-    gs_q, gs_norms = _gadget_gs(basis)
+    dirs, gs_norms = _walk_directions(basis)
     out = bit_decompose(np.asarray(targets, dtype=np.int64) % q, k)
-    residual = -out.astype(np.float64)
-    for i in range(k - 1, -1, -1):
-        level_width = width / float(gs_norms[i])
-        level_centers = residual @ gs_q[:, i] / float(gs_norms[i])
-        z = sample_z_reject(level_width, level_centers, rng)
-        if i == k - 1:
-            out += z[:, None] * basis[None, :, i]
-            residual -= z[:, None].astype(np.float64) * basis[None, :, i].astype(np.float64)
-        else:
-            # Column 2 e_i - e_{i+1} touches two coordinates of the draw.
-            # Of the residual only coordinate i is read again: every later
-            # direction gs_q[:, j], j < i, is exactly 0 past coordinate j + 1.
-            out[:, i] += 2 * z
-            out[:, i + 1] -= z
-            residual[:, i] -= 2.0 * z
+    top = sample_z_reject(width / float(gs_norms[-1]), -out @ dirs[:, -1], rng)
+    out += top[:, None] * basis[None, :, -1]
+
+    base = -out.astype(np.float64) @ dirs[:, :-1]  # (N, k-1) centers before the levels
+    step = -2.0 * np.diagonal(dirs, -1)            # entry i is -2 dirs[i+1, i]
+    widths = width / gs_norms[:-1]
+    s0 = float(widths.max())
+    coef_t = -math.pi / (widths * widths)
+    coef_z = coef_t + math.pi / (s0 * s0)
+    row = _half_gaussian_cdf(s0)
+    # Column i holds level i's draw.  Each round writes every candidate
+    # at its target's level; the target leaves the level once its
+    # candidate is accepted, so the last write there is the accepted one.
+    draws = np.zeros((out.shape[0], k - 1))
+    pending = np.arange(out.shape[0])
+    level = np.full(pending.size, k - 2)
+    above = np.zeros(pending.size)      # each pending target's draw one level up
+    while pending.size:
+        centers = base[pending, level] + step[level] * above
+        floor = np.floor(centers)
+        z, accept = _reject_round(row, centers - floor, coef_t[level], coef_z[level], rng)
+        z = z + floor
+        draws[pending, level] = z
+        np.copyto(above, z, where=accept)
+        level -= accept
+        if level.min() < 0:
+            kept = level >= 0
+            pending, level, above = pending[kept], level[kept], above[kept]
+    draws = draws.astype(np.int64)
+    out[:, :-1] += 2 * draws
+    out[:, 1:] -= draws
     return out
 
 

@@ -1,5 +1,5 @@
 """Shared fixtures: small parameter sets and seeded rngs for fast tests, and
-the reference inverse-CDF kernel and lookup, gadget walk and ring kernels."""
+the reference inverse-CDF kernel and lookup, gadget walks and ring kernels."""
 
 import math
 
@@ -9,7 +9,15 @@ import pytest
 from pkeet.errors import InternalError
 from pkeet.params import derive_int_params, derive_ring_params
 from pkeet.rng import XofRng
-from pkeet.sampling import _gadget_gs, bit_decompose, gadget_basis, sample_z_reject
+from pkeet.sampling import (
+    _gadget_gs,
+    _half_gaussian_cdf,
+    _reject_round,
+    _walk_directions,
+    bit_decompose,
+    gadget_basis,
+    sample_z_reject,
+)
 
 
 @pytest.fixture(scope="session")
@@ -82,9 +90,49 @@ def cdf_index_reference(cdf, u):
 
 
 def gadget_walk_reference(width, targets, q, rng):
-    """Dense gadget walk: every level subtracts its whole basis column from
-    the full (N, k) state, kept as the exactness reference for
-    ``sample_g_batch``."""
+    """Pipelined gadget walk written per target, kept as the exactness
+    reference for ``sample_g_batch``.
+
+    The top level is one ``sample_z_reject`` call.  Below it, each round
+    gives every unfinished target, in target order, one candidate at its
+    own level, centred by one matvec of that target's full residual; an
+    accepted target subtracts the whole basis column from its residual and
+    moves down a level.
+    """
+    k = int(q).bit_length()
+    basis = gadget_basis(q, k)
+    dirs, gs_norms = _walk_directions(basis)
+    out = bit_decompose(np.asarray(targets, dtype=np.int64) % q, k)
+    residual = -out.astype(np.float64)
+    top = sample_z_reject(width / float(gs_norms[-1]), residual @ dirs[:, -1], rng)
+    out += top[:, None] * basis[None, :, -1]
+    residual -= top[:, None] * basis[None, :, -1].astype(np.float64)
+    widths = width / gs_norms[:-1]
+    s0 = float(widths.max())
+    coef_t = -math.pi / (widths * widths)
+    coef_z = coef_t + math.pi / (s0 * s0)
+    row = _half_gaussian_cdf(s0)
+    level = [k - 2] * len(out)
+    while True:
+        pending = [j for j in range(len(out)) if level[j] >= 0]
+        if not pending:
+            return out
+        levels = np.array([level[j] for j in pending])
+        centers = np.array([residual[j] @ dirs[:, level[j]] for j in pending])
+        floor = np.floor(centers)
+        z, accept = _reject_round(row, centers - floor, coef_t[levels], coef_z[levels], rng)
+        for j, i, z_j, ok in zip(pending, levels, z + floor.astype(np.int64), accept):
+            if ok:
+                out[j] += z_j * basis[:, i]
+                residual[j] -= z_j * basis[:, i]
+                level[j] -= 1
+
+
+def gadget_walk_dense(width, targets, q, rng):
+    """Level-by-level gadget walk: each level draws every target at that
+    level's own width and subtracts its whole basis column from the full
+    (N, k) state.  It reads the stream in another order than
+    ``sample_g_batch``, so it is kept as a distribution reference."""
     k = int(q).bit_length()
     basis = gadget_basis(q, k)
     gs_q, gs_norms = _gadget_gs(basis)

@@ -13,6 +13,7 @@ from pkeet import pkeet_int as pi
 from pkeet import pkeet_ring as pr
 from pkeet import serial
 from pkeet.cli import main
+from pkeet.errors import ParameterOverflow
 from pkeet.params import ParamsRing, derive_int_params, derive_ring_params
 from pkeet.ring import RingElement, get_context
 from conftest import seeded
@@ -143,6 +144,29 @@ def test_underivable_keygen_exits_two(tmp_path, capsys, monkeypatch, argv, refus
     err = capsys.readouterr().err
     assert refusal in err and "Traceback" not in err
     assert not out.exists()
+
+
+def test_public_matrices_past_memory_exit_two(int_files, tmp_path, capsys, monkeypatch):
+    # Strict integer keys at n >= 128 need gigabytes of public matrices.  An
+    # expansion that cannot allocate them is a parameter refusal naming the
+    # entry count, so keygen and frame decode exit 2 without a traceback.
+    # Expansions are cached, so the cache is cleared before the patch.
+    def no_memory(self, bound, count):
+        raise MemoryError
+
+    pi.expand_public.cache_clear()
+    monkeypatch.setattr(pi.XofRng, "uniform_mod", no_memory)
+    p = derive_int_params(128, 16, "toy")
+    with pytest.raises(ParameterOverflow, match=f"{p.n * p.m_bar:,} entries"):
+        pi.expand_public(bytes(32), p)
+    out = tmp_path / "keys"
+    assert main(["keygen", "--scheme", "int", "--n", "16", "--seed", SEED_A,
+                 "--out-dir", str(out), "--name", "x"]) == 2
+    assert main(["encrypt", "--pk", f"{int_files}/ivan.pk", "--message", "5a",
+                 "--seed", SEED_A, "--out", str(tmp_path / "ct")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("does not fit in memory") == 2 and "Traceback" not in err
+    assert not list(out.iterdir())
 
 
 @pytest.mark.parametrize("record,name,value", _CRAFTED)

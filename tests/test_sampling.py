@@ -18,8 +18,10 @@ from pkeet.ring import RingContext
 from pkeet.rng import XofRng
 from pkeet.sampling import (
     PerturbationCov,
+    _accept_lazy,
     _gadget_gs,
     _half_gaussian_cdf,
+    _reject_round,
     _zero_centred_cdf,
     bit_decompose,
     gadget_basis,
@@ -31,6 +33,7 @@ from pkeet.sampling import (
 from conftest import (
     cdf_index_reference,
     cdt_batch_reference,
+    gadget_walk_dense,
     gadget_walk_reference,
     seeded,
     stream_uniforms,
@@ -205,15 +208,33 @@ def test_rejection_sampler_matches_exact_pmf(width):
         assert stat < chi_square_critical(dof), f"center {c}: chi^2 {stat:.1f} on {dof} dof"
 
 
-class _TopUniformRng(XofRng):
-    """Every draw round reads all-ones words for its candidates (sign bit 1,
-    uniform ``1 - 2^-53``, the largest the stream gives) and zero words for
-    its acceptance uniforms, so every candidate is accepted."""
+class _ByteRng(XofRng):
+    """A stream that serves ``data`` and then zero bytes, and counts the
+    bytes it has served."""
 
-    def u64(self, count):
-        out = np.zeros(count, dtype=np.uint64)
-        out[: count // 2] = np.uint64(2**64 - 1)
+    def __init__(self, data: bytes):
+        super().__init__(bytes(32))
+        self.data, self.served = data, 0
+
+    def bytes(self, count):
+        out = self.data[self.served : self.served + count].ljust(count, b"\0")
+        self.served += count
         return out
+
+
+class _TopUniformRng(_ByteRng):
+    """One rejection round of ``count`` candidates from ``row`` that read
+    all-ones candidate bytes (the top bucket, sign bit 1) and, where that
+    bucket is split, an all-ones completion word, so each takes the largest
+    uniform the stream gives, ``1 - 2^-53``.  The acceptance bytes and any
+    tie words are zero, so every candidate is accepted."""
+
+    def __init__(self, row, count):
+        nb = row.bits // 8 + 1
+        data = (b"\xff" * nb + b"\0") * count
+        if row.table[-1] < 0:
+            data += b"\xff" * 8 * count
+        super().__init__(data)
 
 
 @pytest.mark.parametrize("width", [1.0, 1.7, 4.43, 31.9, 729.6])
@@ -225,7 +246,7 @@ def test_rejection_sampler_top_uniform_stays_in_window(width):
     cdf = _half_gaussian_cdf(width).cdf
     z0_max = math.floor(5.5 * width)
     assert cdf.size == z0_max + 1 and top * cdf[-1] <= cdf[-1]
-    draws = sample_z_reject(width, np.zeros(8), _TopUniformRng(bytes(32)))
+    draws = sample_z_reject(width, np.zeros(8), _TopUniformRng(_half_gaussian_cdf(width), 8))
     z0 = draws - 1                                  # z = b + (2b - 1) z0, b = 1
     assert ((0 <= z0) & (z0 <= z0_max)).all()
     assert (z0 == np.searchsorted(cdf, top * cdf[-1], side="left")).all()
@@ -239,33 +260,37 @@ def test_half_gaussian_row_cached_read_only():
     assert np.array_equal(row.cdf, np.cumsum(np.exp(-math.pi * ks * ks / (4.43 * 4.43))))
 
 
-def _level_widths(width: float, q: int) -> list[float]:
-    """The widths of a gadget walk at ``width`` modulo ``q``, as the walk
-    computes them."""
+def _walk_widths(width: float, q: int) -> list[float]:
+    """The two row widths of a gadget walk at ``width`` modulo ``q``, as the
+    walk computes them: the top level's, and the widest of the levels below,
+    whose row they share."""
     _, gs_norms = _gadget_gs(gadget_basis(q, int(q).bit_length()))
-    return [width / float(norm) for norm in gs_norms]
+    return [width / float(gs_norms[-1]), float((width / gs_norms[:-1]).max())]
 
 
 def _drawn_rows(scheme: str, n: int, profile: str):
     """Every CDF row that the scheme draws from at degree ``n``: zero-centred
-    rows of ``sample_z_batch`` and half rows of ``sample_z_reject``."""
+    rows of ``sample_z_batch`` and half rows of ``sample_z_reject`` and the
+    gadget walk."""
     if scheme == "ring":
         p = derive_ring_params(128, n, profile)
         zero = {p.sigma_trap, p.tau, p.gamma}
-        half = {p.sigma_trap, *_level_widths(p.alpha_g, p.q)}
+        half = {p.sigma_trap, *_walk_widths(p.alpha_g, p.q)}
     else:
         p = derive_int_params(128, n, profile)
-        zero = {p.sigma_r}
-        half = {p.sigma, p.sigma_r, *_level_widths(int_gadget_width(p.m), p.q)}
+        zero = {p.sigma_r, p.sigma}
+        half = {p.sigma_r, *_walk_widths(int_gadget_width(p.m), p.q)}
     rows = [(f"zero-{w}", _zero_centred_cdf(w)[1]) for w in sorted(zero)]
     return rows + [(f"half-{w}", _half_gaussian_cdf(w)) for w in sorted(half)]
 
 
-@pytest.mark.parametrize(
-    "scheme,n,profile",
-    [("ring", n, profile) for n in (64, 256, 1024) for profile in ("toy", "strict")]
-    + [("int", 16, "toy"), ("int", 32, "toy")],
-)
+ROW_CASES = [("ring", n, profile) for n in (64, 256, 1024) for profile in ("toy", "strict")] + [
+    ("int", 16, "toy"),
+    ("int", 32, "toy"),
+]
+
+
+@pytest.mark.parametrize("scheme,n,profile", ROW_CASES)
 def test_bucket_table_matches_bisection(scheme, n, profile):
     # Random words, the first and last word of every bucket and their inner
     # neighbours (so every edge between two buckets, from both sides), and
@@ -283,6 +308,80 @@ def test_bucket_table_matches_bisection(scheme, n, profile):
         got = row.index(u)
         assert got.dtype == np.int64 and got.flags.writeable, label
         assert np.array_equal(got, cdf_index_reference(row.cdf, u)), label
+
+
+@pytest.mark.parametrize("scheme,n,profile", ROW_CASES)
+def test_lazy_index_matches_bisection(scheme, n, profile):
+    # A rejection candidate reads only its bucket, the top g bits of its
+    # uniform; a split bucket reads one more word for the bits below.  For
+    # random words and the first and last word of every bucket, feeding the
+    # bucket and then the word's lower bits must give the index that
+    # bisection of the whole word's uniform gives.
+    for label, row in _drawn_rows(scheme, n, profile):
+        g = row.bits
+        first = np.arange(1 << g, dtype=np.uint64) << np.uint64(64 - g)
+        last = first | np.uint64((1 << (64 - g)) - 1)
+        words = np.concatenate([seeded(f"lazy-{scheme}-{n}-{label}").u64(20_000), first, last])
+        bucket = (words >> np.uint64(64 - g)).astype(np.int64)
+        split = row.table[bucket] < 0
+        rng = _ByteRng((words[split] << np.uint64(g)).astype("<u8").tobytes())
+        got = row.complete(bucket, rng)
+        assert got.dtype == np.int64 and got.flags.writeable, label
+        assert rng.served == 8 * int(split.sum()), label
+        assert np.array_equal(got, cdf_index_reference(row.cdf, stream_uniforms(words))), label
+
+
+def test_lazy_acceptance_matches_uniform_comparison():
+    # Comparing the top byte first and the other 45 bits only on a tie must
+    # decide exactly as ``u < p`` for the whole 53-bit uniform: at random p,
+    # p = 1, p below 2^-8 (every top byte but 0 rejects at once) and p on
+    # the byte grid (a tie always rejects), with random words and with words
+    # whose top byte is forced onto the tie.
+    rng = seeded("lazy-accept")
+    words = rng.u64(4000)
+    cases = {
+        "random": rng.uniform01(4000),
+        "one": np.ones(4000),
+        "tiny": rng.uniform01(4000) * 2.0**-8,
+        "grid": rng.uniform_mod(256, 4000) / 256.0,
+    }
+    for label, p in cases.items():
+        tie_byte = np.minimum(np.floor(p * 256.0), 255.0).astype(np.uint64)
+        forced = (words & np.uint64(2**56 - 1)) | (tie_byte << np.uint64(56))
+        for kind, w in (("stream", words), ("tie", forced)):
+            top = (w >> np.uint64(56)).astype(np.uint8)
+            tie = top == np.floor(p * 256.0)
+            assert tie.all() or kind == "stream" or label == "one"
+            stub = _ByteRng((w[tie] << np.uint64(8)).astype("<u8").tobytes())
+            got = _accept_lazy(p, top, stub)
+            assert stub.served == 8 * int(tie.sum()), (label, kind)
+            assert np.array_equal(got, stream_uniforms(w) < p), (label, kind)
+
+
+def test_narrower_widths_from_one_row_match_exact_pmf():
+    # The gadget walk draws every level below its top from one row at the
+    # widest level width (4.954 at ring n=256) and accepts each candidate at
+    # its own level's width (4.431 at level 0).  Widths and centers
+    # interleave in one round sequence, so each draw must land in its slot.
+    s0, widths, per_slot = 4.954, (4.431, 1.0, 4.954), 40_000
+    width = np.repeat(widths, len(REJECT_CENTERS))
+    centers = np.tile(REJECT_CENTERS, len(widths))
+    coef_t = np.tile(-math.pi / (width * width), per_slot)
+    coef_z = coef_t + math.pi / (s0 * s0)
+    centers = np.tile(centers, per_slot)
+    floor = np.floor(centers)
+    frac = centers - floor
+    out = floor.astype(np.int64)
+    pending = np.arange(centers.size)
+    row, rng = _half_gaussian_cdf(s0), seeded("narrow-widths")
+    while pending.size:
+        z, accept = _reject_round(row, frac[pending], coef_t[pending], coef_z[pending], rng)
+        out[pending[accept]] += z[accept]
+        pending = pending[~accept]
+    draws = out.reshape(per_slot, width.size)
+    for j, (w, c) in enumerate(zip(width, np.tile(REJECT_CENTERS, len(widths)))):
+        stat, dof = chi_square_against_pmf(draws[:, j], w, c)
+        assert stat < chi_square_critical(dof), f"width {w}, center {c}: chi^2 {stat:.1f} on {dof} dof"
 
 
 @pytest.mark.parametrize("width", [1.0, 4.43, 31.9, 729.6, 7540.4])
@@ -357,24 +456,27 @@ def test_gram_schmidt_norms_match_manual_oracle(ring_toy, int_toy):
 def test_gadget_sampler_golden_digests(ring_toy, int_small):
     # Pins the walk's float arithmetic: any reordering changes the draws.
     for q, width, want in (
-        (ring_toy.q, ring_toy.alpha_g, "0da1591ba2893e5d"),
-        (int_small.q, int_gadget_width(int_small.m), "a930ff47469cc7b9"),
+        (ring_toy.q, ring_toy.alpha_g, "91effce6b5ba4c9c"),
+        (int_small.q, int_gadget_width(int_small.m), "9351af51856b3c58"),
     ):
         rng = XofRng(bytes([5]) * 32)
         draws = sample_g_batch(width, rng.uniform_mod(q, 64), q, rng)
         assert hashlib.sha256(draws.astype("<i8").tobytes()).hexdigest()[:16] == want
 
 
-@pytest.mark.parametrize("modulus", ["ring_toy", "int_small", "5", "12289"])
+@pytest.mark.parametrize("modulus", ["ring_toy", "int_small", "5", "12289", "2", "3"])
 def test_gadget_walk_matches_dense_reference(ring_toy, int_small, modulus):
-    # The walk updates two coordinates per level below the last; it must
-    # draw exactly what the dense full-row walk draws, and leave the stream
-    # where the dense walk leaves it.
+    # The walk pipelines its targets and centers them from one product; it
+    # must draw exactly what the per-target walk, with a full residual and
+    # one matvec per center, draws, and leave the stream where that walk
+    # leaves it.  Moduli 2 and 3 have a single level below the top.
     q, width = {
         "ring_toy": (ring_toy.q, ring_toy.alpha_g),
         "int_small": (int_small.q, int_gadget_width(int_small.m)),
         "5": (5, 4.0),
         "12289": (12289, ring_toy.alpha_g),
+        "2": (2, 4.0),
+        "3": (3, 4.0),
     }[modulus]
     targets = seeded(f"walk-targets-{modulus}").uniform_mod(q, 1000)
     rng_fast, rng_ref = seeded("walk-ref"), seeded("walk-ref")
@@ -383,6 +485,49 @@ def test_gadget_walk_matches_dense_reference(ring_toy, int_small, modulus):
     assert fast.shape == ref.shape == (1000, q.bit_length())
     assert np.array_equal(fast, ref)
     assert np.array_equal(rng_fast.u64(4), rng_ref.u64(4))
+
+
+def test_gadget_walk_matches_level_by_level_walk_in_distribution(ring_toy):
+    # The level-by-level walk draws each level at its own width; the
+    # pipelined walk draws from one shared row.  For one fixed target, the
+    # per-coordinate means and variances of 20,000 draws of each must agree
+    # within five standard errors.
+    q, width, count = ring_toy.q, ring_toy.alpha_g, 20_000
+    targets = np.full(count, int(seeded("walk-dist-target").uniform_mod(q, 1)[0]))
+    fast = sample_g_batch(width, targets, q, seeded("walk-dist-fast")).astype(np.float64)
+    dense = gadget_walk_dense(width, targets, q, seeded("walk-dist-dense")).astype(np.float64)
+    mean_z = (fast.mean(0) - dense.mean(0)) / np.sqrt((fast.var(0) + dense.var(0)) / count)
+
+    def var_and_se(x):
+        dev = (x - x.mean(0)) ** 2
+        return dev.mean(0), dev.std(0) / math.sqrt(count)
+
+    (v_fast, se_fast), (v_dense, se_dense) = var_and_se(fast), var_and_se(dense)
+    var_z = (v_fast - v_dense) / np.sqrt(se_fast**2 + se_dense**2)
+    assert float(np.abs(mean_z).max()) < 5.0, mean_z
+    assert float(np.abs(var_z).max()) < 5.0, var_z
+
+
+class _CountingRng(XofRng):
+    """A stream that counts the bytes it has served."""
+
+    served = 0
+
+    def bytes(self, count):
+        self.served += count
+        return super().bytes(count)
+
+
+def test_gadget_walk_stream_bytes(ring_toy):
+    # At this seed, a 512-target ring n=256 walk read 461,552 stream bytes
+    # with two 64-bit words per candidate and one level per round for all
+    # targets; lazy reads and the pipelined walk must read at most a third.
+    q = ring_toy.q
+    rng = _CountingRng(seeded("walk-bytes").seed)
+    targets = rng.uniform_mod(q, 512)
+    start = rng.served
+    sample_g_batch(ring_toy.alpha_g, targets, q, rng)
+    assert rng.served - start <= 461_552 // 3
 
 
 def test_gadget_directions_vanish_below_subdiagonal(ring_toy, int_small):

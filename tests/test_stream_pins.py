@@ -17,8 +17,8 @@ from pkeet import pkeet_ring as pr
 from pkeet.ring import RingElement, get_context
 from conftest import seeded
 
-RING_N64 = "1f920895a5fd9b49"
-INT_N16 = "5e815f9693db1c94"
+RING_N64 = "f3eadbcafbd3c195"
+INT_N16 = "d9c8fa3b4238f6f7"
 
 
 def _digest(bits: np.ndarray, verdict: int, tail: bytes) -> str:
