@@ -14,14 +14,17 @@ message, the other hides a hash of it. Decryption opens both and checks
 consistency; the equality-test token opens only the hash slot, so a pair of
 tokens can compare ciphertexts from different keys without revealing the
 messages. Ciphertexts are bound together by a one-time signature, and every
-reject path raises a typed :class:`~pkeet.errors.PkeetError` subclass.
+reject path raises a typed :class:`~pkeet.errors.PkeetError` subclass; a
+ciphertext that decryption or the test refuses raises
+:class:`~pkeet.errors.RejectSignature`, :class:`~pkeet.errors.RejectHash` or
+:class:`~pkeet.errors.RejectNoise`.
 
 Deterministic randomness comes from :class:`XofRng` (SHAKE-256 seeded);
 parameter sets come from :func:`derive_ring_params` / :func:`derive_int_params`
 and serialize alongside every key, ciphertext, and token frame.
 """
 
-from .errors import PkeetError
+from .errors import PkeetError, RejectHash, RejectNoise, RejectSignature
 from .params import (
     ParamsInt,
     ParamsRing,
@@ -59,6 +62,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "PkeetError",
+    "RejectSignature",
+    "RejectHash",
+    "RejectNoise",
     "ParamsRing",
     "ParamsInt",
     "derive_ring_params",

@@ -2,9 +2,9 @@
 issuance, equality testing, and the self-test table.
 
 Exit codes are a stable contract: 0 for success (or EQUAL), 1 for
-NOT-EQUAL and decryption rejections, 2 for malformed input (bad framing,
-digest mismatch, a secret key that does not match the public key,
-oversized messages, unusable arguments).  Stdout carries
+NOT-EQUAL and for decryption and test rejections, 2 for malformed input
+(bad framing, digest mismatch, a secret key that does not match the public
+key, oversized messages, unusable arguments).  Stdout carries
 hex payloads and the EQUAL/NOT-EQUAL verdict; diagnostics go to stderr.
 """
 
@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import pkeet_int, pkeet_ring, serial
-from .errors import KeyMismatch, PkeetError, RejectHash, RejectSignature
+from .errors import KeyMismatch, PkeetError, RejectHash, RejectNoise, RejectSignature
 from .matlattice import gadget_residual
 from .params import ParamsInt, ParamsRing, derive_int_params, derive_ring_params
 from .ring import RingElement, get_context
@@ -167,7 +167,7 @@ def cmd_decrypt(args: argparse.Namespace) -> int:
             bits = message.coeffs
         else:
             bits = pkeet_int.decrypt_int(pk, sk, ct, params, rng)
-    except (RejectSignature, RejectHash) as exc:
+    except (RejectSignature, RejectHash, RejectNoise) as exc:
         print(f"decryption rejected: {exc}", file=sys.stderr)
         return 1
     print(_bits_to_hex(bits))
@@ -197,10 +197,14 @@ def cmd_test(args: argparse.Namespace) -> int:
     params_cj, ct_j = _read_frame(args.ct_j, serial.KIND_CT)
     serial.require_same_params(params_i, params_j, params_ci, params_cj)
     rng = XofRng(_parse_seed(args.seed))
-    if isinstance(params_i, ParamsRing):
-        equal = pkeet_ring.test(td_i, td_j, ct_i, ct_j, params_i, rng)
-    else:
-        equal = pkeet_int.test_int(td_i, td_j, ct_i, ct_j, params_i, rng)
+    try:
+        if isinstance(params_i, ParamsRing):
+            equal = pkeet_ring.test(td_i, td_j, ct_i, ct_j, params_i, rng)
+        else:
+            equal = pkeet_int.test_int(td_i, td_j, ct_i, ct_j, params_i, rng)
+    except RejectNoise as exc:
+        print(f"test rejected: {exc}", file=sys.stderr)
+        return 1
     print("EQUAL" if equal else "NOT-EQUAL")
     return 0 if equal else 1
 
@@ -263,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pk", required=True)
     p.add_argument("--sk", required=True)
     p.add_argument("--ct", required=True)
-    p.add_argument("--seed", default=None)
+    p.add_argument("--seed", default=None, help="checked, then ignored: decryption draws no randomness")
     p.set_defaults(func=cmd_decrypt)
 
     p = sub.add_parser("trapdoor", help="issue an equality-test token")
@@ -277,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--td-j", required=True)
     p.add_argument("--ct-i", required=True)
     p.add_argument("--ct-j", required=True)
-    p.add_argument("--seed", default=None)
+    p.add_argument("--seed", default=None, help="checked, then ignored: the test draws no randomness")
     p.set_defaults(func=cmd_test)
 
     p = sub.add_parser("selftest", help="run the acceptance table")

@@ -65,6 +65,11 @@ class RejectHash(PkeetError):
     """Ciphertext verification failed: decoded digest mismatch."""
 
 
+class RejectNoise(PkeetError):
+    """Ciphertext verification failed: a vector slot's error, recovered by
+    trapdoor inversion, exceeds its tail bound."""
+
+
 class InternalError(PkeetError):
     """An internal retry bound was exhausted; indicates a bug or bad params."""
 

@@ -10,8 +10,10 @@ perturbation ``p`` with covariance ``sigma^2 I - w^2 [R; I][R; I]^T`` hides
 ``R``, the remaining syndrome is sampled in the gadget coset at width ``w``,
 and the gadget solution re-enters through ``[R; I]``.  As in the ring scheme,
 the perturbation is factored gadget-first, through an ``m_bar x m_bar`` factor,
-and one :func:`sample_left` call serves every slot a decrypt or a test opens:
-one draw per kind of randomness and one gadget walk for all of its jobs.
+and one :func:`sample_left` call serves every job it is given: one draw per
+kind of randomness and one gadget walk for all of them.  The scheme opens
+its ciphertexts by trapdoor inversion instead (``pkeet_int``); this
+sampler serves the self-test's algebraic gate and the tests.
 
 Every exact product of signed integer matrices follows one rule
 (:func:`_exact_matmul`): a float64 BLAS product while no partial sum can

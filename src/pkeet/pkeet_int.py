@@ -13,8 +13,9 @@ uniform halves ``A_bar`` of ``A`` and ``A'``, the selector family
 ``A_1 .. A_l``, ``B`` and ``U`` (:func:`expand_public`), as Kyber and
 Dilithium expand their public matrices.  The secret key holds the gadget
 trapdoors ``R`` of ``A`` and ``A'`` (``A [R; I] = G``).  A decrypt opens
-both slots, and an equality test the hash slot of each ciphertext, with
-one two-job :func:`~pkeet.matlattice.sample_left` call.  Encryption keeps
+both slots, and an equality test the hash slot of each ciphertext, by
+trapdoor inversion (:func:`_open_slots`), as in the ring scheme: no
+preimage is sampled and no randomness drawn.  Encryption keeps
 its ``l`` fresh ``m x m`` sign matrices packed at a bit per entry and
 applies their selector-weighted sum through one small-integer fold and one
 exact product.
@@ -31,19 +32,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidMessage, ParameterOverflow, RejectHash, RejectSignature
+from .errors import InvalidMessage, ParameterOverflow, RejectHash, RejectNoise, RejectSignature
 from .hashing import hash_message, hash_pm_one, hash_weighted, words
-from .matlattice import (
-    IntTrapdoor,
-    matmul_mod,
-    sample_left,
-    trap_gen_int,
-    _exact_matmul,
-    _mul_signed,
-)
+from .matlattice import IntTrapdoor, matmul_mod, trap_gen_int, _exact_matmul
 from .ots import ots_sis_keygen, ots_sis_sign, ots_sis_verify
 from .params import ParamsInt
-from .ring import balanced, decode_bits
+from .ring import balanced, decode_bits, decode_gadget
 from .rng import SEED_BYTES, XofRng
 
 
@@ -148,10 +142,15 @@ def setup_int(params: ParamsInt, rng: XofRng) -> tuple[PkInt, SkInt]:
     return pk, SkInt(t_a=t_a, t_a_prime=t_a_prime)
 
 
+def _noise_sd(params: ParamsInt) -> float:
+    """Standard deviation of encryption noise before rounding: ``alpha q``
+    as a width."""
+    return params.alpha * params.q / math.sqrt(2.0 * math.pi)
+
+
 def _noise(count: int, params: ParamsInt, rng: XofRng) -> np.ndarray:
     """Signed rounded-Gaussian noise: round(q * X) for X of width alpha."""
-    sd = params.alpha * params.q / np.sqrt(2.0 * np.pi)
-    return np.rint(rng.normal(count) * sd).astype(np.int64)
+    return np.rint(rng.normal(count) * _noise_sd(params)).astype(np.int64)
 
 
 def _selector(params: ParamsInt, b_mat, a_list, c1, c2, d) -> tuple[np.ndarray, np.ndarray]:
@@ -167,11 +166,6 @@ def _selector(params: ParamsInt, b_mat, a_list, c1, c2, d) -> tuple[np.ndarray, 
 def _ots_digest(params: ParamsInt, c1, c2, c3, c4) -> np.ndarray:
     """The weight-``w_sig`` digest the one-time signature binds: all four slots."""
     return hash_weighted(params, words(c1, c2, c3, c4))
-
-
-def _open_slot_int(payload: np.ndarray, vec_slot: np.ndarray, e: np.ndarray, q: int) -> np.ndarray:
-    """Bits of ``payload - e^T vec_slot (mod q)`` for a slot's preimage ``e``."""
-    return decode_bits(payload - _mul_signed(e.T, vec_slot[:, None], q)[:, 0], q)
 
 
 def _sign_sum_t(sel: np.ndarray, packed: list[bytes], y: np.ndarray, q: int) -> np.ndarray:
@@ -228,6 +222,63 @@ def encrypt_int(pk: PkInt, msg: np.ndarray, params: ParamsInt, rng: XofRng) -> C
     return CtInt(c1=c1, c2=c2, c3=c3, c4=c4, u=u_sig, d=d_pub)
 
 
+def _slot_bounds(params: ParamsInt) -> tuple[int, int]:
+    """Bounds on the two halves of a vector slot's error: a rounded draw
+    within ``t_tail`` standard deviations, and ``t_tail`` standard
+    deviations of a signed sum of ``l m`` such draws (each ``S_i`` entry is a
+    sign) taken at ``sd + 1/2``, which covers the rounding."""
+    sd = _noise_sd(params)
+    head = math.floor(params.t_tail * sd + 0.5)
+    tail = math.floor(params.t_tail * (sd + 0.5) * math.sqrt(params.l * params.m))
+    return head, tail
+
+
+def _col_l1(trap: IntTrapdoor) -> int:
+    """Largest l1 norm of a column of ``R``."""
+    return int(np.abs(trap.r).sum(axis=0).max())
+
+
+def _inversion_bound(params: ParamsInt, col_l1: int) -> int:
+    """Bound on every entry of ``R^T y_bar + y_tail`` for a first half ``y``
+    within :func:`_slot_bounds` and an ``R`` whose columns have l1 norm at
+    most ``col_l1``."""
+    head, _ = _slot_bounds(params)
+    return col_l1 * head + head
+
+
+def _open_slots(
+    params: ParamsInt,
+    jobs: list[tuple[np.ndarray, np.ndarray, IntTrapdoor, np.ndarray, np.ndarray, np.ndarray]],
+) -> list[np.ndarray]:
+    """Bits hidden in each job's payload slot, for jobs ``(A, M1, trap, U,
+    vector slot, payload)``: invert the vector slot ``(A | M1)^T s + e`` to
+    ``s``, check ``e`` against its tail bounds, and decode ``payload - U^T s``.
+
+    ``A [R; I] = G`` makes ``R^T c[:m_bar] + c[m_bar:m]`` equal to
+    ``G^T s + R^T y_bar + y_tail``, from which
+    :func:`~pkeet.ring.decode_gadget` reads each coordinate of ``s`` while
+    the error stays within :func:`_inversion_bound`.  So an ``s`` whose
+    error passes the check is always the one decoded, and no other can pass:
+    the opening depends on the public matrices and the slot alone, not on
+    which trapdoor opens it.  Raises :class:`RejectNoise` when an error
+    entry exceeds its bound.
+    """
+    q, n, k, m = params.q, params.n, params.k, params.m
+    head, tail = _slot_bounds(params)
+    opened = []
+    for a_mat, m1_mat, trap, u_mat, slot, payload in jobs:
+        m_bar = trap.r.shape[0]
+        rc = _exact_matmul(trap.r.T, balanced(slot[:m_bar], q)[:, None], q)[:, 0]
+        w = (rc + slot[m_bar:m]) % q                               # (n k,): G^T s + error
+        s = decode_gadget(w.reshape(n, k).T, q, _inversion_bound(params, _col_l1(trap)))
+        f_s = matmul_mod(np.concatenate([a_mat, m1_mat], axis=1).T, s[:, None], q)[:, 0]
+        err = np.abs(balanced((slot - f_s) % q, q))
+        if (err[:m] > head).any() or (err[m:] > tail).any():
+            raise RejectNoise("a vector slot's error exceeds its tail bound")
+        opened.append(decode_bits(payload - matmul_mod(u_mat.T, s[:, None], q)[:, 0], q))
+    return opened
+
+
 def _check_signature(pk_a: np.ndarray, ct: CtInt, params: ParamsInt) -> None:
     d_sel = _ots_digest(params, ct.c1, ct.c2, ct.c3, ct.c4)
     sig = balanced(ct.u % params.q, params.q)
@@ -238,17 +289,19 @@ def _check_signature(pk_a: np.ndarray, ct: CtInt, params: ParamsInt) -> None:
 def decrypt_int(
     pk: PkInt, sk: SkInt, ct: CtInt, params: ParamsInt, rng: XofRng
 ) -> np.ndarray:
-    """Recover the message bits, or raise a typed rejection."""
-    q = params.q
+    """Recover the message bits, or raise a typed rejection.
+
+    Both slots are opened by trapdoor inversion (:func:`_open_slots`), which
+    draws no randomness: ``rng`` is accepted for call compatibility and
+    never read.
+    """
     _check_signature(pk.a, ct, params)
 
     _, a_sum = _selector(params, pk.b, pk.a_list, ct.c1, ct.c2, ct.d)
-
-    e_msg, e_hash = sample_left(
-        [(pk.a, a_sum, sk.t_a, pk.u), (pk.a_prime, a_sum, sk.t_a_prime, pk.u)], params, rng
-    )
-    msg = _open_slot_int(ct.c1, ct.c3, e_msg, q)
-    hash_bits = _open_slot_int(ct.c2, ct.c4, e_hash, q)
+    msg, hash_bits = _open_slots(params, [
+        (pk.a, a_sum, sk.t_a, pk.u, ct.c3, ct.c1),
+        (pk.a_prime, a_sum, sk.t_a_prime, pk.u, ct.c4, ct.c2),
+    ])
     if not np.array_equal(hash_bits, hash_message(params, words(msg))):
         raise RejectHash("decoded hash slot does not match the message hash")
     return msg
@@ -264,7 +317,7 @@ def trapdoor_int(sk: SkInt, pk: PkInt) -> TrapdoorTokenInt:
 
 def _hash_slot_job(td: TrapdoorTokenInt, ct: CtInt, params: ParamsInt) -> tuple:
     _, a_sum = _selector(params, td.b, td.a_list, ct.c1, ct.c2, ct.d)
-    return td.a_prime, a_sum, td.t_a_prime, td.u
+    return td.a_prime, a_sum, td.t_a_prime, td.u, ct.c4, ct.c2
 
 
 def test_int(
@@ -275,10 +328,14 @@ def test_int(
     params: ParamsInt,
     rng: XofRng,
 ) -> int:
-    """1 iff the two ciphertexts hide the same message (hash-slot equality)."""
-    q = params.q
-    jobs = [_hash_slot_job(td_i, ct_i, params), _hash_slot_job(td_j, ct_j, params)]
-    e_i, e_j = sample_left(jobs, params, rng)
-    side_i = _open_slot_int(ct_i.c2, ct_i.c4, e_i, q)
-    side_j = _open_slot_int(ct_j.c2, ct_j.c4, e_j, q)
+    """1 iff the two ciphertexts hide the same message (hash-slot equality).
+
+    Each hash slot is opened by trapdoor inversion (:func:`_open_slots`),
+    which draws no randomness: ``rng`` is accepted for call compatibility
+    and never read.  Raises :class:`RejectNoise` when a slot's error
+    exceeds its tail bound.
+    """
+    side_i, side_j = _open_slots(
+        params, [_hash_slot_job(td_i, ct_i, params), _hash_slot_job(td_j, ct_j, params)]
+    )
     return int(np.array_equal(side_i, side_j))

@@ -6,9 +6,14 @@ and its binary hash) and two vector slots that let the matching trapdoor
 recover the masks, all bound together by a one-time signature whose public
 key doubles as the tag seed.  Holding the trapdoor for ``a`` opens the
 message slot; holding only the trapdoor for ``b`` opens just the hash slot,
-which is exactly the power an equality-test token needs.  Each binding has
-one helper that encrypt, decrypt and test all call: :func:`_tag_shift` for
-the tag of ``v`` and :func:`_ots_message` for the signed message.
+which is exactly the power an equality-test token needs.  A slot is opened
+by trapdoor inversion, as in Micciancio and Peikert's CCA-secure encryption
+(EUROCRYPT 2012), not by the paper's Gaussian preimage: the gadget trapdoor
+recovers the slot's secret, the slot's error must lie within its tail
+bounds, and the payload is then unmasked (:func:`_open_slots`).  So
+decrypt and test draw no randomness.  Each binding has one helper that
+encrypt, decrypt and test all call: :func:`_tag_shift` for the tag of
+``v`` and :func:`_ots_message` for the signed message.
 
 Ring values are plain int64 arrays of shape ``(..., n)``: canonical
 residues in ciphertexts and in ``u``, NTT slots in a :class:`TaggedVector`,
@@ -19,22 +24,22 @@ and the trapdoor ``T`` signed as drawn.  Only the message that
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidMessage, ParamsMismatch, RejectHash, RejectSignature
+from .errors import InvalidMessage, ParamsMismatch, RejectHash, RejectNoise, RejectSignature
 from .hashing import hash_message, hash_to_invertible, hash_to_sparse, words
 from .ots import OtsRingKeys, ots_ring_keygen, ots_ring_sign, ots_ring_verify
 from .params import ParamsRing
-from .ring import RingElement, decode_bits, dot_ntt, get_context, mulmod
+from .ring import RingElement, balanced, decode_bits, decode_gadget, get_context, invmod, mulmod
 from .rng import XofRng
 from .sampling import sample_ring_array
 from .trapdoor_ring import (
     RingTrapdoor,
     TaggedVector,
     apply_tag_shift,
-    sample_pre,
     trap_gen,
 )
 
@@ -138,15 +143,65 @@ def encrypt(pk: PkRing, message: RingElement, params: ParamsRing, rng: XofRng) -
     return CtRing(sig=sig, v=v, ct1=ct1, ct2=ct2, ct3=ct3, ct4=ct4)
 
 
+def _slot_bounds(params: ParamsRing) -> tuple[int, int]:
+    """Bounds on a vector slot's error: ``t_tail`` widths of the narrow head
+    rows and of the wide tail rows, as :func:`_vector_noise` draws them."""
+    return math.floor(params.t_tail * params.tau), math.floor(params.t_tail * params.gamma)
+
+
+def _col_l1(trap: RingTrapdoor) -> int:
+    """Largest l1 norm of a column of ``T``, over its coefficients."""
+    return int(np.abs(trap.t_arr).sum(axis=(0, 2)).max())
+
+
+def _inversion_bound(params: ParamsRing, col_l1: int) -> int:
+    """Bound on every coefficient of ``e'_j = sum_i T_ij e_i + e_(base_len+j)``
+    for an error within :func:`_slot_bounds` and a trapdoor whose columns
+    have coefficient l1 norm at most ``col_l1``; each coefficient of a ring
+    product ``T_ij e_i`` is a signed sum of ``|T_ij|``'s coefficients times
+    ``e_i``'s."""
+    head, tail = _slot_bounds(params)
+    return col_l1 * head + tail
+
+
 def _open_slots(
-    params: ParamsRing, payloads: list[np.ndarray], vec_slots: list[np.ndarray], x_hat: np.ndarray
+    params: ParamsRing,
+    jobs: list[tuple[RingTrapdoor, TaggedVector, np.ndarray, np.ndarray, np.ndarray]],
+    tag_hat: np.ndarray,
 ) -> np.ndarray:
-    """Decode the bits hidden in each payload slot using its vector slot and
-    a preimage of ``u`` (evaluation form, shape (J, m, n)): one transform
-    each way for all of them."""
+    """Bits hidden in each job's payload slot, for jobs ``(trapdoor, tagged
+    vector a_h, u, vector slot, payload)`` whose tags are ``tag_hat``, shape
+    (n,) when one ciphertext's tag serves every job, else (J, n): invert the
+    vector slot ``a_h s + e`` to ``s``, check ``e`` against its tail bounds,
+    and decode ``payload - u s``.
+
+    The trapdoor identity ``a_h^T [T; I] = h g^T`` makes ``[T; I]^T`` of the
+    slot ``g (h s) + e'``, from which :func:`~pkeet.ring.decode_gadget`
+    reads ``h s`` while every ``|e'_j|`` stays within
+    :func:`_inversion_bound`.  So an ``s`` whose error passes the check is
+    always the one decoded, and no other can pass: the opening depends on
+    the public vector and the slot alone, not on which trapdoor opens it.
+    Raises :class:`RejectNoise` when an error entry exceeds its bound.
+    """
     ctx = get_context(params)
-    inner = ctx.intt(dot_ntt(ctx.ntt(np.stack(vec_slots)), x_hat, ctx))
-    return decode_bits(np.stack(payloads) - inner, ctx.q)
+    q, base_len, m = ctx.q, params.base_len, params.m
+    hat = ctx.ntt(np.stack([
+        np.concatenate([slot, payload[None], u[None]]) for _, _, u, slot, payload in jobs
+    ]))                                                               # (J, m + 2, n)
+    t_hat = np.stack([trap.t_hat for trap, *_ in jobs])               # (J, base_len, k, n)
+    w = ctx.intt((mulmod(t_hat, hat[:, :base_len, None], q).sum(axis=1) + hat[:, base_len:m]) % q)
+    hs = np.stack([
+        decode_gadget(w_j, q, _inversion_bound(params, _col_l1(trap)))
+        for w_j, (trap, *_) in zip(w, jobs)
+    ])                                                                # (J, n): h s
+    s_hat = mulmod(ctx.ntt(hs), invmod(tag_hat, q), q)
+    vec_u_hat = np.concatenate([np.stack([av.vec_hat for _, av, *_ in jobs]), hat[:, -1:]], axis=1)
+    rest = ctx.intt((hat[:, :-1] - mulmod(vec_u_hat, s_hat[:, None], q)) % q)
+    err = np.abs(balanced(rest[:, :m], q))
+    head, tail = _slot_bounds(params)
+    if (err[:, :base_len] > head).any() or (err[:, base_len:] > tail).any():
+        raise RejectNoise("a vector slot's error exceeds its tail bound")
+    return decode_bits(rest[:, m], q)
 
 
 def decrypt(
@@ -155,7 +210,10 @@ def decrypt(
     """Recover the message, or raise a typed rejection.
 
     The signature binds all four ciphertext components, so any tamper
-    invalidates the one-time check before any trapdoor work happens.
+    invalidates the one-time check before any trapdoor work happens.  Both
+    slots are opened by trapdoor inversion (:func:`_open_slots`), which
+    draws no randomness: ``rng`` is accepted for call compatibility and
+    never read.
     """
     ctx = get_context(params)
     a_prime_hat = pk.a.vec_hat[: params.base_len]
@@ -164,9 +222,8 @@ def decrypt(
         raise RejectSignature("one-time signature check failed")
 
     a_h, b_h = _tag_shift(params, ct.v, pk.a, pk.b)
-
-    x_hat = sample_pre([(sk.t_a, a_h, pk.u), (sk.t_b, b_h, pk.u)], params, rng)
-    msg_bits, hash_bits = _open_slots(params, [ct.ct1, ct.ct2], [ct.ct3, ct.ct4], x_hat)
+    jobs = [(sk.t_a, a_h, pk.u, ct.ct3, ct.ct1), (sk.t_b, b_h, pk.u, ct.ct4, ct.ct2)]
+    msg_bits, hash_bits = _open_slots(params, jobs, a_h.tag_hat)
 
     if not np.array_equal(hash_bits, hash_message(params, words(msg_bits))):
         raise RejectHash("decoded hash slot does not match the message hash")
@@ -180,8 +237,8 @@ def trapdoor(sk: SkRing, pk: PkRing) -> TrapdoorTokenRing:
 
 def _test_job(
     td: TrapdoorTokenRing, ct: CtRing, params: ParamsRing
-) -> tuple[RingTrapdoor, TaggedVector, np.ndarray]:
-    return td.t_b, _tag_shift(params, ct.v, td.b)[0], td.u
+) -> tuple[RingTrapdoor, TaggedVector, np.ndarray, np.ndarray, np.ndarray]:
+    return td.t_b, _tag_shift(params, ct.v, td.b)[0], td.u, ct.ct4, ct.ct2
 
 
 def test(
@@ -192,8 +249,13 @@ def test(
     params: ParamsRing,
     rng: XofRng,
 ) -> int:
-    """1 iff the two ciphertexts hide the same message (hash-slot equality)."""
+    """1 iff the two ciphertexts hide the same message (hash-slot equality).
+
+    Each hash slot is opened by trapdoor inversion (:func:`_open_slots`),
+    which draws no randomness: ``rng`` is accepted for call compatibility
+    and never read.  Raises :class:`RejectNoise` when a slot's error
+    exceeds its tail bound.
+    """
     jobs = [_test_job(td_i, ct_i, params), _test_job(td_j, ct_j, params)]
-    x_hat = sample_pre(jobs, params, rng)
-    side_i, side_j = _open_slots(params, [ct_i.ct2, ct_j.ct2], [ct_i.ct4, ct_j.ct4], x_hat)
+    side_i, side_j = _open_slots(params, jobs, np.stack([av.tag_hat for _, av, *_ in jobs]))
     return int(np.array_equal(side_i, side_j))

@@ -12,8 +12,9 @@ encryption and the result of a decryption.  Products of
 two canonical values can reach ``q^2``, which does not fit in 64 bits, so
 :func:`mulmod` recovers the exact product residue from the wrapped low word
 minus ``q`` times a float64 quotient estimate.  Both schemes lift residues
-to ``(-q/2, q/2]`` with :func:`balanced` and round them to bits with
-:func:`decode_bits`.
+to ``(-q/2, q/2]`` with :func:`balanced`, round them to bits with
+:func:`decode_bits`, and read a gadget-coded value back through a
+trapdoor with :func:`decode_gadget`.
 
 Fold bound.  Every modulus lies below ``params.MULMOD_CAP = 2**52``, and
 there the estimate is off by at most one multiple of ``q``, so one
@@ -291,6 +292,44 @@ def decode_bits(values: np.ndarray, q: int) -> np.ndarray:
     """Round each value mod ``q`` to a bit: 1 inside [ceil(q/4), floor(3q/4))."""
     c = np.asarray(values, dtype=np.int64) % q
     return ((c >= -(-q // 4)) & (c < (3 * q) // 4)).astype(np.int64)
+
+
+def gadget_columns(q: int, bound: int) -> list[int]:
+    """The gadget columns :func:`decode_gadget` reads for errors of at most
+    ``bound``: column 0, then each time the widest column ``j`` whose
+    ``2^j`` times the current uncertainty, plus ``bound``, stays below
+    ``q / 2``, until the uncertainty is zero.
+
+    Column 0 leaves an uncertainty of ``bound``.  A column ``j`` read with
+    uncertainty ``d`` lifts ``2^j d + e_j`` exactly, and rounding it over
+    ``2^j`` leaves ``floor(bound / 2^j + 1/2)``.  Raises
+    :class:`InvalidParams` when no column shrinks the uncertainty: the
+    bound does not fit ``q``.
+    """
+    k = q.bit_length()
+    cols, spread = [0], bound
+    while spread:
+        # The widest j with 2 (2^j spread + bound) < q, at most k - 1.
+        j = min(k - 1, max(0, (q - 2 * bound - 1) // spread).bit_length() - 2)
+        if j < 1 or (bound + (1 << (j - 1))) >> j >= spread:
+            raise InvalidParams(f"gadget error bound {bound} does not fit the modulus {q}")
+        cols.append(j)
+        spread = (bound + (1 << (j - 1))) >> j
+    return cols
+
+
+def decode_gadget(w: np.ndarray, q: int, bound: int) -> np.ndarray:
+    """The ``y`` with ``w[j] = 2^j y + e_j (mod q)`` for every gadget column
+    ``j``, shape (k, ...), when every ``|e_j| <= bound``; otherwise some
+    residue.  Reads the columns :func:`gadget_columns` lists, each
+    refining the estimate by the rounded lift of its residual."""
+    w = np.asarray(w, dtype=np.int64)
+    cols = gadget_columns(q, bound)
+    y = w[0] % q
+    for j in cols[1:]:
+        r = balanced((w[j] - mulmod(y, (1 << j) % q, q)) % q, q)
+        y = (y + ((r + (1 << (j - 1))) >> j)) % q
+    return y
 
 
 # ---------------------------------------------------------------------------

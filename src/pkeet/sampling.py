@@ -345,7 +345,10 @@ def sample_g_batch(width: float, targets: np.ndarray, q: int, rng: XofRng) -> np
     top = sample_z_reject(width / float(gs_norms[-1]), -out @ dirs[:, -1], rng)
     out += top[:, None] * basis[None, :, -1]
 
-    base = -out.astype(np.float64) @ dirs[:, :-1]  # (N, k-1) centers before the levels
+    # (N, k-1) centers before the levels: an exact int64 product with the
+    # directions scaled by 2^40, which are integers, so it has the bits of
+    # the exact float64 product and needs no BLAS call.
+    base = np.ldexp((-out @ np.ldexp(dirs[:, :-1], 40).astype(np.int64)).astype(np.float64), -40)
     step = -2.0 * np.diagonal(dirs, -1)            # entry i is -2 dirs[i+1, i]
     widths = width / gs_norms[:-1]
     s0 = float(widths.max())

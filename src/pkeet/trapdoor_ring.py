@@ -7,7 +7,10 @@ the vector so the identity holds exactly; shifting the vector by
 ``(0, h*g)`` shifts the tag by ``h`` without touching ``T``.  Preimage
 sampling follows the perturb-then-correct pattern: a structured
 perturbation hides ``T``, the remaining syndrome is solved in the gadget
-coset, and the correction re-enters through ``[T; I]``.
+coset, and the correction re-enters through ``[T; I]``.  The schemes open
+their ciphertexts by trapdoor inversion instead (``pkeet_ring``), through
+the cached NTT form of ``T``; :func:`sample_pre` serves the self-test's
+algebraic gate and the tests.
 
 Public vectors, tags and preimages live in NTT slots, where all of this is
 slotwise; frames keep the coefficient form (of a token's ``b``, only the
@@ -148,7 +151,8 @@ def trap_gen(params: ParamsRing, rng: XofRng) -> tuple[TaggedVector, RingTrapdoo
         # preimage covariance zeta^2 I - alpha^2 [T;I][T;I]* stays positive
         # definite; the width derivation leaves only a small margin over the
         # expected singular norm, so oversized draws are rejected here rather
-        # than surfacing as a decryption failure later.
+        # than surfacing as a CovarianceNotPD in sample_pre later.  The norm
+        # cap also bounds the error that trapdoor inversion must decode.
         if trap.norm() > norm_cap:
             continue
         try:

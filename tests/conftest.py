@@ -1,5 +1,6 @@
 """Shared fixtures: small parameter sets and seeded rngs for fast tests, and
-the reference inverse-CDF kernel and lookup, gadget walks and ring kernels."""
+the reference inverse-CDF kernel and lookup, gadget walks, ring kernels and
+the paper's preimage openings of a ciphertext slot."""
 
 import math
 
@@ -7,7 +8,9 @@ import numpy as np
 import pytest
 
 from pkeet.errors import InternalError
+from pkeet.matlattice import _mul_signed, sample_left
 from pkeet.params import derive_int_params, derive_ring_params
+from pkeet.ring import decode_bits, dot_ntt, get_context
 from pkeet.rng import XofRng
 from pkeet.sampling import (
     _gadget_gs,
@@ -18,6 +21,7 @@ from pkeet.sampling import (
     gadget_basis,
     sample_z_reject,
 )
+from pkeet.trapdoor_ring import sample_pre
 
 
 @pytest.fixture(scope="session")
@@ -196,3 +200,40 @@ def intt_reference(ctx, evals):
         t <<= 1
         m = h
     return mulmod_reference(a, np.int64(ctx._n_inv), q)
+
+
+def keeping_ots_keys(monkeypatch, module, name: str) -> list:
+    """Record the one-time key pairs that ``module.<name>`` hands out, so a
+    test can sign a changed ciphertext again with its own key."""
+    keys, keygen = [], getattr(module, name)
+
+    def recorded(*args):
+        keys.append(keygen(*args))
+        return keys[-1]
+
+    monkeypatch.setattr(module, name, recorded)
+    return keys
+
+
+def preimage_open_ring(params, jobs, rng):
+    """The paper's ``Dec`` opening of ring slots, kept as the oracle for
+    trapdoor inversion: for jobs ``(trapdoor, tagged vector a_h, u, vector
+    slot, payload)``, the bits of ``payload - <slot, x>`` for a Gaussian
+    preimage ``x`` of ``u`` under ``a_h`` (one two-job ``sample_pre`` call)."""
+    ctx = get_context(params)
+    x_hat = sample_pre([(trap, av, u) for trap, av, u, _, _ in jobs], params, rng)
+    slots = np.stack([slot for *_, slot, _ in jobs])
+    inner = ctx.intt(dot_ntt(ctx.ntt(slots), x_hat, ctx))
+    return decode_bits(np.stack([payload for *_, payload in jobs]) - inner, ctx.q)
+
+
+def preimage_open_int(params, jobs, rng):
+    """The paper's ``Dec`` opening of integer slots, kept as the oracle for
+    trapdoor inversion: for jobs ``(A, M1, trap, U, vector slot, payload)``,
+    the bits of ``payload - e^T slot`` for a Gaussian preimage ``e`` of
+    ``U`` under ``(A | M1)`` (one ``sample_left`` call)."""
+    es = sample_left([job[:4] for job in jobs], params, rng)
+    return [
+        decode_bits(payload - _mul_signed(e.T, slot[:, None], params.q)[:, 0], params.q)
+        for e, (*_, slot, payload) in zip(es, jobs)
+    ]

@@ -1,7 +1,7 @@
 """Command-line interface: pipelines, hex handling, exit-code contract.
 
-Exit codes: 0 success (or EQUAL), 1 equality-test mismatch or decryption
-rejection, 2 malformed input of any kind.
+Exit codes: 0 success (or EQUAL), 1 equality-test mismatch or a decryption
+or test rejection, 2 malformed input of any kind.
 """
 
 import dataclasses
@@ -16,7 +16,7 @@ from pkeet.cli import main
 from pkeet.errors import ParameterOverflow
 from pkeet.params import ParamsRing, derive_int_params, derive_ring_params
 from pkeet.ring import RingElement, get_context
-from conftest import seeded
+from conftest import keeping_ots_keys, seeded
 from test_params import _CRAFTED, crafted_frame
 from test_serial import (
     RESPELLINGS,
@@ -94,6 +94,53 @@ def test_tampered_ciphertext_exits_one(ring_files, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert "reject" in err.lower()
+
+
+def _write_moved_slot_ct(d, name: str, monkeypatch) -> None:
+    """``moved.ct`` under key ``name``: a fresh ciphertext whose hash-slot
+    vector has one entry moved by q/8, signed again with its own one-time
+    key, so that only the slot's noise check can refuse it."""
+    params, pk = serial.decode_object((d / f"{name}.pk").read_bytes())[2:]
+    rng = seeded(f"cli-moved-{name}")
+    ring = isinstance(params, ParamsRing)
+    module, keygen = (pr, "ots_ring_keygen") if ring else (pi, "ots_sis_keygen")
+    keys = keeping_ots_keys(monkeypatch, module, keygen)
+    if ring:
+        ct = pr.encrypt(pk, RingElement(rng.uniform_mod(2, params.n), get_context(params)), params, rng)
+        ct4 = ct.ct4.copy()
+        ct4[0, 0] = (ct4[0, 0] + params.q // 8) % params.q
+        ct = dataclasses.replace(ct, ct4=ct4)
+        ct.sig = pr.ots_ring_sign(keys[0], pr._ots_message(params, ct.ct1, ct.ct2, ct.ct3, ct4), params)
+        scheme = serial.SCHEME_RING
+    else:
+        ct = pi.encrypt_int(pk, rng.uniform_mod(2, params.t_msg), params, rng)
+        c4 = ct.c4.copy()
+        c4[0] = (c4[0] + params.q // 8) % params.q
+        ct = dataclasses.replace(ct, c4=c4)
+        ct.u = pi.ots_sis_sign(keys[0], pi._ots_digest(params, ct.c1, ct.c2, ct.c3, c4), params) % params.q
+        scheme = serial.SCHEME_INT
+    (d / "moved.ct").write_bytes(serial.encode_object(scheme, serial.KIND_CT, ct, params))
+
+
+@pytest.mark.parametrize("scheme", ["ring", "int"])
+def test_slot_past_its_noise_bound_exits_one(ring_files, int_files, capsys, monkeypatch, scheme):
+    # Decrypt and test both refuse a validly signed ciphertext whose slot
+    # error is too long: exit 1, one line on stderr, no traceback.
+    d, name = (ring_files, "alice") if scheme == "ring" else (int_files, "ivan")
+    _write_moved_slot_ct(d, name, monkeypatch)
+    assert main(["trapdoor", "--sk", f"{d}/{name}.sk", "--pk", f"{d}/{name}.pk",
+                 "--out", f"{d}/{name}.td"]) == 0
+    capsys.readouterr()
+    rc = main(["decrypt", "--pk", f"{d}/{name}.pk", "--sk", f"{d}/{name}.sk", "--ct", f"{d}/moved.ct"])
+    out = capsys.readouterr()
+    assert rc == 1 and not out.out
+    assert out.err.startswith("decryption rejected: ") and "Traceback" not in out.err
+    rc = main(["test", "--td-i", f"{d}/{name}.td", "--td-j", f"{d}/{name}.td",
+               "--ct-i", f"{d}/moved.ct", "--ct-j", f"{d}/moved.ct"])
+    out = capsys.readouterr()
+    assert rc == 1 and not out.out
+    assert out.err.startswith("test rejected: ") and out.err.count("\n") == 1
+    assert "Traceback" not in out.err
 
 
 def test_malformed_inputs_exit_two(ring_files, tmp_path, capsys):

@@ -8,10 +8,10 @@ from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
-from pkeet import serial
+from pkeet import pkeet_int, pkeet_ring, serial
 from pkeet.errors import FramingError, InvalidParams, ParameterOverflow
 from pkeet.matlattice import matmul_mod
-from pkeet.ring import RingContext
+from pkeet.ring import RingContext, gadget_columns
 from pkeet.params import (
     INT_Q_BOUND,
     INT_STRICT_MULTIPLIER,
@@ -98,6 +98,32 @@ def test_derived_moduli_run_on_the_kernels():
             q = derive_int_params(128, n, profile).q
             assert q < MULMOD_CAP
             assert matmul_mod(np.array([[q - 1]]), np.array([[q - 1]]), q).tolist() == [[1]]
+
+
+def test_inversion_bound_fits_every_derivable_modulus():
+    # Trapdoor inversion decodes while every gadget column's error stays
+    # within the scheme's bound E, here for the longest trapdoor a frame can
+    # hold (every entry at its tail cut): at every record that derives, in
+    # both profiles, the decoder has a column schedule for that E.  The
+    # margin q / E is at least 2^21.8 in the ring scheme (two columns) and
+    # 2^8.4 in the integer scheme (toy n = 16, five columns); strict integer
+    # noise rounds to zero, so E = 0 there.  Derivation only, no key is
+    # generated.
+    for profile in PROFILES:
+        for n in (2**e for e in range(4, 11)):
+            p = derive_ring_params(128, n, profile)
+            col_l1 = p.base_len * n * math.floor(p.t_tail * p.sigma_trap)
+            bound = pkeet_ring._inversion_bound(p, col_l1)
+            assert len(gadget_columns(p.q, bound)) == 2 and 2**21 * bound < p.q
+        for lambda_sec in (80, 128, 256):
+            for n in (2**e for e in range(4, 16)):
+                if profile == "strict" and n >= 4096:
+                    continue
+                p = derive_int_params(lambda_sec, n, profile)
+                col_l1 = p.m_bar * math.floor(p.t_tail * p.sigma_r)
+                bound = pkeet_int._inversion_bound(p, col_l1)
+                assert len(gadget_columns(p.q, bound)) <= 5 and 2**8 * bound < p.q
+                assert (bound == 0) == (profile == "strict")
 
 
 _RECORDS = (

@@ -224,11 +224,11 @@ def test_decryption_noise_within_budget(ring_small, users):
     assert worst <= budget
 
 
-def test_one_walk_and_one_inversion_per_decrypt_and_test(ring_small, users, monkeypatch):
-    # Both slots of a decrypt, and both sides of a test, share one gadget
-    # walk and one tag inversion chain.
+def test_no_walk_and_one_inversion_per_decrypt_and_test(ring_small, users, monkeypatch):
+    # Decrypt and test open their slots by trapdoor inversion: no gadget
+    # walk and no preimage, and one tag inversion for all of their slots.
     (pk, sk), _ = users
-    calls = {"walk": 0, "invmod": 0}
+    calls = {"walk": 0, "pre": 0, "invmod": 0}
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
@@ -239,8 +239,9 @@ def test_one_walk_and_one_inversion_per_decrypt_and_test(ring_small, users, monk
     monkeypatch.setattr(
         trapdoor_ring, "sample_g_batch", counted("walk", trapdoor_ring.sample_g_batch)
     )
+    monkeypatch.setattr(trapdoor_ring, "sample_pre", counted("pre", trapdoor_ring.sample_pre))
     inv = counted("invmod", ring.invmod)
-    for module in (ring, trapdoor_ring):
+    for module in (ring, trapdoor_ring, pr):
         monkeypatch.setattr(module, "invmod", inv)
 
     rng = seeded("ring-one-walk")
@@ -251,6 +252,6 @@ def test_one_walk_and_one_inversion_per_decrypt_and_test(ring_small, users, monk
         lambda: pr.decrypt(pk, sk, ct, ring_small, rng) == msg,
         lambda: pr.test(td, td, ct, ct, ring_small, rng) == 1,
     ):
-        calls.update(walk=0, invmod=0)
+        calls.update(walk=0, pre=0, invmod=0)
         assert run()
-        assert calls == {"walk": 1, "invmod": 1}
+        assert calls == {"walk": 0, "pre": 0, "invmod": 1}

@@ -6,6 +6,7 @@ Both are slow and obviously correct, which is the point.
 """
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -16,7 +17,9 @@ from pkeet.ring import (
     RingContext,
     RingElement,
     decode_bits,
+    decode_gadget,
     dot_ntt,
+    gadget_columns,
     get_context,
     invert,
     invmod,
@@ -198,6 +201,45 @@ def test_bit_codec_noise_margin(ring_toy, int_small):
         edges = np.array([lo - 1, lo, hi - 1, hi], dtype=np.int64)
         assert decode_bits(edges, q).tolist() == [0, 1, 1, 0]
         assert decode_bits(edges - q, q).tolist() == [0, 1, 1, 0]
+
+
+@pytest.mark.parametrize("q,bound,cols", [
+    (97, 7, [0, 2, 4]),
+    (97, 15, [0, 1, 2, 3, 4, 5]),
+    (12289, 5, [0, 10]),
+])
+def test_gadget_decoder_at_and_past_its_bound(q, bound, cols):
+    # Every y in Z_q comes back when each gadget column's error lies within
+    # the bound: every sign pattern of errors exactly at the bound on the
+    # columns the decoder reads, and random errors within it on every
+    # column.  Errors one past the bound break some y.
+    k = q.bit_length()
+    assert gadget_columns(q, bound) == cols
+    ys = np.arange(q, dtype=np.int64)
+    gadget = np.int64(1) << np.arange(k, dtype=np.int64)
+
+    def wrong(err: np.ndarray) -> int:
+        w = (gadget[:, None] * ys[None, :] + err) % q
+        return int((decode_gadget(w, q, bound) != ys).sum())
+
+    for size, expect_wrong in ((bound, False), (bound + 1, True)):
+        total = 0
+        for signs in itertools.product((-1, 0, 1), repeat=len(cols)):
+            err = np.zeros((k, 1), dtype=np.int64)
+            err[cols, 0] = size * np.array(signs)
+            total += wrong(err)
+        assert (total > 0) == expect_wrong
+    rng = seeded(f"gadget-decoder-{q}-{bound}")
+    assert wrong(rng.uniform_mod(2 * bound + 1, k * q).reshape(k, q) - bound) == 0
+
+
+def test_gadget_decoder_refuses_a_bound_past_the_modulus():
+    # 15 is the largest error bound at q = 97: at 16, the column after
+    # column 0 can no longer shrink the uncertainty.
+    assert gadget_columns(97, 0) == [0]
+    for bound in (16, 48, 97, 10**6):
+        with pytest.raises(InvalidParams, match="does not fit"):
+            gadget_columns(97, bound)
 
 
 def test_shape_and_context_guards():

@@ -1,13 +1,17 @@
-"""Decrypt and test draws are pinned through what they leave behind.
+"""Decrypt and test read no randomness, and what they leave behind is pinned.
 
-The frame digests in ``test_frame_digests.py`` pin every keygen and encrypt
-draw, but decrypt and test draw randomness that never reaches a frame.  So
-each test here runs setup, encrypt, decrypt and test from one fixed-seed
-stream and pins one digest over the decrypted bits, the verdict and the
-next 32 bytes of that stream: a change that reorders, merges or drops a
-decrypt or test draw moves the digest.
+Both open their slots by trapdoor inversion, which draws nothing, so each
+test here runs setup, encrypt, decrypt and test from one fixed-seed stream
+and checks that the next 32 bytes after decrypt and test are the 32 bytes
+that came right after the encrypts.  A digest over the decrypted bits, the
+verdict and those bytes is pinned too: a change that makes decrypt or test
+draw, or that changes a keygen or encrypt draw, moves it.
+
+A shallow copy of an ``XofRng`` is a snapshot of its position: reading
+from either copy replaces, and never mutates, the block state they share.
 """
 
+import copy
 import hashlib
 
 import numpy as np
@@ -17,8 +21,8 @@ from pkeet import pkeet_ring as pr
 from pkeet.ring import RingElement, get_context
 from conftest import seeded
 
-RING_N64 = "f3eadbcafbd3c195"
-INT_N16 = "d9c8fa3b4238f6f7"
+RING_N64 = "ad30a729aacfe694"
+INT_N16 = "7732c3a6c3c672b6"
 
 
 def _digest(bits: np.ndarray, verdict: int, tail: bytes) -> str:
@@ -32,10 +36,13 @@ def test_ring_decrypt_and_test_draws_pinned(ring_small):
     (pk_a, sk_a), (pk_b, sk_b) = pr.setup(p, rng), pr.setup(p, rng)
     msg = RingElement(rng.uniform_mod(2, p.n), get_context(p))
     ct_a, ct_b = pr.encrypt(pk_a, msg, p, rng), pr.encrypt(pk_b, msg, p, rng)
+    after_encrypts = copy.copy(rng).bytes(32)
     out = pr.decrypt(pk_a, sk_a, ct_a, p, rng)
     verdict = pr.test(pr.trapdoor(sk_a, pk_a), pr.trapdoor(sk_b, pk_b), ct_a, ct_b, p, rng)
     assert out == msg and verdict == 1
-    assert _digest(out.coeffs, verdict, rng.bytes(32)) == RING_N64
+    tail = rng.bytes(32)
+    assert tail == after_encrypts
+    assert _digest(out.coeffs, verdict, tail) == RING_N64
 
 
 def test_int_decrypt_and_test_draws_pinned(int_small):
@@ -44,7 +51,10 @@ def test_int_decrypt_and_test_draws_pinned(int_small):
     (pk_a, sk_a), (pk_b, sk_b) = pi.setup_int(p, rng), pi.setup_int(p, rng)
     msg = rng.uniform_mod(2, p.t_msg)
     ct_a, ct_b = pi.encrypt_int(pk_a, msg, p, rng), pi.encrypt_int(pk_b, msg, p, rng)
+    after_encrypts = copy.copy(rng).bytes(32)
     out = pi.decrypt_int(pk_a, sk_a, ct_a, p, rng)
     verdict = pi.test_int(pi.trapdoor_int(sk_a, pk_a), pi.trapdoor_int(sk_b, pk_b), ct_a, ct_b, p, rng)
     assert np.array_equal(out, msg) and verdict == 1
-    assert _digest(out, verdict, rng.bytes(32)) == INT_N16
+    tail = rng.bytes(32)
+    assert tail == after_encrypts
+    assert _digest(out, verdict, tail) == INT_N16
