@@ -100,6 +100,10 @@ def _random_message(ctx: RingContext, rng: XofRng) -> RingElement:
     return RingElement(rng.uniform_mod(2, ctx.n), ctx)
 
 
+# A decrypt's typed rejections: a failure in criteria 1 and 7, the goal in 3.
+_REJECTS = (RejectSignature, RejectHash, RejectNoise)
+
+
 # ---------------------------------------------------------------------------
 # Criterion 1: ring round-trip
 # ---------------------------------------------------------------------------
@@ -117,7 +121,7 @@ def criterion_1(profile: str = "toy") -> CriterionResult:
         ct = pr.encrypt(pk, msg, params, rng)
         try:
             out = pr.decrypt(pk, sk, ct, params, rng)
-        except (RejectSignature, RejectHash):
+        except _REJECTS:
             failures += 1
             continue
         failures += int(out != msg)
@@ -201,7 +205,7 @@ def criterion_3(profile: str = "toy") -> CriterionResult:
         bad = _tamper(cts[i % len(cts)], serial.SCHEME_RING, params, rng)
         try:
             pr.decrypt(pk, sk, bad, params, rng)
-        except (RejectSignature, RejectHash):
+        except _REJECTS:
             ring_rejects += 1
 
     ipk, isk = pi.setup_int(iparams, rng)
@@ -214,7 +218,7 @@ def criterion_3(profile: str = "toy") -> CriterionResult:
         bad = _tamper(icts[i % len(icts)], serial.SCHEME_INT, iparams, rng)
         try:
             pi.decrypt_int(ipk, isk, bad, iparams, rng)
-        except (RejectSignature, RejectHash, RejectNoise):
+        except _REJECTS:
             int_rejects += 1
     seconds = time.perf_counter() - start
     ok = ring_rejects == 100 and int_rejects == 50
@@ -257,7 +261,7 @@ def criterion_4(profile: str = "toy") -> CriterionResult:
     for _ in range(int_traps):
         a_bar = ml.mat_uniform(iparams.q, iparams.n, iparams.m_bar, rng)
         a_mat, itrap = ml.trap_gen_int(a_bar, iparams, rng)
-        int_trap_bad += int(ml.gadget_residual(a_mat, itrap.r, iparams.q).any())
+        int_trap_bad += int(ml.gadget_residual(a_mat, itrap, iparams.q).any())
         slots.append((a_mat, itrap))
     # Decrypt-shaped calls: two trapdoored slots under one shared M1.
     m1 = ml.mat_uniform(iparams.q, iparams.n, iparams.m, rng)
@@ -452,7 +456,7 @@ def criterion_7(profile: str = "toy") -> CriterionResult:
         ct = pi.encrypt_int(pk, msg, params, rng)
         try:
             out = pi.decrypt_int(pk, sk, ct, params, rng)
-        except (RejectSignature, RejectHash):
+        except _REJECTS:
             failures += 1
             continue
         failures += int(not np.array_equal(out, msg))

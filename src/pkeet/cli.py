@@ -90,7 +90,7 @@ def _check_key_pair(pk, sk, params) -> None:
         bad = any(trapdoor_identity_residual(vec, trap).any() for vec, trap in pairs)
     else:
         pairs = ((pk.a, sk.t_a), (pk.a_prime, sk.t_a_prime))
-        bad = any(gadget_residual(a, trap.r, params.q).any() for a, trap in pairs)
+        bad = any(gadget_residual(a, r, params.q).any() for a, r in pairs)
     if bad:
         raise KeyMismatch("the secret key does not belong to the public key")
 

@@ -11,8 +11,9 @@ perturbation ``p`` with covariance ``sigma^2 I - w^2 [R; I][R; I]^T`` hides
 and the gadget solution re-enters through ``[R; I]``.  As in the ring scheme,
 the perturbation is factored gadget-first, through an ``m_bar x m_bar`` factor,
 and one :func:`sample_left` call serves every job it is given: one draw per
-kind of randomness and one gadget walk for all of them.  The scheme opens
-its ciphertexts by trapdoor inversion instead (``pkeet_int``); this
+kind of randomness and one gadget walk for all of them.  A trapdoor is ``R``
+alone: the factor is built per call, never kept with a key.  The scheme
+opens its ciphertexts by trapdoor inversion instead (``pkeet_int``); this
 sampler serves the self-test's algebraic gate and the tests.
 
 Every exact product of signed integer matrices follows one rule
@@ -24,7 +25,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -111,27 +111,16 @@ def _mul_signed(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class IntTrapdoor:
-    """Gadget trapdoor ``R`` with the gadget-first factor of its
-    perturbation covariance ``(sigma^2 - sigma_r^2) I - w^2 [R; I][R; I]^T``
-    (see :func:`~pkeet.sampling.gadget_first_factor`); the ``sigma_r^2``
-    share is left for the randomized rounding.  ``R`` is held once, as
-    float64: its entries lie far below 2^53, so every one is exact, and
-    the perturbation and ``R z`` products read it without a conversion."""
-
-    r: np.ndarray              # (m_bar, n*k) float64 of signed integers
-    sqrt_d: float              # sqrt(sigma^2 - sigma_r^2 - w^2)
-    chol: np.ndarray           # (m_bar, m_bar) float64, lower triangular
-
-    @classmethod
-    def from_r(cls, r: np.ndarray, params: ParamsInt) -> "IntTrapdoor":
-        """Factor the perturbation covariance of ``R``; raises
-        :class:`CovarianceNotPD` when ``sigma`` is too narrow for it."""
-        r = np.asarray(r, dtype=np.float64)
-        zeta_sq = params.sigma**2 - params.sigma_r**2
-        w_sq = int_gadget_width(params.m) ** 2
-        return cls(r, *gadget_first_factor(r, zeta_sq, w_sq, params.sigma**2))
+def perturbation_factor(r: np.ndarray, params: ParamsInt) -> tuple[float, np.ndarray]:
+    """Gadget-first factor of the perturbation covariance
+    ``(sigma^2 - sigma_r^2) I - w^2 [R; I][R; I]^T`` of the gadget trapdoor
+    ``R`` (see :func:`~pkeet.sampling.gadget_first_factor`): ``sqrt(d)`` with
+    ``d = sigma^2 - sigma_r^2 - w^2``, and the (m_bar, m_bar) lower Cholesky
+    factor; the ``sigma_r^2`` share is left for the randomized rounding.
+    Raises :class:`CovarianceNotPD` when ``sigma`` is too narrow for ``R``."""
+    zeta_sq = params.sigma**2 - params.sigma_r**2
+    w_sq = int_gadget_width(params.m) ** 2
+    return gadget_first_factor(r, zeta_sq, w_sq, params.sigma**2)
 
 
 def gadget_completion(a_bar: np.ndarray, r: np.ndarray, q: int) -> np.ndarray:
@@ -152,21 +141,24 @@ def gadget_residual(a_mat: np.ndarray, r: np.ndarray, q: int) -> np.ndarray:
 
 def trap_gen_int(
     a_bar: np.ndarray, params: ParamsInt, rng: XofRng
-) -> tuple[np.ndarray, IntTrapdoor]:
+) -> tuple[np.ndarray, np.ndarray]:
     """``A = [A_bar | G - A_bar R]`` (n x m) for the given uniform ``A_bar``
     (n x m_bar), with its gadget trapdoor ``R`` (:func:`gadget_completion`).
 
-    A draw of ``R`` whose perturbation covariance is not positive definite
-    at width ``sigma`` is discarded and ``R`` is drawn again; that check
-    depends on ``R`` alone, so ``A_bar`` is kept.
+    ``R`` is float64, in which its small integers are exact, so products
+    read it without a conversion.  A draw of ``R`` whose perturbation
+    covariance is not positive definite at width ``sigma`` is discarded and
+    ``R`` is drawn again; that check depends on ``R`` alone, so ``A_bar`` is
+    kept.
     """
     for _ in range(_TRAPGEN_RETRIES):
-        r_small = sample_z_batch(params.sigma_r, (params.m_bar, params.n * params.k), rng)
+        r = sample_z_batch(params.sigma_r, (params.m_bar, params.n * params.k), rng)
+        r = r.astype(np.float64)
         try:
-            trap = IntTrapdoor.from_r(r_small, params)
+            perturbation_factor(r, params)
         except CovarianceNotPD:
             continue
-        return gadget_completion(a_bar, r_small, params.q), trap
+        return gadget_completion(a_bar, r, params.q), r
     raise GenerationFailed(
         f"no trapdoor with a positive definite perturbation in {_TRAPGEN_RETRIES} draws"
     )
@@ -178,11 +170,11 @@ def trap_gen_int(
 
 
 def sample_left(
-    jobs: Sequence[tuple[np.ndarray, np.ndarray, IntTrapdoor, np.ndarray]],
+    jobs: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]],
     params: ParamsInt,
     rng: XofRng,
 ) -> np.ndarray:
-    """Gaussian preimages: for each job ``(A, M1, trap, U)`` columns ``e``
+    """Gaussian preimages: for each job ``(A, M1, R, U)`` columns ``e``
     with ``(A | M1) e = U mod q`` and Gaussian profile, stacked as
     (J, 2m, t); every ``U`` has the same t columns.
 
@@ -193,12 +185,13 @@ def sample_left(
     congruence is exact by construction and the sum is spherical.  All
     jobs share one draw of the ``M1`` halves, one of the standard normals,
     one rounding of ``p`` and one gadget walk over ``J n t`` targets; the
-    factor and ``R`` products stay per job, since the trapdoors differ.
+    factor (:func:`perturbation_factor`) and ``R`` products stay per job,
+    since the trapdoors differ.
     """
     q, n, m = params.q, params.n, params.m
     count, t = len(jobs), np.shape(jobs[0][3])[1]
     shapes = {
-        (np.shape(a), np.shape(m1), sum(trap.r.shape), np.shape(u)) for a, m1, trap, u in jobs
+        (np.shape(a), np.shape(m1), sum(np.shape(r)), np.shape(u)) for a, m1, r, u in jobs
     }
     if shapes != {((n, m), (n, m), m, (n, t))}:
         raise InvalidParams("preimage jobs do not match the parameter shapes")
@@ -207,11 +200,12 @@ def sample_left(
     w = int_gadget_width(m)
     normals = rng.normal(count * m * t).reshape(count, m, t)
     y = np.empty((count, m, t))
-    for j, (_, _, trap, _) in enumerate(jobs):
-        m_bar = trap.r.shape[0]
+    for j, (_, _, r, _) in enumerate(jobs):
+        m_bar = r.shape[0]
+        sqrt_d, chol = perturbation_factor(r, params)
         g_base, g_gadget = normals[j, :m_bar], normals[j, m_bar:]
-        y[j, :m_bar] = trap.chol @ g_base - (w * w / trap.sqrt_d) * (trap.r @ g_gadget)
-        y[j, m_bar:] = trap.sqrt_d * g_gadget
+        y[j, :m_bar] = chol @ g_base - (w * w / sqrt_d) * (r @ g_gadget)
+        y[j, m_bar:] = sqrt_d * g_gadget
     y /= math.sqrt(2.0 * math.pi)
     p = sample_z_reject(params.sigma_r, y, rng)                      # (J, m, t)
 
@@ -222,7 +216,7 @@ def sample_left(
     z = sample_g_batch(w, v.reshape(-1), q, rng)                     # (J n t, k)
     z = z.reshape(count, n, t, -1).transpose(0, 1, 3, 2).reshape(count, -1, t)
     e1 = p + np.stack([
-        np.concatenate([_exact_matmul(trap.r, z_j, q), z_j])
-        for (_, _, trap, _), z_j in zip(jobs, z)
+        np.concatenate([_exact_matmul(r, z_j, q), z_j])
+        for (_, _, r, _), z_j in zip(jobs, z)
     ])
     return np.concatenate([e1, e2], axis=1)

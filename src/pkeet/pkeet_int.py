@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import InvalidMessage, ParameterOverflow, RejectHash, RejectNoise, RejectSignature
 from .hashing import hash_message, hash_pm_one, hash_weighted, words
-from .matlattice import IntTrapdoor, matmul_mod, trap_gen_int, _exact_matmul
+from .matlattice import matmul_mod, trap_gen_int, _exact_matmul
 from .ots import ots_sis_keygen, ots_sis_sign, ots_sis_verify
 from .params import ParamsInt
 from .ring import balanced, decode_bits, decode_gadget
@@ -56,10 +56,11 @@ class PkInt:
 
 @dataclass
 class SkInt:
-    """Gadget trapdoors of the two trapdoored matrices."""
+    """Gadget trapdoors ``R`` of the two trapdoored matrices, each held as
+    float64 (:func:`~pkeet.matlattice.trap_gen_int`)."""
 
-    t_a: IntTrapdoor
-    t_a_prime: IntTrapdoor
+    t_a: np.ndarray            # (m_bar, n k)
+    t_a_prime: np.ndarray      # (m_bar, n k)
 
 
 @dataclass
@@ -81,7 +82,7 @@ class TrapdoorTokenInt:
     test needs.  Its frame stores only ``R'`` and the seed: ``A'`` is
     ``[A_bar' | G - A_bar' R']`` and the seed expands to the rest."""
 
-    t_a_prime: IntTrapdoor
+    t_a_prime: np.ndarray      # (m_bar, n k), R'
     a_prime: np.ndarray
     a_list: list[np.ndarray]
     b: np.ndarray
@@ -233,9 +234,9 @@ def _slot_bounds(params: ParamsInt) -> tuple[int, int]:
     return head, tail
 
 
-def _col_l1(trap: IntTrapdoor) -> int:
+def _col_l1(r: np.ndarray) -> int:
     """Largest l1 norm of a column of ``R``."""
-    return int(np.abs(trap.r).sum(axis=0).max())
+    return int(np.abs(r).sum(axis=0).max())
 
 
 def _inversion_bound(params: ParamsInt, col_l1: int) -> int:
@@ -248,9 +249,9 @@ def _inversion_bound(params: ParamsInt, col_l1: int) -> int:
 
 def _open_slots(
     params: ParamsInt,
-    jobs: list[tuple[np.ndarray, np.ndarray, IntTrapdoor, np.ndarray, np.ndarray, np.ndarray]],
+    jobs: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]],
 ) -> list[np.ndarray]:
-    """Bits hidden in each job's payload slot, for jobs ``(A, M1, trap, U,
+    """Bits hidden in each job's payload slot, for jobs ``(A, M1, R, U,
     vector slot, payload)``: invert the vector slot ``(A | M1)^T s + e`` to
     ``s``, check ``e`` against its tail bounds, and decode ``payload - U^T s``.
 
@@ -266,11 +267,11 @@ def _open_slots(
     q, n, k, m = params.q, params.n, params.k, params.m
     head, tail = _slot_bounds(params)
     opened = []
-    for a_mat, m1_mat, trap, u_mat, slot, payload in jobs:
-        m_bar = trap.r.shape[0]
-        rc = _exact_matmul(trap.r.T, balanced(slot[:m_bar], q)[:, None], q)[:, 0]
+    for a_mat, m1_mat, r, u_mat, slot, payload in jobs:
+        m_bar = r.shape[0]
+        rc = _exact_matmul(r.T, balanced(slot[:m_bar], q)[:, None], q)[:, 0]
         w = (rc + slot[m_bar:m]) % q                               # (n k,): G^T s + error
-        s = decode_gadget(w.reshape(n, k).T, q, _inversion_bound(params, _col_l1(trap)))
+        s = decode_gadget(w.reshape(n, k).T, q, _inversion_bound(params, _col_l1(r)))
         f_s = matmul_mod(np.concatenate([a_mat, m1_mat], axis=1).T, s[:, None], q)[:, 0]
         err = np.abs(balanced((slot - f_s) % q, q))
         if (err[:m] > head).any() or (err[m:] > tail).any():

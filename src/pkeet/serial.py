@@ -47,7 +47,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import FramingError, ParamsMismatch, PkeetError
-from .matlattice import IntTrapdoor, gadget_completion, gadget_residual
+from .matlattice import gadget_completion, gadget_residual
 from .params import ParamsInt, ParamsRing, params_from_text, validate
 from .pkeet_int import CtInt, PkInt, SkInt, TrapdoorTokenInt, expand_public
 from .pkeet_ring import CtRing, PkRing, SkRing, TrapdoorTokenRing
@@ -145,10 +145,9 @@ def _signed(shape: Callable, width: str) -> Callable:
     return specs
 
 
-def _int_r(trap: IntTrapdoor) -> list[np.ndarray]:
+def _int_r(r: np.ndarray) -> list[np.ndarray]:
     """``R``, held as float64, as the int64 array a frame stores; raises
     :class:`FramingError` for an entry that is not an integer."""
-    r = np.asarray(trap.r)
     stored = r.astype(np.int64)
     if not np.array_equal(stored, r):
         raise FramingError("R holds an entry that is not an integer")
@@ -171,8 +170,8 @@ _RING_T = (
 _INT_R = (
     _signed(lambda p: (p.m_bar, p.n * p.k), "sigma_r"),
     _int_r,
-    lambda arrays, p: IntTrapdoor.from_r(arrays[0], p),
-    IntTrapdoor,
+    lambda arrays, p: arrays[0].astype(np.float64),
+    np.ndarray,
 )
 _INT_TAIL = _residues(lambda p: (p.n, p.n * p.k))
 _RING_POLY = _residues(lambda p: (p.n,))
@@ -265,7 +264,7 @@ def _int_token_split(values: dict, params: ParamsInt) -> dict:
     """What an integer token frame stores: ``R'`` and the seed; raises
     :class:`FramingError` unless ``R'`` is a gadget trapdoor of ``A'``."""
     out = _seed_split(values, params)
-    r = values["t_a_prime"].r
+    r = values["t_a_prime"]
     if np.shape(r) != (params.m_bar, params.n * params.k):
         raise FramingError(f"R' has shape {np.shape(r)}, not {(params.m_bar, params.n * params.k)}")
     if gadget_residual(np.asarray(values["a_prime"]), r, params.q).any():
@@ -276,7 +275,7 @@ def _int_token_split(values: dict, params: ParamsInt) -> dict:
 def _int_token_join(values: dict, params: ParamsInt) -> dict:
     """The token's fields, ``A'`` rebuilt as ``[A_bar' | G - A_bar' R']``."""
     a_prime_bar = expand_public(values["seed"], params).a_prime_bar
-    r = values["t_a_prime"].r
+    r = values["t_a_prime"]
     return dict(_seed_join(values, params), a_prime=gadget_completion(a_prime_bar, r, params.q))
 
 

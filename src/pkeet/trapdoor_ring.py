@@ -49,11 +49,11 @@ _TRAPGEN_RETRIES = 256
 
 @dataclass
 class RingTrapdoor:
-    """Secret ``T`` (base_len x k ring elements)."""
+    """Secret ``T`` (base_len x k ring elements); every opening reads its
+    cached NTT form."""
 
     t_arr: np.ndarray          # (base_len, k, n) int64, signed as drawn
     ctx: RingContext
-    _cov: PerturbationCov | None = field(default=None, repr=False)
     _t_hat: np.ndarray | None = field(default=None, repr=False)
 
     @property
@@ -79,16 +79,11 @@ class RingTrapdoor:
         return self._t_hat
 
     def perturbation(self, params: ParamsRing) -> PerturbationCov:
-        """Cached perturbation covariance for this trapdoor."""
-        if self._cov is None:
-            self._cov = PerturbationCov(
-                params.zeta,
-                params.alpha_g,
-                self.t_arr,
-                self.ctx,
-                round_width=params.sigma_trap,
-            )
-        return self._cov
+        """This trapdoor's perturbation covariance, factored anew on each
+        call; raises :class:`CovarianceNotPD` when ``zeta`` is too narrow."""
+        return PerturbationCov(
+            params.zeta, params.alpha_g, self.t_arr, self.ctx, round_width=params.sigma_trap
+        )
 
 
 @dataclass
@@ -203,10 +198,11 @@ def sample_pre(
     """Gaussian preimages: for each job ``(trapdoor, av, u)``, ``u`` canonical
     of shape (n,), an x with ``av^T x = u`` and per-coordinate width zeta.
 
-    Steps: draw each job's structured perturbation p, reduce the targets
-    through the invertible tags (one inversion chain for all of them),
-    solve the remaining syndromes in the gadget coset (one walk for all
-    of them), and fold the solutions back through ``[T; I]``.  The
+    Steps: draw each job's structured perturbation p, from a covariance
+    factored for this call (:meth:`RingTrapdoor.perturbation`), reduce
+    the targets through the invertible tags (one inversion chain for all
+    of them), solve the remaining syndromes in the gadget coset (one walk
+    for all of them), and fold the solutions back through ``[T; I]``.  The
     preimages are returned in evaluation form,
     ``x_hat[j] = p_hat[j] + [T_hat[j] z_hat[j]; z_hat[j]]``, shape (J, m, n).
     """

@@ -70,3 +70,19 @@ def test_integer_criteria_follow_profile(monkeypatch, number):
     with pytest.raises(Stop):
         acceptance.run_all("strict", [number])
     assert seen == ["strict"]
+
+
+def test_noise_rejection_is_a_failure_not_an_error(monkeypatch, capsys):
+    # A decrypt that refuses an honest ciphertext's noise fails criterion 7,
+    # and the self-test prints a FAIL line and exits 1, not 2.
+    from pkeet import cli
+    from pkeet.errors import RejectNoise
+
+    def refuse(*args):
+        raise RejectNoise("refused for the test")
+
+    monkeypatch.setattr(acceptance.pi, "decrypt_int", refuse)
+    result = acceptance.criterion_7()
+    assert not result.passed and result.detail.startswith("0/50")
+    assert cli.main(["selftest", "--criteria", "7"]) == 1
+    assert "FAIL  criterion 7" in capsys.readouterr().out

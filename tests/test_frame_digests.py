@@ -3,7 +3,8 @@
 Keys, trapdoor tokens and ciphertexts made from fixed seeds must encode to
 the same bytes release after release, so any change to a keygen- or
 encrypt-side draw, or to its order, fails here.  Decrypt and test draw
-their own randomness, which never reaches a frame and is not pinned.
+no randomness (``tests/test_stream_pins.py`` checks that) and make no
+frame.
 
 The digests are of ring version-3 and integer version-4 frames, whose
 tokens store no field their trapdoor determines.  The same objects written

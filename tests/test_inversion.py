@@ -107,9 +107,9 @@ def test_int_error_at_its_bounds_still_opens(int_small):
     rng = seeded("inversion-int-bounds")
     pk, sk = pi.setup_int(p, rng)
     trap = sk.t_a
-    m_bar = trap.r.shape[0]
+    m_bar = trap.shape[0]
     head, tail = pi._slot_bounds(p)
-    r = trap.r.astype(np.int64)
+    r = trap.astype(np.int64)
     col = int(np.abs(r).sum(axis=0).argmax())
     err = np.zeros(2 * m, dtype=np.int64)
     err[:m_bar] = head * np.sign(r[:, col])

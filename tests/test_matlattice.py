@@ -1,5 +1,6 @@
 """Integer-lattice machinery: exact modular algebra and the gadget trapdoor."""
 
+import copy
 import dataclasses
 import hashlib
 import math
@@ -7,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from pkeet import matlattice, serial
+from pkeet import matlattice, sampling, serial
 from pkeet import pkeet_int as pi
 from pkeet.errors import CovarianceNotPD, GenerationFailed, InvalidParams
 from pkeet.params import int_gadget_width
@@ -72,14 +73,14 @@ def test_trapdoor_gadget_identity(int_small):
     n, m, q = int_small.n, int_small.m, int_small.q
     nk = n * int_small.k
     assert a_mat.shape == (n, m)
-    assert trap.r.shape == (int_small.m_bar, nk)
+    assert trap.shape == (int_small.m_bar, nk)
     # A [R; I] = G exactly, with G the block-diagonal gadget matrix.
-    stacked = np.concatenate([trap.r, np.eye(nk, dtype=np.int64)])
+    stacked = np.concatenate([trap, np.eye(nk, dtype=np.int64)])
     gadget = np.kron(np.eye(n, dtype=np.int64), 1 << np.arange(int_small.k))
     assert np.array_equal(matmul_mod(a_mat, stacked % q, q), gadget)
-    assert not gadget_residual(a_mat, trap.r, q).any()
+    assert not gadget_residual(a_mat, trap, q).any()
     # R comes from the width-sigma_r sampler, inside its tail cut.
-    assert int(np.abs(trap.r).max()) <= int_small.t_tail * int_small.sigma_r
+    assert int(np.abs(trap).max()) <= int_small.t_tail * int_small.sigma_r
 
 
 def test_r_is_held_once_as_exact_float64(int_small):
@@ -89,16 +90,45 @@ def test_r_is_held_once_as_exact_float64(int_small):
     rng = seeded("int-r-float")
     a_bar = mat_uniform(p.q, p.n, p.m_bar, rng)
     _, trap = trap_gen_int(a_bar, p, rng)
-    assert trap.r.dtype == np.float64
-    r_int = trap.r.astype(np.int64)
-    assert np.array_equal(r_int, trap.r)
+    assert trap.dtype == np.float64
+    r_int = trap.astype(np.int64)
+    assert np.array_equal(r_int, trap)
     z = rng.uniform_mod(61, p.n * p.k * p.t_msg).reshape(p.n * p.k, p.t_msg) - 30
-    assert np.array_equal(matlattice._exact_matmul(trap.r, z, p.q), r_int @ z)
-    assert np.array_equal(matlattice._mul_signed(a_bar, trap.r, p.q), matmul_mod(a_bar, r_int, p.q))
+    assert np.array_equal(matlattice._exact_matmul(trap, z, p.q), r_int @ z)
+    assert np.array_equal(matlattice._mul_signed(a_bar, trap, p.q), matmul_mod(a_bar, r_int, p.q))
     # Its frame packs the int64 values, and decoding holds R as float64 again.
     sk = pi.SkInt(t_a=trap, t_a_prime=trap)
     got = serial.decode_object(serial.encode_int_sk(sk, p))[3]
-    assert got.t_a.r.dtype == np.float64 and np.array_equal(got.t_a.r, trap.r)
+    assert got.t_a.dtype == np.float64 and np.array_equal(got.t_a, trap)
+
+
+def test_loading_int_keys_factors_nothing(int_small, monkeypatch):
+    # Decrypt and test read R alone, so decoding an sk or td frame runs no
+    # Cholesky; a decoded R is the drawn one, so preimages sampled from it
+    # match those of the key in memory.
+    p = int_small
+    rng = seeded("int-load-no-factor")
+    (pk_a, sk_a), (pk_b, sk_b) = pi.setup_int(p, rng), pi.setup_int(p, rng)
+    msg = rng.uniform_mod(2, p.t_msg)
+    ct_a, ct_b = pi.encrypt_int(pk_a, msg, p, rng), pi.encrypt_int(pk_b, msg, p, rng)
+    frames = [serial.encode_int_sk(sk_a, p)] + [
+        serial.encode_int_td(pi.trapdoor_int(sk, pk), p) for pk, sk in ((pk_a, sk_a), (pk_b, sk_b))
+    ]
+
+    def refuse(*args):
+        raise AssertionError("a Cholesky factor was computed")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(sampling, "cholesky_pd", refuse)
+        sk, td_a, td_b = (serial.decode_object(frame)[3] for frame in frames)
+        assert np.array_equal(pi.decrypt_int(pk_a, sk, ct_a, p, rng), msg)
+        assert pi.test_int(td_a, td_b, ct_a, ct_b, p, rng) == 1
+
+    m1, u_mat = mat_uniform(p.q, p.n, p.m, rng), mat_uniform(p.q, p.n, p.t_msg, rng)
+    loaded, kept = (
+        sample_left([(pk_a.a, m1, r, u_mat)], p, copy.copy(rng)) for r in (sk.t_a, sk_a.t_a)
+    )
+    assert np.array_equal(loaded, kept)
 
 
 def test_perturbation_factor_reproduces_covariance(int_small, monkeypatch):
@@ -108,14 +138,15 @@ def test_perturbation_factor_reproduces_covariance(int_small, monkeypatch):
     p = int_small
     rng = seeded("int-factor")
     a_mat, trap = _trap_gen(p, rng)
-    r = trap.r.astype(np.float64)
+    r = trap.astype(np.float64)
     m_bar, nk = r.shape
-    assert trap.chol.shape == (m_bar, m_bar)
+    sqrt_d, chol = matlattice.perturbation_factor(r, p)
+    assert chol.shape == (m_bar, m_bar)
     w_sq = int_gadget_width(p.m) ** 2
     factor = np.zeros((p.m, p.m))
-    factor[:m_bar, :m_bar] = trap.chol
-    factor[:m_bar, m_bar:] = -(w_sq / trap.sqrt_d) * r
-    factor[m_bar:, m_bar:] = trap.sqrt_d * np.eye(nk)
+    factor[:m_bar, :m_bar] = chol
+    factor[:m_bar, m_bar:] = -(w_sq / sqrt_d) * r
+    factor[m_bar:, m_bar:] = sqrt_d * np.eye(nk)
     stacked = np.concatenate([r, np.eye(nk)])
     want = (p.sigma**2 - p.sigma_r**2) * np.eye(p.m) - w_sq * (stacked @ stacked.T)
     got = factor @ factor.T
@@ -150,7 +181,7 @@ def test_preimage_hides_trapdoor(int_small):
     q, m = int_small.q, int_small.m
     a_mat, trap = _trap_gen(int_small, rng)
     m1 = mat_uniform(q, int_small.n, m, rng)
-    stacked = np.concatenate([trap.r, np.eye(trap.r.shape[1])]).astype(np.float64)
+    stacked = np.concatenate([trap, np.eye(trap.shape[1])]).astype(np.float64)
     top = np.linalg.svd(stacked, full_matrices=False)[0][:, 0]
     proj = np.concatenate([
         top @ sample_left([(a_mat, m1, trap, mat_uniform(q, int_small.n, 32, rng))], int_small, rng)[0, :m]
@@ -167,20 +198,20 @@ def test_trap_gen_redraws_only_r(int_small, monkeypatch):
     p = int_small
     rng = seeded("int-redraw")
     a_bar = mat_uniform(p.q, p.n, p.m_bar, rng)
-    from_r, calls = matlattice.IntTrapdoor.from_r, []
+    factor, calls = matlattice.perturbation_factor, []
 
     def refuse_first(r, params):
         calls.append(r)
         if len(calls) == 1:
             raise CovarianceNotPD("refused for the test")
-        return from_r(r, params)
+        return factor(r, params)
 
-    monkeypatch.setattr(matlattice.IntTrapdoor, "from_r", refuse_first)
+    monkeypatch.setattr(matlattice, "perturbation_factor", refuse_first)
     a_mat, trap = trap_gen_int(a_bar, p, rng)
     assert len(calls) == 2 and not np.array_equal(calls[0], calls[1])
-    assert np.array_equal(trap.r, calls[1])
+    assert np.array_equal(trap, calls[1])
     assert np.array_equal(a_mat[:, : p.m_bar], a_bar)
-    assert not gadget_residual(a_mat, trap.r, p.q).any()
+    assert not gadget_residual(a_mat, trap, p.q).any()
 
 
 def test_width_guard(int_small):

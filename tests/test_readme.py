@@ -1,6 +1,7 @@
-"""The README's library example runs as written, and its frame-size table
-matches real frames."""
+"""The README's library example runs as written, its frame-size table
+matches real frames, and its CLI table matches the parser."""
 
+import argparse
 import re
 from pathlib import Path
 
@@ -8,7 +9,7 @@ import pytest
 
 from pkeet import pkeet_int as pi
 from pkeet import pkeet_ring as pr
-from pkeet import serial
+from pkeet import cli, serial
 from pkeet.params import derive_int_params, derive_ring_params
 from pkeet.ring import RingElement, get_context
 from conftest import seeded
@@ -53,3 +54,20 @@ def test_frame_size_table_matches_frames(label, scheme, params, objects):
     sizes = [len(serial.encode_object(scheme, kind, obj, params))
              for kind, obj in zip(KINDS, objects(params))]
     assert sizes == _table_sizes(label, serial.VERSIONS[scheme])
+
+
+def test_cli_table_matches_parser():
+    # One row per subcommand, listing exactly its options in parser order.
+    text = README.read_text()
+    table = text[text.index("Subcommands and their flags:"):text.index("Exit codes:")]
+    rows = {
+        command: re.findall(r"`(--[\w-]+)", flags)
+        for command, flags in re.findall(r"^\| `(\w+)` \| (.*) \|$", table, re.MULTILINE)
+    }
+    parser = cli.build_parser()
+    (subparsers,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    options = {
+        command: [s for a in sub._actions for s in a.option_strings if s not in ("-h", "--help")]
+        for command, sub in subparsers.choices.items()
+    }
+    assert rows == options

@@ -1,5 +1,6 @@
 """Tagged trapdoors: exact identities, tag algebra, preimage quality."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -134,6 +135,19 @@ def test_two_job_preimages_exact(ring_small):
         assert x_hat.shape == (2, ring_small.m, ring_small.n)
         for j, (_, shifted, u) in enumerate(jobs):
             assert np.array_equal(apply_vector(shifted, x_hat[j]), u)
+
+
+def test_two_job_preimage_pinned(ring_small):
+    # Pins the draws of a two-job call: each job's perturbation and its
+    # rounding, then one gadget walk for both, each in its stream order.
+    ctx = get_context(ring_small)
+    rng = seeded("preimage-pin")
+    jobs = []
+    for _ in range(2):
+        av, trap = trap_gen(ring_small, rng)
+        jobs.append((trap, apply_tag_shift(av, uniform_shift(ctx, rng)), rng.uniform_mod(ctx.q, ctx.n)))
+    x_hat = sample_pre(jobs, ring_small, rng)
+    assert hashlib.sha256(x_hat.astype("<i8").tobytes()).hexdigest()[:16] == "1333b64adb624abd"
 
 
 @pytest.mark.parametrize("zero_job", [0, 1])
