@@ -37,7 +37,7 @@ from .hashing import hash_message, hash_pm_one, hash_weighted, words
 from .matlattice import matmul_mod, trap_gen_int, _exact_matmul
 from .ots import ots_sis_keygen, ots_sis_sign, ots_sis_verify
 from .params import ParamsInt
-from .ring import balanced, decode_bits, decode_gadget
+from .ring import balanced, decode_bits, decode_gadget, gadget_columns
 from .rng import SEED_BYTES, XofRng
 
 
@@ -258,20 +258,27 @@ def _open_slots(
     ``A [R; I] = G`` makes ``R^T c[:m_bar] + c[m_bar:m]`` equal to
     ``G^T s + R^T y_bar + y_tail``, from which
     :func:`~pkeet.ring.decode_gadget` reads each coordinate of ``s`` while
-    the error stays within :func:`_inversion_bound`.  So an ``s`` whose
-    error passes the check is always the one decoded, and no other can pass:
-    the opening depends on the public matrices and the slot alone, not on
-    which trapdoor opens it.  Raises :class:`RejectNoise` when an error
-    entry exceeds its bound.
+    the error stays within :func:`_inversion_bound`.  Only the entries the
+    decoder reads are formed: for coordinate ``c`` and each column ``j``
+    :func:`~pkeet.ring.gadget_columns` lists, entry ``c k + j``, through
+    that column of ``R``.  The error is then the slot minus one product
+    ``(A | M1)^T s``, checked on every entry.  So an ``s`` whose error
+    passes the check is always the one decoded, and no other can pass: the
+    opening depends on the public matrices and the slot alone, not on which
+    trapdoor opens it.  Raises :class:`RejectNoise` when an error entry
+    exceeds its bound.
     """
     q, n, k, m = params.q, params.n, params.k, params.m
     head, tail = _slot_bounds(params)
     opened = []
     for a_mat, m1_mat, r, u_mat, slot, payload in jobs:
         m_bar = r.shape[0]
-        rc = _exact_matmul(r.T, balanced(slot[:m_bar], q)[:, None], q)[:, 0]
-        w = (rc + slot[m_bar:m]) % q                               # (n k,): G^T s + error
-        s = decode_gadget(w.reshape(n, k).T, q, _inversion_bound(params, _col_l1(r)))
+        bound = _inversion_bound(params, _col_l1(r))
+        cols = gadget_columns(q, bound)
+        idx = (k * np.arange(n)[:, None] + cols).ravel()          # (n |cols|,)
+        rc = _exact_matmul(r.take(idx, axis=1).T, balanced(slot[:m_bar], q)[:, None], q)[:, 0]
+        w = (rc + slot[m_bar + idx]) % q                           # G^T s + error, read entries
+        s = decode_gadget(w.reshape(n, len(cols)).T, q, bound)
         f_s = matmul_mod(np.concatenate([a_mat, m1_mat], axis=1).T, s[:, None], q)[:, 0]
         err = np.abs(balanced((slot - f_s) % q, q))
         if (err[:m] > head).any() or (err[m:] > tail).any():

@@ -33,7 +33,7 @@ from .errors import InvalidMessage, ParamsMismatch, RejectHash, RejectNoise, Rej
 from .hashing import hash_message, hash_to_invertible, hash_to_sparse, words
 from .ots import OtsRingKeys, ots_ring_keygen, ots_ring_sign, ots_ring_verify
 from .params import ParamsRing
-from .ring import RingElement, balanced, decode_bits, decode_gadget, get_context, invmod, mulmod
+from .ring import RingElement, balanced, decode_bits, decode_gadget, gadget_columns, get_context, invmod, mulmod
 from .rng import XofRng
 from .sampling import sample_ring_array
 from .trapdoor_ring import (
@@ -178,25 +178,34 @@ def _open_slots(
     The trapdoor identity ``a_h^T [T; I] = h g^T`` makes ``[T; I]^T`` of the
     slot ``g (h s) + e'``, from which :func:`~pkeet.ring.decode_gadget`
     reads ``h s`` while every ``|e'_j|`` stays within
-    :func:`_inversion_bound`.  So an ``s`` whose error passes the check is
-    always the one decoded, and no other can pass: the opening depends on
-    the public vector and the slot alone, not on which trapdoor opens it.
-    Raises :class:`RejectNoise` when an error entry exceeds its bound.
+    :func:`_inversion_bound`.  Only the columns ``j`` the decoder reads
+    (:func:`~pkeet.ring.gadget_columns`, their union over the jobs) are
+    formed, from the transformed slot heads; the error is then the slot
+    minus one product ``a_h s``, checked on every row.  So an ``s`` whose
+    error passes the check is always the one decoded, and no other can
+    pass: the opening depends on the public vector and the slot alone, not
+    on which trapdoor opens it.  Raises :class:`RejectNoise` when an error
+    entry exceeds its bound.
     """
     ctx = get_context(params)
     q, base_len, m = ctx.q, params.base_len, params.m
+    bounds = [_inversion_bound(params, _col_l1(trap)) for trap, *_ in jobs]
+    reads = [gadget_columns(q, bound) for bound in bounds]
+    cols = sorted(set().union(*reads))
     hat = ctx.ntt(np.stack([
-        np.concatenate([slot, payload[None], u[None]]) for _, _, u, slot, payload in jobs
-    ]))                                                               # (J, m + 2, n)
-    t_hat = np.stack([trap.t_hat for trap, *_ in jobs])               # (J, base_len, k, n)
-    w = ctx.intt((mulmod(t_hat, hat[:, :base_len, None], q).sum(axis=1) + hat[:, base_len:m]) % q)
+        np.concatenate([slot[:base_len], u[None]]) for _, _, u, slot, _ in jobs
+    ]))                                                               # (J, base_len + 1, n)
+    t_hat = np.stack([trap.t_hat[:, cols] for trap, *_ in jobs])      # (J, base_len, |cols|, n)
+    slots = np.stack([np.concatenate([slot, payload[None]]) for *_, slot, payload in jobs])
+    w = (ctx.intt(mulmod(t_hat, hat[:, :base_len, None], q).sum(axis=1) % q)
+         + slots[:, [base_len + j for j in cols]]) % q                # (J, |cols|, n)
     hs = np.stack([
-        decode_gadget(w_j, q, _inversion_bound(params, _col_l1(trap)))
-        for w_j, (trap, *_) in zip(w, jobs)
+        decode_gadget(w_j[[cols.index(j) for j in read]], q, bound)
+        for w_j, read, bound in zip(w, reads, bounds)
     ])                                                                # (J, n): h s
     s_hat = mulmod(ctx.ntt(hs), invmod(tag_hat, q), q)
     vec_u_hat = np.concatenate([np.stack([av.vec_hat for _, av, *_ in jobs]), hat[:, -1:]], axis=1)
-    rest = ctx.intt((hat[:, :-1] - mulmod(vec_u_hat, s_hat[:, None], q)) % q)
+    rest = (slots - ctx.intt(mulmod(vec_u_hat, s_hat[:, None], q))) % q
     err = np.abs(balanced(rest[:, :m], q))
     head, tail = _slot_bounds(params)
     if (err[:, :base_len] > head).any() or (err[:, base_len:] > tail).any():

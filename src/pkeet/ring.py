@@ -14,7 +14,8 @@ two canonical values can reach ``q^2``, which does not fit in 64 bits, so
 minus ``q`` times a float64 quotient estimate.  Both schemes lift residues
 to ``(-q/2, q/2]`` with :func:`balanced`, round them to bits with
 :func:`decode_bits`, and read a gadget-coded value back through a
-trapdoor with :func:`decode_gadget`.
+trapdoor with :func:`decode_gadget`, which is handed only the gadget
+columns :func:`gadget_columns` lists.
 
 Fold bound.  Every modulus lies below ``params.MULMOD_CAP = 2**52``, and
 there the estimate is off by at most one multiple of ``q``, so one
@@ -319,15 +320,15 @@ def gadget_columns(q: int, bound: int) -> list[int]:
 
 
 def decode_gadget(w: np.ndarray, q: int, bound: int) -> np.ndarray:
-    """The ``y`` with ``w[j] = 2^j y + e_j (mod q)`` for every gadget column
-    ``j``, shape (k, ...), when every ``|e_j| <= bound``; otherwise some
-    residue.  Reads the columns :func:`gadget_columns` lists, each
-    refining the estimate by the rounded lift of its residual."""
+    """The ``y`` with ``w_j = 2^j y + e_j (mod q)`` when every ``|e_j| <=
+    bound``; otherwise some residue.  ``w`` holds one row per column ``j``
+    that :func:`gadget_columns` lists, in that order, shape (len(cols),
+    ...): the first row (column 0) is the estimate, and each later row
+    refines it by the rounded lift of its residual."""
     w = np.asarray(w, dtype=np.int64)
-    cols = gadget_columns(q, bound)
     y = w[0] % q
-    for j in cols[1:]:
-        r = balanced((w[j] - mulmod(y, (1 << j) % q, q)) % q, q)
+    for j, w_j in zip(gadget_columns(q, bound)[1:], w[1:]):
+        r = balanced((w_j - mulmod(y, (1 << j) % q, q)) % q, q)
         y = (y + ((r + (1 << (j - 1))) >> j)) % q
     return y
 

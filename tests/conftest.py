@@ -1,16 +1,27 @@
 """Shared fixtures: small parameter sets and seeded rngs for fast tests, and
-the reference inverse-CDF kernel and lookup, gadget walks, ring kernels and
-the paper's preimage openings of a ciphertext slot."""
+the reference inverse-CDF kernel and lookup, gadget walks, ring kernels,
+the paper's preimage openings of a ciphertext slot and the full-transform
+inversion openings."""
 
 import math
 
 import numpy as np
 import pytest
 
-from pkeet.errors import InternalError
-from pkeet.matlattice import _mul_signed, sample_left
+from pkeet import pkeet_int, pkeet_ring
+from pkeet.errors import InternalError, RejectNoise
+from pkeet.matlattice import _exact_matmul, _mul_signed, matmul_mod, sample_left
 from pkeet.params import derive_int_params, derive_ring_params
-from pkeet.ring import decode_bits, dot_ntt, get_context
+from pkeet.ring import (
+    balanced,
+    decode_bits,
+    decode_gadget,
+    dot_ntt,
+    gadget_columns,
+    get_context,
+    invmod,
+    mulmod,
+)
 from pkeet.rng import XofRng
 from pkeet.sampling import (
     _gadget_gs,
@@ -237,3 +248,52 @@ def preimage_open_int(params, jobs, rng):
         decode_bits(payload - _mul_signed(e.T, slot[:, None], params.q)[:, 0], params.q)
         for e, (*_, slot, payload) in zip(es, jobs)
     ]
+
+
+def full_open_ring(params, jobs, tag_hat):
+    """Ring inversion through the whole slot, kept as the exactness
+    reference for ``pkeet_ring._open_slots``: every gadget column of
+    ``[T; I]^T`` of the transformed slot, the decoder's columns picked from
+    them, and the error recomputed in NTT slots from the transformed slot,
+    payload and ``u``."""
+    ctx = get_context(params)
+    q, base_len, m = ctx.q, params.base_len, params.m
+    hat = ctx.ntt(np.stack([
+        np.concatenate([slot, payload[None], u[None]]) for _, _, u, slot, payload in jobs
+    ]))                                                               # (J, m + 2, n)
+    t_hat = np.stack([trap.t_hat for trap, *_ in jobs])               # (J, base_len, k, n)
+    w = ctx.intt((mulmod(t_hat, hat[:, :base_len, None], q).sum(axis=1) + hat[:, base_len:m]) % q)
+    hs = []
+    for w_j, (trap, *_) in zip(w, jobs):
+        bound = pkeet_ring._inversion_bound(params, pkeet_ring._col_l1(trap))
+        hs.append(decode_gadget(w_j[gadget_columns(q, bound)], q, bound))
+    s_hat = mulmod(ctx.ntt(np.stack(hs)), invmod(tag_hat, q), q)
+    vec_u_hat = np.concatenate([np.stack([av.vec_hat for _, av, *_ in jobs]), hat[:, -1:]], axis=1)
+    rest = ctx.intt((hat[:, :-1] - mulmod(vec_u_hat, s_hat[:, None], q)) % q)
+    err = np.abs(balanced(rest[:, :m], q))
+    head, tail = pkeet_ring._slot_bounds(params)
+    if (err[:, :base_len] > head).any() or (err[:, base_len:] > tail).any():
+        raise RejectNoise("a vector slot's error exceeds its tail bound")
+    return decode_bits(rest[:, m], q)
+
+
+def full_open_int(params, jobs):
+    """Integer inversion through every entry of ``R^T c[:m_bar] +
+    c[m_bar:m]``, kept as the exactness reference for
+    ``pkeet_int._open_slots``: all ``n k`` gadget entries formed with the
+    whole of ``R``, then the decoder's columns picked from them."""
+    q, n, k, m = params.q, params.n, params.k, params.m
+    head, tail = pkeet_int._slot_bounds(params)
+    opened = []
+    for a_mat, m1_mat, r, u_mat, slot, payload in jobs:
+        m_bar = r.shape[0]
+        rc = _exact_matmul(r.T, balanced(slot[:m_bar], q)[:, None], q)[:, 0]
+        w = ((rc + slot[m_bar:m]) % q).reshape(n, k).T                # (k, n): G^T s + error
+        bound = pkeet_int._inversion_bound(params, pkeet_int._col_l1(r))
+        s = decode_gadget(w[gadget_columns(q, bound)], q, bound)
+        f_s = matmul_mod(np.concatenate([a_mat, m1_mat], axis=1).T, s[:, None], q)[:, 0]
+        err = np.abs(balanced((slot - f_s) % q, q))
+        if (err[:m] > head).any() or (err[m:] > tail).any():
+            raise RejectNoise("a vector slot's error exceeds its tail bound")
+        opened.append(decode_bits(payload - matmul_mod(u_mat.T, s[:, None], q)[:, 0], q))
+    return opened

@@ -3,7 +3,10 @@
 On honest ciphertexts the opening gives the same bits as the paper's
 preimage opening (``conftest.preimage_open_ring`` and
 ``preimage_open_int``), and a slot whose error is too long is refused with
-:class:`RejectNoise`, even under a valid one-time signature.
+:class:`RejectNoise`, even under a valid one-time signature.  On honest and
+altered slots alike it has the outcome of inversion through the whole slot
+(``conftest.full_open_ring`` and ``full_open_int``), although it forms only
+the gadget columns the decoder reads.
 """
 
 import dataclasses
@@ -16,8 +19,15 @@ from pkeet import pkeet_ring as pr
 from pkeet.errors import RejectNoise
 from pkeet.matlattice import matmul_mod
 from pkeet.params import derive_int_params, derive_ring_params
-from pkeet.ring import RingElement, balanced, get_context, mulmod
-from conftest import keeping_ots_keys, preimage_open_int, preimage_open_ring, seeded
+from pkeet.ring import RingElement, balanced, gadget_columns, get_context, mulmod
+from conftest import (
+    full_open_int,
+    full_open_ring,
+    keeping_ots_keys,
+    preimage_open_int,
+    preimage_open_ring,
+    seeded,
+)
 
 
 @pytest.mark.parametrize("n", [64, 256, 1024])
@@ -54,6 +64,135 @@ def test_int_inversion_matches_preimage_opening(n):
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
         assert np.array_equal(want[0], msg)
         assert np.array_equal(pi.decrypt_int(pk, sk, ct, p, rng), msg)
+
+
+def _outcome(opening, *args):
+    """The bits an opening gives, or :class:`RejectNoise`."""
+    try:
+        return np.stack(list(opening(*args))).tolist()
+    except RejectNoise:
+        return RejectNoise
+
+
+def _altered_slots(slot, payload, head_at, read_at, skipped_at, payload_at, eighth):
+    """A slot whose error entry ``head_at`` is at its bound, then the same
+    slot with that entry one past it, with a read or a skipped tail entry
+    moved by ``eighth``, and with its payload moved by ``eighth``: each as
+    ``(name, slot, payload, opens)``."""
+
+    def moved(array, index, by):
+        out = array.copy()
+        out[index] += by
+        return out
+
+    return [
+        ("head at its bound", slot, payload, True),
+        ("head past its bound", moved(slot, head_at, 1), payload, False),
+        ("read tail row", moved(slot, read_at, eighth), payload, False),
+        ("skipped tail row", moved(slot, skipped_at, eighth), payload, False),
+        ("payload", slot, moved(payload, payload_at, eighth), True),
+    ]
+
+
+@pytest.mark.parametrize("n", [64, 256, 1024])
+def test_ring_opening_matches_full_transform(n):
+    # Honest slots, and a hand-built slot with its first head coefficient
+    # at its bound, then one past it, then a tail row the decoder reads, a
+    # tail row it skips or the payload moved by q/8: both openings give the
+    # same bits, or both refuse the slot.
+    p = derive_ring_params(128, n, "toy")
+    ctx, q, base_len = get_context(p), p.q, p.base_len
+    rng = seeded(f"opening-ring-{n}")
+    pk, sk = pr.setup(p, rng)
+    ct = pr.encrypt(pk, RingElement(rng.uniform_mod(2, n), ctx), p, rng)
+    a_h, b_h = pr._tag_shift(p, ct.v, pk.a, pk.b)
+    honest = [(sk.t_a, a_h, pk.u, ct.ct3, ct.ct1), (sk.t_b, b_h, pk.u, ct.ct4, ct.ct2)]
+    want = _outcome(pr._open_slots, p, honest, a_h.tag_hat)
+    assert want == _outcome(full_open_ring, p, honest, a_h.tag_hat) != RejectNoise
+
+    head, _ = pr._slot_bounds(p)
+    cols = gadget_columns(q, pr._inversion_bound(p, pr._col_l1(sk.t_a)))
+    skipped = min(set(range(p.k)) - set(cols))
+    secret, bits = rng.uniform_mod(q, n), rng.uniform_mod(2, n)
+    s_hat = ctx.ntt(secret)
+    noise = pr._vector_noise(p, rng)
+    noise[0, 0] = head
+    slot = (ctx.intt(mulmod(a_h.vec_hat, s_hat, q)) + noise) % q
+    payload = (ctx.intt(mulmod(ctx.ntt(pk.u), s_hat, q)) + (q // 2) * bits) % q
+    cases = _altered_slots(
+        slot, payload, (0, 0), (base_len + cols[-1], 5), (base_len + skipped, 5), 5, q // 8
+    )
+    for name, case_slot, case_payload, opens in cases:
+        jobs = [(sk.t_a, a_h, pk.u, case_slot % q, case_payload % q), honest[1]]
+        got = _outcome(pr._open_slots, p, jobs, a_h.tag_hat)
+        assert got == _outcome(full_open_ring, p, jobs, a_h.tag_hat), name
+        assert got == ([bits.tolist(), want[1]] if opens else RejectNoise), name
+
+
+@pytest.mark.parametrize("n", [16, 32])
+def test_int_opening_matches_full_transform(n):
+    # As in the ring scheme: honest slots, and a hand-built slot with its
+    # first entry at its bound, then one past it, then an entry of the
+    # second half the decoder reads, one it skips or the payload moved by
+    # q/8.
+    p = derive_int_params(128, n, "toy")
+    q, m, k = p.q, p.m, p.k
+    rng = seeded(f"opening-int-{n}")
+    pk, sk = pi.setup_int(p, rng)
+    ct = pi.encrypt_int(pk, rng.uniform_mod(2, p.t_msg), p, rng)
+    _, a_sum = pi._selector(p, pk.b, pk.a_list, ct.c1, ct.c2, ct.d)
+    honest = [
+        (pk.a, a_sum, sk.t_a, pk.u, ct.c3, ct.c1),
+        (pk.a_prime, a_sum, sk.t_a_prime, pk.u, ct.c4, ct.c2),
+    ]
+    want = _outcome(pi._open_slots, p, honest)
+    assert want == _outcome(full_open_int, p, honest) != RejectNoise
+
+    head, _ = pi._slot_bounds(p)
+    m_bar = sk.t_a.shape[0]
+    cols = gadget_columns(q, pi._inversion_bound(p, pi._col_l1(sk.t_a)))
+    skipped = min(set(range(k)) - set(cols))
+    secret, bits = rng.uniform_mod(q, p.n), rng.uniform_mod(2, p.t_msg)
+    f_s = matmul_mod(np.concatenate([pk.a, a_sum], axis=1).T, secret[:, None], q)[:, 0]
+    noise = np.clip(pi._noise(2 * m, p, rng), -head, head)
+    noise[0] = head
+    slot = (f_s + noise) % q
+    payload = (matmul_mod(pk.u.T, secret[:, None], q)[:, 0] + (q // 2) * bits) % q
+    row = m_bar + 3 * k
+    cases = _altered_slots(slot, payload, 0, row + cols[-1], row + skipped, 3, q // 8)
+    for name, case_slot, case_payload, opens in cases:
+        jobs = [(pk.a, a_sum, sk.t_a, pk.u, case_slot % q, case_payload % q), honest[1]]
+        got = _outcome(pi._open_slots, p, jobs)
+        assert got == _outcome(full_open_int, p, jobs), name
+        assert got == ([bits.tolist(), want[1]] if opens else RejectNoise), name
+
+
+def test_ring_jobs_reading_different_columns_open_together(ring_small, monkeypatch):
+    # One job's inversion bound widened 4x, which stays exact because a
+    # larger bound only widens the decoder: the two jobs of one call read
+    # different gadget columns, and both open as the full transform does.
+    p = ring_small
+    rng = seeded("opening-ring-mixed")
+    pk, sk = pr.setup(p, rng)
+    col_a, col_b = pr._col_l1(sk.t_a), pr._col_l1(sk.t_b)
+    assert col_a != col_b
+    bound = pr._inversion_bound
+
+    def widened(params, col_l1):
+        return (4 if col_l1 == col_a else 1) * bound(params, col_l1)
+
+    monkeypatch.setattr(pr, "_inversion_bound", widened)
+    reads = [gadget_columns(p.q, pr._inversion_bound(p, c)) for c in (col_a, col_b)]
+    assert reads[0] != reads[1]
+    for _ in range(3):
+        msg = RingElement(rng.uniform_mod(2, p.n), get_context(p))
+        ct = pr.encrypt(pk, msg, p, rng)
+        a_h, b_h = pr._tag_shift(p, ct.v, pk.a, pk.b)
+        jobs = [(sk.t_a, a_h, pk.u, ct.ct3, ct.ct1), (sk.t_b, b_h, pk.u, ct.ct4, ct.ct2)]
+        got = pr._open_slots(p, jobs, a_h.tag_hat)
+        assert np.array_equal(got, full_open_ring(p, jobs, a_h.tag_hat))
+        assert np.array_equal(got[0], msg.coeffs)
+        assert pr.decrypt(pk, sk, ct, p, rng) == msg
 
 
 def test_ring_error_at_its_bounds_still_opens(ring_small):

@@ -173,11 +173,13 @@ def _count_transforms(monkeypatch) -> dict[str, int]:
 
 
 def test_transform_budget(ring_small, users, monkeypatch):
-    # Public vectors and preimages stay in NTT slots: an encrypt transforms
-    # the two masked vectors once each, a decrypt each opened slot's
-    # ciphertext vector, perturbation and gadget solution once each.
+    # Public vectors stay in NTT slots: an encrypt transforms the two masked
+    # vectors once each.  A decrypt or a test transforms each opened slot's
+    # head rows and u, the decoder's few gadget columns of [T; I]^T of the
+    # slot and the decoded h s, and inverts one product a_h s of m rows
+    # plus the payload's mask; no row of the slot's tail is transformed.
     (pk, sk), _ = users
-    m, k = ring_small.m, ring_small.k
+    m = ring_small.m
     rng = seeded("ring-transforms")
     msg = random_message(ring_small, rng)
     counts = _count_transforms(monkeypatch)
@@ -185,8 +187,12 @@ def test_transform_budget(ring_small, users, monkeypatch):
     encrypt_rows = counts["rows"]
     assert pr.decrypt(pk, sk, ct, ring_small, rng) == msg
     decrypt_rows = counts["rows"] - encrypt_rows
+    td = pr.trapdoor(sk, pk)
+    assert pr.test(td, td, ct, ct, ring_small, rng) == 1
+    test_rows = counts["rows"] - encrypt_rows - decrypt_rows
     assert encrypt_rows <= 2 * m + 24
-    assert decrypt_rows <= 2 * (2 * m + k) + 16
+    assert decrypt_rows <= 2 * (m + 1) + 24
+    assert test_rows <= 2 * (m + 1) + 24
 
 
 def test_one_transform_call_per_operand_batch(ring_small, users, monkeypatch):

@@ -209,10 +209,10 @@ def test_bit_codec_noise_margin(ring_toy, int_small):
     (12289, 5, [0, 10]),
 ])
 def test_gadget_decoder_at_and_past_its_bound(q, bound, cols):
-    # Every y in Z_q comes back when each gadget column's error lies within
-    # the bound: every sign pattern of errors exactly at the bound on the
-    # columns the decoder reads, and random errors within it on every
-    # column.  Errors one past the bound break some y.
+    # Every y in Z_q comes back from the columns the decoder reads when
+    # each one's error lies within the bound: every sign pattern of errors
+    # exactly at the bound, and random errors within it.  Errors one past
+    # the bound break some y.
     k = q.bit_length()
     assert gadget_columns(q, bound) == cols
     ys = np.arange(q, dtype=np.int64)
@@ -220,7 +220,7 @@ def test_gadget_decoder_at_and_past_its_bound(q, bound, cols):
 
     def wrong(err: np.ndarray) -> int:
         w = (gadget[:, None] * ys[None, :] + err) % q
-        return int((decode_gadget(w, q, bound) != ys).sum())
+        return int((decode_gadget(w[cols], q, bound) != ys).sum())
 
     for size, expect_wrong in ((bound, False), (bound + 1, True)):
         total = 0
